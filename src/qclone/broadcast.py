@@ -202,19 +202,20 @@ def _pair_channel(lmbda: float):
 
 def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
     """Same outputs from the copier's single-copy and copy-pair maps."""
-    rho = input_ket(amplitudes).density()
+    psi = input_ket(amplitudes)
     chan = _single_copy_channel(lmbda)
-    # (Lambda x Lambda)(rho), block by block over subsystem A
+    # (Lambda x Lambda)(rho), block by block over subsystem A: the (i, j)
+    # block of |psi><psi| is |psi_i><psi_j| with psi_i the B ket at A = i
     ab = np.zeros((4, 4), dtype=complex)
-    t = rho.mat.reshape(2, 2, 2, 2)
+    rows = psi.amps.reshape(2, 2)
     for i in range(2):
         for j in range(2):
             eij = np.zeros((2, 2), dtype=complex)
             eij[i, j] = 1.0
-            ab += np.kron(chan(eij), chan(t[i, :, j, :]))
+            ab += np.kron(chan(eij), chan(np.outer(rows[i], rows[j].conj())))
     pair = _pair_channel(lmbda)
-    rho_a = partial_trace(rho, [0]).mat
-    rho_b = partial_trace(rho, [1]).mat
+    rho_a = partial_trace(psi, [0]).mat
+    rho_b = partial_trace(psi, [1]).mat
     return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a), "BB'": pair(rho_b)}
 
 
@@ -228,7 +229,7 @@ def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOper
     # layout now A, A', M_A, B
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
     # layout A, A', M_A, B, B', M_B
-    full = DensityOperator(tuple(dims), np.outer(amps, amps.conj()))
+    full = StateVector(tuple(dims), amps)
     return {
         "AB'": partial_trace(full, [0, 4]),
         "A'B": partial_trace(full, [1, 3]),
@@ -397,11 +398,10 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     amps, dims = _apply_machine_at(amps, dims, 5, machine)
     labels = ["q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2"]
     state = StateVector(tuple(dims), amps)
-    full = state.density()
 
     def reduced(names) -> DensityOperator:
         keep = sorted(labels.index(n) for n in names)
-        rho = partial_trace(full, keep)
+        rho = partial_trace(state, keep)
         kept_names = [labels[k] for k in keep]
         order = [kept_names.index(n) for n in names]
         return permute_subsystems(rho, order)

@@ -24,6 +24,9 @@ from .qcore import StateVector
 
 FORMATS = ("csv", "json", "pretty")
 
+# clone families whose input dimension is --dim (every other family takes a qubit)
+DIM_FAMILIES = ("wz-n", "uqcm-d", "pc-d", "econ", "heis-asym")
+
 
 def _render(rows, meta, fmt: str) -> str:
     """rows: list of flat dicts with stable keys."""
@@ -114,10 +117,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_clone(args) -> int:
+    d = 2
+    if args.family in DIM_FAMILIES:
+        if args.dim < 2:
+            raise ValueError(f"--dim must be >= 2 for family {args.family}, got {args.dim}")
+        d = args.dim
     spec = _machine_spec(args)
-    d = spec.params[0] if spec.family in ("wz-n", "uqcm-d", "pc-d") else 2
-    if spec.family == "heis-asym":
-        d = spec.params[0]
     if args.phase is not None:
         amps = np.zeros(d, dtype=complex)
         amps[0] = 1 / math.sqrt(2)

@@ -17,6 +17,7 @@ from .qcore import (
     GramSpec,
     MachineIsometry,
     StateVector,
+    apply_isometry,
     bell_state,
     ket,
     kron_all,
@@ -366,12 +367,10 @@ def clone_report(spec: MachineSpec, state: StateVector) -> CloneReport:
     machine = build_machine(spec)
     if state.dims != machine.in_dims:
         raise ValueError(f"input dims {state.dims} incompatible with {spec}")
-    out = machine.matrix @ state.amps
-    full = DensityOperator(machine.out_dims, np.outer(out, out.conj()))
-    n_out = len(machine.out_dims)
-    clones = partial_trace(full, [0, 1]) if n_out > 2 else full
-    rho_a = partial_trace(full, [0])
-    rho_b = partial_trace(full, [1])
+    out = apply_isometry(machine, state)
+    clones = partial_trace(out, [0, 1])
+    rho_a = partial_trace(out, [0])
+    rho_b = partial_trace(out, [1])
     ideal = state if len(state.dims) == 1 else None
     if ideal is None:
         raise ValueError("clone_report expects a single-system input")
@@ -680,10 +679,7 @@ def mixed_23_composite_overlap(psi: StateVector) -> float:
     two-qubit state in the symmetric subspace) is fed to the 2->3 machine;
     the result is input-independent.
     """
-    gm = build_gm_1m(3)
-    out = gm.matrix @ psi.amps
-    full = DensityOperator(gm.out_dims, np.outer(out, out.conj()))
-    two_clones = partial_trace(full, [0, 1])
+    two_clones = partial_trace(apply_isometry(build_gm_1m(3), psi), [0, 1])
     # express on the symmetric basis {|00>, psi+, |11>}
     basis = np.array(
         [

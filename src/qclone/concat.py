@@ -16,10 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import MachineSpec, build_machine
-from .deleters import DeleterSpec, build_deleter, _spec_blank
-from .qcore import DensityOperator, StateVector, partial_trace
-
-_GL_NODES = 64
+from .deleters import (
+    GL_ALPHA2,
+    GL_WEIGHTS,
+    DeleterSpec,
+    _spec_blank,
+    build_deleter,
+    qubit_marginals,
+    real_inputs,
+)
+from .qcore import StateVector
 
 
 @dataclass(frozen=True)
@@ -53,57 +59,57 @@ def _deleter_action(spec: DeleterSpec):
     return machine, ident0, ident1, passthrough
 
 
+def _pipeline_kets(spec: PipelineSpec, alpha2s):
+    """(dims, one renormalized post-deletion ket per alpha^2 value)."""
+    alpha2s = np.asarray(alpha2s, dtype=float)
+    if np.any((alpha2s < 0.0) | (alpha2s > 1.0)):
+        raise ValueError("alpha^2 must lie in [0, 1]")
+    xi = _cloner_xi(spec.cloner)
+    psi = real_inputs(alpha2s)  # (n, 2): alpha, beta
+    machine, ident0, ident1, passthrough = _deleter_action(spec.deleter)
+    mdim = machine.out_dims[-1]
+    amps = np.zeros((len(alpha2s), 4 * mdim, 3), dtype=complex)
+    amps[:, :, 0] = psi[:, :1] * ident0 + psi[:, 1:] * ident1
+    amps[:, :, 1] = math.sqrt(xi) * psi[:, :1] * passthrough
+    amps[:, :, 2] = math.sqrt(xi) * psi[:, 1:] * passthrough
+    kets = amps.reshape(len(alpha2s), -1)
+    return (2, 2, mdim, 3), kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
 def pipeline_state(spec: PipelineSpec, alpha2: float):
     """The renormalized post-deletion pure state of the canonical pipeline.
 
     Subsystems: kept qubit, deleted qubit, deleter machine, branch label
     (identical branch, then the two pass-through labels carrying sqrt(xi)).
     """
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError("alpha^2 must lie in [0, 1]")
-    xi = _cloner_xi(spec.cloner)
-    alpha = math.sqrt(alpha2)
-    beta = math.sqrt(1 - alpha2)
-    machine, ident0, ident1, passthrough = _deleter_action(spec.deleter)
-    mdim = machine.out_dims[-1]
-    dims = (2, 2, mdim, 3)
-    amps = np.zeros((4 * mdim, 3), dtype=complex)
-    amps[:, 0] = alpha * ident0 + beta * ident1
-    amps[:, 1] = math.sqrt(xi) * alpha * passthrough
-    amps[:, 2] = math.sqrt(xi) * beta * passthrough
-    vec = amps.reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    return StateVector(dims, vec)
+    dims, kets = _pipeline_kets(spec, [alpha2])
+    return StateVector(dims, kets[0])
+
+
+def _scores(kets: np.ndarray, dims, alpha2s, spec: PipelineSpec):
+    """(distortion of the kept qubit, deletion fidelity) per ket of a batch."""
+    rho_x, rho_y = qubit_marginals(kets, dims)
+    psi = real_inputs(alpha2s)
+    diff = rho_x - psi[:, :, None] * psi[:, None, :]
+    distortion = np.einsum("nab,nba->n", diff, diff).real
+    target = _spec_blank(spec.deleter).vec
+    fidelity = (target.conj() @ rho_y @ target).real
+    return distortion, fidelity
 
 
 def run_pipeline(spec: PipelineSpec, alpha2: float):
     """(distortion of the kept qubit, deletion fidelity) at one input."""
-    state = pipeline_state(spec, alpha2)
-    rho = state.density()
-    rho_x = partial_trace(rho, [0]).mat
-    rho_y = partial_trace(rho, [1]).mat
-    alpha = math.sqrt(alpha2)
-    beta = math.sqrt(1 - alpha2)
-    psi = np.array([alpha, beta], dtype=complex)
-    ideal = np.outer(psi, psi.conj())
-    diff = rho_x - ideal
-    distortion = float(np.real(np.trace(diff @ diff)))
-    target = _spec_blank(spec.deleter).vec
-    fidelity = float(np.real(target.conj() @ rho_y @ target))
-    return distortion, fidelity
+    dims, kets = _pipeline_kets(spec, [alpha2])
+    d, f = _scores(kets, dims, [alpha2], spec)
+    return float(d[0]), float(f[0])
 
 
-def pipeline_averages(spec: PipelineSpec, nodes: int = _GL_NODES):
-    """Quadrature averages of (distortion, deletion fidelity) over alpha^2."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t = (x + 1) / 2
-    w = w / 2
-    d_total = f_total = 0.0
-    for ti, wi in zip(t, w):
-        d, f = run_pipeline(spec, ti)
-        d_total += wi * d
-        f_total += wi * f
-    return d_total, f_total
+def pipeline_averages(spec: PipelineSpec):
+    """Quadrature averages of (distortion, deletion fidelity) over alpha^2,
+    all 64 nodes in one batched pass."""
+    dims, kets = _pipeline_kets(spec, GL_ALPHA2)
+    d, f = _scores(kets, dims, GL_ALPHA2, spec)
+    return float(GL_WEIGHTS @ d), float(GL_WEIGHTS @ f)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +178,13 @@ def run_pipeline_physical(spec: PipelineSpec, alpha2: float):
     Requires a realizable copier (xi >= 1/6 in the two-parameter family, or
     the basis copier).
     """
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError("alpha^2 must lie in [0, 1]")
     cloner = build_machine(spec.cloner)
     deleter = build_deleter(spec.deleter)
-    alpha = math.sqrt(alpha2)
-    beta = math.sqrt(1 - alpha2)
-    psi = np.array([alpha, beta], dtype=complex)
-    out = cloner.matrix @ psi  # (x, y, M_c)
+    out = cloner.matrix @ real_inputs(alpha2)  # (x, y, M_c)
     mdim_c = cloner.out_dims[-1]
-    t = out.reshape(4, mdim_c)
-    full = np.tensordot(deleter.matrix, t, axes=([1], [0]))  # (x y M_d, M_c)
+    full = deleter.matrix @ out.reshape(4, mdim_c)  # (x y M_d, M_c)
     dims = deleter.out_dims + (mdim_c,)
-    rho = DensityOperator(dims, np.outer(full.reshape(-1), full.reshape(-1).conj()))
-    rho_x = partial_trace(rho, [0]).mat
-    rho_y = partial_trace(rho, [1]).mat
-    ideal = np.outer(psi, psi.conj())
-    diff = rho_x - ideal
-    distortion = float(np.real(np.trace(diff @ diff)))
-    target = _spec_blank(spec.deleter).vec
-    fidelity = float(np.real(target.conj() @ rho_y @ target))
-    return distortion, fidelity
+    d, f = _scores(full.reshape(1, -1), dims, [alpha2], spec)
+    return float(d[0]), float(f[0])

@@ -22,16 +22,20 @@ from .qcore import (
     MachineIsometry,
     StateVector,
     bell_state,
+    check_densities,
     ket,
     kron_all,
-    operator_on,
     partial_trace,
     realize_gram,
+    reduce_ket,
 )
 
 DEFAULT_BLANK = BlankState(1.0, 0.0)
 
-_GL_NODES = 64
+# 64-node Gauss-Legendre rule for averages over alpha^2 in [0, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+GL_ALPHA2 = (_GL_X + 1) / 2
+GL_WEIGHTS = _GL_W / 2
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,16 @@ def conv_gram(lmbda: float, y: float) -> GramSpec:
     return GramSpec(labels, g)
 
 
-def conv_max_y(lmbda: float, tol: float = 1e-9) -> float:
-    """Largest Y keeping the machine Gram PSD, found by bisection."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if np.linalg.eigvalsh(conv_gram(lmbda, mid).gram)[0] >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def conv_max_y(lmbda: float) -> float:
+    """Largest Y keeping the machine Gram PSD.
+
+    Only A couples to A0, A1 and D0 (each of norm 1 - 2 lambda), so the Gram
+    is PSD iff the Schur complement 1 - 3 Y^2 / (1 - 2 lambda) of the A row
+    is nonnegative: Y_max = sqrt((1 - 2 lambda) / 3).
+    """
+    if not 0.0 <= lmbda <= 0.5:
+        raise ValueError("lambda must lie in [0, 1/2]")
+    return math.sqrt((1 - 2 * lmbda) / 3)
 
 
 def _conv_parts(lmbda: float, blank: BlankState, y: Optional[float]):
@@ -227,20 +231,24 @@ def deletion_target(spec: DeleterSpec) -> np.ndarray:
     return blank.vec
 
 
-def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0) -> DensityOperator:
-    """Deleter (plus optional transformers on the data qubits) on a 2-qubit input."""
+def _transform(kets: np.ndarray, n_transformers: int) -> np.ndarray:
+    """Apply T^n to the two data qubits (the leading factors) of a ket or of
+    an (n, d) batch of kets."""
     if n_transformers not in (0, 1, 2):
         raise ValueError("only 0, 1 or 2 transformers are analyzed")
+    t_n = np.linalg.matrix_power(transformer(), n_transformers)
+    data = kets.reshape(kets.shape[:-1] + (4, -1))
+    return np.einsum("ab,...bm->...am", t_n, data).reshape(kets.shape)
+
+
+def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0) -> StateVector:
+    """Deleter (plus optional transformers on the data qubits) on a 2-qubit
+    input; the output is pure, so it is returned as a ket."""
     machine = build_deleter(spec)
     if state.dims != (2, 2):
         raise ValueError("deleters act on two qubits")
-    out = machine.matrix @ state.amps
-    rho = DensityOperator(machine.out_dims, np.outer(out, out.conj()))
-    if n_transformers:
-        t = transformer()
-        t_full = operator_on(np.linalg.matrix_power(t, n_transformers), [0, 1], rho.dims)
-        rho = DensityOperator(rho.dims, t_full @ rho.mat @ t_full.conj().T)
-    return rho
+    out = _transform(machine.matrix @ state.amps, n_transformers)
+    return StateVector(machine.out_dims, out)
 
 
 def _pair_state(psi: StateVector) -> StateVector:
@@ -255,11 +263,11 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     """
     if state.dims != (2,):
         raise ValueError("delete_report expects the single-qubit input state")
-    rho = apply_deleter(spec, _pair_state(state), n_transformers)
-    rho_1 = partial_trace(rho, [0])
-    rho_2 = partial_trace(rho, [1])
-    has_machine = len(rho.dims) > 2
-    rho_3 = partial_trace(rho, [2]) if has_machine else None
+    out = apply_deleter(spec, _pair_state(state), n_transformers)
+    rho_1 = partial_trace(out, [0])
+    rho_2 = partial_trace(out, [1])
+    has_machine = len(out.dims) > 2
+    rho_3 = partial_trace(out, [2]) if has_machine else None
     f1 = float(np.real(state.amps.conj() @ rho_1.mat @ state.amps))
     target = deletion_target(spec)
     f2 = float(np.real(target.conj() @ rho_2.mat @ target))
@@ -275,31 +283,33 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     return DeletionReport(rho_1, rho_2, rho_3, f1, f2, overlap_m, avg1, avg2)
 
 
-def average_fidelities(spec: DeleterSpec, n_transformers: int = 0, nodes: int = _GL_NODES):
-    """Quadrature averages of (F_1, F_2) over alpha^2 for real amplitudes."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t = (x + 1) / 2  # alpha^2 in (0, 1)
-    w = w / 2
+def real_inputs(alpha2s) -> np.ndarray:
+    """Kets sqrt(a)|0> + sqrt(1 - a)|1>, one row per alpha^2 value."""
+    a = np.asarray(alpha2s, dtype=float)
+    return np.stack([np.sqrt(a), np.sqrt(1 - a)], axis=-1)
+
+
+def qubit_marginals(kets: np.ndarray, dims):
+    """Reduced states of the first two subsystems of an (n, d) batch of
+    kets, validated by one stacked check: two (n, 2, 2) arrays."""
+    rho_0 = reduce_ket(kets, dims, [0])
+    rho_1 = reduce_ket(kets, dims, [1])
+    check_densities(np.concatenate([rho_0, rho_1]))
+    return rho_0, rho_1
+
+
+def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
+    """Quadrature averages of (F_1, F_2) over alpha^2 for real amplitudes,
+    all 64 nodes in one batched pass."""
     machine = build_deleter(spec)
+    psi = real_inputs(GL_ALPHA2)
+    pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
+    kets = _transform(pairs @ machine.matrix.T, n_transformers)
+    rho_1, rho_2 = qubit_marginals(kets, machine.out_dims)
     target = deletion_target(spec)
-    tmat = None
-    if n_transformers:
-        tmat = operator_on(
-            np.linalg.matrix_power(transformer(), n_transformers), [0, 1], machine.out_dims
-        )
-    f1_total = f2_total = 0.0
-    for ti, wi in zip(t, w):
-        psi = np.array([math.sqrt(ti), math.sqrt(1 - ti)], dtype=complex)
-        out = machine.matrix @ np.kron(psi, psi)
-        rho = np.outer(out, out.conj())
-        if tmat is not None:
-            rho = tmat @ rho @ tmat.conj().T
-        full = DensityOperator(machine.out_dims, rho)
-        rho_1 = partial_trace(full, [0]).mat
-        rho_2 = partial_trace(full, [1]).mat
-        f1_total += wi * float(np.real(psi.conj() @ rho_1 @ psi))
-        f2_total += wi * float(np.real(target.conj() @ rho_2 @ target))
-    return f1_total, f2_total
+    f1 = np.einsum("na,nab,nb->n", psi, rho_1, psi).real
+    f2 = (target.conj() @ rho_2 @ target).real
+    return float(GL_WEIGHTS @ f1), float(GL_WEIGHTS @ f2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +365,7 @@ def pb_with_transformer(blank: BlankState, state: StateVector):
     """Conditional deleter followed by one transformer: (rho_2, F_2) where
     F_2 = <Sigma| rho_2 |Sigma>."""
     spec = DeleterSpec("pb", (blank,))
-    rho = apply_deleter(spec, _pair_state(state), n_transformers=1)
-    rho_2 = partial_trace(rho, [1])
+    rho_2 = partial_trace(apply_deleter(spec, _pair_state(state), n_transformers=1), [1])
     f2 = float(np.real(blank.vec.conj() @ rho_2.mat @ blank.vec))
     return rho_2, f2
 

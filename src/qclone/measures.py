@@ -17,7 +17,6 @@ from .qcore import (
     PAULI_Y,
     StateVector,
     apply_isometry,
-    bell_state,
     partial_trace,
     partial_transpose,
 )
@@ -82,7 +81,7 @@ def von_neumann_entropy(rho: DensityOperator, base: float = 2.0) -> float:
 
 
 def entropy_of_entanglement(ket: StateVector, split, base: float = 2.0) -> float:
-    rho_a = partial_trace(ket.density(), sorted(set(split)))
+    rho_a = partial_trace(ket, split)
     return von_neumann_entropy(rho_a, base=base)
 
 
@@ -211,7 +210,7 @@ def herbert_gap_with_machine(machine) -> float:
         total = None
         for s in states:
             out = apply_isometry(machine, StateVector((2,), s))
-            pair = partial_trace(out.density(), [0, 1])
+            pair = partial_trace(out, [0, 1])
             total = pair.mat if total is None else total + pair.mat
         return total / len(states)
 
@@ -219,8 +218,3 @@ def herbert_gap_with_machine(machine) -> float:
     gz = clone_mix([zero, one])
     d = gx - gz
     return float(np.real(np.trace(d @ d)))
-
-
-def singlet_density() -> DensityOperator:
-    s = bell_state("psi-")
-    return DensityOperator((2, 2), np.outer(s, s.conj()))

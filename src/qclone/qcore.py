@@ -15,6 +15,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# Hermiticity, unit-trace and PSD tolerance of every density-operator check,
+# single (DensityOperator) or stacked (check_densities).
+DENSITY_TOL = 1e-7
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -72,23 +76,35 @@ class DensityOperator:
     dims: tuple
     mat: np.ndarray = field(repr=False)
 
-    def __post_init__(self, tol: float = 1e-7):
+    def __post_init__(self):
         object.__setattr__(self, "dims", _as_dims(self.dims))
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
         d = int(np.prod(self.dims))
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims}")
-        if np.max(np.abs(mat - mat.conj().T)) > tol:
-            raise ValueError("density operator is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > tol:
-            raise ValueError(f"density operator has trace {np.trace(mat)}")
-        if np.linalg.eigvalsh(mat)[0] < -tol:
-            raise ValueError("density operator has a significantly negative eigenvalue")
+        check_densities(mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def check_densities(mats: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of a (..., d, d) stack is
+    Hermitian, unit-trace and PSD to within DENSITY_TOL.
+
+    One batched eigensolve covers the whole stack.
+    """
+    # ndarray methods rather than np.max/np.min: those cost microseconds
+    # per call, and every DensityOperator runs this check
+    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max() > DENSITY_TOL:
+        raise ValueError("density operator is not Hermitian")
+    worst = np.abs(mats.diagonal(0, -2, -1).sum(-1).real - 1.0).max()
+    if worst > DENSITY_TOL:
+        raise ValueError(f"density operator trace deviates from 1 by {worst:.3g}")
+    if np.linalg.eigvalsh(mats)[..., 0].min() < -DENSITY_TOL:
+        raise ValueError("density operator has a significantly negative eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -226,11 +242,43 @@ def _trace_axes(mat: np.ndarray, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out all subsystems except ``keep`` (kept in original order)."""
+def reduce_ket(amps, dims, keep) -> np.ndarray:
+    """Reduced density matrix of a pure state on the subsystems ``keep``.
+
+    ``amps`` is one ket of shape (d,) or a batch of kets of shape (n, d); the
+    result is (d_keep, d_keep) or (n, d_keep, d_keep), with the kept
+    subsystems in their original order.  Reshape -> transpose -> M M^dag:
+    the same matrix as tracing the outer product, which is never formed.
+    """
+    dims = tuple(dims)
+    n = len(dims)
     keep = sorted(set(keep))
-    reduced = _trace_axes(rho.mat, rho.dims, keep)
-    return DensityOperator(tuple(rho.dims[k] for k in keep), reduced)
+    if not keep or any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
+    amps = np.asarray(amps, dtype=complex)
+    batch = amps.shape[:-1]
+    if amps.shape[-1] != int(np.prod(dims)):
+        raise ValueError(f"ket of length {amps.shape[-1]} does not match dims {dims}")
+    order = keep + [i for i in range(n) if i not in keep]
+    lead = list(range(len(batch)))
+    t = np.transpose(amps.reshape(batch + dims), lead + [len(batch) + i for i in order])
+    d_keep = int(np.prod([dims[k] for k in keep]))
+    m = t.reshape(batch + (d_keep, -1))
+    return m @ m.conj().swapaxes(-1, -2)
+
+
+def partial_trace(state, keep) -> DensityOperator:
+    """Trace out all subsystems except ``keep`` (kept in original order).
+
+    ``state`` is a DensityOperator or a StateVector; a pure state is reduced
+    by :func:`reduce_ket` without forming its full density matrix.
+    """
+    keep = sorted(set(keep))
+    if isinstance(state, StateVector):
+        reduced = reduce_ket(state.amps, state.dims, keep)
+    else:
+        reduced = _trace_axes(state.mat, state.dims, keep)
+    return DensityOperator(tuple(state.dims[k] for k in keep), reduced)
 
 
 def partial_transpose(rho: DensityOperator, subsystem: int) -> np.ndarray:

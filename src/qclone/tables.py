@@ -163,9 +163,9 @@ def _hybrid_pauli_sim(p: float, lam: float):
     spec = hybrid.HybridSpec(MachineSpec("pauli-asym", (p,)), MachineSpec("bh-opt"), lam)
     machine = hybrid.hybrid_machine(spec)
     psi = StateVector((2,), [math.sqrt(0.42), math.sqrt(0.58)])
-    rho = apply_isometry(machine, psi).density()
-    f1 = overlap(psi, partial_trace(rho, [0]))
-    f2 = overlap(psi, partial_trace(rho, [1]))
+    out = apply_isometry(machine, psi)
+    f1 = overlap(psi, partial_trace(out, [0]))
+    f2 = overlap(psi, partial_trace(out, [1]))
     return f1, f2
 
 
@@ -230,9 +230,9 @@ def _hybrid_anti_sim(lam: float):
     spec = hybrid.HybridSpec(MachineSpec("bh-opt"), MachineSpec("anti"), lam)
     machine = hybrid.hybrid_machine(spec)
     psi = StateVector((2,), [math.sqrt(0.42), math.sqrt(0.58)])
-    rho = apply_isometry(machine, psi).density()
-    f_a = overlap(psi, partial_trace(rho, [0]))
-    f_b = overlap(psi, partial_trace(rho, [1]))
+    out = apply_isometry(machine, psi)
+    f_a = overlap(psi, partial_trace(out, [0]))
+    f_b = overlap(psi, partial_trace(out, [1]))
     return f_a, f_b
 
 

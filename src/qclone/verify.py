@@ -20,7 +20,6 @@ from . import cloners, concat, deleters, hybrid, measures, tables
 from .cloners import MachineSpec
 from .deleters import BlankState, DeleterSpec
 from .qcore import (
-    DensityOperator,
     GramSpec,
     StateVector,
     UnrealizableSpec,
@@ -80,7 +79,7 @@ def check_bh_optimal() -> CheckResult:
 
 
 def check_clone_ancilla_entanglement() -> CheckResult:
-    out = apply_isometry(cloners.build_bh_opt(), StateVector((2,), [1, 0])).density()
+    out = apply_isometry(cloners.build_bh_opt(), StateVector((2,), [1, 0]))
     rho_ab = partial_trace(out, [0, 1])
     rho_ax = partial_trace(out, [0, 2])
     c_ab = measures.concurrence_2q(rho_ab)
@@ -145,9 +144,8 @@ def check_closed_form_grid() -> CheckResult:
     # GM(2,3) via the 2->M machine on identical pure inputs
     m23 = cloners.build_mixed_2m(3)
     v = _rand_kets(1, seed=3)[0]
-    out = m23.matrix @ np.kron(v, v)
-    full = DensityOperator(m23.out_dims, np.outer(out, out.conj()))
-    f = float(np.real(v.conj() @ partial_trace(full, [0]).mat @ v))
+    out = StateVector(m23.out_dims, m23.matrix @ np.kron(v, v))
+    f = float(np.real(v.conj() @ partial_trace(out, [0]).mat @ v))
     if abs(f - cloners.gm_fidelity(2, 3)) > 1e-7:
         failures.append(f"sim 2->3: {f} != {cloners.gm_fidelity(2, 3)}")
     # recloning two clones of the 1->3 copier
@@ -358,11 +356,14 @@ def check_branch_ranges() -> CheckResult:
 def check_protocol_concurrences() -> CheckResult:
     """The printed concurrence ranges, asserted as printed.
 
-    The displayed three-qubit operators (reproduced here to machine
-    precision from the six-qubit construction) give different values, so
-    this check documents a source defect and is expected to fail.
+    It samples the broadcastable interval [x0, 1]; x0 = (3 + 2 sqrt 3) /
+    (7 + 2 sqrt 3), the root of 37 x^2 - 18 x - 3, is the rho_46 PPT
+    boundary.  The displayed three-qubit operators (reproduced here to
+    machine precision from the six-qubit construction) give different
+    values, so this check documents a source defect and is expected to fail.
     """
-    xs = np.linspace(0.6177, 0.9999, 41)
+    x0 = (3 + 2 * math.sqrt(3)) / (7 + 2 * math.sqrt(3))
+    xs = np.linspace(x0, 1.0, 41)
     c16 = [measures.concurrence_2q(bc.rho_16_closed(math.sqrt(x))) for x in xs]
     c46 = [measures.concurrence_2q(bc.rho_46_closed(math.sqrt(x))) for x in xs]
     got = (min(c16), max(c16), min(c46), max(c46))
@@ -375,10 +376,10 @@ def check_protocol_concurrences() -> CheckResult:
     notes = [
         "source defect: the printed ranges (0.17-0.29 and 0.08-0.15) do not "
         "follow from the displayed operators, which are reproduced exactly "
-        "by direct construction; the actual ranges are "
-        f"C(1,6) in [{min(c16):.3f}, {max(c16):.3f}] and "
-        f"C(4,6) in [{min(c46):.3f}, {max(c46):.3f}] "
-        "(C(4,6) -> 1/3 = the clone/clone concurrence as alpha^2 -> 1)"
+        f"by direct construction; over alpha^2 in [x0, 1], x0 = {x0:.6f} (the "
+        "rho_46 PPT boundary), the actual ranges are "
+        f"C(1,6) in [{min(c16):.4f}, {max(c16):.4f}] and "
+        f"C(4,6) in [{min(c46):.4f}, {max(c46):.4f}]"
     ]
     return CheckResult(
         "printed concurrence ranges over the broadcastable interval",

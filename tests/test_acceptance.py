@@ -214,6 +214,9 @@ def test_c09_concurrence_ranges_as_printed():
     result = verify.check_protocol_concurrences()
     assert not result.passed
     assert result.name in verify.EXPECTED_FINDINGS
+    # its note reports the ranges over the whole interval [x0, 1]
+    assert "C(1,6) in [0.0000, 0.0727]" in result.notes[0]
+    assert "C(4,6) in [0.0000, 0.3333]" in result.notes[0]
     summ = verify.summary([result])
     assert summ["expected_findings"] == [result.name]
     assert summ["unexpected_failures"] == []

@@ -106,3 +106,19 @@ def test_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("lambda")
     assert len(text.strip().splitlines()) == 12
+
+
+@pytest.mark.parametrize("family", ["uqcm-d", "wz-n", "pc-d", "econ", "heis-asym"])
+def test_clone_dim_below_two_is_usage_error(capsys, family):
+    code = main(["clone", "--family", family, "--dim", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--dim must be >= 2" in err and "Traceback" not in err
+
+
+def test_clone_econ_takes_input_dim(capsys):
+    # the input is a qutrit, not the default qubit
+    code, out = run_cli(capsys, "clone", "--family", "econ", "--dim", "3", "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["family"] == "econ" and row["F_a"] == row["F_b"]

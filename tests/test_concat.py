@@ -6,6 +6,7 @@ import pytest
 from qclone import concat
 from qclone.cloners import MachineSpec
 from qclone.deleters import BlankState, DeleterSpec
+from qclone.qcore import partial_trace
 
 
 WZ_PB = concat.PipelineSpec(MachineSpec("wz"), DeleterSpec("pb"))
@@ -72,6 +73,22 @@ def test_quadrature_matches_closed_forms():
         cd, cf = concat.closed_form_averages(spec)
         assert abs(qd - cd) < 1e-9
         assert abs(qf - cf) < 1e-9
+
+
+def test_batched_pipeline_averages_match_per_node_loop():
+    # reference: one full density matrix per Gauss-Legendre node, then traced
+    x, w = np.polynomial.legendre.leggauss(64)
+    blank = np.array([1.0, 0.0])  # the default blank of both deleters
+    for spec in (WZ_PB, BH_PB, BH_SDEP):
+        d_ref = f_ref = 0.0
+        for a2, wi in zip((x + 1) / 2, w / 2):
+            rho = concat.pipeline_state(spec, a2).density()
+            psi = np.array([math.sqrt(a2), math.sqrt(1 - a2)])
+            diff = partial_trace(rho, [0]).mat - np.outer(psi, psi)
+            d_ref += wi * np.trace(diff @ diff).real
+            f_ref += wi * (blank @ partial_trace(rho, [1]).mat @ blank).real
+        avg_d, avg_f = concat.pipeline_averages(spec)
+        assert abs(avg_d - d_ref) < 1e-12 and abs(avg_f - f_ref) < 1e-12
 
 
 def test_normalization_factor_emerges():

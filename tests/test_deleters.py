@@ -5,7 +5,15 @@ import pytest
 
 from qclone import deleters
 from qclone.deleters import BlankState, DeleterSpec, build_deleter, delete_report, transformer
-from qclone.qcore import StateVector, bell_state, ket, kron_all
+from qclone.qcore import (
+    DensityOperator,
+    StateVector,
+    bell_state,
+    ket,
+    kron_all,
+    operator_on,
+    partial_trace,
+)
 
 
 RNG = np.random.default_rng(77)
@@ -111,6 +119,74 @@ def test_conv_machine_overlap_is_y_squared():
     assert abs(rep.machine_overlap - 0.04) < 1e-9
 
 
+def _bisect_max_y(lam, steps=30):
+    """Oracle: the largest Y keeping conv_gram PSD, by bisection on [0, 1]."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if np.linalg.eigvalsh(deleters.conv_gram(lam, mid).gram)[0] >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.2, 0.45, 0.49, 0.5])
+def test_conv_max_y_closed_form_matches_bisection(lam):
+    assert abs(deleters.conv_max_y(lam) - _bisect_max_y(lam)) < 1e-9
+
+
+def test_conv_max_y_domain():
+    for lam in (-0.1, 0.6):
+        with pytest.raises(ValueError):
+            deleters.conv_max_y(lam)
+
+
+def _loop_average_fidelities(spec, n_transformers):
+    """Oracle: one density matrix per Gauss-Legendre node, transformers
+    applied as T rho T^dag on the full space, then traced."""
+    machine = build_deleter(spec)
+    t_full = operator_on(
+        np.linalg.matrix_power(transformer(), n_transformers), [0, 1], machine.out_dims
+    )
+    target = deleters.deletion_target(spec)
+    x, w = np.polynomial.legendre.leggauss(64)
+    f1 = f2 = 0.0
+    for a2, wi in zip((x + 1) / 2, w / 2):
+        psi = np.array([math.sqrt(a2), math.sqrt(1 - a2)], dtype=complex)
+        out = machine.matrix @ np.kron(psi, psi)
+        rho = DensityOperator(machine.out_dims, t_full @ np.outer(out, out.conj()) @ t_full.conj().T)
+        f1 += wi * np.real(psi.conj() @ partial_trace(rho, [0]).mat @ psi)
+        f2 += wi * np.real(target.conj() @ partial_trace(rho, [1]).mat @ target)
+    return f1, f2
+
+
+AVERAGE_SPECS = [
+    DeleterSpec("pb", (BlankState(0.6, 0.8),)),
+    DeleterSpec("qiu", (1.0,)),
+    DeleterSpec("conv", (0.3, BlankState(0.6, 0.8))),
+    DeleterSpec("sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2, BlankState(0.6, 0.8))),
+]
+
+
+@pytest.mark.parametrize("n_transformers", [0, 1, 2])
+@pytest.mark.parametrize("spec", AVERAGE_SPECS, ids=str)
+def test_batched_average_fidelities_match_per_node_loop(spec, n_transformers):
+    got = deleters.average_fidelities(spec, n_transformers)
+    ref = _loop_average_fidelities(spec, n_transformers)
+    assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-12
+
+
+def test_qubit_marginals_check_the_whole_stack():
+    kets = np.array([kron_all(ket(0), ket(1)), bell_state("psi+")])
+    rho_0, rho_1 = deleters.qubit_marginals(kets, (2, 2))
+    assert np.allclose(rho_0[0], np.diag([1, 0])) and np.allclose(rho_1[0], np.diag([0, 1]))
+    assert np.allclose(rho_0[1], np.eye(2) / 2) and np.allclose(rho_1[1], np.eye(2) / 2)
+    kets[1] *= 1.01  # one unnormalized node fails the stacked check
+    with pytest.raises(ValueError):
+        deleters.qubit_marginals(kets, (2, 2))
+
+
 def test_one_transformer_limits():
     blank = BlankState(1 / math.sqrt(2), 1 / math.sqrt(2))
     # exact limit evaluators agree with the closed form
@@ -163,12 +239,10 @@ def test_two_transformer_output_matrix():
     devs = []
     for eps in (1e-3, 1e-6):
         spec = DeleterSpec("conv", (0.5 - eps, BlankState(1.0, 0.0)))
-        rho = deleters.apply_deleter(
+        out = deleters.apply_deleter(
             spec, StateVector((2, 2), np.kron([math.sqrt(0.3), math.sqrt(0.7)], [math.sqrt(0.3), math.sqrt(0.7)])), 2
         )
-        from qclone.qcore import partial_trace
-
-        rho_2 = partial_trace(rho, [1]).mat
+        rho_2 = partial_trace(out, [1]).mat
         devs.append(np.max(np.abs(rho_2 - target)))
     assert devs[1] < devs[0]
     assert devs[1] < 1e-5

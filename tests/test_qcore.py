@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qclone.qcore import (
+    DENSITY_TOL,
     BlankState,
     DensityOperator,
     GramSpec,
@@ -13,7 +14,9 @@ from qclone.qcore import (
     UnrealizableSpec,
     apply_isometry,
     bell_project,
+    _trace_axes,
     bell_state,
+    check_densities,
     hermitian_eigvals,
     ket,
     kron_all,
@@ -21,6 +24,7 @@ from qclone.qcore import (
     partial_transpose,
     permute_subsystems,
     realize_gram,
+    reduce_ket,
     schmidt,
     tensor,
 )
@@ -136,6 +140,87 @@ def test_partial_trace_of_tensor_recovers_factor(seed):
     joint = tensor(rho, sigma)
     left = partial_trace(joint, [0])
     assert np.max(np.abs(left.mat - rho.mat)) < 1e-12
+
+
+@st.composite
+def kets_on_subsystems(draw):
+    """A batch of 1-4 random kets on subsystems of dimension 2 or 3 (at most
+    256 in total), plus a random nonempty selection of subsystems to keep."""
+    dims = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        d = draw(st.sampled_from((2, 3)))
+        if np.prod(dims + [d]) > 256:
+            break
+        dims.append(d)
+    keep = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, unique=True))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=4))
+    kets = rng.normal(size=(n, int(np.prod(dims)))) + 1j * rng.normal(size=(n, int(np.prod(dims))))
+    return tuple(dims), keep, kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kets_on_subsystems())
+def test_reduce_ket_equals_trace_of_outer_product(case):
+    dims, keep, kets = case
+    for v in kets:
+        ref = _trace_axes(np.outer(v, v.conj()), dims, keep)
+        assert np.max(np.abs(reduce_ket(v, dims, keep) - ref)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(kets_on_subsystems())
+def test_reduce_ket_batched_equals_per_ket(case):
+    dims, keep, kets = case
+    batched = reduce_ket(kets, dims, keep)
+    assert batched.shape[0] == len(kets)
+    for v, rho in zip(kets, batched):
+        assert np.max(np.abs(rho - reduce_ket(v, dims, keep))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(kets_on_subsystems())
+def test_reduce_ket_output_is_a_density_matrix(case):
+    dims, keep, kets = case
+    for rho in reduce_ket(kets, dims, keep):
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+def test_partial_trace_of_ket_matches_density_path():
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+    psi = StateVector((2, 3, 2), v / np.linalg.norm(v))
+    for keep in ([0], [1], [2], [0, 2], [2, 1]):
+        via_ket = partial_trace(psi, keep)
+        via_rho = partial_trace(psi.density(), keep)
+        assert via_ket.dims == via_rho.dims
+        assert np.max(np.abs(via_ket.mat - via_rho.mat)) < 1e-12
+    with pytest.raises(ValueError):
+        partial_trace(psi, [3])
+    with pytest.raises(ValueError):
+        reduce_ket(psi.amps[:6], psi.dims, [0])
+
+
+def test_check_densities_rejects_any_bad_member():
+    good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+    check_densities(good)
+    off = 10 * DENSITY_TOL
+    bad_members = (
+        np.diag([1.0 + off, 0.0]),  # trace
+        np.array([[0.5, off], [0.0, 0.5]]),  # Hermiticity
+        np.diag([1.0 + off, -off]),  # positivity
+    )
+    for bad in bad_members:
+        with pytest.raises(ValueError):
+            check_densities(np.stack([good[0], bad]))
+        with pytest.raises(ValueError):
+            DensityOperator((2,), bad)
+    # deviations inside the tolerance pass the stacked and the single check
+    near = np.diag([1.0 + DENSITY_TOL / 2, -DENSITY_TOL / 2])
+    check_densities(np.stack([good[0], near]))
+    DensityOperator((2,), near)
 
 
 def test_hermitian_eigvals_basics():
