@@ -336,6 +336,8 @@ def broadcast_fidelity(alpha2: float, lmbda: float, sign: int = -1) -> float:
     """
     if not 0.0 <= lmbda <= 0.5:
         raise ValueError("lambda must lie in [0, 1/2]")
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError("alpha^2 must lie in [0, 1]")
     return (1 - lmbda) ** 2 + sign * 4 * alpha2 * (1 - alpha2) * lmbda * (1 - 2 * lmbda)
 
 

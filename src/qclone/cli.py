@@ -18,14 +18,11 @@ import numpy as np
 from . import __version__
 from . import broadcast as bc
 from . import concat, deleters, hybrid, tables, verify
-from .cloners import MachineSpec, clone_report
+from .cloners import FAMILIES, MachineSpec, clone_report
 from .deleters import BlankState, DeleterSpec
 from .qcore import StateVector
 
 FORMATS = ("csv", "json", "pretty")
-
-# clone families whose input dimension is --dim (every other family takes a qubit)
-DIM_FAMILIES = ("wz-n", "uqcm-d", "pc-d", "econ", "heis-asym")
 
 
 def _render(rows, meta, fmt: str) -> str:
@@ -66,27 +63,8 @@ def _emit(text: str, out_path):
 
 
 def _machine_spec(args) -> MachineSpec:
-    family = args.family
-    params = {
-        "wz": (),
-        "wz-n": (args.dim,),
-        "bh": (args.xi,),
-        "bh-opt": (),
-        "gm-1m": (args.copies,),
-        "uqcm-d": (args.dim,),
-        "pc2": (),
-        "pc-d": (args.dim,),
-        "kr": (args.mu,),
-        "econ": (args.dim, args.blank_index),
-        "pauli-asym": (args.p,),
-        "heis-asym": (args.dim, args.p),
-        "anti": (),
-        "mixed-23": (),
-        "mixed-2m": (args.copies,),
-    }
-    if family not in params:
-        raise SystemExit(2)
-    return MachineSpec(family, params[family])
+    _, options = FAMILIES[args.family]
+    return MachineSpec(args.family, tuple(getattr(args, name) for name in options))
 
 
 def cmd_table(args) -> int:
@@ -117,12 +95,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_clone(args) -> int:
-    d = 2
-    if args.family in DIM_FAMILIES:
+    spec = _machine_spec(args)
+    d = 2  # the input is a qubit unless the family takes --dim
+    if "dim" in FAMILIES[args.family][1]:
         if args.dim < 2:
             raise ValueError(f"--dim must be >= 2 for family {args.family}, got {args.dim}")
         d = args.dim
-    spec = _machine_spec(args)
     if args.phase is not None:
         amps = np.zeros(d, dtype=complex)
         amps[0] = 1 / math.sqrt(2)
@@ -162,11 +140,7 @@ def _deleter_spec(args) -> DeleterSpec:
         return DeleterSpec("qiu", (args.r1,))
     if args.family == "conv":
         return DeleterSpec("conv", (args.lam, blank))
-    if args.family == "sdep":
-        return DeleterSpec(
-            "sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2, blank)
-        )
-    raise SystemExit(2)
+    return DeleterSpec("sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2, blank))
 
 
 def cmd_delete(args) -> int:
@@ -207,6 +181,11 @@ def cmd_hybrid(args) -> int:
         rows = [{"kind": "anti", "lambda": args.lam, "F_a": f1, "F_b": f2}]
     elif args.kind == "bhbh":
         xi, dmin, f, rng = hybrid.bhbh_state_dependent(args.alpha2, args.lam)
+        if xi > 0.5 + 1e-12:
+            raise ValueError(
+                f"lambda = {args.lam} outside the admissible range [{rng[0]:.6g}, 1] "
+                f"for alpha^2 = {args.alpha2} (machine parameter {xi:.6g} exceeds 1/2)"
+            )
         rows = [
             {
                 "kind": "bhbh",
@@ -219,7 +198,7 @@ def cmd_hybrid(args) -> int:
                 "lambda_hi": rng[1],
             }
         ]
-    elif args.kind == "pc":
+    else:
         rows = [
             {
                 "kind": "pc",
@@ -229,8 +208,6 @@ def cmd_hybrid(args) -> int:
                 "F1_state_dependent": hybrid.bh_pc_hybrid_state_dependent(args.lam, args.alpha2),
             }
         ]
-    else:
-        raise SystemExit(2)
     meta = {"version": __version__, "command": "hybrid", "params": vars_clean(args)}
     _emit(_render(rows, meta, args.format), args.out)
     return 0
@@ -349,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("clone", help="run a cloning machine on one input")
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--phase", type=float, help="equatorial input phase instead of alpha2")
     p.add_argument("--xi", type=float, default=1 / 6)

@@ -231,6 +231,8 @@ def build_heis_asym(d: int, p: float) -> MachineIsometry:
     """Optimal universal asymmetric copier for d-level systems (q = 1 - p)."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
     q = 1.0 - p
     norm = math.sqrt(1 + (d - 1) * (p**2 + q**2))
     cols = np.zeros((d**3, d), dtype=complex)
@@ -331,28 +333,30 @@ def build_mixed_23() -> MachineIsometry:
     return MachineIsometry((3,), (2,) * M + (mdim,), cols)
 
 
-_BUILDERS = {
-    "wz": lambda: build_wz(),
-    "wz-n": build_wz_n,
-    "bh": build_bh,
-    "bh-opt": lambda: build_bh_opt(),
-    "gm-1m": build_gm_1m,
-    "uqcm-d": build_uqcm_d,
-    "pc2": lambda: build_pc2(),
-    "pc-d": build_pc_d,
-    "kr": build_kr,
-    "econ": build_econ,
-    "pauli-asym": build_pauli_asym,
-    "heis-asym": build_heis_asym,
-    "anti": lambda: build_anti(),
-    "mixed-23": lambda: build_mixed_23(),
-    "mixed-2m": build_mixed_2m,
+# family -> (builder, the `qclone clone` options that supply its parameters,
+# in order, by argparse dest); the CLI and the structural check read it too
+FAMILIES = {
+    "wz": (build_wz, ()),
+    "wz-n": (build_wz_n, ("dim",)),
+    "bh": (build_bh, ("xi",)),
+    "bh-opt": (build_bh_opt, ()),
+    "gm-1m": (build_gm_1m, ("copies",)),
+    "uqcm-d": (build_uqcm_d, ("dim",)),
+    "pc2": (build_pc2, ()),
+    "pc-d": (build_pc_d, ("dim",)),
+    "kr": (build_kr, ("mu",)),
+    "econ": (build_econ, ("dim", "blank_index")),
+    "pauli-asym": (build_pauli_asym, ("p",)),
+    "heis-asym": (build_heis_asym, ("dim", "p")),
+    "anti": (build_anti, ()),
+    "mixed-23": (build_mixed_23, ()),
+    "mixed-2m": (build_mixed_2m, ("copies",)),
 }
 
 
 def build_machine(spec: MachineSpec) -> MachineIsometry:
     try:
-        builder = _BUILDERS[spec.family]
+        builder, _ = FAMILIES[spec.family]
     except KeyError:
         raise ValueError(f"unknown machine family {spec.family!r}") from None
     return builder(*spec.params)

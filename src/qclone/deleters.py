@@ -210,16 +210,13 @@ def _spec_blank(spec: DeleterSpec) -> BlankState:
     return DEFAULT_BLANK
 
 
-def _initial_machine_vector(spec: DeleterSpec, machine: MachineIsometry):
-    if spec.family in ("pb", "sdep"):
-        return ket(0, 3)
+def _initial_machine_vector(spec: DeleterSpec) -> np.ndarray:
+    """The machine's initial ket, for the families that have a machine."""
     if spec.family == "conv":
-        lmbda = spec.params[0]
-        blank = _spec_blank(spec)
         y = spec.params[2] if len(spec.params) > 2 else None
-        _, a, _ = _conv_parts(lmbda, blank, y)
+        _, a, _ = _conv_parts(spec.params[0], _spec_blank(spec), y)
         return a
-    return None
+    return ket(0, 3)
 
 
 def deletion_target(spec: DeleterSpec) -> np.ndarray:
@@ -273,12 +270,8 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     f2 = float(np.real(target.conj() @ rho_2.mat @ target))
     overlap_m = None
     if has_machine:
-        a_vec = _initial_machine_vector(spec, None)
-        if a_vec is not None:
-            a_vec = a_vec.astype(complex)
-            if a_vec.size != rho_3.dim:
-                a_vec = np.pad(a_vec, (0, rho_3.dim - a_vec.size))
-            overlap_m = float(np.real(a_vec.conj() @ rho_3.mat @ a_vec))
+        a_vec = _initial_machine_vector(spec)
+        overlap_m = float(np.real(a_vec.conj() @ rho_3.mat @ a_vec))
     avg1, avg2 = average_fidelities(spec, n_transformers)
     return DeletionReport(rho_1, rho_2, rho_3, f1, f2, overlap_m, avg1, avg2)
 

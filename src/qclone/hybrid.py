@@ -87,16 +87,19 @@ def bhbh_state_dependent(alpha2: float, lmbda: float):
     """Distortion-minimizing machine parameter for the two-copier hybrid
     with the second component fixed universal (xi' = 1/6).
 
-    Returns (xi_star, D_min, F_hcm, admissible lambda range).
+    Returns (xi_star, D_min, F_hcm, admissible lambda range).  The range
+    keeps 0 <= xi_star <= 1/2: the lower end is where xi_star is 0 or 1/2.
+    Only xi_star < 0 is rejected here; a lambda below the range that gives
+    xi_star > 1/2 is returned as computed, and the caller checks the range.
     """
     ab2 = alpha2 * (1 - alpha2)
-    lo = max(0.0, 1 - 9 * ab2 / 2)
+    lo = max(0.0, 1 - 9 * ab2 / 2, (9 * ab2 - 2) / 4)
     if lmbda <= 0 or lmbda > 1:
         raise ValueError("lambda must lie in (0, 1]")
     xi_star = (9 * ab2 - 2 * (1 - lmbda)) / (12 * lmbda)
     if xi_star < -1e-12:
         raise ValueError(
-            f"lambda = {lmbda} outside the admissible range ({lo:.6g}, 1] "
+            f"lambda = {lmbda} outside the admissible range [{lo:.6g}, 1] "
             f"for alpha^2 = {alpha2} (machine parameter would be negative)"
         )
     xi_star = max(0.0, xi_star)

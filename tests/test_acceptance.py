@@ -1,5 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
+Each criterion is implemented once, as a check in qclone.verify, so `qclone
+verify` and this suite run the same code.
+
 Criterion 9's printed concurrence ranges (0.17-0.29 and 0.08-0.15) cannot be
 reproduced from the source's own displayed operators, which this package
 reproduces to machine precision.  test_c09_concurrence_ranges_as_printed pins
@@ -14,18 +17,8 @@ import numpy as np
 import pytest
 
 from qclone import broadcast as bc
-from qclone import cloners, concat, deleters, hybrid, measures, tables, verify
-from qclone.cloners import MachineSpec
-from qclone.deleters import BlankState, DeleterSpec
-from qclone.qcore import (
-    DensityOperator,
-    GramSpec,
-    StateVector,
-    UnrealizableSpec,
-    apply_isometry,
-    partial_trace,
-    realize_gram,
-)
+from qclone import cloners, measures, verify
+from qclone.qcore import StateVector, UnrealizableSpec
 
 
 def _report(criterion: str, detail: str = ""):
@@ -41,26 +34,15 @@ def rand_ket(d=2):
 
 
 def test_c01_optimal_copier_constants():
-    for _ in range(20):
-        rep = cloners.clone_report(MachineSpec("bh-opt"), StateVector((2,), rand_ket()))
-        assert abs(rep.F_a - 5 / 6) < 1e-9
-        assert abs(rep.F_b - 5 / 6) < 1e-9
-        assert abs(rep.D_a - 1 / 18) < 1e-9
-        assert abs(rep.D_ab2 - 2 / 9) < 1e-9
-    _report("1", "F_a = F_b = 5/6, D_a = 1/18, D_ab2 = 2/9 over 20 random inputs")
+    result = verify.check_bh_optimal()
+    assert result.passed, result.detail
+    _report("1", result.detail)
 
 
 def test_c02_clone_ancilla_entanglement():
-    out = apply_isometry(cloners.build_bh_opt(), StateVector((2,), [1, 0])).density()
-    rho_ab = partial_trace(out, [0, 1])
-    rho_ax = partial_trace(out, [0, 2])
-    c_ab = measures.concurrence_2q(rho_ab)
-    c_ax = measures.concurrence_2q(rho_ax)
-    assert abs(c_ab - 1 / 3) < 1e-9
-    assert abs(c_ax - 2 / 3) < 1e-9
-    assert abs(measures.eof_from_concurrence(c_ab) - 0.1873) < 5e-3
-    assert abs(measures.eof_from_concurrence(c_ax) - 0.55) < 5e-3
-    _report("2", "C_ab = 1/3, C_ax = 2/3, EoF = 0.1873 / 0.55")
+    result = verify.check_clone_ancilla_entanglement()
+    assert result.passed, result.detail
+    _report("2", result.detail)
 
 
 def test_c03_closed_form_spot_grid():
@@ -77,64 +59,33 @@ def test_c04_index_identities_and_bounds():
 
 
 def test_c05_chapter2_tables():
-    for tid in ("2.1", "2.2", "2.3", "2.4"):
-        for mode in ("closed_form", "simulate"):
-            t = tables.generate_table(tid, mode)
-            assert t.all_match(), f"table {tid} ({mode})"
-    _report("5", "tables 2.1-2.4 at printed precision, both modes")
+    result = verify.check_tables_ch2()
+    assert result.passed, result.detail
+    _report("5", result.detail)
 
 
 def test_c06_mutual_exclusion_grid():
-    for p in np.linspace(0, 1, 21):
-        for lam in np.linspace(0, 1, 21):
-            f1, f2 = hybrid.bh_pauli_table(p, lam)
-            assert not (f1 > 5 / 6 + 1e-9 and f2 > 5 / 6 + 1e-9)
-    _report("6", "never both clone fidelities above 5/6 on the 21x21 grid")
+    result = verify.check_mutual_exclusion()
+    assert result.passed, result.detail
+    _report("6", result.detail)
 
 
 def test_c07_broadcast_intervals_and_tables():
-    iv = bc.insep_interval(1 / 6)
-    assert abs(iv.lo - (0.5 - math.sqrt(39) / 16)) < 1e-12
-    assert abs(iv.hi - (0.5 + math.sqrt(39) / 16)) < 1e-12
-    sv = bc.sep_interval(1 / 6)
-    assert abs(sv.lo - (0.5 - math.sqrt(48) / 16)) < 1e-12
-    ib = bc.interval_by_bisection(1 / 6, "insep")
-    sb = bc.interval_by_bisection(1 / 6, "sep")
-    assert max(abs(ib.lo - iv.lo), abs(ib.hi - iv.hi)) < 1e-6
-    assert max(abs(sb.lo - sv.lo), abs(sb.hi - sv.hi)) < 1e-6
-    for tid in ("3.1", "3.2", "3.3"):
-        assert tables.generate_table(tid).all_match(), f"table {tid}"
-    assert abs(bc.avg_broadcast_fidelity(1 / 6) - 67 / 108) < 1e-9
-    _report("7", "intervals (closed + bisection), tables 3.1-3.3, average 67/108")
+    result = verify.check_broadcast_intervals()
+    assert result.passed, result.detail
+    _report("7", result.detail)
 
 
 def test_c08_closed_form_vs_simulation_grid():
-    rng = np.random.default_rng(88)
-    for lam in (0.05, 0.12, 1 / 6, 0.175, 0.1875):
-        for _ in range(5):
-            v = rng.normal(size=4)
-            v /= np.linalg.norm(v)
-            cf = bc.broadcast_output_matrices(v, lam)
-            ch = bc.broadcast_channel_matrices(v, lam)
-            for key in cf:
-                assert np.max(np.abs(cf[key] - ch[key])) < 1e-9
-            if lam >= 1 / 6:
-                mm = bc.broadcast_outputs_machine(v, lam)
-                for key in cf:
-                    assert np.max(np.abs(cf[key] - mm[key].mat)) < 1e-9
-    _report("8", "coefficient matrices equal the simulation on the 25-point grid")
+    result = verify.check_broadcast_equivalence()
+    assert result.passed, result.detail
+    _report("8", result.detail)
 
 
 def test_c09_protocol_boundaries():
-    b16 = bc.ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
-    b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
-    b12 = bc.ppt_boundary(
-        lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, entangled_above=False
-    )
-    assert abs(b16 - 0.18) <= 0.01
-    assert abs(b46 - 0.61) <= 0.01
-    assert abs(b12 - 0.27) <= 0.01
-    _report("9a", f"PPT boundaries {b16:.3f}, {b46:.3f}, {b12:.3f}")
+    result = verify.check_three_qubit_boundaries()
+    assert result.passed, result.detail
+    _report("9a", result.detail)
 
 
 def test_c09_branch_ranges():
@@ -228,91 +179,21 @@ def test_c09_concurrence_ranges_as_printed():
 
 
 def test_c09_swap_corrections():
-    out = bc.three_qubit_protocol(math.sqrt(0.7), "Q0Q0")
-    target = bc.relabel_325_to_357(out.rho_325)
-    total = 0.0
-    for outcome in ("B1+", "B1-", "B2+", "B2-"):
-        p, rho = bc.swap_extend(out.rho_325, outcome)
-        total += p
-        assert np.max(np.abs(rho.mat - target.mat)) < 1e-9
-    assert abs(total - 1.0) < 1e-12
-    _report("9d", "all four corrections restore the three-qubit state")
+    result = verify.check_swap_corrections()
+    assert result.passed, result.detail
+    _report("9d", result.detail)
 
 
 def test_c10_deletion():
-    rep = deleters.delete_report(
-        DeleterSpec("pb"), StateVector((2,), [math.sqrt(0.5), math.sqrt(0.5)])
-    )
-    assert abs(rep.F_1 - 0.5) < 1e-9 and abs(rep.F_2 - 0.75) < 1e-9
-    assert abs(rep.avg_F_1 - 2 / 3) < 1e-9 and abs(rep.avg_F_2 - 5 / 6) < 1e-9
-    # input-independent universal deleter
-    f2s = [
-        deleters.delete_report(
-            DeleterSpec("qiu", (1.0,)), StateVector((2,), [math.sqrt(t), math.sqrt(1 - t)])
-        ).F_2
-        for t in np.linspace(0, 1, 9)
-    ]
-    assert np.ptp(f2s) < 1e-9 and abs(f2s[0] - 0.5) < 1e-9
-    # plain deleter: F_2 = 1/2 for every lambda and blank
-    for lam in (0.0, 0.25, 0.49):
-        for m1 in (1.0, 0.6):
-            spec = DeleterSpec("conv", (lam, BlankState(m1, math.sqrt(1 - m1 * m1))))
-            for t in (0.2, 0.8):
-                rep = deleters.delete_report(spec, StateVector((2,), [math.sqrt(t), math.sqrt(1 - t)]))
-                assert abs(rep.F_2 - 0.5) < 1e-9
-    # one- and two-transformer tables and limits
-    for tid in ("4.1", "4.2"):
-        for mode in ("closed_form", "simulate"):
-            assert tables.generate_table(tid, mode).all_match(), f"table {tid} {mode}"
-    blank = BlankState(1 / math.sqrt(2), 1 / math.sqrt(2))
-    devs = []
-    for eps in (1e-3, 1e-6):
-        spec = DeleterSpec("conv", (0.5 - eps, blank))
-        rep = deleters.delete_report(spec, StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)]), 1)
-        devs.append(abs(rep.F_2 - 0.75))
-        if eps == 1e-6:
-            assert abs(rep.F_2 - 0.75) < 5e-3
-            assert abs(rep.avg_F_1 - 0.77) < 8e-3
-            assert abs(rep.avg_F_1 - deleters.conv_avg_f3_limit()) < 5e-3
-    assert devs[1] < devs[0], "convergence to the limit is not monotone"
-    # conditional deleter + transformer: 0.8536 input-independent
-    blank = BlankState(1 / math.sqrt(2), -1 / math.sqrt(2))
-    f2s = []
-    for t in np.linspace(0, 1, 7):
-        _, f2 = deleters.pb_with_transformer(blank, StateVector((2,), [math.sqrt(t), math.sqrt(1 - t)]))
-        f2s.append(f2)
-    assert np.ptp(f2s) < 1e-9
-    assert abs(f2s[0] - (0.5 + 1 / (2 * math.sqrt(2)))) < 1e-9
-    # machine overlap equals Y^2, input-independent
-    overlaps = []
-    spec = DeleterSpec("conv", (0.2,))
-    for t in np.linspace(0.05, 0.95, 20):
-        rep = deleters.delete_report(spec, StateVector((2,), [math.sqrt(t), math.sqrt(1 - t)]))
-        overlaps.append(rep.machine_overlap)
-    assert np.std(overlaps) < 1e-9
-    assert abs(overlaps[0] - deleters.conv_max_y(0.2) ** 2) < 1e-7
-    _report("10", "deletion fidelities, averages, limits and machine overlap")
+    result = verify.check_deletion()
+    assert result.passed, result.detail
+    _report("10", result.detail)
 
 
 def test_c11_concatenation():
-    avg_d, avg_f = concat.pipeline_averages(
-        concat.PipelineSpec(MachineSpec("wz"), DeleterSpec("pb"))
-    )
-    assert abs(avg_f - 1.0) < 1e-9 and abs(avg_d - 1 / 3) < 1e-9
-    bh_pb = concat.PipelineSpec(MachineSpec("bh", (1 / 6,)), DeleterSpec("pb"))
-    avg_d, avg_f = concat.pipeline_averages(bh_pb)
-    assert abs(avg_d - 11 / 32) < 1e-9 and abs(avg_f - 7 / 8) < 1e-9
-    bh_sdep = concat.PipelineSpec(
-        MachineSpec("bh", (1 / 6,)),
-        DeleterSpec("sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2)),
-    )
-    avg_d2, avg_f2 = concat.pipeline_averages(bh_sdep)
-    assert abs(avg_d2 - avg_d) < 1e-9 and abs(avg_f2 - avg_f) < 1e-9
-    for spec in (bh_pb, bh_sdep):
-        qd, qf = concat.pipeline_averages(spec)
-        cd, cf = concat.closed_form_averages(spec)
-        assert abs(qd - cd) < 1e-9 and abs(qf - cf) < 1e-9
-    _report("11", "pipelines: (1/3, 1), (11/32, 7/8), balanced deleter identical")
+    result = verify.check_concatenation()
+    assert result.passed, result.detail
+    _report("11", result.detail)
 
 
 def test_c12_signalling_demo():

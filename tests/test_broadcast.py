@@ -121,6 +121,9 @@ def test_broadcast_fidelity():
             assert abs(got - bc.broadcast_fidelity(a2, lam)) < 1e-12
     # the plus-sign variant differs away from the endpoints
     assert bc.broadcast_fidelity(0.5, 0.141, sign=+1) > bc.broadcast_fidelity(0.5, 0.141)
+    for a2, lam in ((1.3, 0.1), (-0.1, 0.1), (0.5, 0.6)):
+        with pytest.raises(ValueError):
+            bc.broadcast_fidelity(a2, lam)
 
 
 def test_three_qubit_protocol_closed_forms():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qclone.cli import main
+from qclone.cloners import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -89,10 +90,12 @@ def test_verify_scope_qcore(capsys):
     assert code == 0
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["table", "--id", "9.9"])
-    assert err.value.code == 2
+def test_usage_error_exit_code(capsys):
+    for argv in (["table", "--id", "9.9"], ["clone", "--family", "bogus"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_scope_is_usage_error(capsys):
@@ -122,3 +125,28 @@ def test_clone_econ_takes_input_dim(capsys):
     assert code == 0
     (row,) = csv.DictReader(io.StringIO(out))
     assert row["family"] == "econ" and row["F_a"] == row["F_b"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_clone_every_family_with_default_options(capsys, family):
+    # the two 2->M families take two-qubit or qutrit inputs, not the qubit
+    # the command builds
+    code = main(["clone", "--family", family])
+    err = capsys.readouterr().err
+    assert code == (2 if family in ("mixed-23", "mixed-2m") else 0)
+    assert "Traceback" not in err
+    assert ("error:" in err) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clone", "--family", "heis-asym", "--p", "1.5"],
+        ["clone", "--family", "heis-asym", "--p", "-1"],
+        ["broadcast", "--lam", "0.1", "--alpha2", "1.3"],
+        ["hybrid", "--kind", "bhbh", "--alpha2", "0.5", "--lam", "0.05"],
+    ],
+)
+def test_out_of_domain_parameter_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

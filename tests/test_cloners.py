@@ -290,4 +290,6 @@ def test_machine_spec_errors():
     with pytest.raises(ValueError):
         cloners.build_pauli_asym(1.5)
     with pytest.raises(ValueError):
+        cloners.build_heis_asym(2, 1.5)
+    with pytest.raises(ValueError):
         cloners.build_kr(0.9)

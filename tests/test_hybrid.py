@@ -130,6 +130,11 @@ def test_bhbh_state_dependent():
     assert abs(rng[0] - 0.595) < 1e-12
     with pytest.raises(ValueError):
         hybrid.bhbh_state_dependent(0.1, 0.5)  # below the admissible range
+    # near alpha^2 = 1/2 the range ends where xi* reaches 1/2, the largest
+    # parameter of a copier; below it xi* is returned and lies above 1/2
+    xi, _, _, rng = hybrid.bhbh_state_dependent(0.5, 0.0625)
+    assert rng == (0.0625, 1.0) and abs(xi - 0.5) < 1e-12
+    assert hybrid.bhbh_state_dependent(0.5, 0.05)[0] > 0.5
     # classical inputs are cloned perfectly (admissible only at lambda = 1)
     xi, d_min, f, _ = hybrid.bhbh_state_dependent(0.0, 1.0)
     assert d_min == 0 and f == 1 and xi == 0
