@@ -30,6 +30,7 @@ from .measures import (
     fidelity_pure,
     herbert_ensembles,
     hs_distance,
+    is_npt,
     negativity,
     overlap,
     ppt_verdict,

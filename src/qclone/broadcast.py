@@ -18,6 +18,7 @@ from typing import Dict
 import numpy as np
 
 from .cloners import build_bh, build_bh_opt
+from .measures import is_npt
 from .qcore import (
     DensityOperator,
     MachineIsometry,
@@ -31,6 +32,11 @@ from .qcore import (
 )
 
 PSI_PLUS = bell_state("psi+")
+
+# Final bracket widths of the PPT bisections; each protocol_boundary step is a
+# full six-qubit simulation.
+BISECT_TOL = 1e-6  # interval_by_bisection and ppt_boundary
+PROTOCOL_BISECT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,11 @@ def local_coefficients(amplitudes, lmbda: float, side: str = "A") -> Dict[str, f
     }
 
 
+def _check_lambda(lmbda: float) -> None:
+    if not 0.0 <= lmbda < 0.5:
+        raise ValueError(f"lambda must lie in [0, 1/2), got {lmbda}")
+
+
 def _assemble(co: Dict[str, float], prefix: str = "C") -> np.ndarray:
     g = lambda name: co[prefix + name]
     m = np.zeros((4, 4), dtype=complex)
@@ -147,8 +158,7 @@ def _assemble(co: Dict[str, float], prefix: str = "C") -> np.ndarray:
 def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
     """Closed-form output matrices; for lambda < 1/6 with coherent inputs
     the local pairs can fail positivity (the machine regime ends there)."""
-    if not 0.0 <= lmbda < 0.5:
-        raise ValueError("lambda must lie in [0, 1/2)")
+    _check_lambda(lmbda)
     c = _assemble(nonlocal_coefficients(amplitudes, lmbda), "C")
     k_a = _assemble(local_coefficients(amplitudes, lmbda, "A"), "K")
     k_b = _assemble(local_coefficients(amplitudes, lmbda, "B"), "K")
@@ -257,6 +267,7 @@ def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry
 
 def insep_interval(lmbda: float) -> Interval:
     """alpha^2 interval where the nonlocal outputs are inseparable."""
+    _check_lambda(lmbda)
     mu = 1 - 2 * lmbda
     disc = mu**4 - 4 * lmbda**2 * (1 - lmbda) ** 2
     if disc < 0:
@@ -267,6 +278,7 @@ def insep_interval(lmbda: float) -> Interval:
 
 def sep_interval(lmbda: float) -> Interval:
     """alpha^2 interval where the local outputs are separable."""
+    _check_lambda(lmbda)
     if lmbda > 0.25:
         raise ValueError(f"no separable interval at lambda = {lmbda}")
     half = math.sqrt(1 - 4 * lmbda) / (2 * (1 - 2 * lmbda))
@@ -281,49 +293,31 @@ def broadcast_interval(lmbda: float) -> Interval:
     return Interval(max(insep.lo, sep.lo), min(insep.hi, sep.hi), "Broadcastable")
 
 
-def _min_pt_eig(rho: DensityOperator) -> float:
-    t = rho.mat.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)
-    return float(np.linalg.eigvalsh(t)[0])
+def _bisect(flag, lo, hi, tol: float) -> float:
+    """Midpoint of the last bracket of a bisection between ``lo``, where
+    ``flag`` is False, and ``hi``, where it is True (either may be larger)."""
+    while abs(hi - lo) > tol:
+        mid = (lo + hi) / 2
+        if flag(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
 
 
-def interval_by_bisection(lmbda: float, which: str, tol: float = 1e-6) -> Interval:
-    """Locate the closed-form interval endpoints from the sign of the
-    minimum partial-transpose eigenvalue of the corresponding output."""
-    def npt(alpha2: float) -> bool:
-        a1 = math.sqrt(alpha2)
-        b1 = math.sqrt(1 - alpha2)
-        mats = broadcast_output_matrices((a1, b1), lmbda)
-        key = "AB'" if which == "insep" else "AA'"
-        pt = mats[key].reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)
-        return float(np.linalg.eigvalsh(pt)[0]) < -1e-13
+def interval_by_bisection(lmbda: float, which: str) -> Interval:
+    """Locate the closed-form interval endpoints from the PPT test of the
+    corresponding output; an end is 0 or 1 when the predicate holds there."""
+    key = "AB'" if which == "insep" else "AA'"
 
     def predicate(alpha2: float) -> bool:
-        return npt(alpha2) if which == "insep" else not npt(alpha2)
+        mats = broadcast_output_matrices((math.sqrt(alpha2), math.sqrt(1 - alpha2)), lmbda)
+        return is_npt(mats[key]) == (which == "insep")
 
     if not predicate(0.5):
         raise ValueError("midpoint does not satisfy the predicate; no interval")
-    lo_lo, lo_hi = 0.0, 0.5
-    if predicate(0.0):
-        lo = 0.0
-    else:
-        while lo_hi - lo_lo > tol:
-            mid = (lo_lo + lo_hi) / 2
-            if predicate(mid):
-                lo_hi = mid
-            else:
-                lo_lo = mid
-        lo = (lo_lo + lo_hi) / 2
-    hi_lo, hi_hi = 0.5, 1.0
-    if predicate(1.0):
-        hi = 1.0
-    else:
-        while hi_hi - hi_lo > tol:
-            mid = (hi_lo + hi_hi) / 2
-            if predicate(mid):
-                hi_lo = mid
-            else:
-                hi_hi = mid
-        hi = (hi_lo + hi_hi) / 2
+    lo = 0.0 if predicate(0.0) else _bisect(predicate, 0.0, 0.5, BISECT_TOL)
+    hi = 1.0 if predicate(1.0) else _bisect(predicate, 1.0, 0.5, BISECT_TOL)
     kind = "Inseparable" if which == "insep" else "Separable"
     return Interval(lo, hi, kind)
 
@@ -488,56 +482,42 @@ def rho_12_closed(alpha) -> DensityOperator:
     return DensityOperator((2, 2), m / norm)
 
 
-def _entangled(rho: DensityOperator) -> bool:
-    return _min_pt_eig(rho) < -1e-12
-
-
-def ppt_boundary(
-    fn, lo: float, hi: float, tol: float = 1e-6, entangled_above: bool = True
-) -> float:
-    """Bisect alpha^2 in (lo, hi) for the boundary of fn's entanglement."""
+def _ppt_boundary(fn, lo: float, hi: float, entangled_above: bool, tol: float) -> float:
     def flag(a2: float) -> bool:
-        return _entangled(fn(a2)) == entangled_above
-    f_lo, f_hi = flag(lo), flag(hi)
-    if f_lo == f_hi:
-        raise ValueError("no sign change in the given bracket")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if flag(mid) == f_hi:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
+        return is_npt(fn(a2).mat) == entangled_above
+
+    if flag(lo) or not flag(hi):
+        raise ValueError(f"no boundary in ({lo}, {hi}) with entangled_above={entangled_above}")
+    return _bisect(flag, lo, hi, tol)
+
+
+def ppt_boundary(fn, lo: float, hi: float, entangled_above: bool = True) -> float:
+    """Bisect alpha^2 in (lo, hi) for the boundary above which the two-qubit
+    operator fn(alpha^2) is entangled (or separable, if not entangled_above)."""
+    return _ppt_boundary(fn, lo, hi, entangled_above, BISECT_TOL)
 
 
 def protocol_boundary(
-    branch: str,
-    operator: str,
-    lo: float,
-    hi: float,
-    entangled_above: bool = True,
-    tol: float = 1e-4,
+    branch: str, operator: str, lo: float, hi: float, entangled_above: bool = True
 ) -> float:
     """Bisect alpha^2 for the PPT boundary of one reduced operator of a
     measurement branch (operator is a ProtocolState attribute name)."""
     def fn(a2: float) -> DensityOperator:
         return getattr(three_qubit_protocol(math.sqrt(a2), branch), operator)
-    return ppt_boundary(fn, lo, hi, tol=tol, entangled_above=entangled_above)
+    return _ppt_boundary(fn, lo, hi, entangled_above, PROTOCOL_BISECT_TOL)
 
 
 def branch_broadcastable(alpha2: float, branch: str) -> bool:
     """Three-qubit broadcasting condition: the two three-qubit operators are
     closed entangled states and the first-round local pairs are separable."""
     out = three_qubit_protocol(math.sqrt(alpha2), branch)
-    closed_a = (
-        _entangled(out.rho_16) and _entangled(out.rho_14) and _entangled(out.rho_46)
-    )
-    closed_b = _entangled(out.rho_25)
-    local_ok = not _entangled(out.rho_12) and not _entangled(out.rho_15)
+    closed_a = is_npt(out.rho_16.mat) and is_npt(out.rho_14.mat) and is_npt(out.rho_46.mat)
+    closed_b = is_npt(out.rho_25.mat)
+    local_ok = not is_npt(out.rho_12.mat) and not is_npt(out.rho_15.mat)
     return closed_a and closed_b and local_ok
 
 
-def branch_range(branch: str, tol: float = 0.002, grid: int = 201):
+def branch_range(branch: str, grid: int = 201):
     """Scan alpha^2 for the broadcastable range(s) of a measurement branch."""
     xs = np.linspace(0.001, 0.999, grid)
     flags = [branch_broadcastable(x, branch) for x in xs]

@@ -24,6 +24,10 @@ from .qcore import StateVector
 
 FORMATS = ("csv", "json", "pretty")
 
+# Largest --dim of `qclone clone`: a d-dimensional input gives up to d^3
+# output dimensions, and states are limited to 256.
+MAX_DIM = 6
+
 
 def _render(rows, meta, fmt: str) -> str:
     """rows: list of flat dicts with stable keys."""
@@ -94,12 +98,23 @@ def cmd_table(args) -> int:
     return 1 if (mode == "both" and mismatch) else 0
 
 
+def _check_alpha2(alpha2: float) -> None:
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError(f"--alpha2 must lie in [0, 1], got {alpha2}")
+
+
 def cmd_clone(args) -> int:
+    _check_alpha2(args.alpha2)
     spec = _machine_spec(args)
     d = 2  # the input is a qubit unless the family takes --dim
     if "dim" in FAMILIES[args.family][1]:
         if args.dim < 2:
             raise ValueError(f"--dim must be >= 2 for family {args.family}, got {args.dim}")
+        if args.dim > MAX_DIM:
+            raise ValueError(
+                f"--dim must be <= {MAX_DIM} for family {args.family}, got {args.dim}: "
+                f"outputs are limited to {MAX_DIM}^3 <= 256 dimensions"
+            )
         d = args.dim
     if args.phase is not None:
         amps = np.zeros(d, dtype=complex)
@@ -144,6 +159,7 @@ def _deleter_spec(args) -> DeleterSpec:
 
 
 def cmd_delete(args) -> int:
+    _check_alpha2(args.alpha2)
     spec = _deleter_spec(args)
     psi = StateVector((2,), [math.sqrt(args.alpha2), math.sqrt(1 - args.alpha2)])
     rep = deleters.delete_report(spec, psi, n_transformers=args.transformers)
@@ -296,7 +312,7 @@ def cmd_verify(args) -> int:
 
 
 def vars_clean(args) -> dict:
-    skip = {"func", "format", "out", "tol", "command"}
+    skip = {"func", "format", "out", "command"}
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
@@ -310,18 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=FORMATS, default="pretty")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="override the printed-precision matching tolerance for tables",
-        )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="regenerate one of the reference tables")
     p.add_argument("--id", required=True, choices=tables.TABLE_IDS)
     p.add_argument("--mode", choices=("closed_form", "simulate", "both"), default="both")
+    p.add_argument("--tol", type=float, help="override the printed-precision matching tolerance")
     add_common(p)
     p.set_defaults(func=cmd_table)
 

@@ -38,7 +38,10 @@ def _cloner_xi(spec: MachineSpec) -> float:
     if spec.family == "wz":
         return 0.0
     if spec.family == "bh":
-        return float(spec.params[0])
+        xi = float(spec.params[0])
+        if not 0.0 <= xi <= 0.5:
+            raise ValueError(f"xi must lie in [0, 1/2], got {xi}")
+        return xi
     if spec.family == "bh-opt":
         return 1 / 6
     raise ValueError(
@@ -62,7 +65,7 @@ def _deleter_action(spec: DeleterSpec):
 def _pipeline_kets(spec: PipelineSpec, alpha2s):
     """(dims, one renormalized post-deletion ket per alpha^2 value)."""
     alpha2s = np.asarray(alpha2s, dtype=float)
-    if np.any((alpha2s < 0.0) | (alpha2s > 1.0)):
+    if not np.all((0.0 <= alpha2s) & (alpha2s <= 1.0)):
         raise ValueError("alpha^2 must lie in [0, 1]")
     xi = _cloner_xi(spec.cloner)
     psi = real_inputs(alpha2s)  # (n, 2): alpha, beta

@@ -92,10 +92,12 @@ def bhbh_state_dependent(alpha2: float, lmbda: float):
     Only xi_star < 0 is rejected here; a lambda below the range that gives
     xi_star > 1/2 is returned as computed, and the caller checks the range.
     """
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError("alpha^2 must lie in [0, 1]")
+    if not 0.0 < lmbda <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
     ab2 = alpha2 * (1 - alpha2)
     lo = max(0.0, 1 - 9 * ab2 / 2, (9 * ab2 - 2) / 4)
-    if lmbda <= 0 or lmbda > 1:
-        raise ValueError("lambda must lie in (0, 1]")
     xi_star = (9 * ab2 - 2 * (1 - lmbda)) / (12 * lmbda)
     if xi_star < -1e-12:
         raise ValueError(

@@ -23,6 +23,10 @@ from .qcore import (
 
 _CLAMP = 1e-12
 
+# Peres-Horodecki threshold: a state is NPT, hence entangled, when the
+# smallest eigenvalue of its partial transpose lies below -PPT_TOL.
+PPT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
@@ -125,14 +129,8 @@ def _binary_entropy(x: float) -> float:
 
 def negativity(rho: DensityOperator, split) -> float:
     """2 sum max(0,-mu) for qubit pairs; (||rho^T||_1 - 1)/(d-1) in general."""
-    split = sorted(set(split))
-    pt = rho.mat.reshape(list(rho.dims) * 2)
-    n = len(rho.dims)
-    for s in split:
-        pt = pt.swapaxes(s, s + n)
-    pt = pt.reshape(rho.mat.shape)
-    mu = np.linalg.eigvalsh(pt)
-    d_a = int(np.prod([rho.dims[i] for i in split]))
+    mu = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, split))
+    d_a = int(np.prod([rho.dims[i] for i in set(split)]))
     d_b = rho.dim // d_a
     d = min(d_a, d_b)
     if d == 2:
@@ -140,24 +138,28 @@ def negativity(rho: DensityOperator, split) -> float:
     return float((np.sum(np.abs(mu)) - 1.0) / (d - 1))
 
 
-def ppt_verdict(rho: DensityOperator, split=(1,), tol: float = 1e-9) -> SeparabilityVerdict:
+def min_pt_eigenvalue(mat, dims=(2, 2), split=(1,)) -> float:
+    """Smallest eigenvalue of the partial transpose of ``mat`` over ``split``."""
+    return float(np.linalg.eigvalsh(partial_transpose(mat, dims, split))[0])
+
+
+def is_npt(mat, dims=(2, 2), split=(1,)) -> bool:
+    """Peres-Horodecki test: True when the partial transpose over ``split``
+    has an eigenvalue below -PPT_TOL, so the state is entangled.  ``mat`` is
+    a raw matrix; the defaults are a two-qubit state split after qubit 0."""
+    return min_pt_eigenvalue(mat, dims, split) < -PPT_TOL
+
+
+def ppt_verdict(rho: DensityOperator, split=(1,)) -> SeparabilityVerdict:
     """Peres-Horodecki test; necessary and sufficient only for 2x2 systems."""
-    split = sorted(set(split))
-    pt = rho.mat.reshape(list(rho.dims) * 2)
-    n = len(rho.dims)
-    for s in split:
-        pt = pt.swapaxes(s, s + n)
-    pt = pt.reshape(rho.mat.shape)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    min_eig = min_pt_eigenvalue(rho.mat, rho.dims, split)
     if rho.dims == (2, 2):
         w2, w3, w4 = w_determinants(rho)
     else:
         w2 = w3 = w4 = float("nan")
-    is_npt = min_eig < -tol
-    two_by_two = len(rho.dims) == 2 and rho.dims == (2, 2)
-    if is_npt:
+    if min_eig < -PPT_TOL:
         verdict = "Inseparable"
-    elif two_by_two:
+    elif rho.dims == (2, 2):
         verdict = "Separable"
     else:
         verdict = "Unknown"
@@ -169,7 +171,7 @@ def w_determinants(rho: DensityOperator):
     partial transpose of a two-qubit state, in basis order 00, 01, 10, 11."""
     if rho.dims != (2, 2):
         raise ValueError("w_determinants requires a two-qubit state")
-    w = partial_transpose(rho, 1)
+    w = partial_transpose(rho.mat, rho.dims, (1,))
     w2 = float(np.linalg.det(w[:2, :2]).real)
     w3 = float(np.linalg.det(w[:3, :3]).real)
     w4 = float(np.linalg.det(w).real)

@@ -13,11 +13,14 @@ from itertools import product
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # realize_gram: PSD tolerance and rank cut-off
 
 # Hermiticity, unit-trace and PSD tolerance of every density-operator check,
 # single (DensityOperator) or stacked (check_densities).
 DENSITY_TOL = 1e-7
+
+HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max entry
+ZERO_BRANCH_TOL = 1e-12  # bell_project: smaller branch probabilities count as zero
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -281,34 +284,36 @@ def partial_trace(state, keep) -> DensityOperator:
     return DensityOperator(tuple(state.dims[k] for k in keep), reduced)
 
 
-def partial_transpose(rho: DensityOperator, subsystem: int) -> np.ndarray:
-    """Transpose one subsystem; the result is Hermitian but may be non-PSD."""
-    n = len(rho.dims)
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"invalid subsystem {subsystem}")
-    t = rho.mat.reshape(list(rho.dims) * 2)
-    t = t.swapaxes(subsystem, subsystem + n)
-    return t.reshape(rho.mat.shape)
+def partial_transpose(mat, dims, subsystems) -> np.ndarray:
+    """Transpose the given subsystems of a raw (d, d) matrix on ``dims``;
+    a Hermitian input gives a Hermitian result, which may be non-PSD."""
+    n = len(dims)
+    t = mat.reshape(tuple(dims) * 2)
+    for s in set(subsystems):
+        if not 0 <= s < n:
+            raise ValueError(f"invalid subsystem {s} for {n} subsystems")
+        t = t.swapaxes(s, s + n)
+    return t.reshape(mat.shape)
 
 
-def hermitian_eigvals(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def hermitian_eigvals(mat: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     mat = np.asarray(mat, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > tol * max(1.0, np.max(np.abs(mat))):
+    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL * max(1.0, np.max(np.abs(mat))):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigvalsh(mat)[::-1]
 
 
-def realize_gram(spec: GramSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
+def realize_gram(spec: GramSpec) -> np.ndarray:
     """Concrete vectors (columns) reproducing the prescribed inner products.
 
-    Deterministic: eigendecomposition restricted to eigenvalues > tol, each
-    eigenvector's first nonzero component rotated to be real positive.
-    Raises UnrealizableSpec when the Gram matrix is not PSD within tol.
+    Deterministic: eigendecomposition restricted to eigenvalues > DEFAULT_TOL,
+    each eigenvector's first nonzero component rotated to be real positive.
+    Raises UnrealizableSpec when the Gram matrix is not PSD within DEFAULT_TOL.
     """
     g = spec.gram
     evals, evecs = np.linalg.eigh(g)
-    if evals[0] < -tol:
+    if evals[0] < -DEFAULT_TOL:
         raise UnrealizableSpec(
             f"gram matrix for {spec.labels} is not PSD "
             f"(most negative eigenvalue {evals[0]:.3g})",
@@ -316,7 +321,7 @@ def realize_gram(spec: GramSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
         )
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    rank = int(np.sum(evals > tol))
+    rank = int(np.sum(evals > DEFAULT_TOL))
     evals, evecs = evals[:rank], evecs[:, :rank]
     for k in range(rank):
         col = evecs[:, k]
@@ -367,11 +372,11 @@ def permute_subsystems(rho: DensityOperator, order) -> DensityOperator:
     return DensityOperator(dims, t.reshape(rho.mat.shape))
 
 
-def bell_project(rho: DensityOperator, pair, outcome: str, tol: float = 1e-12):
+def bell_project(rho: DensityOperator, pair, outcome: str):
     """Bell measurement of two qubit subsystems.
 
     Returns (probability, post-measurement DensityOperator on the remaining
-    subsystems).  A zero-weight branch returns (0.0, None).
+    subsystems).  A branch of weight below ZERO_BRANCH_TOL returns (0.0, None).
     """
     i, j = pair
     if i == j:
@@ -390,7 +395,7 @@ def bell_project(rho: DensityOperator, pair, outcome: str, tol: float = 1e-12):
     d_keep = int(np.prod([rho.dims[k] for k in keep])) if keep else 1
     reduced = t.reshape(d_keep, d_keep)
     prob = float(np.trace(reduced).real)
-    if prob < tol:
+    if prob < ZERO_BRANCH_TOL:
         return 0.0, None
     post = DensityOperator(tuple(rho.dims[k] for k in keep), reduced / prob)
     return prob, post

@@ -469,6 +469,6 @@ _TABLES = {
 def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
     if table_id not in _TABLES:
         raise KeyError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
-    if mode not in ("closed_form", "simulate", "both"):
-        raise ValueError("mode must be closed_form, simulate or both")
-    return _TABLES[table_id](mode if mode != "both" else "closed_form")
+    if mode not in ("closed_form", "simulate"):
+        raise ValueError("mode must be closed_form or simulate")
+    return _TABLES[table_id](mode)

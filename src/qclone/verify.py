@@ -337,8 +337,8 @@ def check_branch_ranges() -> CheckResult:
     # asymmetric branch 1: nonlocal entangled and first-round pairs separable
     lo = bc.protocol_boundary("Q0Q1", "rho_12", 0.4, 0.8, entangled_above=False)
     top = bc.three_qubit_protocol(math.sqrt(0.999), "Q0Q1")
-    top_entangled = bc._entangled(top.rho_16) and bc._entangled(top.rho_14)
-    if abs(lo - 0.6) > 0.01 or not top_entangled:
+    top_npt = measures.is_npt(top.rho_16.mat) and measures.is_npt(top.rho_14.mat)
+    if abs(lo - 0.6) > 0.01 or not top_npt:
         failures.append(f"Q0Q1 range ({lo:.3f}, 1)")
     # asymmetric branch 2: additionally the fresh local pair is separable
     lo2 = bc.protocol_boundary("Q1Q0", "rho_25", 0.02, 0.3, entangled_above=False)

@@ -150,6 +150,13 @@ def test_branch_probabilities_sum():
         assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("lam", [-0.1, float("nan"), 0.5])
+@pytest.mark.parametrize("interval", [bc.insep_interval, bc.sep_interval])
+def test_interval_lambda_outside_domain(interval, lam):
+    with pytest.raises(ValueError, match="lambda must lie in"):
+        interval(lam)
+
+
 def test_protocol_boundaries():
     b16 = bc.ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
     assert abs(b16 - 0.18) <= 0.01
@@ -159,6 +166,12 @@ def test_protocol_boundaries():
         lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, entangled_above=False
     )
     assert abs(b12 - 0.27) <= 0.01
+    # rho_46 is entangled above its boundary, so the opposite orientation and
+    # a bracket without a boundary are both rejected
+    with pytest.raises(ValueError):
+        bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95, False)
+    with pytest.raises(ValueError):
+        bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.7, 0.95)
 
 
 def test_branch_boundary_values():

@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qclone import tables
 from qclone.cli import main
 from qclone.cloners import FAMILIES
 
@@ -111,12 +115,19 @@ def test_out_file(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 12
 
 
-@pytest.mark.parametrize("family", ["uqcm-d", "wz-n", "pc-d", "econ", "heis-asym"])
-def test_clone_dim_below_two_is_usage_error(capsys, family):
-    code = main(["clone", "--family", family, "--dim", "1"])
+DIM_FAMILIES = ("uqcm-d", "wz-n", "pc-d", "econ", "heis-asym")
+
+
+@pytest.mark.parametrize(
+    "family, dim, message",
+    [pytest.param(f, "1", "--dim must be >= 2", id=f) for f in DIM_FAMILIES]
+    + [pytest.param(f, "7", "--dim must be <= 6", id=f"{f}-dim7") for f in DIM_FAMILIES],
+)
+def test_clone_dim_below_two_is_usage_error(capsys, family, dim, message):
+    code = main(["clone", "--family", family, "--dim", dim])
     err = capsys.readouterr().err
     assert code == 2
-    assert "--dim must be >= 2" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
 
 
 def test_clone_econ_takes_input_dim(capsys):
@@ -145,8 +156,76 @@ def test_clone_every_family_with_default_options(capsys, family):
         ["clone", "--family", "heis-asym", "--p", "-1"],
         ["broadcast", "--lam", "0.1", "--alpha2", "1.3"],
         ["hybrid", "--kind", "bhbh", "--alpha2", "0.5", "--lam", "0.05"],
+        ["concat", "--xi", "0.7"],
+        ["concat", "--xi", "nan"],
+        ["concat", "--xi", "-1"],
+        ["concat", "--alpha2", "nan"],
+        ["hybrid", "--kind", "bhbh", "--alpha2", "nan", "--lam", "0.5"],
+        ["hybrid", "--kind", "bhbh", "--alpha2", "0.5", "--lam", "nan"],
+        ["broadcast", "--lam", "-0.1", "--interval"],
+        ["broadcast", "--lam", "nan", "--interval"],
+        ["clone", "--family", "bh-opt", "--alpha2", "2"],
+        ["clone", "--family", "pc2", "--alpha2", "nan", "--phase", "1"],
+        ["delete", "--family", "pb", "--alpha2", "-0.5"],
     ],
 )
 def test_out_of_domain_parameter_is_usage_error(capsys, argv):
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "math domain error" not in err
+
+
+def test_tol_is_a_table_option_only(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["clone", "--family", "bh-opt", "--tol", "3"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert main(["table", "--id", "2.1", "--mode", "closed_form", "--tol", "0.1"]) == 0
+
+
+def test_generate_table_takes_one_mode():
+    # "both" is expanded by the table command, not by generate_table
+    with pytest.raises(ValueError):
+        tables.generate_table("2.1", "both")
+
+
+# Numeric flags of each fuzzed subcommand, after its fixed choice options.
+# verify is left out: one run takes about a second.
+FUZZ_FLAGS = {
+    "clone": ("--alpha2", "--phase", "--xi", "--mu", "--p", "--dim", "--copies", "--blank-index"),
+    "delete": ("--alpha2", "--lam", "--r1", "--m1", "--m2"),
+    "hybrid": ("--p", "--lam", "--xi", "--alpha2"),
+    "broadcast": ("--lam", "--alpha2"),
+    "concat": ("--xi", "--alpha2"),
+}
+FUZZ_CHOICES = {
+    "clone": [["--family", f] for f in sorted(FAMILIES)],
+    "delete": [["--family", f] for f in ("pb", "qiu", "conv", "sdep")],
+    "hybrid": [["--kind", k] for k in ("pauli", "anti", "bhbh", "pc")],
+    "broadcast": [[], ["--interval"]],
+    "concat": [["--cloner", c, "--deleter", d] for c in ("wz", "bh") for d in ("pb", "sdep")],
+}
+FUZZ_NUMBERS = ["nan", "inf", "-inf", "-0.5", "0.001", "0.25", "0.5"] + [str(i) for i in range(-2, 11)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_cleanly(data):
+    sub = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [sub] + data.draw(st.sampled_from(FUZZ_CHOICES[sub]))
+    flags = data.draw(st.lists(st.sampled_from(FUZZ_FLAGS[sub]), unique=True, max_size=3))
+    if sub == "broadcast" and "--lam" not in flags:
+        flags.append("--lam")  # required
+    for flag in flags:
+        argv += [flag, data.draw(st.sampled_from(FUZZ_NUMBERS))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--format", "json"])
+        except SystemExit as exc:  # argparse rejects a non-integer --dim
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        rows = json.loads(out.getvalue())["rows"]
+        cells = [v for row in rows for v in row.values() if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in cells), argv

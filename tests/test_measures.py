@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qclone import cloners, measures
 from qclone.qcore import DensityOperator, StateVector, bell_state, partial_trace, apply_isometry
@@ -186,6 +186,44 @@ def test_ppt_verdict():
     # larger dims: PPT alone is inconclusive
     big = DensityOperator((2, 3), np.eye(6) / 6)
     assert measures.ppt_verdict(big).verdict == "Unknown"
+
+
+def test_is_npt_threshold_and_split():
+    # Werner state p |psi-><psi-| + (1 - p) I/4: smallest PT eigenvalue (1 - 3p)/4
+    singlet = projector(bell_state("psi-"), (2, 2)).mat
+    for min_eig, npt in ((-2 * measures.PPT_TOL, True), (-measures.PPT_TOL / 2, False), (0.0, False)):
+        p = (1 - 4 * min_eig) / 3
+        rho = p * singlet + (1 - p) * np.eye(4) / 4
+        assert abs(measures.min_pt_eigenvalue(rho) - min_eig) < 1e-13
+        assert measures.is_npt(rho) == npt
+        verdict = measures.ppt_verdict(DensityOperator((2, 2), rho)).verdict
+        assert verdict == ("Inseparable" if npt else "Separable")
+    # a singlet on qubits 0 and 2 of three, qubit 1 in |0>
+    three = np.kron(singlet, np.diag([1.0, 0.0])).reshape([2] * 6)
+    three = three.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+    assert measures.is_npt(three, (2, 2, 2), (2,))
+    assert measures.is_npt(three, (2, 2, 2), (0, 1))
+    assert not measures.is_npt(three, (2, 2, 2), (1,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_ppt_verdict_agrees_with_concurrence(seed, rank, noise):
+    # PPT is exact on two qubits: inseparable iff the concurrence is positive.
+    # Within 1e-7 of zero rounding alone may flip either sign, so such states
+    # are skipped (a clipped concurrence of exactly 0 is a definite answer).
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = a @ a.conj().T
+    rho = DensityOperator((2, 2), (1 - noise) * m / np.trace(m).real + noise * np.eye(4) / 4)
+    verdict = measures.ppt_verdict(rho)
+    c = measures.concurrence_2q(rho)
+    assume(abs(verdict.min_pt_eigenvalue) >= 1e-7 and not 0 < c < 1e-7)
+    assert (verdict.verdict == "Inseparable") == (c > 0)
 
 
 def test_w_determinants_bh_output():

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -110,25 +111,56 @@ def test_partial_trace_invalid_index():
 def test_partial_transpose_bell_eigenvalues():
     phi = bell_state("phi+")
     rho = DensityOperator((2, 2), np.outer(phi, phi.conj()))
-    pt = partial_transpose(rho, 1)
+    pt = partial_transpose(rho.mat, rho.dims, (1,))
     evals = hermitian_eigvals(pt)
     assert np.allclose(evals, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
 
 def test_partial_transpose_diagonal_invariance():
     rho = DensityOperator((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]))
-    assert np.allclose(partial_transpose(rho, 1), rho.mat)
+    assert np.allclose(partial_transpose(rho.mat, rho.dims, (1,)), rho.mat)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_partial_transpose_involution_and_trace(seed):
+def _swap_entries(mat, dims, split):
+    """Partial transpose entry by entry: <i|PT|j> = <i'|mat|j'>, where i', j'
+    exchange the digits of i and j on the subsystems in ``split``."""
+    out = np.empty_like(mat)
+    digits = list(product(*(range(d) for d in dims)))
+    for r, i in enumerate(digits):
+        for c, j in enumerate(digits):
+            i2 = tuple(j[k] if k in split else i[k] for k in range(len(dims)))
+            j2 = tuple(i[k] if k in split else j[k] for k in range(len(dims)))
+            out[r, c] = mat[digits.index(i2), digits.index(j2)]
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_partial_transpose_involution_and_trace(dims, mask, seed):
+    # a random Hermitian matrix and a random split S: the transpose of S
+    # matches the entrywise definition, keeps the trace, is the identity when
+    # done twice, and transposing it whole gives the transpose of the
+    # complement of S
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, (2, 2))
-    pt = partial_transpose(rho, 0)
-    assert abs(np.trace(pt) - 1) < 1e-12
-    twice = pt.reshape(2, 2, 2, 2).swapaxes(0, 2).reshape(4, 4)
-    assert np.allclose(twice, rho.mat, atol=1e-12)
+    d = int(np.prod(dims))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = a + a.conj().T
+    split = [i for i in range(len(dims)) if mask >> i & 1]
+    rest = [i for i in range(len(dims)) if i not in split]
+    pt = partial_transpose(h, dims, split)
+    assert np.array_equal(pt, _swap_entries(h, dims, split))
+    assert abs(np.trace(pt) - np.trace(h)) < 1e-12
+    assert np.array_equal(partial_transpose(pt, dims, split), h)
+    assert np.array_equal(pt.T, partial_transpose(h, dims, rest))
+
+
+def test_partial_transpose_invalid_subsystem():
+    with pytest.raises(ValueError):
+        partial_transpose(np.eye(4) / 4, (2, 2), (2,))
 
 
 @settings(max_examples=25, deadline=None)
