@@ -117,6 +117,8 @@ def cmd_clone(args) -> int:
             )
         d = args.dim
     if args.phase is not None:
+        if not math.isfinite(args.phase):
+            raise ValueError(f"--phase must be finite, got {args.phase}")
         amps = np.zeros(d, dtype=complex)
         amps[0] = 1 / math.sqrt(2)
         amps[1] = np.exp(1j * args.phase) / math.sqrt(2)

@@ -166,6 +166,7 @@ def test_clone_every_family_with_default_options(capsys, family):
         ["broadcast", "--lam", "nan", "--interval"],
         ["clone", "--family", "bh-opt", "--alpha2", "2"],
         ["clone", "--family", "pc2", "--alpha2", "nan", "--phase", "1"],
+        ["clone", "--family", "pc2", "--phase", "inf"],
         ["delete", "--family", "pb", "--alpha2", "-0.5"],
     ],
 )
