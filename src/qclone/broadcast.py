@@ -17,7 +17,7 @@ from typing import Dict
 
 import numpy as np
 
-from .cloners import build_bh, build_bh_opt
+from .cloners import MachineSpec, build_machine
 from .measures import is_npt
 from .qcore import (
     DensityOperator,
@@ -232,7 +232,7 @@ def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
 def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
     """Outputs from the genuine Gram-realized machine applied to both qubits
     (requires lambda >= 1/6)."""
-    machine = build_bh(lmbda)
+    machine = build_machine(MachineSpec("bh", (lmbda,)))
     psi = input_ket(amplitudes)
     amps, dims = psi.amps, list(psi.dims)
     amps, dims = _apply_machine_at(amps, dims, 0, machine)
@@ -307,7 +307,10 @@ def _bisect(flag, lo, hi, tol: float) -> float:
 
 def interval_by_bisection(lmbda: float, which: str) -> Interval:
     """Locate the closed-form interval endpoints from the PPT test of the
-    corresponding output; an end is 0 or 1 when the predicate holds there."""
+    corresponding output; an end is 0 or 1 when the predicate holds there.
+    ``which`` is "insep" (nonlocal output AB') or "sep" (local output AA')."""
+    if which not in ("insep", "sep"):
+        raise ValueError(f"which must be 'insep' or 'sep', got {which!r}")
     key = "AB'" if which == "insep" else "AA'"
 
     def predicate(alpha2: float) -> bool:
@@ -368,7 +371,7 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
         raise ValueError(f"branch must be one of {BRANCHES}")
     alpha = complex(alpha)
     beta = math.sqrt(max(0.0, 1 - abs(alpha) ** 2))
-    machine = build_bh_opt()
+    machine = build_machine(MachineSpec("bh-opt"))
     amps = np.zeros(4, dtype=complex)
     amps[0], amps[3] = alpha, beta
     dims = [2, 2]

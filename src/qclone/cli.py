@@ -116,21 +116,23 @@ def cmd_clone(args) -> int:
                 f"outputs are limited to {MAX_DIM}^3 <= 256 dimensions"
             )
         d = args.dim
+    params = {"family": spec.family, "alpha2": args.alpha2}
+    amps = np.zeros(d, dtype=complex)
     if args.phase is not None:
         if not math.isfinite(args.phase):
             raise ValueError(f"--phase must be finite, got {args.phase}")
-        amps = np.zeros(d, dtype=complex)
+        # an equatorial input: --phase replaces --alpha2
+        params.update(alpha2=0.5, phase=args.phase)
         amps[0] = 1 / math.sqrt(2)
         amps[1] = np.exp(1j * args.phase) / math.sqrt(2)
     else:
-        amps = np.zeros(d, dtype=complex)
         amps[0] = math.sqrt(args.alpha2)
         amps[1] = math.sqrt(1 - args.alpha2)
     rep = clone_report(spec, StateVector((d,), amps))
     rows = [
         {
             "family": spec.family,
-            "alpha2": args.alpha2,
+            "alpha2": params["alpha2"],
             "F_a": rep.F_a,
             "F_b": rep.F_b,
             "D_a": rep.D_a,
@@ -143,7 +145,7 @@ def cmd_clone(args) -> int:
     meta = {
         "version": __version__,
         "command": "clone",
-        "params": {"family": spec.family, "alpha2": args.alpha2},
+        "params": params,
     }
     _emit(_render(rows, meta, args.format), args.out)
     return 0

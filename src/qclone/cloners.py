@@ -23,6 +23,7 @@ from .qcore import (
     kron_all,
     partial_trace,
     realize_gram,
+    spec_cache,
     symmetric_basis_state,
 )
 from .measures import hs_distance, overlap
@@ -354,12 +355,16 @@ FAMILIES = {
 }
 
 
+@spec_cache
 def build_machine(spec: MachineSpec) -> MachineIsometry:
+    """The machine of a spec, built once per spec; its matrix is read-only."""
     try:
         builder, _ = FAMILIES[spec.family]
     except KeyError:
         raise ValueError(f"unknown machine family {spec.family!r}") from None
-    return builder(*spec.params)
+    machine = builder(*spec.params)
+    machine.matrix.flags.writeable = False
+    return machine
 
 
 # ---------------------------------------------------------------------------

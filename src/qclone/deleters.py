@@ -28,6 +28,7 @@ from .qcore import (
     partial_trace,
     realize_gram,
     reduce_ket,
+    spec_cache,
 )
 
 DEFAULT_BLANK = BlankState(1.0, 0.0)
@@ -59,14 +60,26 @@ class DeletionReport:
     avg_F_2: Optional[float]
 
 
-def transformer() -> np.ndarray:
-    """T = |psi+><00| + |11><01| + |psi-><10| + |00><11| (two-qubit unitary)."""
+def _transformer_powers():
+    """T^0, T^1, T^2 for T = |psi+><00| + |11><01| + |psi-><10| + |00><11|."""
     t = np.zeros((4, 4), dtype=complex)
     t[:, 0] = bell_state("psi+")
     t[:, 1] = kron_all(ket(1), ket(1))
     t[:, 2] = bell_state("psi-")
     t[:, 3] = kron_all(ket(0), ket(0))
-    return t
+    powers = tuple(np.linalg.matrix_power(t, n) for n in range(3))
+    for p in powers:
+        p.flags.writeable = False
+    return powers
+
+
+_T_POWERS = _transformer_powers()
+
+
+def transformer() -> np.ndarray:
+    """T = |psi+><00| + |11><01| + |psi-><10| + |00><11| (two-qubit unitary),
+    a read-only constant."""
+    return _T_POWERS[1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,35 +148,37 @@ def conv_max_y(lmbda: float) -> float:
     return math.sqrt((1 - 2 * lmbda) / 3)
 
 
-def _conv_parts(lmbda: float, blank: BlankState, y: Optional[float]):
+def _conv_parts(
+    lmbda: float, blank: BlankState = DEFAULT_BLANK, y: Optional[float] = None
+):
+    """(machine, initial machine ket A) of the deleter with machine
+    parameter lambda and free blank |Sigma>.
+
+    Y (the overlap of the initial machine ket with A0, A1, D0) defaults to
+    the largest value keeping the Gram PSD.
+    """
     if y is None:
         y = conv_max_y(lmbda)
     vecs = realize_gram(conv_gram(lmbda, y))
     rank = vecs.shape[0]
     mdim = max(rank, 2)
-    a, a0, a1, b0, b1, c0, d0 = (np.pad(vecs[:, i], (0, mdim - rank)) for i in range(7))
+    kets = np.zeros((7, mdim), dtype=complex)
+    kets[:, :rank] = vecs.T
+    a, a0, a1, b0, b1, c0, d0 = kets
     sigma, sigma_p = blank.vec, blank.perp
-    s01 = np.kron(ket(0), ket(1))
-    s10 = np.kron(ket(1), ket(0))
-    sym = s01 + s10
-    cols = np.zeros((4 * mdim, 4), dtype=complex)
-    cols[:, 0] = np.kron(np.kron(ket(0), sigma), a0) + np.kron(sym, b0)
-    cols[:, 1] = np.kron(np.kron(ket(0), sigma_p), d0) + np.kron(s10, c0)
-    cols[:, 2] = np.kron(np.kron(ket(1), sigma), d0) + np.kron(s01, c0)
-    cols[:, 3] = np.kron(np.kron(ket(1), sigma_p), a1) + np.kron(sym, b1)
-    return MachineIsometry((2, 2), (2, 2, mdim), cols), a, y
-
-
-def build_conv(
-    lmbda: float, blank: BlankState = DEFAULT_BLANK, y: Optional[float] = None
-) -> MachineIsometry:
-    """Deleter with machine parameter lambda and free blank |Sigma>.
-
-    Y (the overlap of the initial machine ket with A0, A1, D0) defaults to
-    the largest value keeping the Gram PSD.
-    """
-    machine, _, _ = _conv_parts(lmbda, blank, y)
-    return machine
+    # cols[i, j, :, k]: kept qubit i, deleted qubit j, machine; input |k>
+    cols = np.zeros((2, 2, mdim, 4), dtype=complex)
+    cols[0, :, :, 0] = np.outer(sigma, a0)  # |0 Sigma A0> + (|01> + |10>)|B0>
+    cols[0, 1, :, 0] += b0
+    cols[1, 0, :, 0] += b0
+    cols[0, :, :, 1] = np.outer(sigma_p, d0)  # |0 Sigma' D0> + |10 C0>
+    cols[1, 0, :, 1] += c0
+    cols[1, :, :, 2] = np.outer(sigma, d0)  # |1 Sigma D0> + |01 C0>
+    cols[0, 1, :, 2] += c0
+    cols[1, :, :, 3] = np.outer(sigma_p, a1)  # |1 Sigma' A1> + (|01> + |10>)|B1>
+    cols[0, 1, :, 3] += b1
+    cols[1, 0, :, 3] += b1
+    return MachineIsometry((2, 2), (2, 2, mdim), cols.reshape(4 * mdim, 4)), a
 
 
 def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsometry:
@@ -184,20 +199,32 @@ def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsom
     return MachineIsometry((2, 2), (2, 2, 3), cols)
 
 
+# the families without a Gram-parameterized machine; their machine starts
+# in |0> (qiu has none)
 _BUILDERS = {
     "pb": build_pb,
     "qiu": build_qiu,
-    "conv": build_conv,
     "sdep": build_sdep,
 }
 
 
+@spec_cache
+def _deleter_parts(spec: DeleterSpec):
+    """(machine, initial machine ket) of a spec, from one build per spec;
+    both arrays are read-only."""
+    if spec.family == "conv":
+        machine, a = _conv_parts(*spec.params)
+    elif spec.family in _BUILDERS:
+        machine, a = _BUILDERS[spec.family](*spec.params), ket(0, 3)
+    else:
+        raise ValueError(f"unknown deleter family {spec.family!r}")
+    machine.matrix.flags.writeable = False
+    a.flags.writeable = False
+    return machine, a
+
+
 def build_deleter(spec: DeleterSpec) -> MachineIsometry:
-    try:
-        builder = _BUILDERS[spec.family]
-    except KeyError:
-        raise ValueError(f"unknown deleter family {spec.family!r}") from None
-    return builder(*spec.params)
+    return _deleter_parts(spec)[0]
 
 
 def _spec_blank(spec: DeleterSpec) -> BlankState:
@@ -208,15 +235,6 @@ def _spec_blank(spec: DeleterSpec) -> BlankState:
     if spec.family == "sdep":
         return spec.params[4] if len(spec.params) > 4 else DEFAULT_BLANK
     return DEFAULT_BLANK
-
-
-def _initial_machine_vector(spec: DeleterSpec) -> np.ndarray:
-    """The machine's initial ket, for the families that have a machine."""
-    if spec.family == "conv":
-        y = spec.params[2] if len(spec.params) > 2 else None
-        _, a, _ = _conv_parts(spec.params[0], _spec_blank(spec), y)
-        return a
-    return ket(0, 3)
 
 
 def deletion_target(spec: DeleterSpec) -> np.ndarray:
@@ -233,15 +251,17 @@ def _transform(kets: np.ndarray, n_transformers: int) -> np.ndarray:
     an (n, d) batch of kets."""
     if n_transformers not in (0, 1, 2):
         raise ValueError("only 0, 1 or 2 transformers are analyzed")
-    t_n = np.linalg.matrix_power(transformer(), n_transformers)
     data = kets.reshape(kets.shape[:-1] + (4, -1))
-    return np.einsum("ab,...bm->...am", t_n, data).reshape(kets.shape)
+    return np.einsum("ab,...bm->...am", _T_POWERS[n_transformers], data).reshape(kets.shape)
 
 
 def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0) -> StateVector:
     """Deleter (plus optional transformers on the data qubits) on a 2-qubit
     input; the output is pure, so it is returned as a ket."""
-    machine = build_deleter(spec)
+    return _delete(build_deleter(spec), state, n_transformers)
+
+
+def _delete(machine: MachineIsometry, state: StateVector, n_transformers: int) -> StateVector:
     if state.dims != (2, 2):
         raise ValueError("deleters act on two qubits")
     out = _transform(machine.matrix @ state.amps, n_transformers)
@@ -260,7 +280,8 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     """
     if state.dims != (2,):
         raise ValueError("delete_report expects the single-qubit input state")
-    out = apply_deleter(spec, _pair_state(state), n_transformers)
+    machine, a_vec = _deleter_parts(spec)
+    out = _delete(machine, _pair_state(state), n_transformers)
     rho_1 = partial_trace(out, [0])
     rho_2 = partial_trace(out, [1])
     has_machine = len(out.dims) > 2
@@ -270,7 +291,6 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     f2 = float(np.real(target.conj() @ rho_2.mat @ target))
     overlap_m = None
     if has_machine:
-        a_vec = _initial_machine_vector(spec)
         overlap_m = float(np.real(a_vec.conj() @ rho_3.mat @ a_vec))
     avg1, avg2 = average_fidelities(spec, n_transformers)
     return DeletionReport(rho_1, rho_2, rho_3, f1, f2, overlap_m, avg1, avg2)
@@ -291,9 +311,10 @@ def qubit_marginals(kets: np.ndarray, dims):
     return rho_0, rho_1
 
 
+@spec_cache
 def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
     """Quadrature averages of (F_1, F_2) over alpha^2 for real amplitudes,
-    all 64 nodes in one batched pass."""
+    all 64 nodes in one batched pass; computed once per (spec, count)."""
     machine = build_deleter(spec)
     psi = real_inputs(GL_ALPHA2)
     pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
@@ -326,6 +347,17 @@ def conv_avg_f3_limit() -> float:
     return 0.5 + math.pi / (8 * math.sqrt(2))
 
 
+def _limit_deleted_mode(t_n: np.ndarray) -> np.ndarray:
+    amps = (t_n @ bell_state("psi+")).reshape(2, 2)
+    rho_2 = np.einsum("ij,ik->jk", amps, amps.conj())
+    rho_2.flags.writeable = False
+    return rho_2
+
+
+# lambda -> 1/2 deleted-mode state after T^n, n = 0, 1, 2
+_LIMIT_RHO_2 = tuple(_limit_deleted_mode(t_n) for t_n in _T_POWERS)
+
+
 def limiting_deletion_fidelity(n_transformers: int, blank: BlankState) -> float:
     """Exact lambda -> 1/2 deletion fidelity with one or two transformers.
 
@@ -335,9 +367,7 @@ def limiting_deletion_fidelity(n_transformers: int, blank: BlankState) -> float:
     """
     if n_transformers not in (1, 2):
         raise ValueError("limits are analyzed for one or two transformers")
-    t = np.linalg.matrix_power(transformer(), n_transformers)
-    amps = (t @ bell_state("psi+")).reshape(2, 2)
-    rho_2 = np.einsum("ij,ik->jk", amps, amps.conj())
+    rho_2 = _LIMIT_RHO_2[n_transformers]
     target = (blank.vec + blank.perp) / math.sqrt(2)
     return float(np.real(target.conj() @ rho_2 @ target))
 

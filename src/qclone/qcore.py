@@ -8,6 +8,7 @@ row-major, with the *leftmost* tensor factor most significant, matching
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -21,6 +22,8 @@ DENSITY_TOL = 1e-7
 
 HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max entry
 ZERO_BRANCH_TOL = 1e-12  # bell_project: smaller branch probabilities count as zero
+
+SPEC_CACHE_SIZE = 128  # spec_cache: entries kept per cached function
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -177,6 +180,31 @@ class BlankState:
     def perp(self) -> np.ndarray:
         """|Sigma_perp> = -m2* |0> + m1 |1>."""
         return np.array([-np.conj(self.m2), self.m1], dtype=complex)
+
+
+def spec_cache(fn):
+    """Cache ``fn(spec, ...)`` per spec, SPEC_CACHE_SIZE entries at most.
+
+    The key holds the types of ``spec.params`` beside the spec, because equal
+    numbers of different types hash alike: ``MachineSpec("wz-n", (3.0,))``
+    must not be served the machine of ``(3,)``; the spec must be hashable.
+    Exceptions are not cached, so an invalid spec raises on every call.
+    Every hit returns the same object, so ``fn`` must return read-only
+    arrays.  The result is a plain function with the name of ``fn`` and a
+    ``cache_clear`` attribute, not an ``lru_cache`` object, so that
+    ``bench/tracer.py`` (which wraps plain functions only) still traces it.
+    """
+
+    @functools.lru_cache(maxsize=SPEC_CACHE_SIZE, typed=True)
+    def cached(spec, param_types, *args, **kwargs):
+        return fn(spec, *args, **kwargs)
+
+    @functools.wraps(fn)
+    def lookup(spec, *args, **kwargs):
+        return cached(spec, tuple(map(type, spec.params)), *args, **kwargs)
+
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ def test_intervals_by_bisection():
         sv = bc.sep_interval(lam)
         sb = bc.interval_by_bisection(lam, "sep")
         assert abs(sv.lo - sb.lo) < 1e-6 and abs(sv.hi - sb.hi) < 1e-6
+    with pytest.raises(ValueError):
+        bc.interval_by_bisection(0.1, "bogus")
 
 
 def test_broadcast_fidelity():

@@ -25,6 +25,17 @@ def test_clone_bh_opt(capsys):
     assert "0.055556" in out
 
 
+def test_clone_phase_reports_the_equatorial_input(capsys):
+    code, out = run_cli(
+        capsys, "clone", "--family", "bh-opt", "--phase", "1", "--alpha2", "0.3", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["params"] == {"family": "bh-opt", "alpha2": 0.5, "phase": 1.0}
+    assert doc["rows"][0]["alpha2"] == 0.5
+    assert abs(doc["rows"][0]["F_a"] - 5 / 6) < 1e-12
+
+
 def test_delete_pb(capsys):
     code, out = run_cli(capsys, "delete", "--family", "pb", "--alpha2", "0.5")
     assert code == 0

@@ -293,3 +293,19 @@ def test_machine_spec_errors():
         cloners.build_heis_asym(2, 1.5)
     with pytest.raises(ValueError):
         cloners.build_kr(0.9)
+
+
+def test_cached_machine_matrix_is_read_only():
+    machine = build_machine(MachineSpec("bh", (0.35,)))
+    with pytest.raises(ValueError):
+        machine.matrix[0, 0] = 1.0
+    assert build_machine(MachineSpec("bh", (0.35,))) is machine
+
+
+def test_machine_cache_is_keyed_by_parameter_types():
+    build_machine.cache_clear()
+    with pytest.raises(TypeError):
+        build_machine(MachineSpec("wz-n", (3.0,)))
+    assert build_machine(MachineSpec("wz-n", (3,))).out_dims == (3, 3, 3)
+    with pytest.raises(TypeError):
+        build_machine(MachineSpec("wz-n", (3.0,)))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qclone import deleters
 from qclone.deleters import BlankState, DeleterSpec, build_deleter, delete_report, transformer
@@ -13,6 +14,7 @@ from qclone.qcore import (
     kron_all,
     operator_on,
     partial_trace,
+    realize_gram,
 )
 
 
@@ -300,3 +302,94 @@ def test_delete_report_validation():
         delete_report(DeleterSpec("pb"), StateVector((2,), [1, 0]), n_transformers=3)
     with pytest.raises(ValueError):
         build_deleter(DeleterSpec("nope"))
+
+
+# ---------------------------------------------------------------------------
+# input-independent work done once: conv assembly, per-spec caches, constants
+
+
+def _kron_conv_parts(lmbda, blank, y):
+    """Reference: the conv columns assembled with kron and pad."""
+    vecs = realize_gram(deleters.conv_gram(lmbda, y))
+    rank = vecs.shape[0]
+    mdim = max(rank, 2)
+    a, a0, a1, b0, b1, c0, d0 = (np.pad(vecs[:, i], (0, mdim - rank)) for i in range(7))
+    sigma, sigma_p = blank.vec, blank.perp
+    s01 = np.kron(ket(0), ket(1))
+    s10 = np.kron(ket(1), ket(0))
+    sym = s01 + s10
+    cols = np.zeros((4 * mdim, 4), dtype=complex)
+    cols[:, 0] = np.kron(np.kron(ket(0), sigma), a0) + np.kron(sym, b0)
+    cols[:, 1] = np.kron(np.kron(ket(0), sigma_p), d0) + np.kron(s10, c0)
+    cols[:, 2] = np.kron(np.kron(ket(1), sigma), d0) + np.kron(s01, c0)
+    cols[:, 3] = np.kron(np.kron(ket(1), sigma_p), a1) + np.kron(sym, b1)
+    return cols, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lmbda=st.floats(0.0, 0.5),
+    theta=st.floats(0.0, math.pi / 2),
+    phi=st.floats(0.0, 2 * math.pi),
+    y_frac=st.none() | st.floats(0.0, 1.0),
+)
+@example(lmbda=0.1, theta=0.0, phi=0.0, y_frac=None)
+@example(lmbda=0.2, theta=0.7, phi=1.3, y_frac=None)
+def test_conv_assembly_by_index_matches_kron_reference(lmbda, theta, phi, y_frac):
+    blank = BlankState(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+    y_max = deleters.conv_max_y(lmbda)
+    y = None if y_frac is None else y_frac * y_max
+    machine, a = deleters._conv_parts(lmbda, blank, y)
+    cols, a_ref = _kron_conv_parts(lmbda, blank, y_max if y is None else y)
+    assert machine.matrix.shape == cols.shape
+    assert np.max(np.abs(machine.matrix - cols)) <= 1e-15
+    assert np.max(np.abs(a - a_ref)) <= 1e-15
+
+
+def _clear_deleter_caches():
+    deleters._deleter_parts.cache_clear()
+    deleters.average_fidelities.cache_clear()
+
+
+def test_cold_conv_delete_report_realizes_the_gram_once(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return realize_gram(spec)
+
+    _clear_deleter_caches()
+    monkeypatch.setattr(deleters, "realize_gram", counting)
+    psi = StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)])
+    delete_report(DeleterSpec("conv", (0.2, BlankState(0.6, 0.8))), psi, 1)
+    assert len(calls) == 1
+
+
+def test_cached_deleter_and_transformer_arrays_are_read_only():
+    for spec in (DeleterSpec("pb"), DeleterSpec("conv", (0.3,))):
+        with pytest.raises(ValueError):
+            build_deleter(spec).matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        transformer()[0, 0] = 1.0
+
+
+def test_invalid_deleter_spec_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_deleter(DeleterSpec("conv", (0.7,)))
+        with pytest.raises(ValueError):
+            build_deleter(DeleterSpec("qiu", (0.5,)))
+
+
+@pytest.mark.parametrize("n_transformers", [0, 1, 2])
+@pytest.mark.parametrize("spec", AVERAGE_SPECS, ids=str)
+def test_warm_delete_report_equals_cold(spec, n_transformers):
+    psi = StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)])
+    _clear_deleter_caches()
+    cold = delete_report(spec, psi, n_transformers)
+    warm = delete_report(spec, psi, n_transformers)
+    for name in ("F_1", "F_2", "machine_overlap", "avg_F_1", "avg_F_2"):
+        assert getattr(warm, name) == getattr(cold, name)
+    for name in ("rho_1", "rho_2", "rho_3"):
+        c, w = getattr(cold, name), getattr(warm, name)
+        assert (c is None and w is None) or np.array_equal(c.mat, w.mat)
