@@ -12,13 +12,13 @@ exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict
+from dataclasses import dataclass, fields
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from .cloners import MachineSpec, build_machine
-from .measures import is_npt
+from .measures import is_npt, min_pt_eigenvalue
 from .qcore import (
     DensityOperator,
     MachineIsometry,
@@ -29,14 +29,13 @@ from .qcore import (
     ket,
     partial_trace,
     permute_subsystems,
+    reduce_ket,
 )
 
 PSI_PLUS = bell_state("psi+")
 
-# Final bracket widths of the PPT bisections; each protocol_boundary step is a
-# full six-qubit simulation.
-BISECT_TOL = 1e-6  # interval_by_bisection and ppt_boundary
-PROTOCOL_BISECT_TOL = 1e-4
+BISECT_TOL = 1e-6  # final bracket width of interval_by_bisection and ppt_boundary
+CERTIFY_OFFSET = 1e-7  # certify_boundary: alpha^2 offset on each side of a boundary
 
 
 @dataclass(frozen=True)
@@ -51,10 +50,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 def sd_cloner_lambda_star(alpha2: float) -> float:
@@ -251,10 +246,7 @@ def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOper
 def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry):
     """Apply a one-subsystem isometry in place, expanding dims at idx."""
     dims = list(dims)
-    d_in = dims[idx]
-    pre = int(np.prod(dims[:idx])) if idx else 1
-    post = int(np.prod(dims[idx + 1 :])) if idx + 1 < len(dims) else 1
-    t = amps.reshape(pre, d_in, post)
+    t = amps.reshape(math.prod(dims[:idx]), dims[idx], math.prod(dims[idx + 1 :]))
     out = np.tensordot(machine.matrix, t, axes=([1], [1]))  # (dout, pre, post)
     out = np.transpose(out, (1, 0, 2)).reshape(-1)
     new_dims = dims[:idx] + list(machine.out_dims) + dims[idx + 1 :]
@@ -354,6 +346,7 @@ class ProtocolState:
     probability: float
     state: StateVector  # qubits 1,2,5 + machine, 3,4,6 + machine
     labels: tuple
+    # reduced operators: rho_146 keeps qubits 1, 4, 6, in that order
     rho_146: DensityOperator
     rho_325: DensityOperator
     rho_16: DensityOperator
@@ -370,55 +363,29 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
     alpha = complex(alpha)
-    beta = math.sqrt(max(0.0, 1 - abs(alpha) ** 2))
+    if not 0.0 <= abs(alpha) ** 2 <= 1.0:  # NaN fails the comparison too
+        raise ValueError(f"|alpha|^2 must be finite and lie in [0, 1], got alpha = {alpha}")
+    beta = math.sqrt(1 - abs(alpha) ** 2)
     machine = build_machine(MachineSpec("bh-opt"))
     amps = np.zeros(4, dtype=complex)
     amps[0], amps[3] = alpha, beta
-    dims = [2, 2]
-    labels = ["q1", "q3"]
-    # first round: clone qubits 1 and 3
-    amps, dims = _apply_machine_at(amps, dims, 0, machine)
-    labels = ["q1", "q2", "mA", "q3"]
+    # first round: clone qubits 1 and 3; layout q1, q2, mA, q3, q4, mB
+    amps, dims = _apply_machine_at(amps, [2, 2], 0, machine)
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
-    labels = ["q1", "q2", "mA", "q3", "q4", "mB"]
-    # measure both machines in the computational (Q0/Q1) basis
-    sel_a = int(branch[1])
-    sel_b = int(branch[3])
-    t = amps.reshape(dims)
-    t = np.take(np.take(t, sel_b, axis=5), sel_a, axis=2)
+    # measure both machines in the computational (Q0/Q1) basis; layout q1..q4
+    t = np.take(np.take(amps.reshape(dims), int(branch[3]), axis=5), int(branch[1]), axis=2)
     amps = t.reshape(-1)
     prob = float(np.linalg.norm(amps) ** 2)
     amps = amps / math.sqrt(prob)
-    dims = [2, 2, 2, 2]
-    labels = ["q1", "q2", "q3", "q4"]
     # second round: clone qubits 2 and 4
-    amps, dims = _apply_machine_at(amps, dims, 1, machine)
-    labels = ["q1", "q2", "q5", "mA2", "q3", "q4"]
+    amps, dims = _apply_machine_at(amps, [2, 2, 2, 2], 1, machine)
     amps, dims = _apply_machine_at(amps, dims, 5, machine)
-    labels = ["q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2"]
-    state = StateVector(tuple(dims), amps)
-
-    def reduced(names) -> DensityOperator:
-        keep = sorted(labels.index(n) for n in names)
-        rho = partial_trace(state, keep)
-        kept_names = [labels[k] for k in keep]
-        order = [kept_names.index(n) for n in names]
-        return permute_subsystems(rho, order)
-
-    return ProtocolState(
-        branch=branch,
-        probability=prob,
-        state=state,
-        labels=tuple(labels),
-        rho_146=reduced(["q1", "q4", "q6"]),
-        rho_325=reduced(["q3", "q2", "q5"]),
-        rho_16=reduced(["q1", "q6"]),
-        rho_14=reduced(["q1", "q4"]),
-        rho_46=reduced(["q4", "q6"]),
-        rho_25=reduced(["q2", "q5"]),
-        rho_12=reduced(["q1", "q2"]),
-        rho_15=reduced(["q1", "q5"]),
-    )
+    labels = ("q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2")
+    ops = {}
+    for f in fields(ProtocolState)[4:]:
+        keep = [labels.index("q" + q) for q in f.name[4:]]
+        ops[f.name] = DensityOperator(tuple(dims[k] for k in keep), reduce_ket(amps, dims, keep))
+    return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, **ops)
 
 
 def rho_146_closed(alpha) -> DensityOperator:
@@ -485,57 +452,89 @@ def rho_12_closed(alpha) -> DensityOperator:
     return DensityOperator((2, 2), m / norm)
 
 
-def _ppt_boundary(fn, lo: float, hi: float, entangled_above: bool, tol: float) -> float:
+def ppt_boundary(fn, lo: float, hi: float, entangled_above: bool = True) -> float:
+    """Bisect alpha^2 in (lo, hi) for the boundary above which the two-qubit
+    operator fn(alpha^2) is entangled (or separable, if not entangled_above)."""
     def flag(a2: float) -> bool:
         return is_npt(fn(a2).mat) == entangled_above
 
     if flag(lo) or not flag(hi):
         raise ValueError(f"no boundary in ({lo}, {hi}) with entangled_above={entangled_above}")
-    return _bisect(flag, lo, hi, tol)
+    return _bisect(flag, lo, hi, BISECT_TOL)
 
 
-def ppt_boundary(fn, lo: float, hi: float, entangled_above: bool = True) -> float:
-    """Bisect alpha^2 in (lo, hi) for the boundary above which the two-qubit
-    operator fn(alpha^2) is entangled (or separable, if not entangled_above)."""
-    return _ppt_boundary(fn, lo, hi, entangled_above, BISECT_TOL)
+class Boundary(NamedTuple):
+    alpha2: float
+    entangled_above: bool  # NPT above alpha2 and PPT below, or the reverse
 
 
-def protocol_boundary(
-    branch: str, operator: str, lo: float, hi: float, entangled_above: bool = True
-) -> float:
-    """Bisect alpha^2 for the PPT boundary of one reduced operator of a
-    measurement branch (operator is a ProtocolState attribute name)."""
-    def fn(a2: float) -> DensityOperator:
-        return getattr(three_qubit_protocol(math.sqrt(a2), branch), operator)
-    return _ppt_boundary(fn, lo, hi, entangled_above, PROTOCOL_BISECT_TOL)
+# Each pair operator is an X state, PPT iff rho_11 rho_44 >= |rho_23|^2 and
+# rho_22 rho_33 >= |rho_14|^2 (Yu & Eberly, QIC 7, 459, 2007): quadratics in
+# alpha^2 with these roots; X0 solves 37 x^2 - 18 x - 3 = 0.  alpha^2 -> 1 - alpha^2
+# with Q0Q0 <-> Q1Q1, Q0Q1 <-> Q1Q0 is an exact symmetry that swaps the sides.
+X0 = (3 + 2 * math.sqrt(3)) / (7 + 2 * math.sqrt(3))
+_R3 = math.sqrt(3) / 2
+_UP, _DOWN = True, False
+_COLUMNS = (("rho_16", "rho_14"), ("rho_46",), ("rho_25",), ("rho_12", "rho_15"))
+PROTOCOL_BOUNDARIES = {
+    (branch, op): Boundary(*cell)
+    for branch, row in {
+        "Q0Q0": ((9 / 49, _UP), (X0, _UP), (X0, _UP), (3 / 11, _DOWN)),
+        "Q0Q1": ((1 / 3, _UP), (1 - _R3, _DOWN), (_R3, _UP), (3 / 5, _DOWN)),
+        "Q1Q0": ((2 / 3, _DOWN), (_R3, _UP), (1 - _R3, _DOWN), (2 / 5, _UP)),
+        "Q1Q1": ((40 / 49, _DOWN), (1 - X0, _DOWN), (1 - X0, _DOWN), (8 / 11, _UP)),
+    }.items()
+    for ops, cell in zip(_COLUMNS, row)
+    for op in ops
+}
+
+
+def protocol_boundary(branch: str, operator: str) -> Boundary:
+    """Exact PPT boundary of a pair operator (a ProtocolState field) of a branch."""
+    if (branch, operator) not in PROTOCOL_BOUNDARIES:
+        raise ValueError(f"no protocol boundary for branch {branch!r}, operator {operator!r}")
+    return PROTOCOL_BOUNDARIES[branch, operator]
+
+
+def certify_boundary(branch: str, operator: str, fn=None) -> bool:
+    """True when, between alpha^2 = boundary -/+ CERTIFY_OFFSET, the smallest
+    partial-transpose eigenvalue goes from positive to below -PPT_TOL toward
+    its entangled side (so is_npt flips too).  The operator is the six-qubit
+    simulation's unless ``fn`` (alpha^2 -> DensityOperator) is given."""
+    x, up = protocol_boundary(branch, operator)
+    fn = fn or (lambda a2: getattr(three_qubit_protocol(math.sqrt(a2), branch), operator))
+    below, above = (fn(x + s * CERTIFY_OFFSET).mat for s in (-1, 1))
+    sep, ent = (below, above) if up else (above, below)
+    return min_pt_eigenvalue(sep) > 0 and is_npt(ent)
+
+
+# branch_broadcastable: the three-qubit operators are closed entangled states
+# and the first-round local pairs are separable
+BROADCAST_ENTANGLED = ("rho_16", "rho_14", "rho_46", "rho_25")
+BROADCAST_SEPARABLE = ("rho_12", "rho_15")
 
 
 def branch_broadcastable(alpha2: float, branch: str) -> bool:
-    """Three-qubit broadcasting condition: the two three-qubit operators are
-    closed entangled states and the first-round local pairs are separable."""
+    """Three-qubit broadcasting condition, from the simulated operators."""
     out = three_qubit_protocol(math.sqrt(alpha2), branch)
-    closed_a = is_npt(out.rho_16.mat) and is_npt(out.rho_14.mat) and is_npt(out.rho_46.mat)
-    closed_b = is_npt(out.rho_25.mat)
-    local_ok = not is_npt(out.rho_12.mat) and not is_npt(out.rho_15.mat)
-    return closed_a and closed_b and local_ok
+    return all(is_npt(getattr(out, op).mat) for op in BROADCAST_ENTANGLED) and not any(
+        is_npt(getattr(out, op).mat) for op in BROADCAST_SEPARABLE
+    )
 
 
-def branch_range(branch: str, grid: int = 201):
-    """Scan alpha^2 for the broadcastable range(s) of a measurement branch."""
-    xs = np.linspace(0.001, 0.999, grid)
-    flags = [branch_broadcastable(x, branch) for x in xs]
-    runs = []
-    start = None
-    for x, f in zip(xs, flags):
-        if f and start is None:
-            start = x
-        if not f and start is not None:
-            runs.append((start, prev))
-            start = None
-        prev = x
-    if start is not None:
-        runs.append((start, xs[-1]))
-    return runs
+def branch_range(
+    branch: str, entangled=BROADCAST_ENTANGLED, separable=BROADCAST_SEPARABLE
+) -> Optional[Interval]:
+    """The exact open alpha^2 interval of a branch where every operator in
+    ``entangled`` is NPT and every one in ``separable`` is PPT, from the
+    boundary table; None when it is empty.  The defaults give the range of
+    :func:`branch_broadcastable`."""
+    lo, hi = 0.0, 1.0
+    for ops, want_npt in ((entangled, True), (separable, False)):
+        for op in ops:
+            x, up = protocol_boundary(branch, op)
+            lo, hi = (max(lo, x), hi) if up == want_npt else (lo, min(hi, x))
+    return Interval(lo, hi, "Broadcastable") if lo < hi else None
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ FORMATS = ("csv", "json", "pretty")
 # output dimensions, and states are limited to 256.
 MAX_DIM = 6
 
+# `qclone clone` scores one qubit or --dim qudit input; the two 2 -> M
+# families take a qutrit or two-qubit input, so they are not offered
+CLONE_FAMILIES = tuple(f for f in FAMILIES if f not in ("mixed-23", "mixed-2m"))
+
 
 def _render(rows, meta, fmt: str) -> str:
     """rows: list of flat dicts with stable keys."""
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("clone", help="run a cloning machine on one input")
-    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    p.add_argument("--family", required=True, choices=CLONE_FAMILIES)
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--phase", type=float, help="equatorial input phase instead of alpha2")
     p.add_argument("--xi", type=float, default=1 / 6)

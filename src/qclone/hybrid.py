@@ -34,10 +34,10 @@ def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
         raise ValueError("component machines take different inputs")
     if v1.out_dims[:-1] != v2.out_dims[:-1]:
         raise ValueError("component machines produce different clone spaces")
-    clone_dim = int(np.prod(v1.out_dims[:-1]))
+    clone_dim = math.prod(v1.out_dims[:-1])
     m1_dim, m2_dim = v1.out_dims[-1], v2.out_dims[-1]
     mdim = max(m1_dim, m2_dim)
-    din = int(np.prod(v1.in_dims))
+    din = math.prod(v1.in_dims)
     cols = np.zeros((clone_dim * mdim * 2, din), dtype=complex)
     for i in range(din):
         c1 = v1.matrix[:, i].reshape(clone_dim, m1_dim)

@@ -8,6 +8,7 @@ this package is computed from ``overlap``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,7 @@ def _binary_entropy(x: float) -> float:
 def negativity(rho: DensityOperator, split) -> float:
     """2 sum max(0,-mu) for qubit pairs; (||rho^T||_1 - 1)/(d-1) in general."""
     mu = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, split))
-    d_a = int(np.prod([rho.dims[i] for i in set(split)]))
+    d_a = math.prod([rho.dims[i] for i in set(split)])
     d_b = rho.dim // d_a
     d = min(d_a, d_b)
     if d == 2:

@@ -9,6 +9,7 @@ row-major, with the *leftmost* tensor factor most significant, matching
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -59,7 +60,7 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("amplitudes must be finite")
-        if amps.size != int(np.prod(self.dims)):
+        if amps.size != math.prod(self.dims):
             raise ValueError(
                 f"amplitude vector of length {amps.size} does not match dims {self.dims}"
             )
@@ -86,7 +87,7 @@ class DensityOperator:
         object.__setattr__(self, "dims", _as_dims(self.dims))
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        d = int(np.prod(self.dims))
+        d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims}")
         check_densities(mat)
@@ -126,8 +127,8 @@ class MachineIsometry:
         object.__setattr__(self, "out_dims", _as_dims(self.out_dims))
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        din = int(np.prod(self.in_dims))
-        dout = int(np.prod(self.out_dims))
+        din = math.prod(self.in_dims)
+        dout = math.prod(self.out_dims)
         if m.shape != (dout, din):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.in_dims}->{self.out_dims}")
         if dout < din:
@@ -269,7 +270,7 @@ def _trace_axes(mat: np.ndarray, dims, keep):
     # contract traced-out row/col axis pairs, highest index first
     for ax in reversed([i for i in range(n) if i not in keep]):
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod([dims[k] for k in keep])
     return t.reshape(d_keep, d_keep)
 
 
@@ -278,22 +279,23 @@ def reduce_ket(amps, dims, keep) -> np.ndarray:
 
     ``amps`` is one ket of shape (d,) or a batch of kets of shape (n, d); the
     result is (d_keep, d_keep) or (n, d_keep, d_keep), with the kept
-    subsystems in their original order.  Reshape -> transpose -> M M^dag:
-    the same matrix as tracing the outer product, which is never formed.
+    subsystems in the order ``keep`` lists them.  Reshape -> transpose ->
+    M M^dag: the same matrix as tracing the outer product, which is never
+    formed, and then reordering the kept subsystems.
     """
     dims = tuple(dims)
     n = len(dims)
-    keep = sorted(set(keep))
-    if not keep or any(k < 0 or k >= n for k in keep):
+    keep = list(keep)
+    if not keep or len(set(keep)) < len(keep) or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
     amps = np.asarray(amps, dtype=complex)
     batch = amps.shape[:-1]
-    if amps.shape[-1] != int(np.prod(dims)):
+    if amps.shape[-1] != math.prod(dims):
         raise ValueError(f"ket of length {amps.shape[-1]} does not match dims {dims}")
     order = keep + [i for i in range(n) if i not in keep]
     lead = list(range(len(batch)))
     t = np.transpose(amps.reshape(batch + dims), lead + [len(batch) + i for i in order])
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod([dims[k] for k in keep])
     m = t.reshape(batch + (d_keep, -1))
     return m @ m.conj().swapaxes(-1, -2)
 
@@ -382,7 +384,7 @@ def schmidt(ket: StateVector, split) -> np.ndarray:
         raise ValueError("split must be a proper nonempty bipartition")
     t = ket.amps.reshape(ket.dims)
     t = np.transpose(t, left + right)
-    m = t.reshape(int(np.prod([ket.dims[i] for i in left])), -1)
+    m = t.reshape(math.prod([ket.dims[i] for i in left]), -1)
     s = np.linalg.svd(m, compute_uv=False)
     lam = np.sort(s**2)[::-1]
     return lam[lam > 1e-14]
@@ -420,7 +422,7 @@ def bell_project(rho: DensityOperator, pair, outcome: str):
     t = np.tensordot(b.conj(), t, axes=([0, 1], [i, j]))
     t = np.tensordot(b, t, axes=([0, 1], [i + n - 2, j + n - 2]))
     keep = [k for k in range(n) if k not in (i, j)]
-    d_keep = int(np.prod([rho.dims[k] for k in keep])) if keep else 1
+    d_keep = math.prod([rho.dims[k] for k in keep])
     reduced = t.reshape(d_keep, d_keep)
     prob = float(np.trace(reduced).real)
     if prob < ZERO_BRANCH_TOL:
@@ -434,19 +436,19 @@ def operator_on(op: np.ndarray, subsystems, dims) -> np.ndarray:
     subsystems = list(subsystems)
     dims = list(dims)
     n = len(dims)
-    d_op = int(np.prod([dims[s] for s in subsystems]))
+    d_op = math.prod([dims[s] for s in subsystems])
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_op, d_op):
         raise ValueError("operator shape does not match selected subsystems")
     rest = [i for i in range(n) if i not in subsystems]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_rest = math.prod([dims[i] for i in rest])
     full = np.kron(op, np.eye(d_rest))
     # kron put (subsystems..., rest...); permute back to the original layout
     cur = subsystems + rest
     perm = [cur.index(i) for i in range(n)]
     t = full.reshape([dims[i] for i in cur] * 2)
     t = np.transpose(t, perm + [p + n for p in perm])
-    return t.reshape(int(np.prod(dims)), int(np.prod(dims)))
+    return t.reshape(math.prod(dims), math.prod(dims))
 
 
 def symmetric_basis_state(n_qubits: int, n_ones: int) -> np.ndarray:

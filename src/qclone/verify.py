@@ -307,48 +307,65 @@ def check_broadcast_equivalence() -> CheckResult:
 # criterion 9: three-qubit protocol
 
 
+def _certified_boundary(branch: str, op: str, printed: float, fn=None):
+    """(passed, text) for one exact protocol boundary: within 0.01 of the
+    printed value, and certified by the PPT sign change at +/- CERTIFY_OFFSET
+    (on ``fn`` when given, else on the six-qubit simulation)."""
+    x = bc.protocol_boundary(branch, op).alpha2
+    certified = bc.certify_boundary(branch, op, fn)
+    text = f"{branch} {op} {x:.6f} (printed {printed}, off {abs(x - printed):.4f})"
+    return certified and abs(x - printed) <= 0.01, text + ("" if certified else " NOT CERTIFIED")
+
+
 def check_three_qubit_boundaries() -> CheckResult:
-    b16 = bc.ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
-    b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
-    b12 = bc.ppt_boundary(
-        lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, entangled_above=False
-    )
-    ok = abs(b16 - 0.18) <= 0.01 and abs(b46 - 0.61) <= 0.01 and abs(b12 - 0.27) <= 0.01
+    closed = {"rho_16": bc.rho_16_closed, "rho_46": bc.rho_46_closed, "rho_12": bc.rho_12_closed}
+    results = [
+        _certified_boundary("Q0Q0", op, printed, lambda a2, f=closed[op]: f(math.sqrt(a2)))
+        for op, printed in (("rho_16", 0.18), ("rho_46", 0.61), ("rho_12", 0.27))
+    ]
     return CheckResult(
         "three-qubit protocol separability boundaries (0.18, 0.61, 0.27)",
-        ok,
-        f"boundaries: {b16:.4f}, {b46:.4f}, {b12:.4f}",
+        all(ok for ok, _ in results),
+        "exact, certified on the closed forms: " + "; ".join(text for _, text in results),
     )
+
+
+def _range_text(iv) -> str:
+    return "empty" if iv is None else f"({iv.lo:.6f}, {iv.hi:.6f})"
 
 
 def check_branch_ranges() -> CheckResult:
-    failures = []
     notes = [
         "the two asymmetric branches are exact mirrors, so their printed "
-        "ranges cannot both hold under one definition; each printed range is "
-        "reproduced under the reading stated here and the endpoint values "
-        "are genuine separability boundaries"
+        "ranges cannot both hold under one definition.  Q1Q1's printed ends "
+        "are its rho_46 and rho_12 boundaries; its broadcastable range is "
+        f"{_range_text(bc.branch_range('Q1Q1'))}.  Q0Q1's printed range is "
+        "where rho_16 and rho_14 are entangled and rho_12 and rho_15 "
+        "separable; Q1Q0's also needs rho_25 separable.  Under the full "
+        "broadcasting conjunction both asymmetric branches are empty"
     ]
-    # symmetric branch: printed endpoints are the two governing boundaries
-    b46 = bc.protocol_boundary("Q1Q1", "rho_46", 0.2, 0.6, entangled_above=False)
-    b12 = bc.protocol_boundary("Q1Q1", "rho_12", 0.5, 0.9, entangled_above=True)
-    if abs(b46 - 0.38) > 0.01 or abs(b12 - 0.73) > 0.01:
-        failures.append(f"Q1Q1 boundaries ({b46:.3f}, {b12:.3f})")
-    # asymmetric branch 1: nonlocal entangled and first-round pairs separable
-    lo = bc.protocol_boundary("Q0Q1", "rho_12", 0.4, 0.8, entangled_above=False)
+    results = [
+        _certified_boundary("Q1Q1", "rho_46", 0.38),
+        _certified_boundary("Q1Q1", "rho_12", 0.73),
+        _certified_boundary("Q0Q1", "rho_12", 0.6),
+        _certified_boundary("Q1Q0", "rho_25", 0.14),
+        _certified_boundary("Q1Q0", "rho_12", 0.4),
+    ]
+    # the asymmetric ranges under the readings in the note; Q0Q1's nonlocal
+    # pairs are still entangled near its upper end, alpha^2 = 1
+    q01 = bc.branch_range("Q0Q1", ("rho_16", "rho_14"), ("rho_12", "rho_15"))
+    q10 = bc.branch_range("Q1Q0", ("rho_16", "rho_14"), ("rho_12", "rho_15", "rho_25"))
     top = bc.three_qubit_protocol(math.sqrt(0.999), "Q0Q1")
     top_npt = measures.is_npt(top.rho_16.mat) and measures.is_npt(top.rho_14.mat)
-    if abs(lo - 0.6) > 0.01 or not top_npt:
-        failures.append(f"Q0Q1 range ({lo:.3f}, 1)")
-    # asymmetric branch 2: additionally the fresh local pair is separable
-    lo2 = bc.protocol_boundary("Q1Q0", "rho_25", 0.02, 0.3, entangled_above=False)
-    hi2 = bc.protocol_boundary("Q1Q0", "rho_12", 0.2, 0.6, entangled_above=True)
-    if abs(lo2 - 0.14) > 0.01 or abs(hi2 - 0.4) > 0.01:
-        failures.append(f"Q1Q0 range ({lo2:.3f}, {hi2:.3f})")
+    ends_ok = top_npt and all(
+        iv is not None and abs(iv.lo - lo) <= 0.01 and abs(iv.hi - hi) <= 0.01
+        for iv, (lo, hi) in ((q01, (0.6, 1.0)), (q10, (0.14, 0.4)))
+    )
     return CheckResult(
         "branch ranges (0.38, 0.73), (0.6, 1), (0.14, 0.4) as boundaries",
-        not failures,
-        "; ".join(failures) or f"Q1Q1 ({b46:.3f},{b12:.3f}); Q0Q1 ({lo:.3f},1); Q1Q0 ({lo2:.3f},{hi2:.3f})",
+        all(ok for ok, _ in results) and ends_ok,
+        f"Q0Q1 {_range_text(q01)}, Q1Q0 {_range_text(q10)}; exact ends, certified on "
+        "the six-qubit simulation: " + "; ".join(text for _, text in results),
         notes,
     )
 
@@ -362,7 +379,7 @@ def check_protocol_concurrences() -> CheckResult:
     machine precision from the six-qubit construction) give different
     values, so this check documents a source defect and is expected to fail.
     """
-    x0 = (3 + 2 * math.sqrt(3)) / (7 + 2 * math.sqrt(3))
+    x0 = bc.X0
     xs = np.linspace(x0, 1.0, 41)
     c16 = [measures.concurrence_2q(bc.rho_16_closed(math.sqrt(x))) for x in xs]
     c46 = [measures.concurrence_2q(bc.rho_46_closed(math.sqrt(x))) for x in xs]

@@ -5,7 +5,7 @@ import pytest
 
 from qclone import broadcast as bc
 from qclone import measures
-from qclone.qcore import DensityOperator, bell_state, partial_trace
+from qclone.qcore import DensityOperator, bell_state, partial_trace, partial_transpose
 
 
 RNG = np.random.default_rng(404)
@@ -176,12 +176,87 @@ def test_protocol_boundaries():
         bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.7, 0.95)
 
 
-def test_branch_boundary_values():
-    assert abs(bc.protocol_boundary("Q1Q1", "rho_46", 0.2, 0.6, False) - 0.38) <= 0.01
-    assert abs(bc.protocol_boundary("Q1Q1", "rho_12", 0.5, 0.9, True) - 0.73) <= 0.01
-    assert abs(bc.protocol_boundary("Q0Q1", "rho_12", 0.4, 0.8, False) - 0.6) <= 0.01
-    assert abs(bc.protocol_boundary("Q1Q0", "rho_12", 0.2, 0.6, True) - 0.4) <= 0.01
-    assert abs(bc.protocol_boundary("Q1Q0", "rho_25", 0.02, 0.3, False) - 0.14) <= 0.01
+def _simulated(branch, op):
+    return lambda a2: getattr(bc.three_qubit_protocol(math.sqrt(a2), branch), op)
+
+
+@pytest.mark.parametrize(
+    "branch, op, lo, hi, entangled_above, printed",
+    [
+        ("Q1Q1", "rho_46", 0.2, 0.6, False, 0.38),
+        ("Q1Q1", "rho_12", 0.5, 0.9, True, 0.73),
+        ("Q0Q1", "rho_12", 0.4, 0.8, False, 0.6),
+        ("Q1Q0", "rho_12", 0.2, 0.6, True, 0.4),
+        ("Q1Q0", "rho_25", 0.02, 0.3, False, 0.14),
+    ],
+)
+def test_branch_boundary_values(branch, op, lo, hi, entangled_above, printed):
+    # test oracle: bisect the PPT boundary of the simulated pair operator
+    found = bc.ppt_boundary(_simulated(branch, op), lo, hi, entangled_above)
+    assert abs(found - printed) <= 0.01
+    exact = bc.PROTOCOL_BOUNDARIES[branch, op]
+    assert abs(found - exact.alpha2) <= 1e-4
+    assert exact.entangled_above == entangled_above
+
+
+EXACT_BOUNDARIES = {
+    "Q0Q0": (9 / 49, 9 / 49, bc.X0, bc.X0, 3 / 11, 3 / 11),
+    "Q0Q1": (1 / 3, 1 / 3, 1 - math.sqrt(3) / 2, math.sqrt(3) / 2, 3 / 5, 3 / 5),
+    "Q1Q0": (2 / 3, 2 / 3, math.sqrt(3) / 2, 1 - math.sqrt(3) / 2, 2 / 5, 2 / 5),
+    "Q1Q1": (40 / 49, 40 / 49, 1 - bc.X0, 1 - bc.X0, 8 / 11, 8 / 11),
+}
+PAIRS = ("rho_16", "rho_14", "rho_46", "rho_25", "rho_12", "rho_15")
+MIRROR = {"Q0Q0": "Q1Q1", "Q0Q1": "Q1Q0", "Q1Q0": "Q0Q1", "Q1Q1": "Q0Q0"}
+
+
+def test_boundary_table_values():
+    assert abs(37 * bc.X0**2 - 18 * bc.X0 - 3) < 1e-14
+    assert len(bc.PROTOCOL_BOUNDARIES) == 24
+    for branch, row in EXACT_BOUNDARIES.items():
+        for op, x in zip(PAIRS, row):
+            assert abs(bc.PROTOCOL_BOUNDARIES[branch, op].alpha2 - x) < 1e-15
+
+
+@pytest.mark.parametrize("branch, op", sorted(bc.PROTOCOL_BOUNDARIES))
+def test_boundary_is_a_simulated_sign_change(branch, op):
+    # the six-qubit simulation switches between PPT and NPT within
+    # CERTIFY_OFFSET of the exact value, toward the table's entangled side
+    x, entangled_above = bc.PROTOCOL_BOUNDARIES[branch, op]
+    d = bc.CERTIFY_OFFSET
+    below, above = (_simulated(branch, op)(x + s * d).mat for s in (-1, 1))
+    ent, sep = (above, below) if entangled_above else (below, above)
+    assert measures.min_pt_eigenvalue(sep) > 0 > measures.min_pt_eigenvalue(ent)
+    assert measures.is_npt(ent) and not measures.is_npt(sep)
+    assert bc.certify_boundary(branch, op)
+
+
+def test_certify_boundary_rejects_a_wrong_entry(monkeypatch):
+    def closed(a2):
+        return bc.rho_46_closed(math.sqrt(a2))
+
+    x, up = bc.PROTOCOL_BOUNDARIES["Q0Q0", "rho_46"]
+    assert bc.certify_boundary("Q0Q0", "rho_46", closed)
+    for wrong in (bc.Boundary(x + 1e-3, up), bc.Boundary(x - 1e-3, up), bc.Boundary(x, not up)):
+        monkeypatch.setitem(bc.PROTOCOL_BOUNDARIES, ("Q0Q0", "rho_46"), wrong)
+        assert not bc.certify_boundary("Q0Q0", "rho_46")
+        assert not bc.certify_boundary("Q0Q0", "rho_46", closed)
+
+
+@pytest.mark.parametrize("branch, op", sorted(bc.PROTOCOL_BOUNDARIES))
+def test_boundary_mirror(branch, op):
+    # alpha^2 -> 1 - alpha^2 with Q0Q0 <-> Q1Q1 and Q0Q1 <-> Q1Q0 maps each
+    # boundary onto its mirror and swaps the entangled side ...
+    x, up = bc.PROTOCOL_BOUNDARIES[branch, op]
+    mx, mup = bc.PROTOCOL_BOUNDARIES[MIRROR[branch], op]
+    assert abs(mx - (1 - x)) < 1e-15 and mup == (not up)
+    # ... because the simulated operators are mirror images (flipping every
+    # qubit is a local unitary, so the partial-transpose spectrum is kept)
+    for a2 in (x - 0.05, x, x + 0.05):
+        if 0 < a2 < 1:
+            ev = np.linalg.eigvalsh(partial_transpose(_simulated(branch, op)(a2).mat, (2, 2), (1,)))
+            mirrored = _simulated(MIRROR[branch], op)(1 - a2).mat
+            mev = np.linalg.eigvalsh(partial_transpose(mirrored, (2, 2), (1,)))
+            assert np.max(np.abs(ev - mev)) < 1e-12
 
 
 def test_branch_mirror_symmetry():
@@ -199,9 +274,38 @@ def test_broadcastable_ranges():
     assert not bc.branch_broadcastable(0.5, "Q0Q0")
     assert bc.branch_broadcastable(0.3, "Q1Q1")
     assert not bc.branch_broadcastable(0.5, "Q1Q1")
-    runs = bc.branch_range("Q0Q0", grid=51)
-    assert len(runs) == 1
-    assert abs(runs[0][0] - 0.62) < 0.03 and runs[0][1] > 0.97
+    assert bc.branch_range("Q0Q0") == bc.Interval(bc.X0, 1.0, "Broadcastable")
+    assert bc.branch_range("Q0Q1") is None
+    assert bc.branch_range("Q1Q0") is None
+    assert bc.branch_range("Q1Q1") == bc.Interval(0.0, 1 - bc.X0, "Broadcastable")
+    # the simulated predicate holds just inside each range and fails outside
+    spots = (("Q0Q0", (0.62, 0.99), (0.61,)), ("Q1Q1", (0.01, 0.38), (0.39,)))
+    for branch, inside, outside in spots:
+        assert all(bc.branch_broadcastable(a2, branch) for a2 in inside)
+        assert not any(bc.branch_broadcastable(a2, branch) for a2 in outside)
+    for branch in ("Q0Q1", "Q1Q0"):
+        assert not any(bc.branch_broadcastable(a2, branch) for a2 in np.linspace(0.05, 0.95, 7))
+    # the readings under which the printed asymmetric ranges hold
+    q01 = bc.branch_range("Q0Q1", ("rho_16", "rho_14"), ("rho_12", "rho_15"))
+    q10 = bc.branch_range("Q1Q0", ("rho_16", "rho_14"), ("rho_12", "rho_15", "rho_25"))
+    assert (q01.lo, q01.hi) == (3 / 5, 1.0)
+    assert (q10.lo, q10.hi) == (1 - math.sqrt(3) / 2, 2 / 5)
+    with pytest.raises(ValueError, match="no protocol boundary"):
+        bc.branch_range("Q2Q0")
+    with pytest.raises(ValueError, match="no protocol boundary"):
+        bc.protocol_boundary("Q0Q0", "rho_146")
+
+
+@pytest.mark.parametrize("alpha", [2.0, -1.5, 1 + 1j, float("nan"), float("inf"), complex("nan")])
+def test_three_qubit_protocol_rejects_out_of_domain_alpha(alpha):
+    with pytest.raises(ValueError, match=r"\|alpha\|\^2 must be finite and lie in \[0, 1\]"):
+        bc.three_qubit_protocol(alpha, "Q0Q0")
+
+
+def test_three_qubit_protocol_domain_ends():
+    for alpha, branch in ((1.0, "Q0Q0"), (0.0, "Q1Q1"), (-1j, "Q0Q0")):
+        out = bc.three_qubit_protocol(alpha, branch)
+        assert 0.0 < out.probability <= 1.0
 
 
 def test_swap_extend_recovers_state():

@@ -194,10 +194,20 @@ def kets_on_subsystems(draw):
 @settings(max_examples=60, deadline=None)
 @given(kets_on_subsystems())
 def test_reduce_ket_equals_trace_of_outer_product(case):
+    # keep is drawn in random order: reduce_ket keeps that order, while
+    # _trace_axes and partial_trace keep the subsystems sorted
     dims, keep, kets = case
+    in_sorted = sorted(keep)
+    order = [in_sorted.index(k) for k in keep]
     for v in kets:
-        ref = _trace_axes(np.outer(v, v.conj()), dims, keep)
+        traced = DensityOperator(
+            tuple(dims[k] for k in in_sorted), _trace_axes(np.outer(v, v.conj()), dims, keep)
+        )
+        ref = permute_subsystems(traced, order).mat
         assert np.max(np.abs(reduce_ket(v, dims, keep) - ref)) <= 1e-12
+        sorted_trace = partial_trace(StateVector(dims, v), keep)
+        assert sorted_trace.dims == traced.dims
+        assert np.max(np.abs(sorted_trace.mat - traced.mat)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,12 +237,18 @@ def test_partial_trace_of_ket_matches_density_path():
     for keep in ([0], [1], [2], [0, 2], [2, 1]):
         via_ket = partial_trace(psi, keep)
         via_rho = partial_trace(psi.density(), keep)
-        assert via_ket.dims == via_rho.dims
+        assert via_ket.dims == via_rho.dims == tuple(psi.dims[k] for k in sorted(keep))
         assert np.max(np.abs(via_ket.mat - via_rho.mat)) < 1e-12
+    # reduce_ket keeps the listed order: qubit 2 first, then the qutrit
+    ordered = reduce_ket(psi.amps, psi.dims, [2, 1])
+    swapped = permute_subsystems(partial_trace(psi, [1, 2]), [1, 0])
+    assert np.max(np.abs(ordered - swapped.mat)) < 1e-12
     with pytest.raises(ValueError):
         partial_trace(psi, [3])
     with pytest.raises(ValueError):
         reduce_ket(psi.amps[:6], psi.dims, [0])
+    with pytest.raises(ValueError, match="invalid subsystem selection"):
+        reduce_ket(psi.amps, psi.dims, [1, 1])
 
 
 def test_check_densities_rejects_any_bad_member():
