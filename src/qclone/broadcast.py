@@ -357,15 +357,22 @@ class ProtocolState:
     rho_15: DensityOperator
 
 
+def _alpha_weight(alpha) -> float:
+    """|alpha|^2 of a protocol input alpha|00> + beta|11>; ValueError
+    unless it is finite and in [0, 1]."""
+    a2 = abs(complex(alpha)) ** 2
+    if not 0.0 <= a2 <= 1.0:  # NaN fails the comparison too
+        raise ValueError(f"|alpha|^2 must be finite and lie in [0, 1], got alpha = {alpha}")
+    return a2
+
+
 def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     """Clone both halves of alpha|00> + beta|11>, measure both machines,
     clone the fresh copies again, and collect the reduced operators."""
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
     alpha = complex(alpha)
-    if not 0.0 <= abs(alpha) ** 2 <= 1.0:  # NaN fails the comparison too
-        raise ValueError(f"|alpha|^2 must be finite and lie in [0, 1], got alpha = {alpha}")
-    beta = math.sqrt(1 - abs(alpha) ** 2)
+    beta = math.sqrt(1 - _alpha_weight(alpha))
     machine = build_machine(MachineSpec("bh-opt"))
     amps = np.zeros(4, dtype=complex)
     amps[0], amps[3] = alpha, beta
@@ -392,9 +399,10 @@ def rho_146_closed(alpha) -> DensityOperator:
     """Closed-form three-qubit operator of the both-machines-in-the-first-
     branch outcome (qubit order 1, 4, 6)."""
     alpha = complex(alpha)
-    beta2 = 1 - abs(alpha) ** 2
-    beta = math.sqrt(max(0.0, beta2))
-    norm = (3 * abs(alpha) ** 2 + 1) / 9
+    a2 = _alpha_weight(alpha)
+    beta2 = 1 - a2
+    beta = math.sqrt(beta2)
+    norm = (3 * a2 + 1) / 9
     z = np.kron(ket(0), np.kron(ket(0), ket(0)))
     o = np.kron(ket(1), np.kron(ket(1), ket(1)))
     zpsi = np.kron(ket(0), PSI_PLUS)
@@ -402,7 +410,6 @@ def rho_146_closed(alpha) -> DensityOperator:
     z11 = np.kron(ket(0), np.kron(ket(1), ket(1)))
     o00 = np.kron(ket(1), np.kron(ket(0), ket(0)))
     m = np.zeros((8, 8), dtype=complex)
-    a2 = abs(alpha) ** 2
     m += (4 * a2 / 9) * ((2 / 3) * np.outer(z, z) + (1 / 3) * np.outer(zpsi, zpsi))
     ab = alpha * np.conj(beta)
     m += (np.conj(ab) / 9) * (math.sqrt(2) / 3) * (np.outer(z, opsi) + np.outer(zpsi, o))
@@ -414,8 +421,8 @@ def rho_146_closed(alpha) -> DensityOperator:
 
 def rho_16_closed(alpha) -> DensityOperator:
     alpha = complex(alpha)
-    a2 = abs(alpha) ** 2
-    beta = math.sqrt(max(0.0, 1 - a2))
+    a2 = _alpha_weight(alpha)
+    beta = math.sqrt(1 - a2)
     norm = (3 * a2 + 1) / 9
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = (4 * a2 / 9) * (5 / 6)
@@ -427,7 +434,7 @@ def rho_16_closed(alpha) -> DensityOperator:
 
 
 def rho_46_closed(alpha) -> DensityOperator:
-    a2 = abs(complex(alpha)) ** 2
+    a2 = _alpha_weight(alpha)
     b2 = 1 - a2
     norm = (3 * a2 + 1) / 9
     s = np.zeros((4, 4))
@@ -440,7 +447,7 @@ def rho_46_closed(alpha) -> DensityOperator:
 
 
 def rho_12_closed(alpha) -> DensityOperator:
-    a2 = abs(complex(alpha)) ** 2
+    a2 = _alpha_weight(alpha)
     b2 = 1 - a2
     norm = (3 * a2 + 1) / 9
     m = np.zeros((4, 4), dtype=complex)

@@ -79,6 +79,8 @@ def cmd_table(args) -> int:
     mode = args.mode
     run_modes = ("closed_form", "simulate") if mode == "both" else (mode,)
     tol = args.tol  # None -> one unit in the last printed digit
+    if tol is not None and not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"--tol must be finite and >= 0, got {tol}")
     rows = []
     mismatch = False
     for m in run_modes:
@@ -157,13 +159,13 @@ def cmd_clone(args) -> int:
 
 def _deleter_spec(args) -> DeleterSpec:
     blank = BlankState(args.m1, args.m2)
-    if args.family == "pb":
-        return DeleterSpec("pb", (blank,))
-    if args.family == "qiu":
-        return DeleterSpec("qiu", (args.r1,))
-    if args.family == "conv":
-        return DeleterSpec("conv", (args.lam, blank))
-    return DeleterSpec("sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2, blank))
+    params = {
+        "pb": (blank,),
+        "qiu": (args.r1,),
+        "conv": (args.lam, blank),
+        "sdep": deleters.SDEP_EXAMPLE + (blank,),
+    }
+    return DeleterSpec(args.family, params[args.family])
 
 
 def cmd_delete(args) -> int:
@@ -276,7 +278,7 @@ def cmd_concat(args) -> int:
     if args.deleter == "pb":
         dspec = DeleterSpec("pb")
     else:
-        dspec = DeleterSpec("sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2))
+        dspec = DeleterSpec("sdep", deleters.SDEP_EXAMPLE)
     spec = concat.PipelineSpec(cloner, dspec)
     d, f = concat.run_pipeline(spec, args.alpha2)
     avg_d, avg_f = concat.closed_form_averages(spec)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    BELL_LABELS,
     DensityOperator,
     GramSpec,
     MachineIsometry,
@@ -415,13 +416,11 @@ def ying_bound_gap(n: int) -> float:
 # ---------------------------------------------------------------------------
 # double-Bell reparametrization (asymmetric cloning bookkeeping)
 
-_BELL_ORDER = ("phi+", "phi-", "psi+", "psi-")
-
 
 def _double_bell_vector(amps, pair_a, pair_b) -> np.ndarray:
     """4-qubit state sum_i amps[i] |Bell_i>_pair_a |Bell_i>_pair_b."""
     state = np.zeros(16, dtype=complex)
-    for c, label in zip(amps, _BELL_ORDER):
+    for c, label in zip(amps, BELL_LABELS):
         bell = bell_state(label).reshape(2, 2)
         t = np.zeros((2, 2, 2, 2), dtype=complex)
         for i1 in range(2):
@@ -449,7 +448,7 @@ def cerf_reparam(amps, target: str = "RB_AC") -> np.ndarray:
     pa, pb = pairs[target]
     out = np.zeros(4, dtype=complex)
     recon = np.zeros_like(state)
-    for i, label in enumerate(_BELL_ORDER):
+    for i, label in enumerate(BELL_LABELS):
         basis = _double_bell_vector(ket(i, 4), pa, pb)
         out[i] = basis.conj() @ state
         recon += out[i] * basis

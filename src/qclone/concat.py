@@ -19,11 +19,13 @@ from .cloners import MachineSpec, build_machine
 from .deleters import (
     GL_ALPHA2,
     GL_WEIGHTS,
+    PB_MIXING,
     DeleterSpec,
     _spec_blank,
     build_deleter,
     qubit_marginals,
     real_inputs,
+    sdep_weights,
 )
 from .qcore import StateVector
 
@@ -50,16 +52,17 @@ def _cloner_xi(spec: MachineSpec) -> float:
     )
 
 
-def _deleter_action(spec: DeleterSpec):
-    """Deleter columns on |00>, |11> and on |01> + |10>."""
+def _check_deleter(spec: DeleterSpec) -> None:
     if spec.family not in ("pb", "sdep"):
         raise ValueError("pipelines use the conditional deleter families (pb, sdep)")
+
+
+def _deleter_action(spec: DeleterSpec):
+    """Deleter columns on |00>, |11> and on |01> + |10>."""
+    _check_deleter(spec)
     machine = build_deleter(spec)
     v = machine.matrix
-    ident0 = v[:, 0]
-    ident1 = v[:, 3]
-    passthrough = v[:, 1] + v[:, 2]
-    return machine, ident0, ident1, passthrough
+    return machine, v[:, 0], v[:, 3], v[:, 1] + v[:, 2]
 
 
 def _pipeline_kets(spec: PipelineSpec, alpha2s):
@@ -120,41 +123,34 @@ def pipeline_averages(spec: PipelineSpec):
 
 
 def _sdep_gh(spec: DeleterSpec):
-    a0, a1, b0, b1 = spec.params[:4]
-    g = a0 + a1
-    h = b0 + b1
-    return abs(g) ** 2, abs(h) ** 2
+    """(|g|^2, |h|^2) of a pipeline's deleter; the conditional deleter is the
+    state-dependent deleter at identity mixing."""
+    _check_deleter(spec)
+    return sdep_weights(*(spec.params[:4] if spec.family == "sdep" else PB_MIXING))
+
+
+def _closed_form_terms(spec: PipelineSpec):
+    """(xi, |g|^2, |h|^2, norm, deletion fidelity) of the canonical pipeline;
+    the fidelity does not depend on alpha^2."""
+    xi = _cloner_xi(spec.cloner)
+    gg, hh = _sdep_gh(spec.deleter)
+    norm = 1 + (gg + hh) * xi
+    m2 = abs(_spec_blank(spec.deleter).m2) ** 2
+    return xi, gg, hh, norm, (1 + xi * m2 * (gg - hh) + xi * hh) / norm
 
 
 def closed_form_pointwise(spec: PipelineSpec, alpha2: float):
     """Closed-form (distortion, fidelity) of the canonical pipeline."""
-    xi = _cloner_xi(spec.cloner)
-    ab2 = alpha2 * (1 - alpha2)
-    blank = _spec_blank(spec.deleter)
-    if spec.deleter.family == "pb":
-        gg = hh = 1.0
-    else:
-        gg, hh = _sdep_gh(spec.deleter)
-    norm = 1 + (gg + hh) * xi
-    m2 = abs(blank.m2) ** 2
+    xi, gg, hh, norm, fidelity = _closed_form_terms(spec)
     beta2 = 1 - alpha2
-    distortion = 2 * ab2 + 2 * xi**2 * (gg * beta2 - hh * alpha2) ** 2 / norm**2
-    fidelity = (1 + xi * m2 * (gg - hh) + xi * hh) / norm
+    distortion = 2 * alpha2 * beta2 + 2 * xi**2 * (gg * beta2 - hh * alpha2) ** 2 / norm**2
     return distortion, fidelity
 
 
 def closed_form_averages(spec: PipelineSpec):
     """Closed-form averages over alpha^2 of the canonical pipeline."""
-    xi = _cloner_xi(spec.cloner)
-    if spec.deleter.family == "pb":
-        gg = hh = 1.0
-    else:
-        gg, hh = _sdep_gh(spec.deleter)
-    norm = 1 + (gg + hh) * xi
+    xi, gg, hh, norm, avg_f = _closed_form_terms(spec)
     avg_d = 1 / 3 + 2 * xi**2 * (gg**2 + hh**2 - gg * hh) / (3 * norm**2)
-    blank = _spec_blank(spec.deleter)
-    m2 = abs(blank.m2) ** 2
-    avg_f = (1 + xi * m2 * (gg - hh) + xi * hh) / norm
     return avg_d, avg_f
 
 

@@ -33,6 +33,12 @@ from .qcore import (
 
 DEFAULT_BLANK = BlankState(1.0, 0.0)
 
+# the source's worked example of state-dependent deleter amplitudes
+# (a0, a1, b0, b1); both of its sdep_weights are 1
+SDEP_EXAMPLE = (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2)
+# the conditional deleter's amplitudes: unmixed pass-through branches
+PB_MIXING = (1.0, 0.0, 0.0, 1.0)
+
 # 64-node Gauss-Legendre rule for averages over alpha^2 in [0, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 GL_ALPHA2 = (_GL_X + 1) / 2
@@ -89,15 +95,9 @@ def transformer() -> np.ndarray:
 def build_pb(blank: BlankState = DEFAULT_BLANK) -> MachineIsometry:
     """Conditional deleter: identical copies are deleted, others pass through.
 
-    Machine kets A (pass-through), A0, A1 are orthonormal.
+    It is the state-dependent deleter with unmixed pass-through branches.
     """
-    a, a0, a1 = ket(0, 3), ket(1, 3), ket(2, 3)
-    cols = np.zeros((4 * 3, 4), dtype=complex)
-    cols[:, 0] = kron_all(ket(0), blank.vec, a0)
-    cols[:, 1] = kron_all(ket(0), ket(1), a)
-    cols[:, 2] = kron_all(ket(1), ket(0), a)
-    cols[:, 3] = kron_all(ket(1), blank.vec, a1)
-    return MachineIsometry((2, 2), (2, 2, 3), cols)
+    return build_sdep(*PB_MIXING, blank)
 
 
 def build_qiu(r1: float = 1.0) -> MachineIsometry:
@@ -228,13 +228,8 @@ def build_deleter(spec: DeleterSpec) -> MachineIsometry:
 
 
 def _spec_blank(spec: DeleterSpec) -> BlankState:
-    if spec.family == "pb":
-        return spec.params[0] if spec.params else DEFAULT_BLANK
-    if spec.family == "conv":
-        return spec.params[1] if len(spec.params) > 1 else DEFAULT_BLANK
-    if spec.family == "sdep":
-        return spec.params[4] if len(spec.params) > 4 else DEFAULT_BLANK
-    return DEFAULT_BLANK
+    """The blank state among the spec's parameters, DEFAULT_BLANK if none."""
+    return next((p for p in spec.params if isinstance(p, BlankState)), DEFAULT_BLANK)
 
 
 def deletion_target(spec: DeleterSpec) -> np.ndarray:
@@ -419,11 +414,15 @@ def song_optimal_fidelity(eta1: float, theta: float, phi1: float, phi2: float) -
     return 0.5 * (1 + math.sqrt(max(0.0, inner)))
 
 
+def sdep_weights(a0, a1, b0, b1):
+    """(|g|^2, |h|^2) with g = a0 + a1 and h = b0 + b1, the weights the
+    state-dependent deleter gives its two pass-through branches."""
+    return abs(a0 + a1) ** 2, abs(b0 + b1) ** 2
+
+
 def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
     """(D_1, F_1) of the state-dependent deleter at one input, closed form."""
-    g = a0 + a1
-    h = b0 + b1
-    gg, hh = abs(g) ** 2, abs(h) ** 2
+    gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
     ab2 = alpha2 * (1 - alpha2)
     d1 = k * ab2**2 + 2 * ab2
@@ -436,9 +435,7 @@ def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
 def sdep_averages(a0, a1, b0, b1, blank_overlap: float):
     """Closed-form averages over alpha^2: (avg distortion, avg deletion
     fidelity); both approach (1/3, 5/6) as |g|^2, |h|^2 -> 1."""
-    g = a0 + a1
-    h = b0 + b1
-    gg, hh = abs(g) ** 2, abs(h) ** 2
+    gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
     avg_d1 = (1 + k / 10) / 3
     m2 = blank_overlap**2

@@ -29,7 +29,6 @@ SPEC_CACHE_SIZE = 128  # spec_cache: entries kept per cached function
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 class UnrealizableSpec(ValueError):

@@ -519,9 +519,8 @@ def check_concatenation() -> CheckResult:
     ad, af = concat.pipeline_averages(bh_pb)
     if abs(ad - 11 / 32) > TOL or abs(af - 7 / 8) > TOL:
         failures.append("two-parameter copier + conditional deleter (11/32, 7/8)")
-    a0, a1, b0, b1 = math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2
     bh_sdep = concat.PipelineSpec(
-        MachineSpec("bh", (1 / 6,)), DeleterSpec("sdep", (a0, a1, b0, b1))
+        MachineSpec("bh", (1 / 6,)), DeleterSpec("sdep", deleters.SDEP_EXAMPLE)
     )
     ad2, af2 = concat.pipeline_averages(bh_sdep)
     if abs(ad2 - ad) > TOL or abs(af2 - af) > TOL:
@@ -611,7 +610,7 @@ def check_structural() -> CheckResult:
         DeleterSpec("pb"),
         DeleterSpec("qiu", (1.0,)),
         DeleterSpec("conv", (0.3,)),
-        DeleterSpec("sdep", (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2)),
+        DeleterSpec("sdep", deleters.SDEP_EXAMPLE),
     ):
         defect = deleters.build_deleter(spec).isometry_defect()
         if defect > TOL:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qclone import broadcast as bc
-from qclone import cloners, measures, verify
+from qclone import cloners, measures, tables, verify
 from qclone.qcore import StateVector, UnrealizableSpec
 
 
@@ -74,6 +74,14 @@ def test_c07_broadcast_intervals_and_tables():
     result = verify.check_broadcast_intervals()
     assert result.passed, result.detail
     _report("7", result.detail)
+
+
+# check_broadcast_intervals generates tables 3.1-3.3 in closed_form mode
+# only; this covers every table in both modes
+@pytest.mark.parametrize("mode", ["closed_form", "simulate"])
+@pytest.mark.parametrize("table_id", tables.TABLE_IDS)
+def test_every_table_matches_in_both_modes(table_id, mode):
+    assert tables.generate_table(table_id, mode).all_match()
 
 
 def test_c08_closed_form_vs_simulation_grid():

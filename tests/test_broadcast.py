@@ -296,10 +296,23 @@ def test_broadcastable_ranges():
         bc.protocol_boundary("Q0Q0", "rho_146")
 
 
-@pytest.mark.parametrize("alpha", [2.0, -1.5, 1 + 1j, float("nan"), float("inf"), complex("nan")])
-def test_three_qubit_protocol_rejects_out_of_domain_alpha(alpha):
+@pytest.mark.parametrize(
+    "alpha", [2.0, -1.5, 1.0000001, 1 + 1j, float("nan"), float("inf"), complex("nan")]
+)
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda alpha: bc.three_qubit_protocol(alpha, "Q0Q0"),
+        bc.rho_146_closed,
+        bc.rho_16_closed,
+        bc.rho_46_closed,
+        bc.rho_12_closed,
+    ],
+    ids=["three_qubit_protocol", "rho_146_closed", "rho_16_closed", "rho_46_closed", "rho_12_closed"],
+)
+def test_three_qubit_protocol_rejects_out_of_domain_alpha(fn, alpha):
     with pytest.raises(ValueError, match=r"\|alpha\|\^2 must be finite and lie in \[0, 1\]"):
-        bc.three_qubit_protocol(alpha, "Q0Q0")
+        fn(alpha)
 
 
 def test_three_qubit_protocol_domain_ends():

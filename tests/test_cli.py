@@ -202,6 +202,13 @@ def test_tol_is_a_table_option_only(capsys):
     assert main(["table", "--id", "2.1", "--mode", "closed_form", "--tol", "0.1"]) == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_table_rejects_a_non_finite_or_negative_tol(capsys, tol):
+    assert main(["table", "--id", "2.1", "--mode", "both", "--tol", tol]) == 2
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+    assert main(["table", "--id", "2.1", "--mode", "both", "--tol", "0.1"]) == 0
+
+
 def test_generate_table_takes_one_mode():
     # "both" is expanded by the table command, not by generate_table
     with pytest.raises(ValueError):

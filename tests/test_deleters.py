@@ -74,6 +74,51 @@ def test_pb_closed_forms_across_inputs():
         assert abs(rep.F_2 - (1 - ab2)) < 1e-12
 
 
+def _reference_pb(blank):
+    """The conditional deleter's columns written out; the machine kets A
+    (pass-through), A0, A1 are orthonormal."""
+    a, a0, a1 = ket(0, 3), ket(1, 3), ket(2, 3)
+    cols = np.zeros((4 * 3, 4), dtype=complex)
+    cols[:, 0] = kron_all(ket(0), blank.vec, a0)
+    cols[:, 1] = kron_all(ket(0), ket(1), a)
+    cols[:, 2] = kron_all(ket(1), ket(0), a)
+    cols[:, 3] = kron_all(ket(1), blank.vec, a1)
+    return cols
+
+
+@pytest.mark.parametrize(
+    "blank",
+    [
+        BlankState(1.0, 0.0),
+        BlankState(0.6, 0.8),
+        BlankState(0.0, 1.0),
+        BlankState(1 / math.sqrt(2), -1j / math.sqrt(2)),
+    ],
+    ids=str,
+)
+def test_pb_equals_its_column_definition(blank):
+    machine = build_deleter(DeleterSpec("pb", (blank,)))
+    assert machine.out_dims == (2, 2, 3)
+    assert np.array_equal(machine.matrix, _reference_pb(blank))
+
+
+def test_deletion_target_reads_the_blank_of_every_family():
+    blank = BlankState(0.6, 0.8)
+    r2 = math.sqrt(2)
+    cases = [
+        (DeleterSpec("pb", (blank,)), [0.6, 0.8]),
+        (DeleterSpec("conv", (0.3, blank, 0.2)), [-0.2 / r2, 1.4 / r2]),
+        (DeleterSpec("sdep", deleters.SDEP_EXAMPLE + (blank,)), [0.6, 0.8]),
+        (DeleterSpec("qiu", (1.0,)), [1.0, 0.0]),
+        # no blank among the parameters: the default |0>
+        (DeleterSpec("pb"), [1.0, 0.0]),
+        (DeleterSpec("conv", (0.3,)), [1 / r2, 1 / r2]),
+        (DeleterSpec("sdep", deleters.SDEP_EXAMPLE), [1.0, 0.0]),
+    ]
+    for spec, expected in cases:
+        assert np.allclose(deleters.deletion_target(spec), expected, atol=1e-15), spec
+
+
 def test_qiu_deleter():
     spec = DeleterSpec("qiu", (1.0,))
     machine = build_deleter(spec)
