@@ -26,6 +26,7 @@ from .qcore import (
     PAULI_Z,
     StateVector,
     bell_state,
+    check_alpha2,
     ket,
     partial_trace,
     permute_subsystems,
@@ -54,8 +55,7 @@ class Interval:
 
 def sd_cloner_lambda_star(alpha2: float) -> float:
     """Machine parameter minimizing the joint-clone distortion."""
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError("alpha^2 must lie in [0, 1]")
+    check_alpha2(alpha2)
     return 0.75 * alpha2 * (1 - alpha2)
 
 
@@ -163,7 +163,13 @@ def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]
 def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
     """Closed-form output operators of two local copiers on a pure input."""
     mats = broadcast_output_matrices(amplitudes, lmbda)
-    return {key: DensityOperator((2, 2), m) for key, m in mats.items()}
+    pair = DensityOperator((2, 2), mats["AB'"])  # rho_AB' = rho_A'B, one array
+    return {
+        "AB'": pair,
+        "A'B": pair,
+        "AA'": DensityOperator((2, 2), mats["AA'"]),
+        "BB'": DensityOperator((2, 2), mats["BB'"]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +331,7 @@ def broadcast_fidelity(alpha2: float, lmbda: float, sign: int = -1) -> float:
     """
     if not 0.0 <= lmbda <= 0.5:
         raise ValueError("lambda must lie in [0, 1/2]")
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError("alpha^2 must lie in [0, 1]")
+    check_alpha2(alpha2)
     return (1 - lmbda) ** 2 + sign * 4 * alpha2 * (1 - alpha2) * lmbda * (1 - 2 * lmbda)
 
 
@@ -395,6 +400,31 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, **ops)
 
 
+def _rho_146_terms():
+    """The alpha-independent operators of rho_146_closed, read-only: the
+    alpha^2 term, the two coherence sums and the beta^2 term.  The six
+    projectors of the beta^2 term have disjoint supports, so adding their
+    weighted sum at once gives the same bits as adding them one by one."""
+    z = np.kron(ket(0), np.kron(ket(0), ket(0)))
+    o = np.kron(ket(1), np.kron(ket(1), ket(1)))
+    zpsi = np.kron(ket(0), PSI_PLUS)
+    opsi = np.kron(ket(1), PSI_PLUS)
+    z11 = np.kron(ket(0), np.kron(ket(1), ket(1)))
+    o00 = np.kron(ket(1), np.kron(ket(0), ket(0)))
+    terms = (
+        (2 / 3) * np.outer(z, z) + (1 / 3) * np.outer(zpsi, zpsi),
+        np.outer(z, opsi) + np.outer(zpsi, o),
+        np.outer(o, zpsi) + np.outer(opsi, z),
+        sum(np.outer(v, v) for v in (z11, zpsi, z, o, opsi, o00)),
+    )
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+_RHO_146_A2, _RHO_146_UP, _RHO_146_DOWN, _RHO_146_B2 = _rho_146_terms()
+
+
 def rho_146_closed(alpha) -> DensityOperator:
     """Closed-form three-qubit operator of the both-machines-in-the-first-
     branch outcome (qubit order 1, 4, 6)."""
@@ -403,19 +433,11 @@ def rho_146_closed(alpha) -> DensityOperator:
     beta2 = 1 - a2
     beta = math.sqrt(beta2)
     norm = (3 * a2 + 1) / 9
-    z = np.kron(ket(0), np.kron(ket(0), ket(0)))
-    o = np.kron(ket(1), np.kron(ket(1), ket(1)))
-    zpsi = np.kron(ket(0), PSI_PLUS)
-    opsi = np.kron(ket(1), PSI_PLUS)
-    z11 = np.kron(ket(0), np.kron(ket(1), ket(1)))
-    o00 = np.kron(ket(1), np.kron(ket(0), ket(0)))
-    m = np.zeros((8, 8), dtype=complex)
-    m += (4 * a2 / 9) * ((2 / 3) * np.outer(z, z) + (1 / 3) * np.outer(zpsi, zpsi))
     ab = alpha * np.conj(beta)
-    m += (np.conj(ab) / 9) * (math.sqrt(2) / 3) * (np.outer(z, opsi) + np.outer(zpsi, o))
-    m += (ab / 9) * (math.sqrt(2) / 3) * (np.outer(o, zpsi) + np.outer(opsi, z))
-    for v in (z11, zpsi, z, o, opsi, o00):
-        m += (beta2 / 36) * (2 / 3) * np.outer(v, v)
+    m = (4 * a2 / 9) * _RHO_146_A2
+    m += (np.conj(ab) / 9) * (math.sqrt(2) / 3) * _RHO_146_UP
+    m += (ab / 9) * (math.sqrt(2) / 3) * _RHO_146_DOWN
+    m += (beta2 / 36) * (2 / 3) * _RHO_146_B2
     return DensityOperator((2, 2, 2), m / norm)
 
 

@@ -27,7 +27,7 @@ from .deleters import (
     real_inputs,
     sdep_weights,
 )
-from .qcore import StateVector
+from .qcore import StateVector, check_alpha2
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,7 @@ def _closed_form_terms(spec: PipelineSpec):
 
 def closed_form_pointwise(spec: PipelineSpec, alpha2: float):
     """Closed-form (distortion, fidelity) of the canonical pipeline."""
+    check_alpha2(alpha2)
     xi, gg, hh, norm, fidelity = _closed_form_terms(spec)
     beta2 = 1 - alpha2
     distortion = 2 * alpha2 * beta2 + 2 * xi**2 * (gg * beta2 - hh * alpha2) ** 2 / norm**2
@@ -177,8 +178,7 @@ def run_pipeline_physical(spec: PipelineSpec, alpha2: float):
     Requires a realizable copier (xi >= 1/6 in the two-parameter family, or
     the basis copier).
     """
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError("alpha^2 must lie in [0, 1]")
+    check_alpha2(alpha2)
     cloner = build_machine(spec.cloner)
     deleter = build_deleter(spec.deleter)
     out = cloner.matrix @ real_inputs(alpha2)  # (x, y, M_c)

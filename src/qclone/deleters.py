@@ -22,6 +22,7 @@ from .qcore import (
     MachineIsometry,
     StateVector,
     bell_state,
+    check_alpha2,
     check_densities,
     ket,
     kron_all,
@@ -327,12 +328,14 @@ def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
 
 def conv_f1(lmbda: float, alpha2: float) -> float:
     """Retained-mode overlap of the plain (no-transformer) deleter."""
+    check_alpha2(alpha2)
     return (1 - lmbda) + 2 * alpha2 * (1 - alpha2) * (2 * lmbda - 1)
 
 
 def conv_f3_limit(alpha2: float) -> float:
     """lambda -> 1/2 limit of the retained-mode overlap with one transformer
     (real amplitudes; independent of the blank state)."""
+    check_alpha2(alpha2)
     a = math.sqrt(alpha2)
     b = math.sqrt(1 - alpha2)
     return 0.75 - alpha2 / 2 + a * b / math.sqrt(2)
@@ -342,14 +345,14 @@ def conv_avg_f3_limit() -> float:
     return 0.5 + math.pi / (8 * math.sqrt(2))
 
 
-def _limit_deleted_mode(t_n: np.ndarray) -> np.ndarray:
+def _limit_deleted_mode(t_n: np.ndarray):
+    """(rho_00, rho_01, rho_11) of the deleted-mode state, as Python scalars."""
     amps = (t_n @ bell_state("psi+")).reshape(2, 2)
     rho_2 = np.einsum("ij,ik->jk", amps, amps.conj())
-    rho_2.flags.writeable = False
-    return rho_2
+    return float(rho_2[0, 0].real), complex(rho_2[0, 1]), float(rho_2[1, 1].real)
 
 
-# lambda -> 1/2 deleted-mode state after T^n, n = 0, 1, 2
+# lambda -> 1/2 deleted-mode state after T^n, n = 0, 1, 2, by its entries
 _LIMIT_RHO_2 = tuple(_limit_deleted_mode(t_n) for t_n in _T_POWERS)
 
 
@@ -362,9 +365,17 @@ def limiting_deletion_fidelity(n_transformers: int, blank: BlankState) -> float:
     """
     if n_transformers not in (1, 2):
         raise ValueError("limits are analyzed for one or two transformers")
-    rho_2 = _LIMIT_RHO_2[n_transformers]
-    target = (blank.vec + blank.perp) / math.sqrt(2)
-    return float(np.real(target.conj() @ rho_2 @ target))
+    r00, r01, r11 = _LIMIT_RHO_2[n_transformers]
+    # t^dag rho_2 t for t = (|Sigma> + |Sigma_perp>)/sqrt2; rho_2 is Hermitian,
+    # so its two coherence terms sum to 2 Re(t0* t1 rho_01)
+    m1, m2 = blank.m1, complex(blank.m2)
+    t0 = (m1 - m2.conjugate()) / math.sqrt(2)
+    t1 = (m1 + m2) / math.sqrt(2)
+    return float(
+        (t0.real**2 + t0.imag**2) * r00
+        + (t1.real**2 + t1.imag**2) * r11
+        + 2 * (t0.conjugate() * t1 * r01).real
+    )
 
 
 def table_41_fidelity(m1: float, m2: float) -> float:
@@ -391,6 +402,7 @@ def pb_with_transformer(blank: BlankState, state: StateVector):
 def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:
     """Closed-form deletion fidelity of the conditional deleter plus one
     transformer, for real blank amplitudes and real input amplitudes."""
+    check_alpha2(alpha2)
     ab2 = alpha2 * (1 - alpha2)
     b4 = (1 - alpha2) ** 2
     a4 = alpha2**2
@@ -422,6 +434,7 @@ def sdep_weights(a0, a1, b0, b1):
 
 def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
     """(D_1, F_1) of the state-dependent deleter at one input, closed form."""
+    check_alpha2(alpha2)
     gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
     ab2 = alpha2 * (1 - alpha2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloners import MachineSpec, build_machine
-from .qcore import MachineIsometry
+from .qcore import MachineIsometry, check_alpha2
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def bhbh_state_dependent(alpha2: float, lmbda: float):
     Only xi_star < 0 is rejected here; a lambda below the range that gives
     xi_star > 1/2 is returned as computed, and the caller checks the range.
     """
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError("alpha^2 must lie in [0, 1]")
+    check_alpha2(alpha2)
     if not 0.0 < lmbda <= 1.0:
         raise ValueError("lambda must lie in (0, 1]")
     ab2 = alpha2 * (1 - alpha2)

@@ -28,6 +28,10 @@ _CLAMP = 1e-12
 # smallest eigenvalue of its partial transpose lies below -PPT_TOL.
 PPT_TOL = 1e-9
 
+# sigma_y x sigma_y: real, symmetric and unitary, a read-only constant
+_YY = np.kron(PAULI_Y, PAULI_Y)
+_YY.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
@@ -95,13 +99,14 @@ def concurrence_2q(rho: DensityOperator) -> float:
 
     The square roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho) are the
     singular values of sqrt(rho~) sqrt(rho), which is numerically stabler
-    for nearly pure states.
+    for nearly pure states.  With rho~ = YY rho* YY and YY real, symmetric
+    and unitary, sqrt(rho~) = YY sqrt(rho)* YY, and the leading unitary YY
+    leaves the singular values alone: one eigensolve serves both roots.
     """
     if rho.dims != (2, 2):
         raise ValueError("concurrence_2q requires a two-qubit state")
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    rho_tilde = yy @ rho.mat.conj() @ yy
-    lam = np.linalg.svd(_psd_sqrt(rho_tilde) @ _psd_sqrt(rho.mat), compute_uv=False)
+    root = _psd_sqrt(rho.mat)
+    lam = np.linalg.svd(root.conj() @ _YY @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -152,10 +157,19 @@ def is_npt(mat, dims=(2, 2), split=(1,)) -> bool:
 
 
 def ppt_verdict(rho: DensityOperator, split=(1,)) -> SeparabilityVerdict:
-    """Peres-Horodecki test; necessary and sufficient only for 2x2 systems."""
-    min_eig = min_pt_eigenvalue(rho.mat, rho.dims, split)
+    """Peres-Horodecki test; necessary and sufficient only for 2x2 systems.
+
+    W2-W4 come from the same partial transpose: on two qubits ``split``
+    names one qubit, and the transposes over either qubit are transposes of
+    each other, so their leading principal minors agree with
+    ``w_determinants``.
+    """
+    if rho.dims == (2, 2) and len(set(split)) != 1:
+        raise ValueError(f"a two-qubit split names one qubit, got {tuple(split)}")
+    pt = partial_transpose(rho.mat, rho.dims, split)
+    min_eig = float(np.linalg.eigvalsh(pt)[0])
     if rho.dims == (2, 2):
-        w2, w3, w4 = w_determinants(rho)
+        w2, w3, w4 = _leading_minors(pt)
     else:
         w2 = w3 = w4 = float("nan")
     if min_eig < -PPT_TOL:
@@ -172,8 +186,12 @@ def w_determinants(rho: DensityOperator):
     partial transpose of a two-qubit state, in basis order 00, 01, 10, 11."""
     if rho.dims != (2, 2):
         raise ValueError("w_determinants requires a two-qubit state")
-    w = partial_transpose(rho.mat, rho.dims, (1,))
-    w2 = float(np.linalg.det(w[:2, :2]).real)
+    return _leading_minors(partial_transpose(rho.mat, rho.dims, (1,)))
+
+
+def _leading_minors(w: np.ndarray):
+    """Real parts of the 2x2, 3x3 and 4x4 leading principal minors of w."""
+    w2 = float((w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]).real)
     w3 = float(np.linalg.det(w[:3, :3]).real)
     w4 = float(np.linalg.det(w).real)
     return w2, w3, w4

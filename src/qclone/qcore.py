@@ -96,6 +96,12 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
+def check_alpha2(alpha2: float) -> None:
+    """Raise ValueError unless alpha^2 lies in [0, 1]; NaN fails too."""
+    if not 0.0 <= alpha2 <= 1.0:
+        raise ValueError(f"alpha^2 must lie in [0, 1], got {alpha2}")
+
+
 def check_densities(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a (..., d, d) stack is
     Hermitian, unit-trace and PSD to within DENSITY_TOL.

@@ -6,6 +6,7 @@ import pytest
 from qclone import broadcast as bc
 from qclone import measures
 from qclone.qcore import DensityOperator, bell_state, partial_trace, partial_transpose
+from qclone.qcore import ket
 
 
 RNG = np.random.default_rng(404)
@@ -294,6 +295,46 @@ def test_broadcastable_ranges():
         bc.branch_range("Q2Q0")
     with pytest.raises(ValueError, match="no protocol boundary"):
         bc.protocol_boundary("Q0Q0", "rho_146")
+
+
+def _rho_146_reference(alpha):
+    """rho_146 by Kronecker kets and outer products built per call, term by
+    term: the form the constant operators must reproduce bit for bit."""
+    alpha = complex(alpha)
+    a2 = abs(alpha) ** 2
+    beta2 = 1 - a2
+    beta = math.sqrt(beta2)
+    psi = bell_state("psi+")
+    z = np.kron(ket(0), np.kron(ket(0), ket(0)))
+    o = np.kron(ket(1), np.kron(ket(1), ket(1)))
+    zpsi, opsi = np.kron(ket(0), psi), np.kron(ket(1), psi)
+    z11 = np.kron(ket(0), np.kron(ket(1), ket(1)))
+    o00 = np.kron(ket(1), np.kron(ket(0), ket(0)))
+    m = np.zeros((8, 8), dtype=complex)
+    m += (4 * a2 / 9) * ((2 / 3) * np.outer(z, z) + (1 / 3) * np.outer(zpsi, zpsi))
+    ab = alpha * np.conj(beta)
+    m += (np.conj(ab) / 9) * (math.sqrt(2) / 3) * (np.outer(z, opsi) + np.outer(zpsi, o))
+    m += (ab / 9) * (math.sqrt(2) / 3) * (np.outer(o, zpsi) + np.outer(opsi, z))
+    for v in (z11, zpsi, z, o, opsi, o00):
+        m += (beta2 / 36) * (2 / 3) * np.outer(v, v)
+    return m / ((3 * a2 + 1) / 9)
+
+
+@pytest.mark.parametrize("alpha", [0, 0.3, 0.6 + 0.2j, 1j, 1])
+def test_rho_146_closed_equals_per_call_construction(alpha):
+    assert np.array_equal(bc.rho_146_closed(alpha).mat, _rho_146_reference(alpha))
+
+
+def test_rho_146_constant_operators_are_read_only():
+    for term in (bc._RHO_146_A2, bc._RHO_146_UP, bc._RHO_146_DOWN, bc._RHO_146_B2):
+        with pytest.raises(ValueError):
+            term[0, 0] = 1.0
+
+
+def test_broadcast_outputs_share_the_nonlocal_operator():
+    outs = bc.broadcast_outputs((math.sqrt(0.3), math.sqrt(0.7)), 0.2)
+    assert list(outs) == ["AB'", "A'B", "AA'", "BB'"]
+    assert outs["AB'"] is outs["A'B"]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qclone import concat
+from qclone import concat, deleters
 from qclone.cloners import MachineSpec
 from qclone.deleters import BlankState, DeleterSpec
 from qclone.qcore import partial_trace
@@ -125,3 +125,25 @@ def test_pipeline_validation():
         concat.run_pipeline(
             concat.PipelineSpec(MachineSpec("wz"), DeleterSpec("qiu", (1.0,))), 0.5
         )
+
+
+ALPHA2_EVALUATORS = {
+    "closed_form_pointwise": lambda a2: concat.closed_form_pointwise(BH_PB, a2),
+    "sdep_pointwise": lambda a2: deleters.sdep_pointwise(*deleters.SDEP_EXAMPLE, 1.0, a2),
+    "conv_f1": lambda a2: deleters.conv_f1(0.2, a2),
+    "pb_transformer_fidelity": lambda a2: deleters.pb_transformer_fidelity(0.6, 0.8, a2),
+    "conv_f3_limit": deleters.conv_f3_limit,
+}
+
+
+@pytest.mark.parametrize("alpha2", [1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("fn", ALPHA2_EVALUATORS.values(), ids=ALPHA2_EVALUATORS.keys())
+def test_closed_form_evaluators_reject_alpha2_outside_unit_interval(fn, alpha2):
+    with pytest.raises(ValueError, match=r"alpha\^2 must lie in \[0, 1\], got"):
+        fn(alpha2)
+
+
+@pytest.mark.parametrize("fn", ALPHA2_EVALUATORS.values(), ids=ALPHA2_EVALUATORS.keys())
+def test_closed_form_evaluators_accept_alpha2_ends(fn):
+    for alpha2 in (0.0, 1.0):
+        assert np.all(np.isfinite(fn(alpha2)))

@@ -275,6 +275,20 @@ def test_two_transformer_limit_state():
         deleters.limiting_deletion_fidelity(3, blank)
 
 
+@pytest.mark.parametrize("n_transformers", [1, 2])
+def test_limiting_deletion_fidelity_equals_matrix_form(n_transformers):
+    # Re(t^dag rho_2 t), t = (|Sigma> + |Sigma_perp>)/sqrt2, with rho_2 the
+    # deleted mode of T^n (|01> + |10>)/sqrt2
+    amps = (np.linalg.matrix_power(transformer(), n_transformers) @ bell_state("psi+")).reshape(2, 2)
+    rho_2 = amps.T @ amps.conj()
+    rng = np.random.default_rng(41 + n_transformers)
+    for theta, phi in rng.uniform(0, 2 * math.pi, size=(200, 2)):
+        blank = BlankState(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+        t = (blank.vec + blank.perp) / math.sqrt(2)
+        ref = float(np.real(t.conj() @ rho_2 @ t))
+        assert abs(deleters.limiting_deletion_fidelity(n_transformers, blank) - ref) < 1e-15
+
+
 def test_two_transformer_output_matrix():
     # the limiting deleted-mode state approaches the fixed matrix entrywise
     target = np.array(

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qclone import cloners, measures
-from qclone.qcore import DensityOperator, StateVector, bell_state, partial_trace, apply_isometry
+from qclone.qcore import (
+    PAULI_Y,
+    DensityOperator,
+    StateVector,
+    apply_isometry,
+    bell_state,
+    partial_trace,
+)
 
 
 def random_density(rng, dims=(2, 2)):
@@ -278,6 +285,55 @@ def test_w_determinants_broadcast_output():
     w2, w3, w4 = measures.w_determinants(rho)
     assert w4 < 0
     assert measures.ppt_verdict(rho).verdict == "Inseparable"
+
+
+def _psd_sqrt_reference(mat):
+    evals, evecs = np.linalg.eigh(mat)
+    evals = np.where(evals < 1e-12 * max(1.0, evals[-1]), 0.0, evals)
+    return (evecs * np.sqrt(evals)) @ evecs.conj().T
+
+
+def _concurrence_reference(mat):
+    """Wootters' concurrence with separate square roots of rho and rho~:
+    two eigensolves, a kron and an svd per call."""
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    rho_tilde = yy @ mat.conj() @ yy
+    lam = np.linalg.svd(_psd_sqrt_reference(rho_tilde) @ _psd_sqrt_reference(mat), compute_uv=False)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.0, 1e-9, 3e-9]),
+)
+def test_concurrence_2q_matches_two_eigensolve_form(seed, rank, noise):
+    # tiny noise leaves the state nearly rank-deficient, where the two
+    # square roots are most sensitive to rounding
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = a @ a.conj().T
+    rho = DensityOperator((2, 2), (1 - noise) * m / np.trace(m).real + noise * np.eye(4) / 4)
+    assert abs(measures.concurrence_2q(rho) - _concurrence_reference(rho.mat)) < 1e-12
+
+
+def test_ppt_verdict_determinants_on_either_split():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        rho = random_density(rng)
+        ref = measures.w_determinants(rho)
+        for split in ((0,), (1,)):
+            v = measures.ppt_verdict(rho, split)
+            assert np.allclose((v.w2, v.w3, v.w4), ref, rtol=0.0, atol=1e-15)
+    for split in ((), (0, 1)):
+        with pytest.raises(ValueError, match="names one qubit"):
+            measures.ppt_verdict(rho, split)
+
+
+def test_pauli_yy_constant_is_read_only():
+    with pytest.raises(ValueError):
+        measures._YY[0, 3] = 1.0
 
 
 def test_herbert_ensembles():
