@@ -35,7 +35,7 @@ from .qcore import (
 
 PSI_PLUS = bell_state("psi+")
 
-BISECT_TOL = 1e-6  # final bracket width of interval_by_bisection and ppt_boundary
+BISECT_TOL = 1e-6  # final bracket width of intervals_by_bisection and ppt_boundary
 CERTIFY_OFFSET = 1e-7  # certify_boundary: alpha^2 offset on each side of a boundary
 
 
@@ -85,7 +85,12 @@ def input_ket(amplitudes) -> StateVector:
 
 def nonlocal_coefficients(amplitudes, lmbda: float) -> Dict[str, float]:
     """C coefficients of the nonlocal pair output rho_AB' = rho_A'B."""
-    a1, b1, g1, d1 = _coerce_input(amplitudes)
+    return _nonlocal_terms(*_coerce_input(amplitudes), lmbda)
+
+
+def _nonlocal_terms(a1, b1, g1, d1, lmbda):
+    """The C coefficients from the four amplitudes, on floats or on
+    equal-shape arrays (one coefficient array per name)."""
     mu = 1 - 2 * lmbda
     lm = lmbda * (1 - lmbda)
     return {
@@ -109,7 +114,12 @@ def local_coefficients(amplitudes, lmbda: float, side: str = "A") -> Dict[str, f
     is inconsistent with its own special case); for the (alpha1, beta1)
     family they coincide with the published special-case operator.
     """
-    a1, b1, g1, d1 = _coerce_input(amplitudes)
+    return _local_terms(*_coerce_input(amplitudes), lmbda, side)
+
+
+def _local_terms(a1, b1, g1, d1, lmbda, side: str):
+    """The K or K' coefficients from the four amplitudes, on floats or on
+    equal-shape arrays; the constant K23 stays the scalar 0.0."""
     mu = 1 - 2 * lmbda
     if side == "A":
         w0, w1 = (a1, g1), (d1, b1)  # B = 0 / B = 1 sector amplitudes on A
@@ -137,26 +147,34 @@ def _check_lambda(lmbda: float) -> None:
         raise ValueError(f"lambda must lie in [0, 1/2), got {lmbda}")
 
 
+# coefficient name of each matrix entry, row by row: 14 is the |01><10|
+# coherence and 23 the |00><11| one
+_ENTRY_NAMES = (
+    "11", "12", "13", "23",
+    "12", "22", "14", "24",
+    "13", "14", "33", "34",
+    "23", "24", "34", "44",
+)
+
+
 def _assemble(co: Dict[str, float], prefix: str = "C") -> np.ndarray:
-    g = lambda name: co[prefix + name]
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = g("11"), g("22"), g("33"), g("44")
-    m[0, 1] = m[1, 0] = g("12")
-    m[0, 2] = m[2, 0] = g("13")
-    m[1, 2] = m[2, 1] = g("14")  # |01><10|
-    m[0, 3] = m[3, 0] = g("23")  # |00><11|
-    m[1, 3] = m[3, 1] = g("24")
-    m[2, 3] = m[3, 2] = g("34")
-    return m
+    """The (4, 4) matrix of one coefficient set, or the (..., 4, 4) stack of
+    a set of coefficient arrays (scalar coefficients are broadcast)."""
+    entries = [co[prefix + name] for name in _ENTRY_NAMES]
+    if not isinstance(entries[0], np.ndarray):
+        return np.array(entries, dtype=complex).reshape(4, 4)
+    m = np.array(np.broadcast_arrays(*entries), dtype=complex)  # (16, ...)
+    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (4, 4))
 
 
 def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
     """Closed-form output matrices; for lambda < 1/6 with coherent inputs
     the local pairs can fail positivity (the machine regime ends there)."""
     _check_lambda(lmbda)
-    c = _assemble(nonlocal_coefficients(amplitudes, lmbda), "C")
-    k_a = _assemble(local_coefficients(amplitudes, lmbda, "A"), "K")
-    k_b = _assemble(local_coefficients(amplitudes, lmbda, "B"), "K")
+    amps = _coerce_input(amplitudes)
+    c = _assemble(_nonlocal_terms(*amps, lmbda), "C")
+    k_a = _assemble(_local_terms(*amps, lmbda, "A"), "K")
+    k_b = _assemble(_local_terms(*amps, lmbda, "B"), "K")
     return {"AB'": c, "A'B": c, "AA'": k_a, "BB'": k_b}
 
 
@@ -183,6 +201,26 @@ def _single_copy_channel(lmbda: float):
     return chan
 
 
+def _pair_blocks():
+    """The lambda-independent operators of the copy maps, read-only: |s><s|
+    with s = |01> + |10>, |00><00|, |11><11|, the cross sum |00><s| +
+    |s><11|, and the one-qubit matrix units, |i><j| at index [i, j]."""
+    s = np.kron(ket(0), ket(1)) + np.kron(ket(1), ket(0))
+    blocks = (
+        np.outer(s, s.conj()),
+        np.outer(np.kron(ket(0), ket(0)), np.kron(ket(0), ket(0)).conj()),
+        np.outer(np.kron(ket(1), ket(1)), np.kron(ket(1), ket(1)).conj()),
+        np.outer(np.kron(ket(0), ket(0)), s.conj()) + np.outer(s, np.kron(ket(1), ket(1)).conj()),
+        np.eye(4, dtype=complex).reshape(2, 2, 2, 2),
+    )
+    for b in blocks:
+        b.flags.writeable = False
+    return blocks
+
+
+_SS, _E00, _E11, _CROSS, _UNITS = _pair_blocks()
+
+
 def _pair_channel(lmbda: float):
     """Formal one-qubit -> copy-pair map of the two-parameter copier.
 
@@ -190,16 +228,10 @@ def _pair_channel(lmbda: float):
     applied as a linear map elsewhere.
     """
     mu = 1 - 2 * lmbda
-    s = np.kron(ket(0), ket(1)) + np.kron(ket(1), ket(0))
-    ss = np.outer(s, s.conj())
-    e00 = np.outer(np.kron(ket(0), ket(0)), np.kron(ket(0), ket(0)).conj())
-    e11 = np.outer(np.kron(ket(1), ket(1)), np.kron(ket(1), ket(1)).conj())
-    cross01 = (mu / 2) * (
-        np.outer(np.kron(ket(0), ket(0)), s.conj()) + np.outer(s, np.kron(ket(1), ket(1)).conj())
-    )
+    cross01 = (mu / 2) * _CROSS
     blocks = {
-        (0, 0): mu * e00 + lmbda * ss,
-        (1, 1): mu * e11 + lmbda * ss,
+        (0, 0): mu * _E00 + lmbda * _SS,
+        (1, 1): mu * _E11 + lmbda * _SS,
         (0, 1): cross01,
         (1, 0): cross01.conj().T,
     }
@@ -221,9 +253,7 @@ def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
     rows = psi.amps.reshape(2, 2)
     for i in range(2):
         for j in range(2):
-            eij = np.zeros((2, 2), dtype=complex)
-            eij[i, j] = 1.0
-            ab += np.kron(chan(eij), chan(np.outer(rows[i], rows[j].conj())))
+            ab += np.kron(chan(_UNITS[i, j]), chan(np.outer(rows[i], rows[j].conj())))
     pair = _pair_channel(lmbda)
     rho_a = partial_trace(psi, [0]).mat
     rho_b = partial_trace(psi, [1]).mat
@@ -291,36 +321,59 @@ def broadcast_interval(lmbda: float) -> Interval:
     return Interval(max(insep.lo, sep.lo), min(insep.hi, sep.hi), "Broadcastable")
 
 
-def _bisect(flag, lo, hi, tol: float) -> float:
-    """Midpoint of the last bracket of a bisection between ``lo``, where
-    ``flag`` is False, and ``hi``, where it is True (either may be larger)."""
-    while abs(hi - lo) > tol:
+def _bisect(flag, lo, hi, tol: float) -> np.ndarray:
+    """Midpoints of the last brackets of bisections in lockstep: bracket k
+    runs from ``lo[k]``, where ``flag`` is False, to ``hi[k]``, where it is
+    True (either may be larger).  ``flag`` maps an array of points to an
+    array of bools.  Every bracket is halved until the widest is within
+    ``tol``, so brackets of one start width end as separate bisections would."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    while np.abs(hi - lo).max() > tol:
         mid = (lo + hi) / 2
-        if flag(mid):
-            hi = mid
-        else:
-            lo = mid
+        up = flag(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     return (lo + hi) / 2
 
 
-def interval_by_bisection(lmbda: float, which: str) -> Interval:
-    """Locate the closed-form interval endpoints from the PPT test of the
-    corresponding output; an end is 0 or 1 when the predicate holds there.
-    ``which`` is "insep" (nonlocal output AB') or "sep" (local output AA')."""
+def intervals_by_bisection(lmbdas, which: str) -> list[Interval]:
+    """Locate the closed-form interval endpoints for every lambda in
+    ``lmbdas`` from the PPT test of the corresponding output; an end is 0 or
+    1 when the predicate holds there.  ``which`` is "insep" (nonlocal output
+    AB') or "sep" (local output AA').  All open ends are bisected in
+    lockstep, each step one stacked PPT test of the tested output only."""
     if which not in ("insep", "sep"):
         raise ValueError(f"which must be 'insep' or 'sep', got {which!r}")
-    key = "AB'" if which == "insep" else "AA'"
+    lmbdas = [float(lmbda) for lmbda in lmbdas]
+    for lmbda in lmbdas:
+        _check_lambda(lmbda)
 
-    def predicate(alpha2: float) -> bool:
-        mats = broadcast_output_matrices((math.sqrt(alpha2), math.sqrt(1 - alpha2)), lmbda)
-        return is_npt(mats[key]) == (which == "insep")
+    def predicate(alpha2: np.ndarray, lmbda: np.ndarray) -> np.ndarray:
+        zero = np.zeros_like(alpha2)
+        amps = (np.sqrt(alpha2), np.sqrt(1 - alpha2), zero, zero)
+        if which == "insep":
+            return is_npt(_assemble(_nonlocal_terms(*amps, lmbda), "C"))
+        return ~is_npt(_assemble(_local_terms(*amps, lmbda, "A"), "K"))
 
-    if not predicate(0.5):
-        raise ValueError("midpoint does not satisfy the predicate; no interval")
-    lo = 0.0 if predicate(0.0) else _bisect(predicate, 0.0, 0.5, BISECT_TOL)
-    hi = 1.0 if predicate(1.0) else _bisect(predicate, 1.0, 0.5, BISECT_TOL)
+    n = len(lmbdas)
+    lam = np.array(lmbdas * 2)  # every lambda twice: its lower, then its upper end
+    at_mid = predicate(np.full(n, 0.5), lam[:n])
+    if not at_mid.all():
+        bad = lmbdas[int(np.argmin(at_mid))]
+        raise ValueError(f"midpoint does not satisfy the predicate at lambda = {bad}; no interval")
+    ends = np.repeat([0.0, 1.0], n)
+    open_ = ~predicate(ends, lam)
+    if open_.any():
+        lam_open = lam[open_]
+        ends[open_] = _bisect(
+            lambda x: predicate(x, lam_open), ends[open_], np.full(len(lam_open), 0.5), BISECT_TOL
+        )
     kind = "Inseparable" if which == "insep" else "Separable"
-    return Interval(lo, hi, kind)
+    return [Interval(float(ends[k]), float(ends[n + k]), kind) for k in range(n)]
+
+
+def interval_by_bisection(lmbda: float, which: str) -> Interval:
+    """:func:`intervals_by_bisection` for one lambda."""
+    return intervals_by_bisection([lmbda], which)[0]
 
 
 def broadcast_fidelity(alpha2: float, lmbda: float, sign: int = -1) -> float:
@@ -489,7 +542,7 @@ def ppt_boundary(fn, lo: float, hi: float, entangled_above: bool = True) -> floa
 
     if flag(lo) or not flag(hi):
         raise ValueError(f"no boundary in ({lo}, {hi}) with entangled_above={entangled_above}")
-    return _bisect(flag, lo, hi, BISECT_TOL)
+    return float(_bisect(lambda x: flag(float(x[0])), [lo], [hi], BISECT_TOL)[0])
 
 
 class Boundary(NamedTuple):

@@ -56,6 +56,7 @@ def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
 
 def f_hcm(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> float:
     """Single-clone overlap of the two-component hybrid (eta_i = 1 - 2 xi_i)."""
+    check_alpha2(alpha2)
     a2, b2 = alpha2, 1 - alpha2
     eta = 1 - 2 * xi
     eta_p = 1 - 2 * xi_prime
@@ -67,6 +68,7 @@ def f_hcm(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> float:
 def dab_two_mode(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> float:
     """HS distance between the joint clone output and the ideal product,
     for the hybrid of two copiers with parameters xi and xi' (eta = 1-2xi)."""
+    check_alpha2(alpha2)
     a2, b2 = alpha2, 1 - alpha2
     a = math.sqrt(a2)
     b = math.sqrt(b2)

@@ -144,15 +144,19 @@ def negativity(rho: DensityOperator, split) -> float:
     return float((np.sum(np.abs(mu)) - 1.0) / (d - 1))
 
 
-def min_pt_eigenvalue(mat, dims=(2, 2), split=(1,)) -> float:
-    """Smallest eigenvalue of the partial transpose of ``mat`` over ``split``."""
-    return float(np.linalg.eigvalsh(partial_transpose(mat, dims, split))[0])
+def min_pt_eigenvalue(mat, dims=(2, 2), split=(1,)):
+    """Smallest eigenvalue of the partial transpose of ``mat`` over ``split``:
+    a float for one (d, d) matrix, an array of them for a (..., d, d) stack
+    (one batched eigensolve)."""
+    evals = np.linalg.eigvalsh(partial_transpose(mat, dims, split))
+    return float(evals[0]) if evals.ndim == 1 else evals[..., 0]
 
 
-def is_npt(mat, dims=(2, 2), split=(1,)) -> bool:
+def is_npt(mat, dims=(2, 2), split=(1,)):
     """Peres-Horodecki test: True when the partial transpose over ``split``
     has an eigenvalue below -PPT_TOL, so the state is entangled.  ``mat`` is
-    a raw matrix; the defaults are a two-qubit state split after qubit 0."""
+    a raw matrix, or a stack of them for a bool array; the defaults are a
+    two-qubit state split after qubit 0."""
     return min_pt_eigenvalue(mat, dims, split) < -PPT_TOL
 
 

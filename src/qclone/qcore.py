@@ -320,14 +320,17 @@ def partial_trace(state, keep) -> DensityOperator:
 
 
 def partial_transpose(mat, dims, subsystems) -> np.ndarray:
-    """Transpose the given subsystems of a raw (d, d) matrix on ``dims``;
-    a Hermitian input gives a Hermitian result, which may be non-PSD."""
+    """Transpose the given subsystems of a raw (d, d) matrix on ``dims``, or
+    of every matrix of a (..., d, d) stack; a Hermitian input gives a
+    Hermitian result, which may be non-PSD."""
     n = len(dims)
-    t = mat.reshape(tuple(dims) * 2)
+    batch = mat.shape[:-2]
+    b = len(batch)
+    t = mat.reshape(batch + tuple(dims) * 2)
     for s in set(subsystems):
         if not 0 <= s < n:
             raise ValueError(f"invalid subsystem {s} for {n} subsystems")
-        t = t.swapaxes(s, s + n)
+        t = t.swapaxes(b + s, b + s + n)
     return t.reshape(mat.shape)
 
 

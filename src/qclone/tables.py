@@ -311,15 +311,17 @@ _T32_PRINTED = {
 def table_3_2(mode: str = "closed_form") -> TableResult:
     """Inseparability / separability intervals per machine parameter."""
     t = TableResult("3.2", "broadcasting intervals")
-    for lam, ((i_lo, i_hi), (s_lo, s_hi)) in _T32_PRINTED.items():
-        if mode == "simulate":
-            insep = bc.interval_by_bisection(lam, "insep")
-            sep = bc.interval_by_bisection(lam, "sep")
-            prov = "Simulation"
-        else:
-            insep = bc.insep_interval(lam)
-            sep = bc.sep_interval(lam)
-            prov = "PaperClosedForm"
+    lams = list(_T32_PRINTED)
+    if mode == "simulate":
+        insep_all = bc.intervals_by_bisection(lams, "insep")
+        sep_all = bc.intervals_by_bisection(lams, "sep")
+        prov = "Simulation"
+    else:
+        insep_all = [bc.insep_interval(lam) for lam in lams]
+        sep_all = [bc.sep_interval(lam) for lam in lams]
+        prov = "PaperClosedForm"
+    for lam, insep, sep in zip(lams, insep_all, sep_all):
+        (i_lo, i_hi), (s_lo, s_hi) = _T32_PRINTED[lam]
         t.rows.append(
             ReportRow(
                 {"lambda": lam},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qclone import broadcast as bc
-from qclone import measures
+from qclone import measures, tables
 from qclone.qcore import DensityOperator, bell_state, partial_trace, partial_transpose
 from qclone.qcore import ket
 
@@ -106,6 +106,139 @@ def test_intervals_by_bisection():
         assert abs(sv.lo - sb.lo) < 1e-6 and abs(sv.hi - sb.hi) < 1e-6
     with pytest.raises(ValueError):
         bc.interval_by_bisection(0.1, "bogus")
+
+
+def _scalar_bisect(flag, lo, hi, tol):
+    # reference: one bracket at a time, as the oracle bisected before the
+    # lockstep loop
+    while abs(hi - lo) > tol:
+        mid = (lo + hi) / 2
+        if flag(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
+
+
+def _scalar_interval(lmbda, which):
+    key = "AB'" if which == "insep" else "AA'"
+
+    def predicate(alpha2):
+        mats = bc.broadcast_output_matrices((math.sqrt(alpha2), math.sqrt(1 - alpha2)), lmbda)
+        return measures.is_npt(mats[key]) == (which == "insep")
+
+    if not predicate(0.5):
+        raise ValueError("no interval")
+    lo = 0.0 if predicate(0.0) else _scalar_bisect(predicate, 0.0, 0.5, bc.BISECT_TOL)
+    hi = 1.0 if predicate(1.0) else _scalar_bisect(predicate, 1.0, 0.5, bc.BISECT_TOL)
+    return bc.Interval(lo, hi, "Inseparable" if which == "insep" else "Separable")
+
+
+@pytest.mark.parametrize("which", ["insep", "sep"])
+def test_lockstep_bisection_equals_scalar_bisection(which):
+    lams = list(tables._T32_PRINTED)
+    assert bc.intervals_by_bisection(lams, which) == [_scalar_interval(lam, which) for lam in lams]
+    assert bc.interval_by_bisection(1 / 6, which) == _scalar_interval(1 / 6, which)
+    assert bc.intervals_by_bisection([], which) == []
+
+
+@pytest.mark.parametrize("lam", [0, 0.007, 0.05, 1 / 6, 0.2, 0.24, 0.25, 0.3, 0.4, 0.45])
+@pytest.mark.parametrize("which", ["insep", "sep"])
+def test_interval_by_bisection_matches_scalar_or_raises_alike(lam, which):
+    try:
+        expected = _scalar_interval(lam, which)
+    except ValueError:
+        with pytest.raises(ValueError):
+            bc.interval_by_bisection(lam, which)
+    else:
+        assert bc.interval_by_bisection(lam, which) == expected
+
+
+def test_interval_error_names_the_lambda():
+    with pytest.raises(ValueError, match="at lambda = 0.3;"):
+        bc.intervals_by_bisection([0.1, 0.3], "insep")
+    with pytest.raises(ValueError, match="lambda must lie in"):
+        bc.intervals_by_bisection([0.1, 0.5], "sep")
+
+
+def test_ppt_boundary_values_are_unchanged():
+    # the values the scalar bisection loop gave, to the last bit
+    b16 = bc.ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
+    b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
+    b12 = bc.ppt_boundary(lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, False)
+    assert (b16, b46, b12) == (0.18367314338684082, 0.617740797996521, 0.2727272272109985)
+    assert all(type(b) is float for b in (b16, b46, b12))
+
+
+def test_stacked_assembly_has_the_bytes_of_scalar_assemblies():
+    amps = RNG.normal(size=(9, 4))
+    amps[:3, 2:] = 0.0  # the (alpha1, beta1) family, as the oracle uses it
+    amps[3:6] = -amps[3:6]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    lams = np.concatenate([[0.0], RNG.uniform(0, 0.5, 8)])
+    for terms, prefix in (
+        (bc._nonlocal_terms, "C"),
+        (lambda *a: bc._local_terms(*a, "A"), "K"),
+        (lambda *a: bc._local_terms(*a, "B"), "K"),
+    ):
+        stacked = bc._assemble(terms(*amps.T, lams), prefix)
+        single = [bc._assemble(terms(*a, float(lam)), prefix) for a, lam in zip(amps, lams)]
+        assert stacked.shape == (9, 4, 4)
+        assert stacked.tobytes() == np.array(single).tobytes()
+
+
+def _copy_maps_built_per_call(amplitudes, lmbda):
+    # reference: the single-copy and copy-pair maps with every operator
+    # built inside the call
+    psi = bc.input_ket(amplitudes)
+    mu = 1 - 2 * lmbda
+
+    def chan(x):
+        return mu * x + lmbda * np.trace(x) * np.eye(2)
+
+    ab = np.zeros((4, 4), dtype=complex)
+    rows = psi.amps.reshape(2, 2)
+    for i in range(2):
+        for j in range(2):
+            eij = np.zeros((2, 2), dtype=complex)
+            eij[i, j] = 1.0
+            ab += np.kron(chan(eij), chan(np.outer(rows[i], rows[j].conj())))
+    s = np.kron(ket(0), ket(1)) + np.kron(ket(1), ket(0))
+    ss = np.outer(s, s.conj())
+    e00 = np.outer(np.kron(ket(0), ket(0)), np.kron(ket(0), ket(0)).conj())
+    e11 = np.outer(np.kron(ket(1), ket(1)), np.kron(ket(1), ket(1)).conj())
+    cross01 = (mu / 2) * (
+        np.outer(np.kron(ket(0), ket(0)), s.conj()) + np.outer(s, np.kron(ket(1), ket(1)).conj())
+    )
+    blocks = {
+        (0, 0): mu * e00 + lmbda * ss,
+        (1, 1): mu * e11 + lmbda * ss,
+        (0, 1): cross01,
+        (1, 0): cross01.conj().T,
+    }
+
+    def pair(x):
+        out = np.zeros((4, 4), dtype=complex)
+        for (i, j), block in blocks.items():
+            out += x[i, j] * block
+        return out
+
+    rho_a = partial_trace(psi, [0]).mat
+    rho_b = partial_trace(psi, [1]).mat
+    return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a), "BB'": pair(rho_b)}
+
+
+def test_copy_map_constants_are_read_only_and_change_no_bit():
+    for const in (bc._SS, bc._E00, bc._E11, bc._CROSS, bc._UNITS):
+        with pytest.raises(ValueError):
+            const[(0,) * const.ndim] = 1.0
+    for k in range(60):
+        v = RNG.normal(size=2 if k % 2 else 4)
+        v /= np.linalg.norm(v)
+        lam = float(RNG.uniform(0, 0.5))
+        got = bc.broadcast_channel_matrices(v, lam)
+        want = _copy_maps_built_per_call(v, lam)
+        assert all(got[key].tobytes() == want[key].tobytes() for key in want)
 
 
 def test_broadcast_fidelity():

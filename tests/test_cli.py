@@ -3,11 +3,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclone import tables
+from qclone import cli, tables
 from qclone.cli import CLONE_FAMILIES, main
 from qclone.cloners import FAMILIES
 
@@ -255,3 +259,36 @@ def test_cli_fuzz_exits_cleanly(data):
         rows = json.loads(out.getvalue())["rows"]
         cells = [v for row in rows for v in row.values() if isinstance(v, float)]
         assert all(math.isfinite(v) for v in cells), argv
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "broadcast", "--lam", "0.1")[0] == 0
+        assert run_cli(capsys, "broadcast", "--lam", "0.2", "--interval")[0] == 0
+        assert len(built) == 1
+        assert cli._parser() is built[0]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_reused_parser_after_a_usage_error_gives_a_fresh_process_output(capsys):
+    argv = ["table", "--id", "3.1", "--mode", "closed_form", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qclone.cli", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    with pytest.raises(SystemExit) as err:
+        main(["table", "--id", "9.9"])
+    assert err.value.code == 2
+    assert run_cli(capsys, *argv) == (0, fresh.stdout)

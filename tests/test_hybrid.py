@@ -190,6 +190,15 @@ def test_dab_two_mode_reference():
             assert abs(hybrid.dab_two_mode(a2, xi, xi, 0.5) - rep.D_ab2) < 1e-9
 
 
+@pytest.mark.parametrize("alpha2", [1.5, -0.1, float("nan")])
+@pytest.mark.parametrize("fn", [hybrid.f_hcm, hybrid.dab_two_mode])
+def test_closed_forms_reject_alpha2_outside_domain(fn, alpha2):
+    with pytest.raises(ValueError, match=r"alpha\^2 must lie in \[0, 1\]"):
+        fn(alpha2, 0.1, 0.2, 0.5)
+    for edge in (0.0, 1.0):
+        assert math.isfinite(fn(edge, 0.1, 0.2, 0.5))
+
+
 def test_bh_pc_hybrid():
     assert abs(hybrid.bh_pc_hybrid(0.0, 0.3) - (0.5 + 1 / math.sqrt(8))) < 1e-12
     assert abs(hybrid.bh_pc_hybrid(1.0, 1 / 6) - 5 / 6) < 1e-12

@@ -213,6 +213,17 @@ def test_is_npt_threshold_and_split():
     assert not measures.is_npt(three, (2, 2, 2), (1,))
 
 
+def test_is_npt_on_a_stack_is_per_matrix():
+    singlet = projector(bell_state("psi-"), (2, 2)).mat
+    stack = np.array([p * singlet + (1 - p) * np.eye(4) / 4 for p in (0.0, 0.3, 1 / 3, 0.34, 1.0)])
+    least = measures.min_pt_eigenvalue(stack)
+    assert least.shape == (5,)
+    assert list(least) == [measures.min_pt_eigenvalue(m) for m in stack]
+    assert list(measures.is_npt(stack)) == [False, False, False, True, True]
+    assert type(measures.min_pt_eigenvalue(singlet)) is float
+    assert type(measures.is_npt(singlet)) is bool
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),

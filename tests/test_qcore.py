@@ -158,6 +158,16 @@ def test_partial_transpose_involution_and_trace(dims, mask, seed):
     assert np.array_equal(pt.T, partial_transpose(h, dims, rest))
 
 
+def test_partial_transpose_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(77)
+    stack = rng.normal(size=(3, 2, 8, 8)) + 1j * rng.normal(size=(3, 2, 8, 8))
+    for dims, split in (((2, 4), (0,)), ((2, 2, 2), (0, 2)), ((4, 2), (1,))):
+        got = partial_transpose(stack, dims, split)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(got[idx], partial_transpose(stack[idx], dims, split))
+
+
 def test_partial_transpose_invalid_subsystem():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4, (2, 2), (2,))
