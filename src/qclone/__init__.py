@@ -37,7 +37,23 @@ from .measures import (
     von_neumann_entropy,
     w_determinants,
 )
-from .cloners import CloneReport, MachineSpec, build_machine, clone_report, closed_form_fidelity
-from .deleters import DeleterSpec, DeletionReport, build_deleter, delete_report, transformer
+from .cloners import (
+    CloneReport,
+    CloneReports,
+    MachineSpec,
+    build_machine,
+    clone_report,
+    clone_reports,
+    closed_form_fidelity,
+)
+from .deleters import (
+    DeleterSpec,
+    DeletionReport,
+    DeletionReports,
+    build_deleter,
+    delete_report,
+    delete_reports,
+    transformer,
+)
 from .hybrid import HybridSpec, hybrid_machine
 from .concat import PipelineSpec, pipeline_averages, run_pipeline

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .qcore import (
     check_densities,
     ket,
     kron_all,
-    partial_trace,
     realize_gram,
     reduce_ket,
     spec_cache,
@@ -65,6 +64,20 @@ class DeletionReport:
     machine_overlap: Optional[float]
     avg_F_1: Optional[float]
     avg_F_2: Optional[float]
+
+
+class DeletionReports(NamedTuple):
+    """The per-input part of :class:`DeletionReport` for n inputs at once:
+    (n, 2, 2) and (n, m, m) marginal stacks and one (n,) array per index;
+    ``rho_3`` and ``machine_overlap`` are None for a machine-free deleter.
+    A NamedTuple for the reason given at ``cloners.CloneReports``."""
+
+    rho_1: np.ndarray
+    rho_2: np.ndarray
+    rho_3: Optional[np.ndarray]
+    F_1: np.ndarray
+    F_2: np.ndarray
+    machine_overlap: Optional[np.ndarray]
 
 
 def _transformer_powers():
@@ -108,7 +121,7 @@ def build_qiu(r1: float = 1.0) -> MachineIsometry:
     r1 = +-1 (otherwise the identical-copy columns overlap the pass-through
     columns), so other values are rejected.
     """
-    if abs(r1 * r1 - 1.0) > 1e-12:
+    if not abs(r1 * r1 - 1.0) <= 1e-12:  # NaN fails
         raise ValueError(
             "the universal deleter is an isometry only for r1 = +-1; "
             f"got r1 = {r1}"
@@ -185,9 +198,9 @@ def _conv_parts(
 def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsometry:
     """State-dependent deleter: pass-through branches mix |01> and |10>."""
     for ai, bi in ((a0, b0), (a1, b1)):
-        if abs(abs(ai) ** 2 + abs(bi) ** 2 - 1.0) > 1e-9:
+        if not abs(abs(ai) ** 2 + abs(bi) ** 2 - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("need |a_i|^2 + |b_i|^2 = 1")
-    if abs(a0 * np.conj(a1) + b0 * np.conj(b1)) > 1e-9:
+    if not abs(a0 * np.conj(a1) + b0 * np.conj(b1)) <= 1e-9:
         raise ValueError("need a0 a1* + b0 b1* = 0")
     q, qa0, qa1 = ket(0, 3), ket(1, 3), ket(2, 3)
     s01 = np.kron(ket(0), ket(1))
@@ -254,42 +267,62 @@ def _transform(kets: np.ndarray, n_transformers: int) -> np.ndarray:
 def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0) -> StateVector:
     """Deleter (plus optional transformers on the data qubits) on a 2-qubit
     input; the output is pure, so it is returned as a ket."""
-    return _delete(build_deleter(spec), state, n_transformers)
-
-
-def _delete(machine: MachineIsometry, state: StateVector, n_transformers: int) -> StateVector:
     if state.dims != (2, 2):
         raise ValueError("deleters act on two qubits")
-    out = _transform(machine.matrix @ state.amps, n_transformers)
-    return StateVector(machine.out_dims, out)
+    machine = build_deleter(spec)
+    return StateVector(machine.out_dims, _transform(machine.matrix @ state.amps, n_transformers))
 
 
-def _pair_state(psi: StateVector) -> StateVector:
-    return StateVector((2, 2), np.kron(psi.amps, psi.amps))
+def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> DeletionReports:
+    """Delete one copy of psi from psi x psi for every single-qubit ket psi
+    of an (n, 2) stack, and report the per-input fidelities in one pass.
+
+    The alpha^2 averages belong to the spec, not to an input: they come
+    from :func:`average_fidelities`.
+    """
+    machine, a_vec = _deleter_parts(spec)
+    psi = np.asarray(amps, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != 2 or not len(psi):
+        raise ValueError(f"inputs of shape {psi.shape} are not an (n, 2) stack of qubit kets, n >= 1")
+    pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
+    kets = _transform(pairs @ machine.matrix.T, n_transformers)
+    rho_1, rho_2 = qubit_marginals(kets, machine.out_dims)
+    rho_3 = overlap_m = None
+    if len(machine.out_dims) > 2:
+        rho_3 = reduce_ket(kets, machine.out_dims, [2])
+        check_densities(rho_3)
+        overlap_m = (a_vec.conj() @ rho_3 @ a_vec).real
+    target = deletion_target(spec)
+    f1 = (psi.conj()[:, None, :] @ rho_1 @ psi[:, :, None])[:, 0, 0].real
+    f2 = (target.conj() @ rho_2 @ target).real
+    return DeletionReports(rho_1, rho_2, rho_3, f1, f2, overlap_m)
 
 
 def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0) -> DeletionReport:
-    """Delete one copy of psi from psi x psi and report all fidelities.
+    """Delete one copy of psi from psi x psi and report all fidelities:
+    element 0 of :func:`delete_reports`, plus the spec's alpha^2 averages.
 
     ``state`` is the single-qubit input; averages integrate alpha^2 over
     [0, 1] for the real-amplitude family (64-node Gauss-Legendre).
     """
     if state.dims != (2,):
         raise ValueError("delete_report expects the single-qubit input state")
-    machine, a_vec = _deleter_parts(spec)
-    out = _delete(machine, _pair_state(state), n_transformers)
-    rho_1 = partial_trace(out, [0])
-    rho_2 = partial_trace(out, [1])
-    has_machine = len(out.dims) > 2
-    rho_3 = partial_trace(out, [2]) if has_machine else None
-    f1 = float(np.real(state.amps.conj() @ rho_1.mat @ state.amps))
-    target = deletion_target(spec)
-    f2 = float(np.real(target.conj() @ rho_2.mat @ target))
-    overlap_m = None
-    if has_machine:
-        overlap_m = float(np.real(a_vec.conj() @ rho_3.mat @ a_vec))
+    reps = delete_reports(spec, state.amps[None], n_transformers)
+    rho_3 = overlap_m = None
+    if reps.rho_3 is not None:
+        rho_3 = DensityOperator(reps.rho_3.shape[-1:], reps.rho_3[0])
+        overlap_m = float(reps.machine_overlap[0])
     avg1, avg2 = average_fidelities(spec, n_transformers)
-    return DeletionReport(rho_1, rho_2, rho_3, f1, f2, overlap_m, avg1, avg2)
+    return DeletionReport(
+        DensityOperator((2,), reps.rho_1[0]),
+        DensityOperator((2,), reps.rho_2[0]),
+        rho_3,
+        float(reps.F_1[0]),
+        float(reps.F_2[0]),
+        overlap_m,
+        avg1,
+        avg2,
+    )
 
 
 def real_inputs(alpha2s) -> np.ndarray:
@@ -393,10 +426,8 @@ def table_42_fidelity(m1: float, m2: float) -> float:
 def pb_with_transformer(blank: BlankState, state: StateVector):
     """Conditional deleter followed by one transformer: (rho_2, F_2) where
     F_2 = <Sigma| rho_2 |Sigma>."""
-    spec = DeleterSpec("pb", (blank,))
-    rho_2 = partial_trace(apply_deleter(spec, _pair_state(state), n_transformers=1), [1])
-    f2 = float(np.real(blank.vec.conj() @ rho_2.mat @ blank.vec))
-    return rho_2, f2
+    reps = delete_reports(DeleterSpec("pb", (blank,)), state.amps[None], 1)
+    return DensityOperator((2,), reps.rho_2[0]), float(reps.F_2[0])
 
 
 def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:

@@ -72,14 +72,19 @@ def fidelity_pure(psi: StateVector, rho: DensityOperator) -> float:
     return float(np.sqrt(max(0.0, overlap(psi, rho))))
 
 
-def hs_distance(rho, sigma) -> float:
-    """Hilbert-Schmidt distance Tr[(rho - sigma)^2]; inputs Hermitian."""
+def hs_distance(rho, sigma):
+    """Hilbert-Schmidt distance Tr[(rho - sigma)^2]; inputs Hermitian.
+
+    A float for two operators, an array of distances for two (..., d, d)
+    stacks of raw matrices.
+    """
     a = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
     b = sigma.mat if isinstance(sigma, DensityOperator) else np.asarray(sigma)
     if a.shape != b.shape:
         raise ValueError("operators live on different spaces")
     d = a - b
-    return float(np.real(np.trace(d @ d)))
+    dist = (d @ d).trace(axis1=-2, axis2=-1).real
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def von_neumann_entropy(rho: DensityOperator, base: float = 2.0) -> float:
@@ -120,7 +125,7 @@ def concurrence_pure(ket: StateVector) -> float:
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation as a function of the concurrence."""
-    if c < -_CLAMP or c > 1 + _CLAMP:
+    if not -_CLAMP <= c <= 1 + _CLAMP:  # NaN fails
         raise ValueError(f"concurrence {c} outside [0, 1]")
     c = min(1.0, max(0.0, c))
     x = (1 + np.sqrt(1 - c**2)) / 2

@@ -109,13 +109,15 @@ def check_densities(mats: np.ndarray) -> None:
     One batched eigensolve covers the whole stack.
     """
     # ndarray methods rather than np.max/np.min: those cost microseconds
-    # per call, and every DensityOperator runs this check
-    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max() > DENSITY_TOL:
-        raise ValueError("density operator is not Hermitian")
+    # per call, and every DensityOperator runs this check.  Each test is
+    # written so that a NaN fails it (every comparison with NaN is False).
+    skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    if not skew <= DENSITY_TOL:
+        raise ValueError(f"density operator is not Hermitian (deviation {skew:.3g})")
     worst = np.abs(mats.diagonal(0, -2, -1).sum(-1).real - 1.0).max()
-    if worst > DENSITY_TOL:
+    if not worst <= DENSITY_TOL:
         raise ValueError(f"density operator trace deviates from 1 by {worst:.3g}")
-    if np.linalg.eigvalsh(mats)[..., 0].min() < -DENSITY_TOL:
+    if not np.linalg.eigvalsh(mats)[..., 0].min() >= -DENSITY_TOL:
         raise ValueError("density operator has a significantly negative eigenvalue")
 
 
@@ -139,7 +141,7 @@ class MachineIsometry:
         if dout < din:
             raise ValueError("output space smaller than input space")
         defect = np.max(np.abs(m.conj().T @ m - np.eye(din)))
-        if defect > 1e-7:
+        if not defect <= 1e-7:  # NaN fails
             raise ValueError(f"columns are not orthonormal (V^dag V deviates by {defect:.3g})")
 
     def isometry_defect(self) -> float:
@@ -161,7 +163,7 @@ class GramSpec:
         n = len(self.labels)
         if g.shape != (n, n):
             raise ValueError("gram matrix shape does not match labels")
-        if np.max(np.abs(g - g.conj().T)) > 1e-10:
+        if not np.max(np.abs(g - g.conj().T)) <= 1e-10:  # NaN fails
             raise ValueError("gram matrix must be Hermitian")
         if np.any(np.diag(g).real < -1e-12):
             raise ValueError("gram diagonal must be nonnegative")
@@ -175,7 +177,7 @@ class BlankState:
     m2: complex
 
     def __post_init__(self):
-        if abs(self.m1**2 + abs(self.m2) ** 2 - 1.0) > 1e-9:
+        if not abs(self.m1**2 + abs(self.m2) ** 2 - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("blank state must satisfy m1^2 + |m2|^2 = 1")
 
     @property
@@ -337,7 +339,7 @@ def partial_transpose(mat, dims, subsystems) -> np.ndarray:
 def hermitian_eigvals(mat: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     mat = np.asarray(mat, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL * max(1.0, np.max(np.abs(mat))):
+    if not np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL * max(1.0, np.max(np.abs(mat))):
         raise ValueError("matrix is not Hermitian")
     return np.linalg.eigvalsh(mat)[::-1]
 

@@ -417,6 +417,9 @@ _T42_PRINTED = {
 }
 
 
+_LIMIT_INPUT = deleters.real_inputs([0.3])  # the simulated deletion input, alpha^2 = 0.3
+
+
 def _limit_table(table_id: str, n_transformers: int, printed, mode: str) -> TableResult:
     t = TableResult(table_id, f"deletion limits, {n_transformers} transformer(s)")
     eps = 1e-6
@@ -428,10 +431,7 @@ def _limit_table(table_id: str, n_transformers: int, printed, mode: str) -> Tabl
             blank = BlankState(m1, sign * m2)
             if mode == "simulate":
                 spec = DeleterSpec("conv", (0.5 - eps, blank))
-                rep = deleters.delete_report(
-                    spec, StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)]), n_transformers
-                )
-                out[label] = rep.F_2
+                out[label] = float(deleters.delete_reports(spec, _LIMIT_INPUT, n_transformers).F_2[0])
             else:
                 out[label] = deleters.limiting_deletion_fidelity(n_transformers, blank)
         prov = "Simulation" if mode == "simulate" else "PaperClosedForm"

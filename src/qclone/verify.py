@@ -56,18 +56,11 @@ def _rand_kets(n: int, d: int = 2, seed: int = 12345):
 
 
 def check_bh_optimal() -> CheckResult:
-    devs = []
-    for v in _rand_kets(20):
-        rep = cloners.clone_report(MachineSpec("bh-opt"), StateVector((2,), v))
-        devs.extend(
-            [
-                abs(rep.F_a - 5 / 6),
-                abs(rep.F_b - 5 / 6),
-                abs(rep.D_a - 1 / 18),
-                abs(rep.D_ab2 - 2 / 9),
-            ]
-        )
-    worst = max(devs)
+    reps = cloners.clone_reports(MachineSpec("bh-opt"), _rand_kets(20))
+    worst = max(
+        np.abs(index - ref).max()
+        for index, ref in ((reps.F_a, 5 / 6), (reps.F_b, 5 / 6), (reps.D_a, 1 / 18), (reps.D_ab2, 2 / 9))
+    )
     return CheckResult(
         "optimal copier: F = 5/6, D_a = 1/18, D_ab2 = 2/9 over 20 random inputs",
         worst < TOL,
@@ -163,36 +156,35 @@ def check_closed_form_grid() -> CheckResult:
 
 
 def check_ying_indices() -> CheckResult:
+    """One batched run per dimension n: rows 0-49 are random inputs, row 50
+    the uniform and row 51 the basis equality case; for n = 2 the rows
+    after them are the alpha^2 grid of the identities."""
     failures = []
-    for a2 in np.linspace(0.02, 0.98, 9):
-        d_a, d1, d2, d3 = cloners.ying_indices(2, [math.sqrt(a2), math.sqrt(1 - a2)])
-        if abs(d1 - d_a**2) > TOL or abs(d2 - 2 * d_a) > TOL or abs(d3 - d_a * (2 - d_a)) > TOL:
-            failures.append(f"n=2 identities fail at alpha^2={a2}")
+    grid = np.linspace(0.02, 0.98, 9)
     rng = np.random.default_rng(99)
     for n in (2, 3, 4):
         gap = cloners.ying_bound_gap(n)
-        for _ in range(50):
-            amps = rng.normal(size=n)
-            amps /= np.linalg.norm(amps)
-            d_a, d1, d2, d3 = cloners.ying_indices(n, amps)
-            ok = (
-                d_a * d_a - gap - TOL <= d1 <= d_a * d_a + TOL
-                and 2 * d_a - gap - TOL <= d2 <= 2 * d_a + TOL
-                and 2 * d_a - d1 - gap - TOL <= d3 <= 2 * d_a - d1 + TOL
-            )
-            if not ok:
-                failures.append(f"bounds fail n={n}")
-                break
-        # equality cases
-        uni = np.full(n, 1 / math.sqrt(n))
-        d_a, d1, d2, d3 = cloners.ying_indices(n, uni)
-        if abs((d1 - d_a * d_a) + gap) > TOL:
+        amps = rng.normal(size=(50, n))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        rows = [amps, np.full((1, n), 1 / math.sqrt(n)), np.eye(1, n)]
+        if n == 2:
+            rows.append(np.stack([np.sqrt(grid), np.sqrt(1 - grid)], axis=1))
+        d_a, d1, d2, d3 = cloners.ying_indices(n, np.vstack(rows))
+        r_a, r1, r2, r3 = d_a[:50], d1[:50], d2[:50], d3[:50]
+        ok = (
+            (r_a * r_a - gap - TOL <= r1) & (r1 <= r_a * r_a + TOL)
+            & (2 * r_a - gap - TOL <= r2) & (r2 <= 2 * r_a + TOL)
+            & (2 * r_a - r1 - gap - TOL <= r3) & (r3 <= 2 * r_a - r1 + TOL)
+        )
+        if not ok.all():
+            failures.append(f"bounds fail n={n}")
+        if abs((d1[50] - d_a[50] ** 2) + gap) > TOL:
             failures.append(f"uniform minimum fails n={n}")
-        basis = np.zeros(n)
-        basis[0] = 1.0
-        d_a, d1, d2, d3 = cloners.ying_indices(n, basis)
-        if abs(d1 - d_a * d_a) > TOL:
+        if abs(d1[51] - d_a[51] ** 2) > TOL:
             failures.append(f"basis maximum fails n={n}")
+        for a2, e_a, e1, e2, e3 in zip(grid, d_a[52:], d1[52:], d2[52:], d3[52:]):
+            if abs(e1 - e_a**2) > TOL or abs(e2 - 2 * e_a) > TOL or abs(e3 - e_a * (2 - e_a)) > TOL:
+                failures.append(f"n=2 identities fail at alpha^2={a2}")
     return CheckResult(
         "basis-copier index identities and n-dim bounds",
         not failures,
@@ -441,13 +433,9 @@ def check_deletion() -> CheckResult:
         failures.append("conditional deleter at alpha^2 = 1/2")
     if abs(rep.avg_F_1 - 2 / 3) > TOL or abs(rep.avg_F_2 - 5 / 6) > TOL:
         failures.append("conditional deleter averages")
-    qiu = DeleterSpec("qiu", (1.0,))
-    f2s = [
-        deleters.delete_report(
-            qiu, StateVector((2,), [math.sqrt(a2), math.sqrt(1 - a2)])
-        ).F_2
-        for a2 in np.linspace(0.0, 1.0, 9)
-    ]
+    f2s = deleters.delete_reports(
+        DeleterSpec("qiu", (1.0,)), deleters.real_inputs(np.linspace(0.0, 1.0, 9))
+    ).F_2
     if np.std(f2s) > TOL or abs(np.mean(f2s) - 0.5) > TOL:
         failures.append("universal deleter F_2 = 1/2")
     rng = np.random.default_rng(17)
@@ -455,17 +443,12 @@ def check_deletion() -> CheckResult:
         for m1 in (1.0, 0.7, 0.3):
             blank = BlankState(m1, math.sqrt(1 - m1 * m1))
             spec = DeleterSpec("conv", (lam, blank))
-            machine_overlaps = []
-            for _ in range(8):
-                a2 = rng.uniform()
-                rep = deleters.delete_report(
-                    spec, StateVector((2,), [math.sqrt(a2), math.sqrt(1 - a2)])
-                )
-                if abs(rep.F_2 - 0.5) > TOL:
-                    failures.append(f"F_2 != 1/2 at lam={lam}, m1={m1}")
-                machine_overlaps.append(rep.machine_overlap)
+            reps = deleters.delete_reports(spec, deleters.real_inputs(rng.uniform(size=8)))
+            if not np.all(np.abs(reps.F_2 - 0.5) <= TOL):
+                failures.append(f"F_2 != 1/2 at lam={lam}, m1={m1}")
+            overlaps = reps.machine_overlap
             y = deleters.conv_max_y(lam)
-            if np.std(machine_overlaps) > TOL or abs(machine_overlaps[0] - y * y) > 1e-7:
+            if np.std(overlaps) > TOL or abs(overlaps[0] - y * y) > 1e-7:
                 failures.append(f"machine overlap != Y^2 at lam={lam}")
     for tid in ("4.1", "4.2"):
         for mode in ("closed_form", "simulate"):
@@ -488,10 +471,7 @@ def check_deletion() -> CheckResult:
         failures.append("convergence not monotone across eps")
     # conditional deleter plus transformer
     blank = BlankState(1 / math.sqrt(2), -1 / math.sqrt(2))
-    f2s = []
-    for v in _rand_kets(6, seed=41):
-        _, f2 = deleters.pb_with_transformer(blank, StateVector((2,), v))
-        f2s.append(f2)
+    f2s = deleters.delete_reports(DeleterSpec("pb", (blank,)), _rand_kets(6, seed=41), 1).F_2
     if np.std(f2s) > TOL or abs(f2s[0] - (0.5 + 1 / (2 * math.sqrt(2)))) > TOL:
         failures.append("conditional deleter + transformer 0.8536")
     return CheckResult(

@@ -46,6 +46,12 @@ def test_delete_pb(capsys):
     assert "0.500000" in out and "0.750000" in out
 
 
+def test_delete_nan_blank_names_the_blank_state(capsys):
+    assert main(["delete", "--family", "pb", "--m1", "nan"]) == 2
+    err = capsys.readouterr().err
+    assert "blank state must satisfy m1^2 + |m2|^2 = 1" in err and "Traceback" not in err
+
+
 def test_broadcast_interval(capsys):
     code, out = run_cli(capsys, "broadcast", "--lambda", "0.1666667", "--interval")
     assert code == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qclone import cloners, measures
 from qclone.cloners import MachineSpec, build_machine, clone_report
@@ -309,3 +310,116 @@ def test_machine_cache_is_keyed_by_parameter_types():
     assert build_machine(MachineSpec("wz-n", (3,))).out_dims == (3, 3, 3)
     with pytest.raises(TypeError):
         build_machine(MachineSpec("wz-n", (3.0,)))
+
+
+# ---------------------------------------------------------------------------
+# batched reports
+
+TWO_TO_M = {"mixed-23", "mixed-2m"}
+
+# parameter strategy of every 1 -> M family, inputs of dimension d <= 4
+ONE_TO_M_PARAMS = {
+    "wz": st.just(()),
+    "wz-n": st.tuples(st.integers(2, 4)),
+    "bh": st.tuples(st.floats(1 / 6, 0.5)),
+    "bh-opt": st.just(()),
+    "gm-1m": st.tuples(st.integers(2, 6)),
+    "uqcm-d": st.tuples(st.integers(2, 4)),
+    "pc2": st.just(()),
+    "pc-d": st.tuples(st.integers(2, 4)),
+    "kr": st.tuples(st.floats(0.0, math.sqrt(0.5))),
+    "econ": st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
+    "pauli-asym": st.tuples(st.floats(0.0, 1.0)),
+    "heis-asym": st.tuples(st.integers(2, 4), st.floats(0.0, 1.0)),
+    "anti": st.just(()),
+}
+
+
+def test_batched_property_covers_every_one_to_m_family():
+    assert set(ONE_TO_M_PARAMS) | TWO_TO_M == set(cloners.FAMILIES)
+    assert not set(ONE_TO_M_PARAMS) & TWO_TO_M
+
+
+@st.composite
+def one_to_m_cases(draw):
+    family = draw(st.sampled_from(sorted(ONE_TO_M_PARAMS)))
+    spec = MachineSpec(family, draw(ONE_TO_M_PARAMS[family]))
+    d = build_machine(spec).in_dims[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), d)
+    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return spec, kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_to_m_cases())
+def test_clone_reports_equal_the_per_input_loop(case):
+    spec, kets = case
+    reps = cloners.clone_reports(spec, kets)
+    for i, v in enumerate(kets):
+        rep = clone_report(spec, StateVector((len(v),), v))
+        for name in cloners.CLONE_INDICES:
+            assert abs(getattr(reps, name)[i] - getattr(rep, name)) <= 1e-15, name
+        for name in ("rho_out", "rho_a", "rho_b"):
+            assert np.max(np.abs(getattr(reps, name)[i] - getattr(rep, name).mat)) <= 1e-15
+
+
+def test_clone_reports_make_one_eigensolve_per_marginal_stack(monkeypatch):
+    spec = MachineSpec("uqcm-d", (3,))
+    build_machine(spec)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for n in (1, 7, 40):
+        calls.clear()
+        cloners.clone_reports(spec, np.tile(np.eye(3)[0], (n, 1)))
+        assert calls == [(n, 9, 9), (n, 3, 3), (n, 3, 3)]
+
+
+@pytest.mark.parametrize("spec, dims", [(MachineSpec("mixed-23"), (3,)), (MachineSpec("mixed-2m", (3,)), (2, 2))])
+def test_clone_report_names_a_two_to_m_family(spec, dims):
+    psi = StateVector(dims, np.eye(math.prod(dims))[0])
+    with pytest.raises(ValueError, match=f"{spec.family} is a 2->M copier; the clone report takes 1->M copiers only"):
+        clone_report(spec, psi)
+    with pytest.raises(ValueError, match="takes 1->M copiers only"):
+        cloners.clone_reports(spec, psi.amps[None])
+
+
+def test_clone_reports_reject_a_mismatched_or_empty_stack():
+    for amps in (np.zeros((0, 2)), np.eye(3), np.eye(2)[0]):
+        with pytest.raises(ValueError, match="incompatible with bh-opt"):
+            cloners.clone_reports(MachineSpec("bh-opt"), amps)
+    with pytest.raises(ValueError, match="trace deviates"):
+        cloners.clone_reports(MachineSpec("bh-opt"), [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        cloners.clone_reports(MachineSpec("bh-opt"), [[1.0, 0.0], [math.nan, 0.0]])
+
+
+def test_ying_indices_take_a_stack():
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=(5, 3))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    stacked = cloners.ying_indices(3, amps)
+    assert all(isinstance(x, np.ndarray) and x.shape == (5,) for x in stacked)
+    for i, row in enumerate(amps):
+        single = cloners.ying_indices(3, row)
+        assert all(isinstance(x, float) for x in single)
+        assert max(abs(s - x[i]) for s, x in zip(single, stacked)) <= 1e-15
+    # a real ket held in a complex array is accepted
+    assert cloners.ying_indices(2, np.array([0.6, 0.8 + 0j])) == cloners.ying_indices(2, [0.6, 0.8])
+
+
+def test_ying_indices_reject_complex_and_unnormalized_amplitudes():
+    with pytest.raises(ValueError, match="amplitudes must be real"):
+        cloners.ying_indices(2, np.array([0.6, 0.8j]))
+    with pytest.raises(ValueError, match="amplitudes must be normalized"):
+        cloners.ying_indices(2, [[0.6, 0.8], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="amplitudes must be normalized"):
+        cloners.ying_indices(2, [math.nan, 1.0])
+    with pytest.raises(ValueError, match="need n >= 2 real amplitudes"):
+        cloners.ying_indices(3, np.ones((2, 2, 3)) / math.sqrt(3))
+
+
+def test_nan_parameter_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="mu"):
+        build_machine(MachineSpec("kr", (math.nan,)))

@@ -452,3 +452,113 @@ def test_warm_delete_report_equals_cold(spec, n_transformers):
     for name in ("rho_1", "rho_2", "rho_3"):
         c, w = getattr(cold, name), getattr(warm, name)
         assert (c is None and w is None) or np.array_equal(c.mat, w.mat)
+
+
+# ---------------------------------------------------------------------------
+# batched reports
+
+
+@st.composite
+def blanks(draw):
+    m1 = draw(st.floats(0.0, 1.0))
+    phase = draw(st.floats(0.0, 2 * math.pi))
+    return BlankState(m1, math.sqrt(1 - m1 * m1) * complex(math.cos(phase), math.sin(phase)))
+
+
+@st.composite
+def sdep_params(draw):
+    t, phi, chi = (draw(st.floats(0.0, 2 * math.pi)) for _ in range(3))
+    a0, b0 = math.cos(t), complex(math.cos(phi), math.sin(phi)) * math.sin(t)
+    rot = complex(math.cos(chi), math.sin(chi))
+    a1, b1 = -rot * b0.conjugate(), rot * a0  # (a1, b1) orthogonal to (a0, b0)
+    return (a0, a1, b0, b1, draw(blanks()))
+
+
+# parameter strategy of every deleter family
+DELETER_PARAMS = {
+    "pb": st.one_of(st.just(()), st.tuples(blanks())),
+    "qiu": st.tuples(st.sampled_from([1.0, -1.0])),
+    "conv": st.tuples(st.floats(0.0, 0.5), blanks()),
+    "sdep": sdep_params(),
+}
+
+
+def test_batched_property_covers_every_deleter_family():
+    assert set(DELETER_PARAMS) == set(deleters._BUILDERS) | {"conv"}
+
+
+@st.composite
+def deleter_cases(draw):
+    family = draw(st.sampled_from(sorted(DELETER_PARAMS)))
+    spec = DeleterSpec(family, draw(DELETER_PARAMS[family]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), 2)
+    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return spec, kets / np.linalg.norm(kets, axis=1, keepdims=True), draw(st.sampled_from([0, 1, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(deleter_cases())
+def test_delete_reports_equal_the_per_input_loop(case):
+    spec, kets, n_transformers = case
+    reps = deleters.delete_reports(spec, kets, n_transformers)
+    has_machine = len(build_deleter(spec).out_dims) > 2
+    assert (reps.rho_3 is not None) == has_machine and (reps.machine_overlap is not None) == has_machine
+    for i, v in enumerate(kets):
+        rep = delete_report(spec, StateVector((2,), v), n_transformers)
+        names = ("F_1", "F_2", "machine_overlap") if has_machine else ("F_1", "F_2")
+        for name in names:
+            assert abs(getattr(reps, name)[i] - getattr(rep, name)) <= 1e-15, name
+        for name in ("rho_1", "rho_2", "rho_3") if has_machine else ("rho_1", "rho_2"):
+            assert np.max(np.abs(getattr(reps, name)[i] - getattr(rep, name).mat)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec, stacks",
+    [(DeleterSpec("conv", (0.2,)), 2), (DeleterSpec("pb"), 2), (DeleterSpec("qiu", (1.0,)), 1)],
+    ids=str,
+)
+def test_delete_reports_make_one_eigensolve_per_marginal_stack(monkeypatch, spec, stacks):
+    build_deleter(spec)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for n in (1, 7, 40):
+        calls.clear()
+        deleters.delete_reports(spec, deleters.real_inputs(np.linspace(0, 1, n)), 1)
+        # the two qubit marginals share one stacked check; the machine has its own
+        assert [shape[0] for shape in calls] == [2 * n, n][:stacks]
+
+
+def test_delete_reports_leave_the_averages_to_the_spec():
+    spec = DeleterSpec("conv", (0.3, BlankState(0.6, 0.8)))
+    reps = deleters.delete_reports(spec, deleters.real_inputs(deleters.GL_ALPHA2), 1)
+    avg = deleters.average_fidelities(spec, 1)
+    assert abs(avg[0] - deleters.GL_WEIGHTS @ reps.F_1) < 1e-15
+    assert abs(avg[1] - deleters.GL_WEIGHTS @ reps.F_2) < 1e-15
+    assert not hasattr(reps, "avg_F_1")
+
+
+def test_delete_reports_reject_a_stack_of_wrong_shape():
+    for amps in (np.zeros((0, 2)), np.eye(4), np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match=r"\(n, 2\) stack"):
+            deleters.delete_reports(DeleterSpec("pb"), amps)
+
+
+def test_nan_blank_is_rejected_before_any_average():
+    with pytest.raises(ValueError, match="blank state must satisfy"):
+        deleters.average_fidelities(DeleterSpec("pb", (BlankState(math.nan, 0.0),)), 0)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (DeleterSpec("qiu", (math.nan,)), "r1 = nan"),
+        (DeleterSpec("sdep", (math.nan, 0.0, 0.0, 1.0)), r"\|a_i\|\^2"),
+        (DeleterSpec("sdep", (1.0, math.nan, 0.0, 1.0)), r"\|a_i\|\^2"),
+    ],
+    ids=str,
+)
+def test_nan_deleter_parameter_is_rejected_by_name(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_deleter(spec)

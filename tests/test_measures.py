@@ -171,8 +171,9 @@ def test_eof():
     assert measures.eof_from_concurrence(0.0) < 1e-12
     assert abs(measures.eof_from_concurrence(1 / 3) - 0.1873) < 5e-4
     assert abs(measures.eof_from_concurrence(2 / 3) - 0.55) < 5e-3
-    with pytest.raises(ValueError):
-        measures.eof_from_concurrence(1.5)
+    for bad in (1.5, float("nan")):
+        with pytest.raises(ValueError):
+            measures.eof_from_concurrence(bad)
     grid = np.linspace(0, 1, 20)
     vals = [measures.eof_from_concurrence(c) for c in grid]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

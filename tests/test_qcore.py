@@ -421,3 +421,28 @@ def test_blank_state():
 def test_isometry_rejects_bad_columns():
     with pytest.raises(ValueError):
         MachineIsometry((2,), (2, 2), np.ones((4, 2)))
+
+
+def test_nan_fails_every_validation():
+    good = np.eye(2, dtype=complex) / 2
+    for i, j in product(range(2), repeat=2):
+        bad = good.copy()
+        bad[i, j] = np.nan
+        with pytest.raises(ValueError):
+            check_densities(np.stack([good, good, bad]))
+        with pytest.raises(ValueError):
+            DensityOperator((2,), bad)
+    with pytest.raises(ValueError):
+        check_densities(np.full((3, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="blank state must satisfy"):
+        BlankState(math.nan, 0.0)
+    with pytest.raises(ValueError, match="blank state must satisfy"):
+        BlankState(1.0, complex(math.nan, 0.0))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        MachineIsometry((2,), (2,), np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="Hermitian"):
+        GramSpec(("a", "b"), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError):
+        GramSpec(("a",), np.array([[np.nan]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigvals(np.full((2, 2), np.nan))
