@@ -60,14 +60,11 @@ class CloneReport:
     D_ab3: float
 
 
-# the per-input indices of a clone report, in field order
-CLONE_INDICES = ("F_a", "F_b", "D_a", "D_b", "D_ab1", "D_ab2", "D_ab3")
-
-
 class CloneReports(NamedTuple):
-    """:class:`CloneReport` of n inputs at once: (n, d^2, d^2) and (n, d, d)
-    marginal stacks, and one (n,) array per index.  A NamedTuple, not a
-    frozen dataclass, because it is built at import in a seventh of the time."""
+    """:class:`CloneReport` of n inputs at once, field for field in its
+    order: (n, d^2, d^2) and (n, d, d) marginal stacks, then one (n,) array
+    per index.  A NamedTuple, not a frozen dataclass, because it is built at
+    import in a seventh of the time."""
 
     rho_out: np.ndarray
     rho_a: np.ndarray
@@ -450,7 +447,7 @@ def clone_report(spec: MachineSpec, state: StateVector) -> CloneReport:
         DensityOperator((d, d), reps.rho_out[0]),
         DensityOperator((d,), reps.rho_a[0]),
         DensityOperator((d,), reps.rho_b[0]),
-        *(float(getattr(reps, name)[0]) for name in CLONE_INDICES),
+        *(float(index[0]) for index in reps[3:]),
     )
 
 

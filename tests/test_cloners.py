@@ -358,7 +358,7 @@ def test_clone_reports_equal_the_per_input_loop(case):
     reps = cloners.clone_reports(spec, kets)
     for i, v in enumerate(kets):
         rep = clone_report(spec, StateVector((len(v),), v))
-        for name in cloners.CLONE_INDICES:
+        for name in cloners.CloneReports._fields[3:]:
             assert abs(getattr(reps, name)[i] - getattr(rep, name)) <= 1e-15, name
         for name in ("rho_out", "rho_a", "rho_b"):
             assert np.max(np.abs(getattr(reps, name)[i] - getattr(rep, name).mat)) <= 1e-15
