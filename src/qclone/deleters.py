@@ -413,11 +413,13 @@ def limiting_deletion_fidelity(n_transformers: int, blank: BlankState) -> float:
 
 def table_41_fidelity(m1: float, m2: float) -> float:
     """Closed form of the one-transformer limit for real blank amplitudes."""
+    BlankState(m1, m2)  # raises unless m1^2 + m2^2 = 1
     return 0.5 * (1 + m1 * m2 - (m1 * m1 - m2 * m2) / math.sqrt(2))
 
 
 def table_42_fidelity(m1: float, m2: float) -> float:
     """Closed form of the two-transformer limit for real blank amplitudes."""
+    BlankState(m1, m2)
     return 0.5 * (
         1 - m1 * m2 / 2 + 0.5 * (1 / math.sqrt(2) - 1) * (m1 * m1 - m2 * m2)
     )
@@ -433,6 +435,7 @@ def pb_with_transformer(blank: BlankState, state: StateVector):
 def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:
     """Closed-form deletion fidelity of the conditional deleter plus one
     transformer, for real blank amplitudes and real input amplitudes."""
+    BlankState(m1, m2)
     check_alpha2(alpha2)
     ab2 = alpha2 * (1 - alpha2)
     b4 = (1 - alpha2) ** 2
@@ -452,6 +455,8 @@ def song_optimal_fidelity(eta1: float, theta: float, phi1: float, phi2: float) -
     """Optimal global fidelity for deleting one of two known candidate states."""
     if not 0.0 <= eta1 <= 1.0:
         raise ValueError("prior probability must lie in [0, 1]")
+    if not all(map(math.isfinite, (theta, phi1, phi2))):  # max(0.0, nan) is 0.0
+        raise ValueError(f"angle and phases must be finite, got {(theta, phi1, phi2)}")
     eta2 = 1.0 - eta1
     inner = 1 - 4 * eta1 * eta2 * math.sin(2 * theta - phi1 + phi2) ** 2
     return 0.5 * (1 + math.sqrt(max(0.0, inner)))
@@ -463,8 +468,15 @@ def sdep_weights(a0, a1, b0, b1):
     return abs(a0 + a1) ** 2, abs(b0 + b1) ** 2
 
 
+def _check_blank_overlap(blank_overlap: float) -> None:
+    """Raise ValueError unless the blank overlap lies in [-1, 1]; NaN fails too."""
+    if not -1.0 <= blank_overlap <= 1.0:
+        raise ValueError(f"blank overlap must lie in [-1, 1], got {blank_overlap}")
+
+
 def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
     """(D_1, F_1) of the state-dependent deleter at one input, closed form."""
+    _check_blank_overlap(blank_overlap)
     check_alpha2(alpha2)
     gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
@@ -479,6 +491,7 @@ def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
 def sdep_averages(a0, a1, b0, b1, blank_overlap: float):
     """Closed-form averages over alpha^2: (avg distortion, avg deletion
     fidelity); both approach (1/3, 5/6) as |g|^2, |h|^2 -> 1."""
+    _check_blank_overlap(blank_overlap)
     gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
     avg_d1 = (1 + k / 10) / 3

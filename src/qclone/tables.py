@@ -3,25 +3,27 @@
 Every table row carries the computed values, the printed reference values,
 and per-cell match flags.  Matching tolerance is one unit in the last
 printed digit (the source mixes rounding and truncation, so half-ulp
-matching is impossible; see the decision record).
+matching is impossible; see README "Tolerances").
+
+Each table is its printed data, its printed decimals per output column, and
+one computation per mode; ``generate_table`` turns them into rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import broadcast as bc
 from . import deleters, hybrid
-from .cloners import MachineSpec
+from .cloners import MachineSpec, clone_report, pauli_fidelities
 from .deleters import BlankState, DeleterSpec
 from .qcore import StateVector, apply_isometry, partial_trace
 from .measures import overlap
-
-TABLE_IDS = ("2.1", "2.2", "2.3", "2.4", "3.1", "3.2", "3.3", "4.1", "4.2")
 
 
 @dataclass
@@ -58,12 +60,27 @@ class TableResult:
         return all(r.all_match() for r in self.rows)
 
 
-def _simulated_pauli(p: float):
-    rep_input = StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)])
-    from .cloners import clone_report
+class _Table(NamedTuple):
+    title: str
+    decimals: Dict[str, int]  # output column -> printed decimals, in column order
+    printed: Callable  # () -> [({input column: value}, printed values)], read at call time
+    closed_form: Callable  # all rows' inputs -> [output values]
+    simulate: Optional[Callable] = None  # None: the table has closed forms only
 
-    rep = clone_report(MachineSpec("pauli-asym", (p,)), rep_input)
-    return rep.F_a, rep.F_b
+
+def _keyed(name: str, printed) -> list:
+    """Rows of a table printed as {input: printed values}."""
+    return [({name: x}, ref) for x, ref in printed.items()]
+
+
+def _rowwise(fn) -> Callable:
+    """A computation that evaluates ``fn(*input values)`` row by row."""
+    return lambda inputs: [fn(*x.values()) for x in inputs]
+
+
+def _with_diff(f1: float, f2: float):
+    """Append the printed difference column: it subtracts rounded fidelities."""
+    return f1, f2, abs(round(f1, 2) - round(f2, 2))
 
 
 _T21_PRINTED = {
@@ -80,30 +97,12 @@ _T21_PRINTED = {
     1.0: (1.00, 0.50, 0.50),
 }
 
+_T21_INPUT = StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)])
 
-def table_2_1(mode: str = "closed_form") -> TableResult:
-    """Fidelities of the two asymmetric copies versus the asymmetry p."""
-    t = TableResult("2.1", "asymmetric copier fidelities")
-    for p, (f1_ref, f2_ref, diff_ref) in _T21_PRINTED.items():
-        if mode == "simulate":
-            f1, f2 = _simulated_pauli(p)
-            prov = "Simulation"
-        else:
-            from .cloners import pauli_fidelities
 
-            f1, f2 = pauli_fidelities(p)
-            prov = "PaperClosedForm"
-        diff = abs(round(f1, 2) - round(f2, 2))
-        t.rows.append(
-            ReportRow(
-                {"p": p},
-                {"F1": f1, "F2": f2, "diff": diff},
-                {"F1": f1_ref, "F2": f2_ref, "diff": diff_ref},
-                {"F1": 2, "F2": 2, "diff": 2},
-                prov,
-            )
-        )
-    return t
+def _pauli_sim(p: float):
+    rep = clone_report(MachineSpec("pauli-asym", (p,)), _T21_INPUT)
+    return _with_diff(rep.F_a, rep.F_b)
 
 
 _T22_PRINTED = {
@@ -115,34 +114,18 @@ _T22_PRINTED = {
 }
 
 
-def table_2_2(mode: str = "closed_form") -> TableResult:
-    """Distortion-minimizing two-copier hybrid versus the input parameter."""
-    t = TableResult("2.2", "state-dependent hybrid quality")
-    for a2, (lam_lo_ref, xi_hi_ref, d_ref, f_ref) in _T22_PRINTED.items():
-        ab2 = a2 * (1 - a2)
-        lam_lo = max(0.0, 1 - 9 * ab2 / 2)
-        xi_hi = 0.75 * ab2  # xi at lambda = 1
-        d_min = 2 * ab2 - 4.5 * ab2**2
-        f = 1 - 0.75 * ab2
-        if mode == "simulate":
-            # evaluate the joint-output distortion at an admissible point
-            lam = (lam_lo + 1) / 2 if lam_lo > 0 else 0.9
-            xi_star, d_min, f_chk, _ = hybrid.bhbh_state_dependent(a2, lam)
-            d_min = hybrid.dab_two_mode(a2, xi_star, 1 / 6, lam)
-            f = hybrid.f_hcm(a2, xi_star, 1 / 6, lam)
-            prov = "Simulation"
-        else:
-            prov = "PaperClosedForm"
-        t.rows.append(
-            ReportRow(
-                {"alpha2": a2},
-                {"lambda_lo": lam_lo, "xi_hi": xi_hi, "D_min": d_min, "F": f},
-                {"lambda_lo": lam_lo_ref, "xi_hi": xi_hi_ref, "D_min": d_ref, "F": f_ref},
-                {"lambda_lo": 3, "xi_hi": 4, "D_min": 2, "F": 2},
-                prov,
-            )
-        )
-    return t
+def _t22_closed(a2: float):
+    """(lambda_lo, xi at lambda = 1, minimal distortion, fidelity)."""
+    ab2 = a2 * (1 - a2)
+    return max(0.0, 1 - 9 * ab2 / 2), 0.75 * ab2, 2 * ab2 - 4.5 * ab2**2, 1 - 0.75 * ab2
+
+
+def _t22_sim(a2: float):
+    """The joint-output distortion and fidelity at an admissible point."""
+    lam_lo, xi_hi, _, _ = _t22_closed(a2)
+    lam = (lam_lo + 1) / 2 if lam_lo > 0 else 0.9
+    xi = hybrid.bhbh_state_dependent(a2, lam)[0]
+    return lam_lo, xi_hi, hybrid.dab_two_mode(a2, xi, 1 / 6, lam), hybrid.f_hcm(a2, xi, 1 / 6, lam)
 
 
 _T23_PRINTED = {
@@ -159,56 +142,23 @@ _T23_PRINTED = {
 }
 
 
-def _hybrid_pauli_sim(p: float, lam: float):
-    spec = hybrid.HybridSpec(MachineSpec("pauli-asym", (p,)), MachineSpec("bh-opt"), lam)
-    machine = hybrid.hybrid_machine(spec)
-    psi = StateVector((2,), [math.sqrt(0.42), math.sqrt(0.58)])
-    out = apply_isometry(machine, psi)
-    f1 = overlap(psi, partial_trace(out, [0]))
-    f2 = overlap(psi, partial_trace(out, [1]))
-    return f1, f2
-
-
-def table_2_3(mode: str = "closed_form") -> TableResult:
-    """Symmetric/asymmetric hybrid fidelity endpoints at lambda = 0.1, 0.9."""
-    t = TableResult("2.3", "asymmetric hybrid fidelities")
-    compute = _hybrid_pauli_sim if mode == "simulate" else hybrid.bh_pauli_table
-    prov = "Simulation" if mode == "simulate" else "PaperClosedForm"
+def _t23_printed() -> list:
     # the all-p lambda = 0 row and the all-lambda p = 0.5 row are symmetric
-    f1, f2 = compute(0.3, 0.0)
-    t.rows.append(
-        ReportRow(
-            {"p": 0.3, "lambda": 0.0},
-            {"F1": f1, "F2": f2},
-            {"F1": 0.83, "F2": 0.83},
-            {"F1": 2, "F2": 2},
-            prov,
-        )
-    )
-    for lam in (0.1, 0.9):
-        f1, f2 = compute(0.5, lam)
-        t.rows.append(
-            ReportRow(
-                {"p": 0.5, "lambda": lam},
-                {"F1": f1, "F2": f2},
-                {"F1": 0.83, "F2": 0.83},
-                {"F1": 2, "F2": 2},
-                prov,
-            )
-        )
+    rows = [((0.3, 0.0), (0.83, 0.83)), ((0.5, 0.1), (0.83, 0.83)), ((0.5, 0.9), (0.83, 0.83))]
     for p, (f1_lo, f1_hi, f2_lo, f2_hi) in _T23_PRINTED.items():
-        for lam, f1_ref, f2_ref in ((0.1, f1_lo, f2_lo), (0.9, f1_hi, f2_hi)):
-            f1, f2 = compute(p, lam)
-            t.rows.append(
-                ReportRow(
-                    {"p": p, "lambda": lam},
-                    {"F1": f1, "F2": f2},
-                    {"F1": f1_ref, "F2": f2_ref},
-                    {"F1": 2, "F2": 2},
-                    prov,
-                )
-            )
-    return t
+        rows += [((p, 0.1), (f1_lo, f2_lo)), ((p, 0.9), (f1_hi, f2_hi))]
+    return [({"p": p, "lambda": lam}, ref) for (p, lam), ref in rows]
+
+
+_HYBRID_INPUT = StateVector((2,), [math.sqrt(0.42), math.sqrt(0.58)])
+_BH_OPT = MachineSpec("bh-opt")
+
+
+def _hybrid_sim(first: MachineSpec, second: MachineSpec, lam: float):
+    """Overlaps of the two hybrid outputs with the input, by simulation."""
+    machine = hybrid.hybrid_machine(hybrid.HybridSpec(first, second, lam))
+    out = apply_isometry(machine, _HYBRID_INPUT)
+    return tuple(overlap(_HYBRID_INPUT, partial_trace(out, [k])) for k in (0, 1))
 
 
 _T24_PRINTED = {
@@ -226,39 +176,6 @@ _T24_PRINTED = {
 }
 
 
-def _hybrid_anti_sim(lam: float):
-    spec = hybrid.HybridSpec(MachineSpec("bh-opt"), MachineSpec("anti"), lam)
-    machine = hybrid.hybrid_machine(spec)
-    psi = StateVector((2,), [math.sqrt(0.42), math.sqrt(0.58)])
-    out = apply_isometry(machine, psi)
-    f_a = overlap(psi, partial_trace(out, [0]))
-    f_b = overlap(psi, partial_trace(out, [1]))
-    return f_a, f_b
-
-
-def table_2_4(mode: str = "closed_form") -> TableResult:
-    """Copier/anti-copier hybrid fidelities versus lambda.
-
-    The printed difference column subtracts the already-rounded fidelities.
-    """
-    t = TableResult("2.4", "hybrid anti-copier fidelities")
-    compute = _hybrid_anti_sim if mode == "simulate" else hybrid.bh_anti_hybrid
-    prov = "Simulation" if mode == "simulate" else "PaperClosedForm"
-    for lam, (fa_ref, fb_ref, diff_ref) in _T24_PRINTED.items():
-        f_a, f_b = compute(lam)
-        diff = abs(round(f_a, 2) - round(f_b, 2))
-        t.rows.append(
-            ReportRow(
-                {"lambda": lam},
-                {"F_a": f_a, "F_b": f_b, "diff": diff},
-                {"F_a": fa_ref, "F_b": fb_ref, "diff": diff_ref},
-                {"F_a": 2, "F_b": 2, "diff": 2},
-                prov,
-            )
-        )
-    return t
-
-
 _T31_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 _T31_PRINTED = {
@@ -274,25 +191,10 @@ _T31_PRINTED = {
 }
 
 
-def table_3_1(mode: str = "closed_form") -> TableResult:
-    """Input-tuned copier parameter and distortion (source rounds lambda to
-    three decimals before squaring)."""
-    t = TableResult("3.1", "state-dependent copier quality")
-    for a in _T31_ALPHAS:
-        lam_ref, d_ref = _T31_PRINTED[a]
-        lam = bc.sd_cloner_lambda_star(a * a)
-        lam_rounded = round(lam, 3)
-        d_a = 2 * lam_rounded**2
-        t.rows.append(
-            ReportRow(
-                {"alpha": a},
-                {"lambda": lam, "D_a": d_a},
-                {"lambda": lam_ref, "D_a": d_ref},
-                {"lambda": 3, "D_a": 6},
-                "PaperClosedForm",
-            )
-        )
-    return t
+def _t31_closed(a: float):
+    """The source rounds lambda to three decimals before squaring."""
+    lam = bc.sd_cloner_lambda_star(a * a)
+    return lam, 2 * round(lam, 3) ** 2
 
 
 _T32_PRINTED = {
@@ -308,46 +210,19 @@ _T32_PRINTED = {
 }
 
 
-def table_3_2(mode: str = "closed_form") -> TableResult:
-    """Inseparability / separability intervals per machine parameter."""
-    t = TableResult("3.2", "broadcasting intervals")
-    lams = list(_T32_PRINTED)
-    if mode == "simulate":
-        insep_all = bc.intervals_by_bisection(lams, "insep")
-        sep_all = bc.intervals_by_bisection(lams, "sep")
-        prov = "Simulation"
+def _t32_printed() -> list:
+    # the common interval is the printed inseparability interval
+    return [({"lambda": lam}, insep + sep + insep) for lam, (insep, sep) in _T32_PRINTED.items()]
+
+
+def _t32_intervals(inputs, simulate: bool) -> list:
+    """All rows at once: the bisection oracle bisects every interval end together."""
+    lams = [x["lambda"] for x in inputs]
+    if simulate:
+        insep, sep = (bc.intervals_by_bisection(lams, which) for which in ("insep", "sep"))
     else:
-        insep_all = [bc.insep_interval(lam) for lam in lams]
-        sep_all = [bc.sep_interval(lam) for lam in lams]
-        prov = "PaperClosedForm"
-    for lam, insep, sep in zip(lams, insep_all, sep_all):
-        (i_lo, i_hi), (s_lo, s_hi) = _T32_PRINTED[lam]
-        t.rows.append(
-            ReportRow(
-                {"lambda": lam},
-                {
-                    "insep_lo": insep.lo,
-                    "insep_hi": insep.hi,
-                    "sep_lo": sep.lo,
-                    "sep_hi": sep.hi,
-                    "common_lo": max(insep.lo, sep.lo),
-                    "common_hi": min(insep.hi, sep.hi),
-                },
-                {
-                    "insep_lo": i_lo,
-                    "insep_hi": i_hi,
-                    "sep_lo": s_lo,
-                    "sep_hi": s_hi,
-                    "common_lo": i_lo,
-                    "common_hi": i_hi,
-                },
-                dict.fromkeys(
-                    ("insep_lo", "insep_hi", "sep_lo", "sep_hi", "common_lo", "common_hi"), 5
-                ),
-                prov,
-            )
-        )
-    return t
+        insep, sep = [bc.insep_interval(x) for x in lams], [bc.sep_interval(x) for x in lams]
+    return [(i.lo, i.hi, s.lo, s.hi, max(i.lo, s.lo), min(i.hi, s.hi)) for i, s in zip(insep, sep)]
 
 
 _T33_PRINTED = {
@@ -363,29 +238,19 @@ _T33_PRINTED = {
 }
 
 
-def table_3_3(mode: str = "closed_form") -> TableResult:
-    """Broadcast fidelity at the input-tuned machine parameter."""
-    t = TableResult("3.3", "broadcast fidelity")
-    for a, f_ref in _T33_PRINTED.items():
-        lam = round(bc.sd_cloner_lambda_star(a * a), 3)
-        if mode == "simulate":
-            mats = bc.broadcast_channel_matrices((a, math.sqrt(1 - a * a)), lam)
-            psi = bc.input_ket((a, math.sqrt(1 - a * a)))
-            f = float(np.real(psi.amps.conj() @ mats["AB'"] @ psi.amps))
-            prov = "Simulation"
-        else:
-            f = bc.broadcast_fidelity(a * a, lam)
-            prov = "PaperClosedForm"
-        t.rows.append(
-            ReportRow(
-                {"alpha": a, "lambda": lam},
-                {"F": f},
-                {"F": f_ref},
-                {"F": 2},
-                prov,
-            )
-        )
-    return t
+def _t33_printed() -> list:
+    """Rows at the input-tuned machine parameter, rounded to three decimals."""
+    return [
+        ({"alpha": a, "lambda": round(bc.sd_cloner_lambda_star(a * a), 3)}, (f_ref,))
+        for a, f_ref in _T33_PRINTED.items()
+    ]
+
+
+def _t33_sim(a: float, lam: float):
+    amps = (a, math.sqrt(1 - a * a))
+    mats = bc.broadcast_channel_matrices(amps, lam)
+    psi = bc.input_ket(amps)
+    return (float(np.real(psi.amps.conj() @ mats["AB'"] @ psi.amps)),)
 
 
 _T41_PRINTED = {
@@ -420,52 +285,86 @@ _T42_PRINTED = {
 _LIMIT_INPUT = deleters.real_inputs([0.3])  # the simulated deletion input, alpha^2 = 0.3
 
 
-def _limit_table(table_id: str, n_transformers: int, printed, mode: str) -> TableResult:
-    t = TableResult(table_id, f"deletion limits, {n_transformers} transformer(s)")
-    eps = 1e-6
-    for m1sq, (f_pos_ref, f_neg_ref) in printed.items():
-        m1 = math.sqrt(m1sq)
-        m2 = math.sqrt(1 - m1sq)
-        out = {}
-        for sign, label in ((1.0, "F_pos"), (-1.0, "F_neg")):
-            blank = BlankState(m1, sign * m2)
-            if mode == "simulate":
-                spec = DeleterSpec("conv", (0.5 - eps, blank))
-                out[label] = float(deleters.delete_reports(spec, _LIMIT_INPUT, n_transformers).F_2[0])
-            else:
-                out[label] = deleters.limiting_deletion_fidelity(n_transformers, blank)
-        prov = "Simulation" if mode == "simulate" else "PaperClosedForm"
-        t.rows.append(
-            ReportRow(
-                {"m1sq": m1sq},
-                out,
-                {"F_pos": f_pos_ref, "F_neg": f_neg_ref},
-                {"F_pos": 2, "F_neg": 2},
-                prov,
-            )
-        )
-    return t
+@functools.lru_cache(maxsize=None)
+def _limit_blanks(m1sq: float):
+    """The blanks m1|0> + m2|1> and m1|0> - m2|1> with m1^2 = m1sq, built
+    once per printed m1sq (a BlankState is immutable)."""
+    m1, m2 = math.sqrt(m1sq), math.sqrt(1 - m1sq)
+    return BlankState(m1, m2), BlankState(m1, -m2)
 
 
-def table_4_1(mode: str = "closed_form") -> TableResult:
-    return _limit_table("4.1", 1, _T41_PRINTED, mode)
+def _limit_fidelities(n_transformers: int, m1sq: float, simulate: bool):
+    """(F_pos, F_neg): the lambda -> 1/2 deletion fidelities of the two blanks."""
+    out = []
+    for blank in _limit_blanks(m1sq):
+        if simulate:
+            spec = DeleterSpec("conv", (0.5 - 1e-6, blank))
+            out.append(float(deleters.delete_reports(spec, _LIMIT_INPUT, n_transformers).F_2[0]))
+        else:
+            out.append(deleters.limiting_deletion_fidelity(n_transformers, blank))
+    return tuple(out)
 
 
-def table_4_2(mode: str = "closed_form") -> TableResult:
-    return _limit_table("4.2", 2, _T42_PRINTED, mode)
+def _limit_table(n_transformers: int, printed: Callable) -> _Table:
+    def fidelities(simulate: bool):
+        return _rowwise(lambda m1sq: _limit_fidelities(n_transformers, m1sq, simulate))
+
+    return _Table(
+        f"deletion limits, {n_transformers} transformer(s)", {"F_pos": 2, "F_neg": 2},
+        printed,
+        fidelities(False),
+        fidelities(True),
+    )
 
 
 _TABLES = {
-    "2.1": table_2_1,
-    "2.2": table_2_2,
-    "2.3": table_2_3,
-    "2.4": table_2_4,
-    "3.1": table_3_1,
-    "3.2": table_3_2,
-    "3.3": table_3_3,
-    "4.1": table_4_1,
-    "4.2": table_4_2,
+    "2.1": _Table(
+        "asymmetric copier fidelities", {"F1": 2, "F2": 2, "diff": 2},
+        lambda: _keyed("p", _T21_PRINTED),
+        _rowwise(lambda p: _with_diff(*pauli_fidelities(p))),
+        _rowwise(_pauli_sim),
+    ),
+    "2.2": _Table(
+        "state-dependent hybrid quality", {"lambda_lo": 3, "xi_hi": 4, "D_min": 2, "F": 2},
+        lambda: _keyed("alpha2", _T22_PRINTED),
+        _rowwise(_t22_closed),
+        _rowwise(_t22_sim),
+    ),
+    "2.3": _Table(
+        "asymmetric hybrid fidelities", {"F1": 2, "F2": 2},
+        _t23_printed,
+        _rowwise(lambda p, lam: hybrid.bh_pauli_table(p, lam)),
+        _rowwise(lambda p, lam: _hybrid_sim(MachineSpec("pauli-asym", (p,)), _BH_OPT, lam)),
+    ),
+    "2.4": _Table(
+        "hybrid anti-copier fidelities", {"F_a": 2, "F_b": 2, "diff": 2},
+        lambda: _keyed("lambda", _T24_PRINTED),
+        _rowwise(lambda lam: _with_diff(*hybrid.bh_anti_hybrid(lam))),
+        _rowwise(lambda lam: _with_diff(*_hybrid_sim(_BH_OPT, MachineSpec("anti"), lam))),
+    ),
+    "3.1": _Table(
+        "state-dependent copier quality", {"lambda": 3, "D_a": 6},
+        lambda: [({"alpha": a}, _T31_PRINTED[a]) for a in _T31_ALPHAS],
+        _rowwise(_t31_closed),
+    ),
+    "3.2": _Table(
+        "broadcasting intervals",
+        dict.fromkeys(("insep_lo", "insep_hi", "sep_lo", "sep_hi", "common_lo", "common_hi"), 5),
+        _t32_printed,
+        lambda inputs: _t32_intervals(inputs, False),
+        lambda inputs: _t32_intervals(inputs, True),
+    ),
+    "3.3": _Table(
+        "broadcast fidelity", {"F": 2},
+        _t33_printed,
+        _rowwise(lambda a, lam: (bc.broadcast_fidelity(a * a, lam),)),
+        _rowwise(_t33_sim),
+    ),
+    "4.1": _limit_table(1, lambda: _keyed("m1sq", _T41_PRINTED)),
+    "4.2": _limit_table(2, lambda: _keyed("m1sq", _T42_PRINTED)),
 }
+
+TABLE_IDS = tuple(_TABLES)
 
 
 def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
@@ -473,4 +372,14 @@ def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
         raise KeyError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
     if mode not in ("closed_form", "simulate"):
         raise ValueError("mode must be closed_form or simulate")
-    return _TABLES[table_id](mode)
+    table = _TABLES[table_id]
+    simulated = mode == "simulate" and table.simulate is not None
+    provenance = "Simulation" if simulated else "PaperClosedForm"
+    printed = table.printed()
+    outputs = (table.simulate if simulated else table.closed_form)([x for x, _ in printed])
+    cols = tuple(table.decimals)
+    rows = [
+        ReportRow(x, dict(zip(cols, out)), dict(zip(cols, ref)), table.decimals, provenance)
+        for (x, ref), out in zip(printed, outputs)
+    ]
+    return TableResult(table_id, table.title, rows)

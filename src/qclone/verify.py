@@ -195,13 +195,18 @@ def check_ying_indices() -> CheckResult:
 # criterion 5: tables 2.1-2.4
 
 
+def _unmatched_tables(table_ids, modes=("closed_form", "simulate")) -> List[str]:
+    """A failure label per table and mode whose cells miss their printed values."""
+    return [
+        f"table {tid} ({mode})"
+        for tid in table_ids
+        for mode in modes
+        if not tables.generate_table(tid, mode).all_match()
+    ]
+
+
 def check_tables_ch2() -> CheckResult:
-    failures = []
-    for tid in ("2.1", "2.2", "2.3", "2.4"):
-        for mode in ("closed_form", "simulate"):
-            t = tables.generate_table(tid, mode)
-            if not t.all_match():
-                failures.append(f"table {tid} ({mode})")
+    failures = _unmatched_tables(("2.1", "2.2", "2.3", "2.4"))
     return CheckResult(
         "tables 2.1-2.4 reproduced at printed precision",
         not failures,
@@ -247,10 +252,7 @@ def check_broadcast_intervals() -> CheckResult:
         failures.append("inseparable bisection")
     if max(abs(sb.lo - sv.lo), abs(sb.hi - sv.hi)) > 1e-6:
         failures.append("separable bisection")
-    for tid in ("3.1", "3.2", "3.3"):
-        t = tables.generate_table(tid)
-        if not t.all_match():
-            failures.append(f"table {tid}")
+    failures += _unmatched_tables(("3.1", "3.2", "3.3"), ("closed_form",))
     if abs(bc.avg_broadcast_fidelity(1 / 6) - 67 / 108) > TOL:
         failures.append("average broadcast fidelity")
     notes = [
@@ -450,10 +452,7 @@ def check_deletion() -> CheckResult:
             y = deleters.conv_max_y(lam)
             if np.std(overlaps) > TOL or abs(overlaps[0] - y * y) > 1e-7:
                 failures.append(f"machine overlap != Y^2 at lam={lam}")
-    for tid in ("4.1", "4.2"):
-        for mode in ("closed_form", "simulate"):
-            if not tables.generate_table(tid, mode).all_match():
-                failures.append(f"table {tid} ({mode})")
+    failures += _unmatched_tables(("4.1", "4.2"))
     # limits at the half blank with monotone convergence
     blank = BlankState(1 / math.sqrt(2), 1 / math.sqrt(2))
     devs = []

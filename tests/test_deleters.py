@@ -330,6 +330,50 @@ def test_song_optimal_fidelity():
         deleters.song_optimal_fidelity(1.5, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "angles", [(math.nan, 0.0, 0.0), (0.1, math.inf, 0.0), (0.1, 0.0, -math.inf)]
+)
+def test_song_optimal_fidelity_rejects_non_finite_angles(angles):
+    # max(0.0, nan) is 0.0, so a NaN angle once gave a valid-looking 0.5
+    with pytest.raises(ValueError, match="must be finite"):
+        deleters.song_optimal_fidelity(0.5, *angles)
+
+
+BLANK_EVALUATORS = {
+    "table_41_fidelity": deleters.table_41_fidelity,
+    "table_42_fidelity": deleters.table_42_fidelity,
+    "pb_transformer_fidelity": lambda m1, m2: deleters.pb_transformer_fidelity(m1, m2, 0.3),
+}
+
+
+@pytest.mark.parametrize("blank", [(2.0, 0.0), (math.nan, 0.5), (0.6, 0.6), (0.6, math.inf)])
+@pytest.mark.parametrize("fn", BLANK_EVALUATORS.values(), ids=BLANK_EVALUATORS.keys())
+def test_blank_amplitude_evaluators_reject_an_invalid_blank(fn, blank):
+    with pytest.raises(ValueError, match="blank state must satisfy"):
+        fn(*blank)
+
+
+@pytest.mark.parametrize("fn", BLANK_EVALUATORS.values(), ids=BLANK_EVALUATORS.keys())
+def test_blank_amplitude_evaluators_accept_normalized_blanks(fn):
+    for m1 in (0.0, 0.3, 1.0):
+        for sign in (1.0, -1.0):
+            assert math.isfinite(fn(m1, sign * math.sqrt(1 - m1 * m1)))
+
+
+@pytest.mark.parametrize("overlap", [1.5, -1.0000001, math.nan])
+def test_sdep_closed_forms_reject_a_blank_overlap_outside_unit_interval(overlap):
+    with pytest.raises(ValueError, match=r"blank overlap must lie in \[-1, 1\], got"):
+        deleters.sdep_averages(*deleters.SDEP_EXAMPLE, overlap)
+    with pytest.raises(ValueError, match=r"blank overlap must lie in \[-1, 1\], got"):
+        deleters.sdep_pointwise(*deleters.SDEP_EXAMPLE, overlap, 0.3)
+
+
+def test_sdep_closed_forms_accept_blank_overlap_ends():
+    for overlap in (-1.0, 0.0, 1.0):
+        assert np.all(np.isfinite(deleters.sdep_averages(*deleters.SDEP_EXAMPLE, overlap)))
+        assert np.all(np.isfinite(deleters.sdep_pointwise(*deleters.SDEP_EXAMPLE, overlap, 0.3)))
+
+
 def test_sdep_averages_and_quadrature():
     a0, a1, b0, b1 = math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2
     d_avg, f_avg = deleters.sdep_averages(a0, a1, b0, b1, 0.0)
