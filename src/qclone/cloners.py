@@ -128,16 +128,9 @@ def build_bh(xi: float) -> MachineIsometry:
 
 
 def build_bh_opt() -> MachineIsometry:
-    """Optimal universal 1->2 copier, machine spanned by two orthogonal kets."""
-    psi_plus = bell_state("psi+")
-    cols = np.zeros((8, 2), dtype=complex)
-    cols[:, 0] = math.sqrt(2 / 3) * kron_all(ket(0), ket(0), ket(0)) + math.sqrt(1 / 3) * np.kron(
-        psi_plus, ket(1)
-    )
-    cols[:, 1] = math.sqrt(2 / 3) * kron_all(ket(1), ket(1), ket(1)) + math.sqrt(1 / 3) * np.kron(
-        psi_plus, ket(0)
-    )
-    return MachineIsometry((2,), (2, 2, 2), cols)
+    """Optimal universal 1->2 copier, machine spanned by two orthogonal kets:
+    the M = 2 universal copier."""
+    return build_gm_1m(2)
 
 
 def build_gm_1m(m_copies: int) -> MachineIsometry:
@@ -154,22 +147,24 @@ def build_gm_1m(m_copies: int) -> MachineIsometry:
     return MachineIsometry((2,), (2,) * M + (M,), cols)
 
 
+def _one_to_two_copier(d: int, a: float, b: float, c: float) -> MachineIsometry:
+    """The 1->2 copier |j> -> a|jj>|j> + sum_{k != j} (b|jk> + c|kj>)|k>;
+    symmetric for b = c."""
+    diag = np.arange(d)
+    j, k = np.nonzero(~np.eye(d, dtype=bool))  # every pair k != j
+    cols = np.zeros((d, d, d, d), dtype=complex)  # clone, clone, machine, input
+    cols[diag, diag, diag, diag] = a
+    cols[j, k, k, j] = b
+    cols[k, j, k, j] = c
+    return MachineIsometry((d,), (d, d, d), cols.reshape(d**3, d))
+
+
 def build_uqcm_d(d: int) -> MachineIsometry:
     """Universal symmetric 1->2 copier in d dimensions."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    a = math.sqrt(2 / (d + 1))
     b = math.sqrt(1 / (2 * (d + 1)))
-    cols = np.zeros((d * d * d, d), dtype=complex)
-    for i in range(d):
-        col = a * kron_all(ket(i, d), ket(i, d), ket(i, d))
-        for j in range(d):
-            if j == i:
-                continue
-            pair = np.kron(ket(i, d), ket(j, d)) + np.kron(ket(j, d), ket(i, d))
-            col += b * np.kron(pair, ket(j, d))
-        cols[:, i] = col
-    return MachineIsometry((d,), (d, d, d), cols)
+    return _one_to_two_copier(d, math.sqrt(2 / (d + 1)), b, b)
 
 
 def build_pc2() -> MachineIsometry:
@@ -189,28 +184,20 @@ def build_pc_d(d: int) -> MachineIsometry:
     root = math.sqrt(d * d + 4 * d - 4)
     alpha = math.sqrt(0.5 - (d - 2) / (2 * root))
     beta = math.sqrt(0.5 + (d - 2) / (2 * root))
-    cols = np.zeros((d * d * d, d), dtype=complex)
-    for j in range(d):
-        col = alpha * kron_all(ket(j, d), ket(j, d), ket(j, d))
-        for k in range(d):
-            if k == j:
-                continue
-            pair = np.kron(ket(j, d), ket(k, d)) + np.kron(ket(k, d), ket(j, d))
-            col += beta / math.sqrt(2 * (d - 1)) * np.kron(pair, ket(k, d))
-        cols[:, j] = col
-    return MachineIsometry((d,), (d, d, d), cols)
+    b = beta / math.sqrt(2 * (d - 1))
+    return _one_to_two_copier(d, alpha, b, b)
+
+
+def _kr_nu(mu: float) -> float:
+    """nu = sqrt(1 - 2 mu^2) of the KR copier; mu^2 may exceed 1/2 by 1e-12."""
+    if not mu**2 <= 0.5 + 1e-12:  # NaN fails
+        raise ValueError("mu^2 must be <= 1/2")
+    return math.sqrt(max(0.0, 1 - 2 * mu**2))
 
 
 def build_kr(mu: float) -> MachineIsometry:
     """Karimipour-Rezakhani copier with parameter mu (nu = sqrt(1-2mu^2))."""
-    if not mu**2 <= 0.5 + 1e-12:  # NaN fails
-        raise ValueError("mu^2 must be <= 1/2")
-    nu = math.sqrt(max(0.0, 1 - 2 * mu**2))
-    s01 = np.kron(ket(0), ket(1)) + np.kron(ket(1), ket(0))
-    cols = np.zeros((8, 2), dtype=complex)
-    cols[:, 0] = nu * kron_all(ket(0), ket(0), ket(0)) + mu * np.kron(s01, ket(1))
-    cols[:, 1] = nu * kron_all(ket(1), ket(1), ket(1)) + mu * np.kron(s01, ket(0))
-    return MachineIsometry((2,), (2, 2, 2), cols)
+    return _one_to_two_copier(2, _kr_nu(mu), mu, mu)
 
 
 def build_econ(d: int = 2, blank: int = 0) -> MachineIsometry:
@@ -232,22 +219,7 @@ def build_econ(d: int = 2, blank: int = 0) -> MachineIsometry:
 
 def build_pauli_asym(p: float) -> MachineIsometry:
     """Asymmetric 1->2 copier; p + q = 1 trades quality between the clones."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    q = 1.0 - p
-    norm = math.sqrt(1 + p**2 + q**2)
-    cols = np.zeros((8, 2), dtype=complex)
-    cols[:, 0] = (
-        kron_all(ket(0), ket(0), ket(0))
-        + p * kron_all(ket(0), ket(1), ket(1))
-        + q * kron_all(ket(1), ket(0), ket(1))
-    ) / norm
-    cols[:, 1] = (
-        kron_all(ket(1), ket(1), ket(1))
-        + p * kron_all(ket(1), ket(0), ket(0))
-        + q * kron_all(ket(0), ket(1), ket(0))
-    ) / norm
-    return MachineIsometry((2,), (2, 2, 2), cols)
+    return build_heis_asym(2, p)
 
 
 def build_heis_asym(d: int, p: float) -> MachineIsometry:
@@ -257,16 +229,8 @@ def build_heis_asym(d: int, p: float) -> MachineIsometry:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     q = 1.0 - p
-    norm = math.sqrt(1 + (d - 1) * (p**2 + q**2))
-    cols = np.zeros((d**3, d), dtype=complex)
-    for j in range(d):
-        col = kron_all(ket(j, d), ket(j, d), ket(j, d)).astype(complex)
-        for s in range(1, d):
-            js = (j + s) % d
-            col += p * kron_all(ket(j, d), ket(js, d), ket(js, d))
-            col += q * kron_all(ket(js, d), ket(j, d), ket(js, d))
-        cols[:, j] = col / norm
-    return MachineIsometry((d,), (d, d, d), cols)
+    scale = 1 / math.sqrt(1 + (d - 1) * (p**2 + q**2))
+    return _one_to_two_copier(d, scale, p * scale, q * scale)
 
 
 def build_anti() -> MachineIsometry:
@@ -311,6 +275,14 @@ def _antisymmetric_sector_state(M: int, n_ones: int) -> np.ndarray:
     return np.kron(singlet, rest)
 
 
+def _mixed_column(M: int, j: int, sector_state) -> np.ndarray:
+    """sum_k alpha_{jk} |sector_state(M, j + k)>|k> of the 2->M copier."""
+    col = np.zeros(2**M * (M - 1), dtype=complex)
+    for k in range(M - 1):
+        col += _mixed_alpha(j, k, M) * np.kron(sector_state(M, j + k), ket(k, M - 1))
+    return col
+
+
 def build_mixed_2m(m_copies: int) -> MachineIsometry:
     """2->M copier for two identical (possibly mixed) qubits.
 
@@ -321,23 +293,11 @@ def build_mixed_2m(m_copies: int) -> MachineIsometry:
     M = int(m_copies)
     if not 3 <= M <= 6:
         raise ValueError("2->M copier is built explicitly only for 3 <= M <= 6")
-    mdim = M - 1
-    dim_out = 2**M * mdim
-    sym_cols = {}
-    for j in range(3):
-        col = np.zeros(dim_out, dtype=complex)
-        for k in range(M - 1):
-            col += _mixed_alpha(j, k, M) * np.kron(symmetric_basis_state(M, j + k), ket(k, mdim))
-        sym_cols[j] = col
-    anti = np.zeros(dim_out, dtype=complex)
-    for k in range(M - 1):
-        anti += _mixed_alpha(1, k, M) * np.kron(_antisymmetric_sector_state(M, 1 + k), ket(k, mdim))
-    cols = np.zeros((dim_out, 4), dtype=complex)
-    cols[:, 0] = sym_cols[0]
-    cols[:, 3] = sym_cols[2]
-    cols[:, 1] = (sym_cols[1] + anti) / math.sqrt(2)
-    cols[:, 2] = (sym_cols[1] - anti) / math.sqrt(2)
-    return MachineIsometry((2, 2), (2,) * M + (mdim,), cols)
+    sym_0, sym_1, sym_2 = (_mixed_column(M, j, symmetric_basis_state) for j in range(3))
+    anti = _mixed_column(M, 1, _antisymmetric_sector_state)
+    root2 = math.sqrt(2)
+    cols = np.stack([sym_0, (sym_1 + anti) / root2, (sym_1 - anti) / root2, sym_2], axis=1)
+    return MachineIsometry((2, 2), (2,) * M + (M - 1,), cols)
 
 
 def build_mixed_23() -> MachineIsometry:
@@ -345,15 +305,8 @@ def build_mixed_23() -> MachineIsometry:
 
     Input basis order: |2 up>, (|ud>+|du>)/sqrt2, |2 down>.
     """
-    M = 3
-    mdim = 2
-    cols = np.zeros((2**M * mdim, 3), dtype=complex)
-    for j in range(3):
-        for k in range(M - 1):
-            cols[:, j] += _mixed_alpha(j, k, M) * np.kron(
-                symmetric_basis_state(M, j + k), ket(k, mdim)
-            )
-    return MachineIsometry((3,), (2,) * M + (mdim,), cols)
+    cols = np.stack([_mixed_column(3, j, symmetric_basis_state) for j in range(3)], axis=1)
+    return MachineIsometry((3,), (2, 2, 2, 2), cols)
 
 
 # family -> (builder, the `qclone clone` options that supply its parameters,
@@ -660,8 +613,10 @@ def econ_fidelity(d: int) -> float:
 
 def kr_fidelity(mu: float, theta: float) -> float:
     """Fidelity of the KR copier on cos(t/2)|0> + e^{i phi} sin(t/2)|1>."""
+    root = mu * _kr_nu(mu)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     mu2 = mu**2
-    root = mu * math.sqrt(max(0.0, 1 - 2 * mu2))
     cos2 = math.cos(theta) ** 2
     return 0.5 + root + ((1 - 2 * mu2) / 2 - root) * cos2
 

@@ -273,6 +273,19 @@ def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     return StateVector(machine.out_dims, _transform(machine.matrix @ state.amps, n_transformers))
 
 
+def _marginal_fidelities(spec: DeleterSpec, psi: np.ndarray, n_transformers: int):
+    """(output kets, rho_1, rho_2, F_1, F_2) of deleting one copy of psi from
+    psi x psi for every ket of an (n, 2) stack."""
+    machine = build_deleter(spec)
+    pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
+    kets = _transform(pairs @ machine.matrix.T, n_transformers)
+    rho_1, rho_2 = qubit_marginals(kets, machine.out_dims)
+    target = deletion_target(spec)
+    f1 = (psi.conj()[:, None, :] @ rho_1 @ psi[:, :, None])[:, 0, 0].real
+    f2 = (target.conj() @ rho_2 @ target).real
+    return kets, rho_1, rho_2, f1, f2
+
+
 def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> DeletionReports:
     """Delete one copy of psi from psi x psi for every single-qubit ket psi
     of an (n, 2) stack, and report the per-input fidelities in one pass.
@@ -284,17 +297,12 @@ def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> Deletion
     psi = np.asarray(amps, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 2 or not len(psi):
         raise ValueError(f"inputs of shape {psi.shape} are not an (n, 2) stack of qubit kets, n >= 1")
-    pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
-    kets = _transform(pairs @ machine.matrix.T, n_transformers)
-    rho_1, rho_2 = qubit_marginals(kets, machine.out_dims)
+    kets, rho_1, rho_2, f1, f2 = _marginal_fidelities(spec, psi, n_transformers)
     rho_3 = overlap_m = None
     if len(machine.out_dims) > 2:
         rho_3 = reduce_ket(kets, machine.out_dims, [2])
         check_densities(rho_3)
         overlap_m = (a_vec.conj() @ rho_3 @ a_vec).real
-    target = deletion_target(spec)
-    f1 = (psi.conj()[:, None, :] @ rho_1 @ psi[:, :, None])[:, 0, 0].real
-    f2 = (target.conj() @ rho_2 @ target).real
     return DeletionReports(rho_1, rho_2, rho_3, f1, f2, overlap_m)
 
 
@@ -343,15 +351,9 @@ def qubit_marginals(kets: np.ndarray, dims):
 @spec_cache
 def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
     """Quadrature averages of (F_1, F_2) over alpha^2 for real amplitudes,
-    all 64 nodes in one batched pass; computed once per (spec, count)."""
-    machine = build_deleter(spec)
-    psi = real_inputs(GL_ALPHA2)
-    pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
-    kets = _transform(pairs @ machine.matrix.T, n_transformers)
-    rho_1, rho_2 = qubit_marginals(kets, machine.out_dims)
-    target = deletion_target(spec)
-    f1 = np.einsum("na,nab,nb->n", psi, rho_1, psi).real
-    f2 = (target.conj() @ rho_2 @ target).real
+    all 64 nodes in one batched pass, the one :func:`delete_reports` makes
+    without the machine marginal; computed once per (spec, count)."""
+    f1, f2 = _marginal_fidelities(spec, real_inputs(GL_ALPHA2), n_transformers)[3:]
     return float(GL_WEIGHTS @ f1), float(GL_WEIGHTS @ f2)
 
 

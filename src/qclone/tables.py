@@ -120,14 +120,6 @@ def _t22_closed(a2: float):
     return max(0.0, 1 - 9 * ab2 / 2), 0.75 * ab2, 2 * ab2 - 4.5 * ab2**2, 1 - 0.75 * ab2
 
 
-def _t22_sim(a2: float):
-    """The joint-output distortion and fidelity at an admissible point."""
-    lam_lo, xi_hi, _, _ = _t22_closed(a2)
-    lam = (lam_lo + 1) / 2 if lam_lo > 0 else 0.9
-    xi = hybrid.bhbh_state_dependent(a2, lam)[0]
-    return lam_lo, xi_hi, hybrid.dab_two_mode(a2, xi, 1 / 6, lam), hybrid.f_hcm(a2, xi, 1 / 6, lam)
-
-
 _T23_PRINTED = {
     # p: (F1 at lam 0.1, F1 at 0.9, F2 at 0.1, F2 at 0.9)
     0.0: (0.80, 0.53, 0.85, 0.98),
@@ -328,7 +320,6 @@ _TABLES = {
         "state-dependent hybrid quality", {"lambda_lo": 3, "xi_hi": 4, "D_min": 2, "F": 2},
         lambda: _keyed("alpha2", _T22_PRINTED),
         _rowwise(_t22_closed),
-        _rowwise(_t22_sim),
     ),
     "2.3": _Table(
         "asymmetric hybrid fidelities", {"F1": 2, "F2": 2},

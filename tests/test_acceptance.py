@@ -102,6 +102,19 @@ def test_closed_form_and_simulated_tables_agree(table_id):
             assert abs(value - s.outputs[key]) <= tol, (c.inputs, key)
 
 
+def test_only_the_closed_form_tables_keep_their_provenance_in_simulate_mode():
+    # tables 2.2 and 3.1 have no simulation; every other table builds a machine
+    provenance = {
+        table_id: {r.provenance for r in tables.generate_table(table_id, "simulate").rows}
+        for table_id in tables.TABLE_IDS
+    }
+    closed_only = {"2.2", "3.1"}
+    assert provenance == {
+        table_id: {"PaperClosedForm" if table_id in closed_only else "Simulation"}
+        for table_id in tables.TABLE_IDS
+    }
+
+
 def test_c08_closed_form_vs_simulation_grid():
     result = verify.check_broadcast_equivalence()
     assert result.passed, result.detail

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,89 @@ def test_kr_against_closed_form():
     f_star = cloners.kr_fidelity(mu_star, theta)
     for mu in (mu_star - 0.02, mu_star + 0.02):
         assert cloners.kr_fidelity(mu, theta) <= f_star + 1e-12
+
+
+@pytest.mark.parametrize("mu", [2.0, 0.9, -0.9, math.sqrt(0.5) + 1e-9, math.nan, math.inf])
+def test_kr_fidelity_and_build_kr_reject_the_same_mu(mu):
+    for reject in (cloners.build_kr, lambda mu: cloners.kr_fidelity(mu, 0.0)):
+        with pytest.raises(ValueError, match=re.escape("mu^2 must be <= 1/2")):
+            reject(mu)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_kr_fidelity_rejects_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        cloners.kr_fidelity(0.5, theta)
+
+
+def test_kr_fidelity_accepts_the_end_of_the_mu_range():
+    # nu = 0 (within build_kr's 1e-12 slack): F = 1/2 at every angle
+    for mu in (math.sqrt(0.5), -math.sqrt(0.5), math.sqrt(0.5 + 1e-13)):
+        cloners.build_kr(mu)
+        assert abs(cloners.kr_fidelity(abs(mu), 0.0) - 0.5) < 1e-9
+
+
+def _optimal_universal_qubit_copier() -> np.ndarray:
+    """|j> -> sqrt(2/3)|jj>|j> + sqrt(1/6)(|jk> + |kj>)|k>, written out."""
+    cols = np.zeros((8, 2), dtype=complex)
+    for j, k in ((0, 1), (1, 0)):
+        pair = kron_all(ket(j), ket(k), ket(k)) + kron_all(ket(k), ket(j), ket(k))
+        cols[:, j] = math.sqrt(2 / 3) * kron_all(ket(j), ket(j), ket(j)) + math.sqrt(1 / 6) * pair
+    return cols
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MachineSpec("bh-opt"),
+        MachineSpec("gm-1m", (2,)),
+        MachineSpec("uqcm-d", (2,)),
+        MachineSpec("kr", (1 / math.sqrt(6),)),
+        MachineSpec("heis-asym", (2, 0.5)),
+    ],
+    ids=str,
+)
+def test_optimal_universal_copier_is_a_point_of_five_families(spec):
+    machine = build_machine(spec)
+    assert machine.in_dims == (2,) and machine.out_dims == (2, 2, 2)
+    assert np.max(np.abs(machine.matrix - _optimal_universal_qubit_copier())) <= 1e-15
+    assert np.max(np.abs(machine.matrix - build_machine(MachineSpec("bh-opt")).matrix)) <= 1e-15
+
+
+def test_pc2_is_kr_at_one_half():
+    assert np.array_equal(cloners.build_pc2().matrix, cloners.build_kr(0.5).matrix)
+
+
+@pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 11))
+def test_pauli_asym_is_heis_asym_in_two_dimensions(p):
+    machine = cloners.build_pauli_asym(p)
+    assert np.array_equal(machine.matrix, cloners.build_heis_asym(2, p).matrix)
+    # the Pauli form written out: |j> -> (|jjj> + p|jkk> + q|kjk>) / sqrt(1 + p^2 + q^2)
+    q = 1 - p
+    expected = np.zeros((8, 2), dtype=complex)
+    for j, k in ((0, 1), (1, 0)):
+        expected[:, j] = (
+            kron_all(ket(j), ket(j), ket(j))
+            + p * kron_all(ket(j), ket(k), ket(k))
+            + q * kron_all(ket(k), ket(j), ket(k))
+        ) / math.sqrt(1 + p**2 + q**2)
+    assert np.max(np.abs(machine.matrix - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "build, param, message",
+    [
+        (cloners.build_uqcm_d, -1, "dimension must be >= 2"),
+        (cloners.build_uqcm_d, 1, "dimension must be >= 2"),
+        (cloners.build_pc_d, 1, "dimension must be >= 2"),
+        (cloners.build_pc_d, 0, "dimension must be >= 2"),
+        (cloners.build_pauli_asym, 1.5, "p must lie in [0, 1]"),
+        (cloners.build_pauli_asym, math.nan, "p must lie in [0, 1]"),
+    ],
+)
+def test_shared_builders_check_each_family_domain_first(build, param, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(param)
 
 
 def test_mixed_2m_scaling_law():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qclone import hybrid
+from qclone import hybrid, tables
 from qclone.cloners import MachineSpec
 from qclone.hybrid import HybridSpec, hybrid_machine
 from qclone.measures import overlap
@@ -123,6 +123,17 @@ def test_bhbh_state_dependent():
             # local minimum in xi
             assert d_at <= hybrid.dab_two_mode(a2, xi + 0.01, 1 / 6, lam) + 1e-12
             assert d_at <= hybrid.dab_two_mode(a2, max(0, xi - 0.01), 1 / 6, lam) + 1e-12
+    # the five table 2.2 rows, each inside its admissible range: halfway
+    # from its lower end to 1, or at 0.9 where the range is all of (0, 1]
+    for row in tables.generate_table("2.2").rows:
+        a2, lam_lo = row.inputs["alpha2"], row.outputs["lambda_lo"]
+        lam = (lam_lo + 1) / 2 if lam_lo > 0 else 0.9
+        xi = hybrid.bhbh_state_dependent(a2, lam)[0]
+        d_at = hybrid.dab_two_mode(a2, xi, 1 / 6, lam)
+        assert abs(d_at - row.outputs["D_min"]) < 1e-9
+        assert abs(hybrid.f_hcm(a2, xi, 1 / 6, lam) - row.outputs["F"]) < 1e-9
+        assert d_at <= hybrid.dab_two_mode(a2, xi + 0.01, 1 / 6, lam) + 1e-12
+        assert d_at <= hybrid.dab_two_mode(a2, max(0, xi - 0.01), 1 / 6, lam) + 1e-12
     # illustration: alpha^2 = 0.1, lambda = 0.6 -> xi about 0.0014, F = 0.93
     xi, _, f, rng = hybrid.bhbh_state_dependent(0.1, 0.6)
     assert abs(xi - 0.0014) < 1e-4
