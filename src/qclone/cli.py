@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -39,18 +40,13 @@ def _render(rows, meta, fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
     keys = list(rows[0].keys()) if rows else []
+    lines = [keys] + [[_fmt_cell(row[k]) for k in keys] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt_cell(v) for k, v in row.items()})
+        csv.writer(buf, lineterminator="\n").writerows(lines)
         return buf.getvalue()
-    widths = {k: max(len(k), *(len(_fmt_cell(r[k])) for r in rows)) for k in keys} if rows else {}
-    lines = ["  ".join(k.ljust(widths[k]) for k in keys)]
-    for row in rows:
-        lines.append("  ".join(_fmt_cell(row[k]).ljust(widths[k]) for k in keys))
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(map(str.ljust, line, widths)) + "\n" for line in lines)
 
 
 def _fmt_cell(v) -> str:
@@ -63,20 +59,7 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _machine_spec(args) -> MachineSpec:
-    _, options = FAMILIES[args.family]
-    return MachineSpec(args.family, tuple(getattr(args, name) for name in options))
-
-
-def cmd_table(args) -> int:
+def cmd_table(args):
     mode = args.mode
     run_modes = ("closed_form", "simulate") if mode == "both" else (mode,)
     tol = args.tol  # None -> one unit in the last printed digit
@@ -88,9 +71,7 @@ def cmd_table(args) -> int:
         t = tables.generate_table(args.id, m)
         for r in t.rows:
             flags = r.matches(tol)
-            row = {}
-            for k, v in r.inputs.items():
-                row[k] = v
+            row = dict(r.inputs)
             for k, v in r.outputs.items():
                 row[k] = v
                 if mode == "both":
@@ -98,11 +79,14 @@ def cmd_table(args) -> int:
                     row[f"{k}_match"] = flags[k]
             row["provenance"] = r.provenance
             rows.append(row)
-            if not r.all_match(tol):
-                mismatch = True
-    meta = {"version": __version__, "command": "table", "params": {"id": args.id, "mode": mode}}
-    _emit(_render(rows, meta, args.format), args.out)
-    return 1 if (mode == "both" and mismatch) else 0
+            mismatch |= not all(flags.values())
+    return {"id": args.id, "mode": mode}, rows, 1 if (mode == "both" and mismatch) else 0
+
+
+def _indices(rep) -> dict:
+    """The scalar fields of a clone or deletion report, in field order:
+    every field after its three marginals."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)[3:]}
 
 
 def _check_alpha2(alpha2: float) -> None:
@@ -110,11 +94,12 @@ def _check_alpha2(alpha2: float) -> None:
         raise ValueError(f"--alpha2 must lie in [0, 1], got {alpha2}")
 
 
-def cmd_clone(args) -> int:
+def cmd_clone(args):
     _check_alpha2(args.alpha2)
-    spec = _machine_spec(args)
+    _, options = FAMILIES[args.family]
+    spec = MachineSpec(args.family, tuple(getattr(args, name) for name in options))
     d = 2  # the input is a qubit unless the family takes --dim
-    if "dim" in FAMILIES[args.family][1]:
+    if "dim" in options:
         if args.dim < 2:
             raise ValueError(f"--dim must be >= 2 for family {args.family}, got {args.dim}")
         if args.dim > MAX_DIM:
@@ -136,26 +121,7 @@ def cmd_clone(args) -> int:
         amps[0] = math.sqrt(args.alpha2)
         amps[1] = math.sqrt(1 - args.alpha2)
     rep = clone_report(spec, StateVector((d,), amps))
-    rows = [
-        {
-            "family": spec.family,
-            "alpha2": params["alpha2"],
-            "F_a": rep.F_a,
-            "F_b": rep.F_b,
-            "D_a": rep.D_a,
-            "D_b": rep.D_b,
-            "D_ab1": rep.D_ab1,
-            "D_ab2": rep.D_ab2,
-            "D_ab3": rep.D_ab3,
-        }
-    ]
-    meta = {
-        "version": __version__,
-        "command": "clone",
-        "params": params,
-    }
-    _emit(_render(rows, meta, args.format), args.out)
-    return 0
+    return params, [{"family": spec.family, "alpha2": params["alpha2"], **_indices(rep)}], 0
 
 
 def _deleter_spec(args) -> DeleterSpec:
@@ -169,37 +135,20 @@ def _deleter_spec(args) -> DeleterSpec:
     return DeleterSpec(args.family, params[args.family])
 
 
-def cmd_delete(args) -> int:
+def cmd_delete(args):
     _check_alpha2(args.alpha2)
     spec = _deleter_spec(args)
     psi = StateVector((2,), [math.sqrt(args.alpha2), math.sqrt(1 - args.alpha2)])
     rep = deleters.delete_report(spec, psi, n_transformers=args.transformers)
-    rows = [
-        {
-            "family": args.family,
-            "alpha2": args.alpha2,
-            "transformers": args.transformers,
-            "F_1": rep.F_1,
-            "F_2": rep.F_2,
-            "machine_overlap": rep.machine_overlap,
-            "avg_F_1": rep.avg_F_1,
-            "avg_F_2": rep.avg_F_2,
-        }
-    ]
-    meta = {
-        "version": __version__,
-        "command": "delete",
-        "params": {
-            "family": args.family,
-            "alpha2": args.alpha2,
-            "transformers": args.transformers,
-        },
+    params = {
+        "family": args.family,
+        "alpha2": args.alpha2,
+        "transformers": args.transformers,
     }
-    _emit(_render(rows, meta, args.format), args.out)
-    return 0
+    return params, [{**params, **_indices(rep)}], 0
 
 
-def cmd_hybrid(args) -> int:
+def cmd_hybrid(args):
     if args.kind == "pauli":
         f1, f2 = hybrid.bh_pauli_table(args.p, args.lam)
         rows = [{"kind": "pauli", "p": args.p, "lambda": args.lam, "F1": f1, "F2": f2}]
@@ -235,12 +184,10 @@ def cmd_hybrid(args) -> int:
                 "F1_state_dependent": hybrid.bh_pc_hybrid_state_dependent(args.lam, args.alpha2),
             }
         ]
-    meta = {"version": __version__, "command": "hybrid", "params": vars_clean(args)}
-    _emit(_render(rows, meta, args.format), args.out)
-    return 0
+    return vars_clean(args), rows, 0
 
 
-def cmd_broadcast(args) -> int:
+def cmd_broadcast(args):
     lam = args.lam
     if args.interval:
         insep = bc.insep_interval(lam)
@@ -269,12 +216,10 @@ def cmd_broadcast(args) -> int:
                 "avg_F": bc.avg_broadcast_fidelity(lam),
             }
         ]
-    meta = {"version": __version__, "command": "broadcast", "params": vars_clean(args)}
-    _emit(_render(rows, meta, args.format), args.out)
-    return 0
+    return vars_clean(args), rows, 0
 
 
-def cmd_concat(args) -> int:
+def cmd_concat(args):
     cloner = MachineSpec("wz") if args.cloner == "wz" else MachineSpec("bh", (args.xi,))
     if args.deleter == "pb":
         dspec = DeleterSpec("pb")
@@ -294,12 +239,10 @@ def cmd_concat(args) -> int:
             "avg_F": avg_f,
         }
     ]
-    meta = {"version": __version__, "command": "concat", "params": vars_clean(args)}
-    _emit(_render(rows, meta, args.format), args.out)
-    return 0
+    return vars_clean(args), rows, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     results = verify.run(args.scope)
     rows = []
     for r in results:
@@ -316,10 +259,7 @@ def cmd_verify(args) -> int:
         for n in r.notes:
             print(f"       note: {n}", file=sys.stderr)
     s = verify.summary(results)
-    meta = {"version": __version__, "command": "verify", "params": {"scope": args.scope}}
-    meta["summary"] = s
-    _emit(_render(rows, meta, args.format), args.out)
-    return 0 if s["failed"] == 0 else 1
+    return {"scope": args.scope}, rows, 0 if s["failed"] == 0 else 1, s
 
 
 def vars_clean(args) -> dict:
@@ -334,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
 
-    def add_common(p):
+    def add_common(p, func):
         p.add_argument("--format", choices=FORMATS, default="pretty")
         p.add_argument("--out", help="write output to a file instead of stdout")
+        p.set_defaults(func=func)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=tables.TABLE_IDS)
     p.add_argument("--mode", choices=("closed_form", "simulate", "both"), default="both")
     p.add_argument("--tol", type=float, help="override the printed-precision matching tolerance")
-    add_common(p)
-    p.set_defaults(func=cmd_table)
+    add_common(p, cmd_table)
 
     p = sub.add_parser("clone", help="run a cloning machine on one input")
     p.add_argument("--family", required=True, choices=CLONE_FAMILIES)
@@ -357,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--copies", type=int, default=3)
     p.add_argument("--blank-index", type=int, default=0)
-    add_common(p)
-    p.set_defaults(func=cmd_clone)
+    add_common(p, cmd_clone)
 
     p = sub.add_parser("delete", help="run a deletion machine on identical copies")
     p.add_argument("--family", required=True, choices=("pb", "qiu", "conv", "sdep"))
@@ -368,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--m1", type=float, default=1.0)
     p.add_argument("--m2", type=float, default=0.0)
-    add_common(p)
-    p.set_defaults(func=cmd_delete)
+    add_common(p, cmd_delete)
 
     p = sub.add_parser("hybrid", help="hybrid machine fidelities")
     p.add_argument("--kind", required=True, choices=("pauli", "anti", "bhbh", "pc"))
@@ -377,28 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--xi", type=float, default=1 / 6)
     p.add_argument("--alpha2", type=float, default=0.5)
-    add_common(p)
-    p.set_defaults(func=cmd_hybrid)
+    add_common(p, cmd_hybrid)
 
     p = sub.add_parser("broadcast", help="entanglement broadcasting quantities")
     p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--interval", action="store_true", help="report the separability intervals")
-    add_common(p)
-    p.set_defaults(func=cmd_broadcast)
+    add_common(p, cmd_broadcast)
 
     p = sub.add_parser("concat", help="clone-then-delete pipeline")
     p.add_argument("--cloner", choices=("wz", "bh"), default="bh")
     p.add_argument("--deleter", choices=("pb", "sdep"), default="pb")
     p.add_argument("--xi", type=float, default=1 / 6)
     p.add_argument("--alpha2", type=float, default=0.5)
-    add_common(p)
-    p.set_defaults(func=cmd_concat)
+    add_common(p, cmd_concat)
 
     p = sub.add_parser("verify", help="run the regression suite")
     p.add_argument("scope", nargs="?", default="all")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    add_common(p, cmd_verify)
 
     return parser
 
@@ -411,12 +345,31 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then render its rows and write them once.
+
+    Each ``cmd_*`` returns ``(params, rows, exit_code)``; ``cmd_verify``
+    appends its summary, which goes into ``meta`` too.
+    """
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        params, rows, code, *summary = args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    meta = {"version": __version__, "command": args.command, "params": params}
+    if summary:
+        meta["summary"] = summary[0]
+    text = _render(rows, meta, args.format)
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

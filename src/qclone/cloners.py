@@ -21,6 +21,7 @@ from .qcore import (
     StateVector,
     apply_isometry,
     bell_state,
+    check_alpha2,
     check_densities,
     ket,
     kron_all,
@@ -90,10 +91,7 @@ def build_wz() -> MachineIsometry:
 def build_wz_n(n: int) -> MachineIsometry:
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    m = np.zeros((n * n * n, n), dtype=complex)
-    for k in range(n):
-        m[:, k] = kron_all(ket(k, n), ket(k, n), ket(k, n))
-    return MachineIsometry((n,), (n, n, n), m)
+    return _one_to_two_copier(n, 1.0, 0.0, 0.0)
 
 
 def bh_gram(xi: float) -> GramSpec:
@@ -532,6 +530,7 @@ def linearly_independent(states) -> bool:
 
 
 def wz_copy_quality(alpha2: float) -> float:
+    check_alpha2(alpha2)
     return 2 * alpha2 * (1 - alpha2)
 
 

@@ -156,6 +156,7 @@ def closed_form_averages(spec: PipelineSpec):
 
 
 def bh_pb_distortion(xi: float, alpha2: float) -> float:
+    check_alpha2(alpha2)
     ab2 = alpha2 * (1 - alpha2)
     return (2 * xi**2 + 2 * ab2 * (1 + 4 * xi)) / (1 + 2 * xi) ** 2
 

@@ -134,6 +134,7 @@ def bh_pc_hybrid(lmbda: float, xi: float) -> float:
 def bh_pc_hybrid_state_dependent(lmbda: float, alpha2: float) -> float:
     """Same fidelity with the copier parameter tied to the input,
     xi(alpha^2) = 3 alpha^2 (1 - alpha^2) / 4."""
+    check_alpha2(alpha2)
     return bh_pc_hybrid(lmbda, 0.75 * alpha2 * (1 - alpha2))
 
 

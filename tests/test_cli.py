@@ -136,6 +136,50 @@ def test_out_file(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 12
 
 
+# one call of each subcommand; verify runs its quickest scope
+OUTPUT_CALLS = {
+    "table": ["table", "--id", "2.4", "--mode", "closed_form"],
+    "clone": ["clone", "--family", "bh-opt"],
+    "delete": ["delete", "--family", "pb"],
+    "hybrid": ["hybrid", "--kind", "anti"],
+    "broadcast": ["broadcast", "--lam", "0.2"],
+    "concat": ["concat"],
+    "verify": ["verify", "qcore"],
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CALLS.values(), ids=OUTPUT_CALLS.keys())
+def test_every_subcommand_shares_one_meta_and_one_write(tmp_path, capsys, argv):
+    argv = argv + ["--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    extra = {"summary"} if argv[0] == "verify" else set()
+    assert set(meta) == {"version", "command", "params"} | extra
+    assert meta["command"] == argv[0]
+    target = tmp_path / "out.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_table_params_leave_out_tol(capsys):
+    argv = OUTPUT_CALLS["table"] + ["--tol", "0.1", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["meta"]["params"] == {"id": "2.4", "mode": "closed_form"}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("command", ["table", "verify"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "t.txt"
+    assert main(OUTPUT_CALLS[command] + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write --out {target}: " in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 DIM_FAMILIES = ("uqcm-d", "wz-n", "pc-d", "econ", "heis-asym")
 
 

@@ -199,6 +199,17 @@ def test_optimal_universal_copier_is_a_point_of_five_families(spec):
     assert np.max(np.abs(machine.matrix - build_machine(MachineSpec("bh-opt")).matrix)) <= 1e-15
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wz_n_is_the_basis_copier_point_of_the_one_to_two_kernel(n):
+    # the Wootters-Zurek copier written out: |k> -> |kk>|k>
+    expected = np.zeros((n**3, n), dtype=complex)
+    for k in range(n):
+        expected[:, k] = kron_all(ket(k, n), ket(k, n), ket(k, n))
+    machine = cloners.build_wz_n(n)
+    assert machine.in_dims == (n,) and machine.out_dims == (n, n, n)
+    assert np.array_equal(machine.matrix, expected)
+
+
 def test_pc2_is_kr_at_one_half():
     assert np.array_equal(cloners.build_pc2().matrix, cloners.build_kr(0.5).matrix)
 
@@ -226,6 +237,7 @@ def test_pauli_asym_is_heis_asym_in_two_dimensions(p):
         (cloners.build_uqcm_d, 1, "dimension must be >= 2"),
         (cloners.build_pc_d, 1, "dimension must be >= 2"),
         (cloners.build_pc_d, 0, "dimension must be >= 2"),
+        (cloners.build_wz_n, 1, "dimension must be >= 2"),
         (cloners.build_pauli_asym, 1.5, "p must lie in [0, 1]"),
         (cloners.build_pauli_asym, math.nan, "p must lie in [0, 1]"),
     ],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qclone import concat, deleters
+from qclone import cloners, concat, deleters, hybrid
 from qclone.cloners import MachineSpec
 from qclone.deleters import BlankState, DeleterSpec
 from qclone.qcore import partial_trace
@@ -133,6 +133,9 @@ ALPHA2_EVALUATORS = {
     "conv_f1": lambda a2: deleters.conv_f1(0.2, a2),
     "pb_transformer_fidelity": lambda a2: deleters.pb_transformer_fidelity(0.6, 0.8, a2),
     "conv_f3_limit": deleters.conv_f3_limit,
+    "wz_copy_quality": cloners.wz_copy_quality,
+    "bh_pb_distortion": lambda a2: concat.bh_pb_distortion(0.2, a2),
+    "bh_pc_hybrid_state_dependent": lambda a2: hybrid.bh_pc_hybrid_state_dependent(0.5, a2),
 }
 
 
