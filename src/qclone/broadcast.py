@@ -27,8 +27,8 @@ from .qcore import (
     StateVector,
     bell_state,
     check_alpha2,
+    density_operators,
     ket,
-    partial_trace,
     permute_subsystems,
     reduce_ket,
 )
@@ -255,9 +255,8 @@ def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
         for j in range(2):
             ab += np.kron(chan(_UNITS[i, j]), chan(np.outer(rows[i], rows[j].conj())))
     pair = _pair_channel(lmbda)
-    rho_a = partial_trace(psi, [0]).mat
-    rho_b = partial_trace(psi, [1]).mat
-    return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a), "BB'": pair(rho_b)}
+    rho_a, rho_b = density_operators((2,), [reduce_ket(psi.amps, psi.dims, [k]) for k in (0, 1)])
+    return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a.mat), "BB'": pair(rho_b.mat)}
 
 
 def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
@@ -270,13 +269,9 @@ def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOper
     # layout now A, A', M_A, B
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
     # layout A, A', M_A, B, B', M_B
-    full = StateVector(tuple(dims), amps)
-    return {
-        "AB'": partial_trace(full, [0, 4]),
-        "A'B": partial_trace(full, [1, 3]),
-        "AA'": partial_trace(full, [0, 1]),
-        "BB'": partial_trace(full, [3, 4]),
-    }
+    keeps = {"AB'": [0, 4], "A'B": [1, 3], "AA'": [0, 1], "BB'": [3, 4]}
+    rhos = density_operators((2, 2), [reduce_ket(amps, dims, keep) for keep in keeps.values()])
+    return dict(zip(keeps, rhos))
 
 
 def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry):
@@ -446,10 +441,12 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     amps, dims = _apply_machine_at(amps, [2, 2, 2, 2], 1, machine)
     amps, dims = _apply_machine_at(amps, dims, 5, machine)
     labels = ("q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2")
+    keeps = {f.name: [labels.index("q" + q) for q in f.name[4:]] for f in fields(ProtocolState)[4:]}
     ops = {}
-    for f in fields(ProtocolState)[4:]:
-        keep = [labels.index("q" + q) for q in f.name[4:]]
-        ops[f.name] = DensityOperator(tuple(dims[k] for k in keep), reduce_ket(amps, dims, keep))
+    for size in (3, 2):  # one stacked check per operator size
+        names = [name for name, keep in keeps.items() if len(keep) == size]
+        mats = [reduce_ket(amps, dims, keeps[name]) for name in names]
+        ops.update(zip(names, density_operators((2,) * size, mats)))
     return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, **ops)
 
 

@@ -19,12 +19,14 @@ from .qcore import (
     GramSpec,
     MachineIsometry,
     StateVector,
+    _prechecked,
     apply_isometry,
     bell_state,
     check_alpha2,
     check_densities,
     ket,
     kron_all,
+    marginal_pair,
     partial_trace,
     realize_gram,
     reduce_ket,
@@ -358,7 +360,8 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     quality indices of every input in one pass.
 
     One product with the machine matrix gives every output ket; each
-    marginal is one batched ket reduction validated by one stacked check.
+    marginal is one batched ket reduction.  One stacked check validates the
+    clone pairs and one the single clones of both sides.
     """
     machine = _copier(spec)
     dims = machine.out_dims
@@ -367,9 +370,9 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     if amps.ndim != 2 or amps.shape[1] != d or not len(amps):
         raise ValueError(f"inputs of shape {amps.shape} incompatible with {spec}: need (n, {d}), n >= 1")
     out = amps @ machine.matrix.T
-    clones, rho_a, rho_b = (reduce_ket(out, dims, keep) for keep in ([0, 1], [0], [1]))
-    for rho in (clones, rho_a, rho_b):
-        check_densities(rho)
+    clones = reduce_ket(out, dims, [0, 1])
+    check_densities(clones)
+    rho_a, rho_b = marginal_pair(out, dims)
     bra, col = amps.conj()[:, None, :], amps[:, :, None]
     id_mat = col * bra
     prod_out = (rho_a[:, :, None, :, None] * rho_b[:, None, :, None, :]).reshape(clones.shape)
@@ -393,11 +396,10 @@ def clone_report(spec: MachineSpec, state: StateVector) -> CloneReport:
     if state.dims != _copier(spec).in_dims:
         raise ValueError(f"input dims {state.dims} incompatible with {spec}")
     reps = clone_reports(spec, state.amps[None])
-    d = state.dim
     return CloneReport(
-        DensityOperator((d, d), reps.rho_out[0]),
-        DensityOperator((d,), reps.rho_a[0]),
-        DensityOperator((d,), reps.rho_b[0]),
+        _prechecked(state.dims * 2, reps.rho_out[0]),
+        _prechecked(state.dims, reps.rho_a[0]),
+        _prechecked(state.dims, reps.rho_b[0]),
         *(float(index[0]) for index in reps[3:]),
     )
 

@@ -23,11 +23,10 @@ from .deleters import (
     DeleterSpec,
     _spec_blank,
     build_deleter,
-    qubit_marginals,
     real_inputs,
     sdep_weights,
 )
-from .qcore import StateVector, check_alpha2
+from .qcore import StateVector, check_alpha2, marginal_pair
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def pipeline_state(spec: PipelineSpec, alpha2: float):
 
 def _scores(kets: np.ndarray, dims, alpha2s, spec: PipelineSpec):
     """(distortion of the kept qubit, deletion fidelity) per ket of a batch."""
-    rho_x, rho_y = qubit_marginals(kets, dims)
+    rho_x, rho_y = marginal_pair(kets, dims)
     psi = real_inputs(alpha2s)
     diff = rho_x - psi[:, :, None] * psi[:, None, :]
     distortion = np.einsum("nab,nba->n", diff, diff).real

@@ -21,11 +21,13 @@ from .qcore import (
     GramSpec,
     MachineIsometry,
     StateVector,
+    _prechecked,
     bell_state,
     check_alpha2,
     check_densities,
     ket,
     kron_all,
+    marginal_pair,
     realize_gram,
     reduce_ket,
     spec_cache,
@@ -279,7 +281,7 @@ def _marginal_fidelities(spec: DeleterSpec, psi: np.ndarray, n_transformers: int
     machine = build_deleter(spec)
     pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
     kets = _transform(pairs @ machine.matrix.T, n_transformers)
-    rho_1, rho_2 = qubit_marginals(kets, machine.out_dims)
+    rho_1, rho_2 = marginal_pair(kets, machine.out_dims)
     target = deletion_target(spec)
     f1 = (psi.conj()[:, None, :] @ rho_1 @ psi[:, :, None])[:, 0, 0].real
     f2 = (target.conj() @ rho_2 @ target).real
@@ -318,12 +320,12 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     reps = delete_reports(spec, state.amps[None], n_transformers)
     rho_3 = overlap_m = None
     if reps.rho_3 is not None:
-        rho_3 = DensityOperator(reps.rho_3.shape[-1:], reps.rho_3[0])
+        rho_3 = _prechecked(reps.rho_3.shape[-1:], reps.rho_3[0])
         overlap_m = float(reps.machine_overlap[0])
     avg1, avg2 = average_fidelities(spec, n_transformers)
     return DeletionReport(
-        DensityOperator((2,), reps.rho_1[0]),
-        DensityOperator((2,), reps.rho_2[0]),
+        _prechecked((2,), reps.rho_1[0]),
+        _prechecked((2,), reps.rho_2[0]),
         rho_3,
         float(reps.F_1[0]),
         float(reps.F_2[0]),
@@ -337,15 +339,6 @@ def real_inputs(alpha2s) -> np.ndarray:
     """Kets sqrt(a)|0> + sqrt(1 - a)|1>, one row per alpha^2 value."""
     a = np.asarray(alpha2s, dtype=float)
     return np.stack([np.sqrt(a), np.sqrt(1 - a)], axis=-1)
-
-
-def qubit_marginals(kets: np.ndarray, dims):
-    """Reduced states of the first two subsystems of an (n, d) batch of
-    kets, validated by one stacked check: two (n, 2, 2) arrays."""
-    rho_0 = reduce_ket(kets, dims, [0])
-    rho_1 = reduce_ket(kets, dims, [1])
-    check_densities(np.concatenate([rho_0, rho_1]))
-    return rho_0, rho_1
 
 
 @spec_cache
@@ -431,7 +424,7 @@ def pb_with_transformer(blank: BlankState, state: StateVector):
     """Conditional deleter followed by one transformer: (rho_2, F_2) where
     F_2 = <Sigma| rho_2 |Sigma>."""
     reps = delete_reports(DeleterSpec("pb", (blank,)), state.amps[None], 1)
-    return DensityOperator((2,), reps.rho_2[0]), float(reps.F_2[0])
+    return _prechecked((2,), reps.rho_2[0]), float(reps.F_2[0])
 
 
 def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:

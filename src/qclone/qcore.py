@@ -63,9 +63,10 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector of length {amps.size} does not match dims {self.dims}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state vector is not normalized (norm={norm})")
+        # |psi|^2 is the trace of every reduction, so it meets the same bound
+        norm2 = np.vdot(amps, amps).real
+        if not abs(norm2 - 1.0) <= DENSITY_TOL:
+            raise ValueError(f"state vector is not normalized (|psi|^2 = {norm2})")
 
     @property
     def dim(self) -> int:
@@ -94,6 +95,30 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _prechecked(dims: tuple, mat: np.ndarray) -> DensityOperator:
+    """Wrap a (d, d) matrix that has passed :func:`check_densities` as part
+    of a stack, without checking it again; ``dims`` must already be valid."""
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "dims", dims)
+    object.__setattr__(rho, "mat", mat)
+    return rho
+
+
+def density_operators(dims, mats) -> list:
+    """One DensityOperator on ``dims`` per matrix of an (n, d, d) stack, n >= 1.
+
+    One :func:`check_densities` call validates the whole stack; it raises
+    the message that ``DensityOperator`` raises for a bad member.
+    """
+    dims = _as_dims(dims)
+    mats = np.asarray(mats, dtype=complex)
+    d = math.prod(dims)
+    if mats.ndim != 3 or mats.shape[1:] != (d, d) or not len(mats):
+        raise ValueError(f"stack of shape {mats.shape} does not match dims {dims}: need (n, {d}, {d}), n >= 1")
+    check_densities(mats)
+    return [_prechecked(dims, m) for m in mats]
 
 
 def check_alpha2(alpha2: float) -> None:
@@ -268,11 +293,18 @@ def tensor(a, b):
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
 
+def _check_selection(keep, n: int) -> list:
+    """``keep`` as a list; ValueError if it is empty, repeats an index or
+    names one outside range(n)."""
+    keep = list(keep)
+    if not keep or len(set(keep)) < len(keep) or any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
+    return keep
+
+
 def _trace_axes(mat: np.ndarray, dims, keep):
     n = len(dims)
-    keep = sorted(keep)
-    if not keep or any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
+    keep = sorted(_check_selection(keep, n))
     t = mat.reshape(list(dims) * 2)
     # contract traced-out row/col axis pairs, highest index first
     for ax in reversed([i for i in range(n) if i not in keep]):
@@ -292,9 +324,7 @@ def reduce_ket(amps, dims, keep) -> np.ndarray:
     """
     dims = tuple(dims)
     n = len(dims)
-    keep = list(keep)
-    if not keep or len(set(keep)) < len(keep) or any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"invalid subsystem selection {keep} for {n} subsystems")
+    keep = _check_selection(keep, n)
     amps = np.asarray(amps, dtype=complex)
     batch = amps.shape[:-1]
     if amps.shape[-1] != math.prod(dims):
@@ -307,13 +337,22 @@ def reduce_ket(amps, dims, keep) -> np.ndarray:
     return m @ m.conj().swapaxes(-1, -2)
 
 
+def marginal_pair(kets: np.ndarray, dims):
+    """Reduced states of the first two subsystems, of equal dimension, of an
+    (n, d) batch of kets: two (n, d0, d0) halves of one stack that one
+    :func:`check_densities` call validates."""
+    pair = np.concatenate([reduce_ket(kets, dims, [k]) for k in (0, 1)])
+    check_densities(pair)
+    return pair[: len(kets)], pair[len(kets) :]
+
+
 def partial_trace(state, keep) -> DensityOperator:
     """Trace out all subsystems except ``keep`` (kept in original order).
 
     ``state`` is a DensityOperator or a StateVector; a pure state is reduced
     by :func:`reduce_ket` without forming its full density matrix.
     """
-    keep = sorted(set(keep))
+    keep = sorted(keep)  # reduce_ket and _trace_axes check the selection
     if isinstance(state, StateVector):
         reduced = reduce_ket(state.amps, state.dims, keep)
     else:
@@ -418,12 +457,10 @@ def bell_project(rho: DensityOperator, pair, outcome: str):
     Returns (probability, post-measurement DensityOperator on the remaining
     subsystems).  A branch of weight below ZERO_BRANCH_TOL returns (0.0, None).
     """
-    i, j = pair
-    if i == j:
-        raise ValueError("pair indices must be distinct")
+    n = len(rho.dims)
+    i, j = _check_selection(pair, n)
     if rho.dims[i] != 2 or rho.dims[j] != 2:
         raise ValueError("bell_project requires qubit subsystems")
-    n = len(rho.dims)
     bell = bell_state(outcome)
     # <bell|_{ij} rho |bell>_{ij} without building the full projector
     t = rho.mat.reshape(list(rho.dims) * 2)

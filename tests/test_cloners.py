@@ -469,7 +469,7 @@ def test_clone_reports_make_one_eigensolve_per_marginal_stack(monkeypatch):
     for n in (1, 7, 40):
         calls.clear()
         cloners.clone_reports(spec, np.tile(np.eye(3)[0], (n, 1)))
-        assert calls == [(n, 9, 9), (n, 3, 3), (n, 3, 3)]
+        assert calls == [(n, 9, 9), (2 * n, 3, 3)]  # the pairs, then rho_a and rho_b together
 
 
 @pytest.mark.parametrize("spec, dims", [(MachineSpec("mixed-23"), (3,)), (MachineSpec("mixed-2m", (3,)), (2, 2))])

@@ -224,16 +224,6 @@ def test_batched_average_fidelities_match_per_node_loop(spec, n_transformers):
     assert max(abs(g - r) for g, r in zip(got, ref)) < 1e-12
 
 
-def test_qubit_marginals_check_the_whole_stack():
-    kets = np.array([kron_all(ket(0), ket(1)), bell_state("psi+")])
-    rho_0, rho_1 = deleters.qubit_marginals(kets, (2, 2))
-    assert np.allclose(rho_0[0], np.diag([1, 0])) and np.allclose(rho_1[0], np.diag([0, 1]))
-    assert np.allclose(rho_0[1], np.eye(2) / 2) and np.allclose(rho_1[1], np.eye(2) / 2)
-    kets[1] *= 1.01  # one unnormalized node fails the stacked check
-    with pytest.raises(ValueError):
-        deleters.qubit_marginals(kets, (2, 2))
-
-
 def test_one_transformer_limits():
     blank = BlankState(1 / math.sqrt(2), 1 / math.sqrt(2))
     # exact limit evaluators agree with the closed form

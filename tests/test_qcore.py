@@ -18,9 +18,11 @@ from qclone.qcore import (
     _trace_axes,
     bell_state,
     check_densities,
+    density_operators,
     hermitian_eigvals,
     ket,
     kron_all,
+    marginal_pair,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -46,6 +48,16 @@ def test_state_vector_validation():
         StateVector((2, 2), [1.0, 0.0])  # wrong length
     with pytest.raises(ValueError):
         StateVector((2,), [np.nan, 0.0])
+
+
+def test_state_vector_normalization_meets_the_density_tolerance():
+    # |psi|^2 is the trace of every reduction, so it is held to DENSITY_TOL
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector((2,), [1 + 4e-7, 0.0])
+    near = StateVector((2, 2), np.array([1.0, 1.0, 1.0, 1.0]) / 2 * math.sqrt(1 + 1e-8))
+    assert abs(np.vdot(near.amps, near.amps).real - 1) <= 1e-8
+    assert near.density().dims == (2, 2)
+    assert partial_trace(near, [1]).dims == (2,)
 
 
 def test_density_operator_validation():
@@ -281,6 +293,74 @@ def test_check_densities_rejects_any_bad_member():
     DensityOperator((2,), near)
 
 
+def test_marginal_pair_checks_the_whole_stack():
+    kets = np.array([kron_all(ket(0), ket(1)), bell_state("psi+")])
+    rho_0, rho_1 = marginal_pair(kets, (2, 2))
+    assert np.allclose(rho_0[0], np.diag([1, 0])) and np.allclose(rho_1[0], np.diag([0, 1]))
+    assert np.allclose(rho_0[1], np.eye(2) / 2) and np.allclose(rho_1[1], np.eye(2) / 2)
+    kets[1] *= 1.01  # one unnormalized node fails the stacked check
+    with pytest.raises(ValueError):
+        marginal_pair(kets, (2, 2))
+
+
+@st.composite
+def density_stacks(draw):
+    """dims of one to three subsystems of dimension 2 or 3, and an (n, d, d)
+    stack of random density matrices of random rank on them, n in 1..4."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=3)))
+    d = math.prod(dims)
+    n = draw(st.integers(min_value=1, max_value=4))
+    rank = draw(st.integers(min_value=1, max_value=d))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.normal(size=(n, d, rank)) + 1j * rng.normal(size=(n, d, rank))
+    m = a @ a.conj().swapaxes(-1, -2)
+    return dims, m / np.trace(m, axis1=-2, axis2=-1)[:, None, None]
+
+
+def _corrupt(m, kind, rng):
+    """A copy of the density matrix m that fails one density check."""
+    bad = m.copy()
+    if kind == "hermitian":
+        bad[0, -1] += 1e-3
+    elif kind == "trace":
+        bad *= 1 + 1e-3
+    elif kind == "negative":
+        evals, evecs = np.linalg.eigh(m)
+        evals[-1] += evals[0] + 1e-3
+        evals[0] = -1e-3
+        bad = (evecs * evals) @ evecs.conj().T
+    else:
+        bad[tuple(rng.integers(0, len(m), size=2))] = np.nan
+    return bad
+
+
+@settings(max_examples=80, deadline=None)
+@given(density_stacks(), st.sampled_from((None, "hermitian", "trace", "negative", "nan")), st.data())
+def test_density_operators_match_one_operator_per_matrix(case, kind, data):
+    dims, stack = case
+    if kind is None:
+        got = density_operators(dims, stack)
+        want = [DensityOperator(dims, m) for m in stack]
+        assert [r.dims for r in got] == [r.dims for r in want]
+        assert all(np.array_equal(g.mat, w.mat) for g, w in zip(got, want))
+        return
+    i = data.draw(st.integers(min_value=0, max_value=len(stack) - 1))
+    stack = stack.copy()
+    stack[i] = _corrupt(stack[i], kind, np.random.default_rng(i))
+    with pytest.raises(ValueError) as single:
+        DensityOperator(dims, stack[i])
+    with pytest.raises(ValueError) as stacked:
+        density_operators(dims, stack)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_density_operators_reject_a_stack_that_does_not_match_dims():
+    rho = np.eye(4, dtype=complex) / 4
+    for mats in (rho, np.stack([rho, rho])[:0], np.stack([rho, rho])[:, :2, :2]):
+        with pytest.raises(ValueError, match="does not match dims"):
+            density_operators((2, 2), mats)
+
+
 def test_hermitian_eigvals_basics():
     assert np.allclose(hermitian_eigvals(np.eye(2)), [1, 1])
     assert np.allclose(hermitian_eigvals(np.diag([0.3, 0.7])), [0.7, 0.3])
@@ -399,6 +479,24 @@ def test_bell_project_distinct_indices():
     rho = DensityOperator((2, 2), np.eye(4) / 4)
     with pytest.raises(ValueError):
         bell_project(rho, (1, 1), "phi+")
+
+
+@pytest.mark.parametrize("selection", [(), (0, 0), (0, 3), (-1, 0), (1, 1)])
+def test_one_subsystem_selection_check(selection):
+    # reduce_ket, partial_trace (of a ket and of an operator) and bell_project
+    # reject empty, repeated and out-of-range selections alike
+    psi = StateVector((2, 2, 2), np.full(8, 1 / math.sqrt(8)))
+    rho = psi.density()
+    calls = (
+        lambda: reduce_ket(psi.amps, psi.dims, selection),
+        lambda: partial_trace(psi, selection),
+        lambda: partial_trace(rho, selection),
+    )
+    if len(selection) == 2:
+        calls += (lambda: bell_project(rho, selection, "phi+"),)
+    for call in calls:
+        with pytest.raises(ValueError, match=r"invalid subsystem selection .* for 3 subsystems"):
+            call()
 
 
 def test_permute_subsystems():
