@@ -181,13 +181,9 @@ def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]
 def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
     """Closed-form output operators of two local copiers on a pure input."""
     mats = broadcast_output_matrices(amplitudes, lmbda)
-    pair = DensityOperator((2, 2), mats["AB'"])  # rho_AB' = rho_A'B, one array
-    return {
-        "AB'": pair,
-        "A'B": pair,
-        "AA'": DensityOperator((2, 2), mats["AA'"]),
-        "BB'": DensityOperator((2, 2), mats["BB'"]),
-    }
+    # rho_AB' = rho_A'B, one array; one stacked check for all three
+    pair, aa, bb = density_operators((2, 2), [mats["AB'"], mats["AA'"], mats["BB'"]])
+    return {"AB'": pair, "A'B": pair, "AA'": aa, "BB'": bb}
 
 
 # ---------------------------------------------------------------------------

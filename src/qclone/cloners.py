@@ -25,7 +25,6 @@ from .qcore import (
     check_alpha2,
     check_densities,
     ket,
-    kron_all,
     marginal_pair,
     partial_trace,
     realize_gram,
@@ -116,15 +115,14 @@ def build_bh(xi: float) -> MachineIsometry:
     Schwarz bound eta <= 2 sqrt(xi (1-2 xi)) fails and UnrealizableSpec is
     raised.  xi = 1/6 gives the optimal universal copier on a rank-2 machine.
     """
-    vecs = realize_gram(bh_gram(xi))
+    vecs = realize_gram(bh_gram(xi))  # columns Q0, Q1, Y0, Y1
     rank = vecs.shape[0]
     mdim = max(rank, 2)
-    q0, q1, y0, y1 = (np.pad(vecs[:, i], (0, mdim - rank)) for i in range(4))
-    cols = np.zeros((4 * mdim, 2), dtype=complex)
-    s01 = np.kron(ket(0), ket(1)) + np.kron(ket(1), ket(0))
-    cols[:, 0] = np.kron(np.kron(ket(0), ket(0)), q0) + np.kron(s01, y0)
-    cols[:, 1] = np.kron(np.kron(ket(1), ket(1)), q1) + np.kron(s01, y1)
-    return MachineIsometry((2,), (2, 2, mdim), cols)
+    cols = np.zeros((2, 2, mdim, 2), dtype=complex)  # clone, clone, machine, input
+    cols[0, 0, :rank, 0] = vecs[:, 0]  # |00>|Q0>
+    cols[1, 1, :rank, 1] = vecs[:, 1]  # |11>|Q1>
+    cols[0, 1, :rank] = cols[1, 0, :rank] = vecs[:, 2:]  # (|01> + |10>)|Y_j>
+    return MachineIsometry((2,), (2, 2, mdim), cols.reshape(4 * mdim, 2))
 
 
 def build_bh_opt() -> MachineIsometry:
@@ -139,12 +137,11 @@ def build_gm_1m(m_copies: int) -> MachineIsometry:
     if not 2 <= M <= 6:
         raise ValueError("1->M copier is built explicitly only for 2 <= M <= 6")
     alphas = np.sqrt([2 * (M - j) / (M * (M + 1)) for j in range(M)])
-    dim_clones = 2**M
-    cols = np.zeros((dim_clones * M, 2), dtype=complex)
-    for j in range(M):
-        cols[:, 0] += alphas[j] * np.kron(symmetric_basis_state(M, j), ket(j, M))
-        cols[:, 1] += alphas[j] * np.kron(symmetric_basis_state(M, M - j), ket(M - 1 - j, M))
-    return MachineIsometry((2,), (2,) * M + (M,), cols)
+    sym = np.stack([symmetric_basis_state(M, n) for n in range(M + 1)], axis=1)
+    cols = np.zeros((2**M, M, 2), dtype=complex)  # clones, machine, input
+    cols[:, :, 0] = alphas * sym[:, :M]  # alpha_j |sym_j>|j>
+    cols[:, ::-1, 1] = alphas * sym[:, :0:-1]  # alpha_j |sym_{M-j}>|M-1-j>
+    return MachineIsometry((2,), (2,) * M + (M,), cols.reshape(2**M * M, 2))
 
 
 def _one_to_two_copier(d: int, a: float, b: float, c: float) -> MachineIsometry:
@@ -206,15 +203,11 @@ def build_econ(d: int = 2, blank: int = 0) -> MachineIsometry:
         raise ValueError("dimension must be >= 2")
     if not 0 <= blank < d:
         raise ValueError("blank index out of range")
-    cols = np.zeros((d * d, d), dtype=complex)
-    for k in range(d):
-        if k == blank:
-            cols[:, k] = np.kron(ket(k, d), ket(k, d))
-        else:
-            cols[:, k] = (
-                np.kron(ket(k, d), ket(blank, d)) + np.kron(ket(blank, d), ket(k, d))
-            ) / math.sqrt(2)
-    return MachineIsometry((d,), (d, d), cols)
+    k = np.delete(np.arange(d), blank)  # |k> -> (|k l> + |l k>)/sqrt2 for k != l
+    cols = np.zeros((d, d, d), dtype=complex)  # clone, clone, input
+    cols[k, blank, k] = cols[blank, k, k] = 1 / math.sqrt(2)
+    cols[blank, blank, blank] = 1.0  # |l> -> |l l>
+    return MachineIsometry((d,), (d, d), cols.reshape(d * d, d))
 
 
 def build_pauli_asym(p: float) -> MachineIsometry:
@@ -238,19 +231,15 @@ def build_anti() -> MachineIsometry:
     phase = np.exp(1j * math.acos(1 / math.sqrt(3)))
     r6 = 1 / math.sqrt(6)
     r2 = 1 / math.sqrt(2)
-    up, down, right, left = (ket(i, 4) for i in range(4))
-    cols = np.zeros((4 * 4, 2), dtype=complex)
-    cols[:, 0] = (
-        r6 * np.kron(kron_all(ket(0), ket(0)), up)
-        + np.kron(r2 * phase * kron_all(ket(0), ket(1)) - r6 * kron_all(ket(1), ket(0)), right)
-        + r6 * np.kron(kron_all(ket(1), ket(1)), left)
-    )
-    cols[:, 1] = (
-        r6 * np.kron(kron_all(ket(1), ket(1)), right)
-        + np.kron(r2 * phase * kron_all(ket(1), ket(0)) - r6 * kron_all(ket(0), ket(1)), up)
-        + r6 * np.kron(kron_all(ket(0), ket(0)), down)
-    )
-    return MachineIsometry((2,), (2, 2, 4), cols)
+    up, down, right, left = range(4)  # the machine kets
+    cols = np.zeros((2, 2, 4, 2), dtype=complex)  # clone, clone, machine, input
+    # |0> -> r6 |00 up> + (r2 e^{i phi} |01> - r6 |10>)|right> + r6 |11 left>
+    cols[0, 0, up, 0] = cols[1, 1, left, 0] = r6
+    cols[0, 1, right, 0], cols[1, 0, right, 0] = r2 * phase, -r6
+    # |1> -> r6 |11 right> + (r2 e^{i phi} |10> - r6 |01>)|up> + r6 |00 down>
+    cols[1, 1, right, 1] = cols[0, 0, down, 1] = r6
+    cols[1, 0, up, 1], cols[0, 1, up, 1] = r2 * phase, -r6
+    return MachineIsometry((2,), (2, 2, 4), cols.reshape(16, 2))
 
 
 def _mixed_alpha(j: int, k: int, M: int) -> float:
@@ -272,15 +261,13 @@ def _antisymmetric_sector_state(M: int, n_ones: int) -> np.ndarray:
         raise ValueError("sector must contain both spin values")
     singlet = bell_state("psi-")
     rest = symmetric_basis_state(M - 2, n_ones - 1)
-    return np.kron(singlet, rest)
+    return np.outer(singlet, rest).reshape(-1)
 
 
 def _mixed_column(M: int, j: int, sector_state) -> np.ndarray:
-    """sum_k alpha_{jk} |sector_state(M, j + k)>|k> of the 2->M copier."""
-    col = np.zeros(2**M * (M - 1), dtype=complex)
-    for k in range(M - 1):
-        col += _mixed_alpha(j, k, M) * np.kron(sector_state(M, j + k), ket(k, M - 1))
-    return col
+    """sum_k alpha_{jk} |sector_state(M, j + k)>|k> of the 2->M copier, as a
+    (2^M, M - 1) array: clones, machine."""
+    return np.stack([_mixed_alpha(j, k, M) * sector_state(M, j + k) for k in range(M - 1)], axis=1)
 
 
 def build_mixed_2m(m_copies: int) -> MachineIsometry:
@@ -296,8 +283,8 @@ def build_mixed_2m(m_copies: int) -> MachineIsometry:
     sym_0, sym_1, sym_2 = (_mixed_column(M, j, symmetric_basis_state) for j in range(3))
     anti = _mixed_column(M, 1, _antisymmetric_sector_state)
     root2 = math.sqrt(2)
-    cols = np.stack([sym_0, (sym_1 + anti) / root2, (sym_1 - anti) / root2, sym_2], axis=1)
-    return MachineIsometry((2, 2), (2,) * M + (M - 1,), cols)
+    cols = np.stack([sym_0, (sym_1 + anti) / root2, (sym_1 - anti) / root2, sym_2], axis=-1)
+    return MachineIsometry((2, 2), (2,) * M + (M - 1,), cols.reshape(-1, 4))
 
 
 def build_mixed_23() -> MachineIsometry:
@@ -305,8 +292,8 @@ def build_mixed_23() -> MachineIsometry:
 
     Input basis order: |2 up>, (|ud>+|du>)/sqrt2, |2 down>.
     """
-    cols = np.stack([_mixed_column(3, j, symmetric_basis_state) for j in range(3)], axis=1)
-    return MachineIsometry((3,), (2, 2, 2, 2), cols)
+    cols = np.stack([_mixed_column(3, j, symmetric_basis_state) for j in range(3)], axis=-1)
+    return MachineIsometry((3,), (2, 2, 2, 2), cols.reshape(16, 3))
 
 
 # family -> (builder, the `qclone clone` options that supply its parameters,

@@ -26,7 +26,6 @@ from .qcore import (
     check_alpha2,
     check_densities,
     ket,
-    kron_all,
     marginal_pair,
     realize_gram,
     reduce_ket,
@@ -86,9 +85,9 @@ def _transformer_powers():
     """T^0, T^1, T^2 for T = |psi+><00| + |11><01| + |psi-><10| + |00><11|."""
     t = np.zeros((4, 4), dtype=complex)
     t[:, 0] = bell_state("psi+")
-    t[:, 1] = kron_all(ket(1), ket(1))
+    t[3, 1] = 1.0  # |11><01|
     t[:, 2] = bell_state("psi-")
-    t[:, 3] = kron_all(ket(0), ket(0))
+    t[0, 3] = 1.0  # |00><11|
     powers = tuple(np.linalg.matrix_power(t, n) for n in range(3))
     for p in powers:
         p.flags.writeable = False
@@ -128,15 +127,12 @@ def build_qiu(r1: float = 1.0) -> MachineIsometry:
             "the universal deleter is an isometry only for r1 = +-1; "
             f"got r1 = {r1}"
         )
-    r2 = 0.0
-    a = np.array([r1, r2], dtype=complex)
-    b = np.array([r2, -r1], dtype=complex)
-    cols = np.zeros((4, 4), dtype=complex)
-    cols[:, 0] = (np.kron(ket(0), a) + np.kron(ket(1), b)) / math.sqrt(2)
-    cols[:, 3] = 1j * (np.kron(ket(1), b) - np.kron(ket(0), a)) / math.sqrt(2)
-    cols[:, 1] = kron_all(ket(0), ket(1))
-    cols[:, 2] = kron_all(ket(1), ket(0))
-    return MachineIsometry((2, 2), (2, 2), cols)
+    c = r1 / math.sqrt(2)  # r2 = 0: a = r1|0>, b = -r1|1>
+    cols = np.zeros((2, 2, 4), dtype=complex)  # kept, deleted, input
+    cols[0, 0, 0], cols[1, 1, 0] = c, -c  # (|0a> + |1b>)/sqrt2
+    cols[0, 0, 3] = cols[1, 1, 3] = -1j * c  # i(|1b> - |0a>)/sqrt2
+    cols[0, 1, 1] = cols[1, 0, 2] = 1.0  # |01> and |10> pass through
+    return MachineIsometry((2, 2), (2, 2), cols.reshape(4, 4))
 
 
 def conv_gram(lmbda: float, y: float) -> GramSpec:
@@ -204,15 +200,13 @@ def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsom
             raise ValueError("need |a_i|^2 + |b_i|^2 = 1")
     if not abs(a0 * np.conj(a1) + b0 * np.conj(b1)) <= 1e-9:
         raise ValueError("need a0 a1* + b0 b1* = 0")
-    q, qa0, qa1 = ket(0, 3), ket(1, 3), ket(2, 3)
-    s01 = np.kron(ket(0), ket(1))
-    s10 = np.kron(ket(1), ket(0))
-    cols = np.zeros((4 * 3, 4), dtype=complex)
-    cols[:, 0] = np.kron(np.kron(ket(0), blank.vec), qa0)
-    cols[:, 1] = np.kron(a0 * s01 + b0 * s10, q)
-    cols[:, 2] = np.kron(a1 * s01 + b1 * s10, q)
-    cols[:, 3] = np.kron(np.kron(ket(1), blank.vec), qa1)
-    return MachineIsometry((2, 2), (2, 2, 3), cols)
+    q, qa0, qa1 = range(3)  # the machine kets
+    cols = np.zeros((2, 2, 3, 4), dtype=complex)  # kept, deleted, machine, input
+    cols[0, :, qa0, 0] = blank.vec  # |00> -> |0 Sigma A0>
+    cols[0, 1, q, 1:3] = a0, a1  # |01>, |10> -> (a_i |01> + b_i |10>)|Q>
+    cols[1, 0, q, 1:3] = b0, b1
+    cols[1, :, qa1, 3] = blank.vec  # |11> -> |1 Sigma A1>
+    return MachineIsometry((2, 2), (2, 2, 3), cols.reshape(12, 4))
 
 
 # the families without a Gram-parameterized machine; their machine starts

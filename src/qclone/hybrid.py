@@ -38,16 +38,11 @@ def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
     m1_dim, m2_dim = v1.out_dims[-1], v2.out_dims[-1]
     mdim = max(m1_dim, m2_dim)
     din = math.prod(v1.in_dims)
-    cols = np.zeros((clone_dim * mdim * 2, din), dtype=complex)
-    for i in range(din):
-        c1 = v1.matrix[:, i].reshape(clone_dim, m1_dim)
-        c2 = v2.matrix[:, i].reshape(clone_dim, m2_dim)
-        out = np.zeros((clone_dim, mdim, 2), dtype=complex)
-        out[:, :m1_dim, 0] = math.sqrt(spec.lmbda) * c1
-        out[:, :m2_dim, 1] = math.sqrt(1 - spec.lmbda) * c2
-        cols[:, i] = out.reshape(-1)
+    cols = np.zeros((clone_dim, mdim, 2, din), dtype=complex)  # clones, machine, flag, input
+    cols[:, :m1_dim, 0] = math.sqrt(spec.lmbda) * v1.matrix.reshape(clone_dim, m1_dim, din)
+    cols[:, :m2_dim, 1] = math.sqrt(1 - spec.lmbda) * v2.matrix.reshape(clone_dim, m2_dim, din)
     out_dims = v1.out_dims[:-1] + (mdim, 2)
-    return MachineIsometry(v1.in_dims, out_dims, cols)
+    return MachineIsometry(v1.in_dims, out_dims, cols.reshape(-1, din))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -165,13 +164,14 @@ class MachineIsometry:
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.in_dims}->{self.out_dims}")
         if dout < din:
             raise ValueError("output space smaller than input space")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(din)))
+        defect = self.isometry_defect()
         if not defect <= 1e-7:  # NaN fails
             raise ValueError(f"columns are not orthonormal (V^dag V deviates by {defect:.3g})")
 
     def isometry_defect(self) -> float:
+        """max |V^dag V - I|, by ndarray methods as in :func:`check_densities`."""
         m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
+        return float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max())
 
 
 @dataclass(frozen=True)
@@ -363,14 +363,13 @@ def partial_trace(state, keep) -> DensityOperator:
 def partial_transpose(mat, dims, subsystems) -> np.ndarray:
     """Transpose the given subsystems of a raw (d, d) matrix on ``dims``, or
     of every matrix of a (..., d, d) stack; a Hermitian input gives a
-    Hermitian result, which may be non-PSD."""
+    Hermitian result, which may be non-PSD.  An empty, repeated or
+    out-of-range selection raises ValueError."""
     n = len(dims)
     batch = mat.shape[:-2]
     b = len(batch)
     t = mat.reshape(batch + tuple(dims) * 2)
-    for s in set(subsystems):
-        if not 0 <= s < n:
-            raise ValueError(f"invalid subsystem {s} for {n} subsystems")
+    for s in _check_selection(subsystems, n):
         t = t.swapaxes(b + s, b + s + n)
     return t.reshape(mat.shape)
 
@@ -402,11 +401,9 @@ def realize_gram(spec: GramSpec) -> np.ndarray:
     evals, evecs = evals[order], evecs[:, order]
     rank = int(np.sum(evals > DEFAULT_TOL))
     evals, evecs = evals[:rank], evecs[:, :rank]
-    for k in range(rank):
-        col = evecs[:, k]
-        j = np.argmax(np.abs(col) > 1e-12)
-        phase = col[j] / abs(col[j])
-        evecs[:, k] = col / phase
+    # the first entry above 1e-12 of every column, divided out by its phase
+    lead = evecs[(np.abs(evecs) > 1e-12).argmax(0), np.arange(rank)]
+    evecs = evecs / (lead / np.abs(lead))
     # columns v_i of sqrt(L) U^dag satisfy <v_i|v_j> = G_ij
     return (np.sqrt(evals)[:, None] * evecs.conj().T)
 
@@ -425,11 +422,13 @@ def apply_isometry(v: MachineIsometry, state):
 
 
 def schmidt(ket: StateVector, split) -> np.ndarray:
-    """Descending Schmidt coefficients lambda_i (squared singular values)."""
-    left = sorted(set(split))
+    """Descending Schmidt coefficients lambda_i (squared singular values) of
+    the split ``split`` | rest; the selection is checked as in
+    :func:`partial_transpose`, and the rest must be nonempty."""
     n = len(ket.dims)
+    left = sorted(_check_selection(split, n))
     right = [i for i in range(n) if i not in left]
-    if not left or not right or any(i < 0 or i >= n for i in left):
+    if not right:
         raise ValueError("split must be a proper nonempty bipartition")
     t = ket.amps.reshape(ket.dims)
     t = np.transpose(t, left + right)
@@ -502,9 +501,6 @@ def symmetric_basis_state(n_qubits: int, n_ones: int) -> np.ndarray:
     """Normalized symmetric n-qubit state with the given number of 1s."""
     if not 0 <= n_ones <= n_qubits:
         raise ValueError("n_ones out of range")
-    v = np.zeros(2**n_qubits, dtype=complex)
-    for bits in product((0, 1), repeat=n_qubits):
-        if sum(bits) == n_ones:
-            idx = int("".join(map(str, bits)), 2)
-            v[idx] = 1.0
+    ones = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits) & 1).sum(1)  # popcounts
+    v = (ones == n_ones).astype(complex)
     return v / np.linalg.norm(v)

@@ -156,18 +156,23 @@ def test_partial_transpose_involution_and_trace(dims, mask, seed):
     # a random Hermitian matrix and a random split S: the transpose of S
     # matches the entrywise definition, keeps the trace, is the identity when
     # done twice, and transposing it whole gives the transpose of the
-    # complement of S
+    # complement of S; an empty selection raises
     rng = np.random.default_rng(seed)
     d = int(np.prod(dims))
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = a + a.conj().T
     split = [i for i in range(len(dims)) if mask >> i & 1]
     rest = [i for i in range(len(dims)) if i not in split]
+    if not split:
+        with pytest.raises(ValueError, match="invalid subsystem selection"):
+            partial_transpose(h, dims, split)
+        return
     pt = partial_transpose(h, dims, split)
     assert np.array_equal(pt, _swap_entries(h, dims, split))
     assert abs(np.trace(pt) - np.trace(h)) < 1e-12
     assert np.array_equal(partial_transpose(pt, dims, split), h)
-    assert np.array_equal(pt.T, partial_transpose(h, dims, rest))
+    if rest:
+        assert np.array_equal(pt.T, partial_transpose(h, dims, rest))
 
 
 def test_partial_transpose_of_a_stack_is_per_matrix():
@@ -183,6 +188,16 @@ def test_partial_transpose_of_a_stack_is_per_matrix():
 def test_partial_transpose_invalid_subsystem():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4) / 4, (2, 2), (2,))
+
+
+@pytest.mark.parametrize("subsystems", [[0, 0], [1, 0, 1], [], [-1], [2]])
+def test_partial_transpose_rejects_bad_selection(subsystems):
+    # a repeated index used to be taken once: [0, 0] gave the [0] transpose,
+    # where transposing twice is the identity
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.1
+    with pytest.raises(ValueError, match=r"invalid subsystem selection .* for 2 subsystems"):
+        partial_transpose(rho, (2, 2), subsystems)
 
 
 @settings(max_examples=25, deadline=None)
@@ -435,6 +450,19 @@ def test_schmidt_examples():
     assert np.allclose(lam, [1.0])
     lam = schmidt(StateVector((2, 2), bell_state("psi-")), [0])
     assert np.allclose(lam, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("split", [[0, 0], [1, 1, 2], [], [3], [-1]])
+def test_schmidt_rejects_bad_selection(split):
+    # a repeated index used to be taken once: [0, 0] gave the [0] split
+    psi = StateVector((2, 2, 2), np.full(8, 1 / math.sqrt(8)))
+    with pytest.raises(ValueError, match=r"invalid subsystem selection .* for 3 subsystems"):
+        schmidt(psi, split)
+
+
+def test_schmidt_rejects_split_without_complement():
+    with pytest.raises(ValueError, match="proper nonempty bipartition"):
+        schmidt(StateVector((2, 2), bell_state("psi-")), [1, 0])
 
 
 def test_schmidt_concurrence_consistency():
