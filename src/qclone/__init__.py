@@ -14,7 +14,6 @@ from .qcore import (
     apply_isometry,
     bell_project,
     bell_state,
-    density_operators,
     hermitian_eigvals,
     partial_trace,
     partial_transpose,

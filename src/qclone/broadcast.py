@@ -25,12 +25,15 @@ from .qcore import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    _derived,
+    bell_project,
     bell_state,
     check_alpha2,
-    density_operators,
+    check_densities,
     ket,
     permute_subsystems,
     reduce_ket,
+    tensor,
 )
 
 PSI_PLUS = bell_state("psi+")
@@ -46,8 +49,8 @@ class Interval:
     kind: str  # "Inseparable" | "Separable" | "Broadcastable"
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("empty interval")
+        if not self.lo <= self.hi:  # NaN fails
+            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -67,7 +70,7 @@ def _coerce_input(amplitudes) -> np.ndarray:
         a = np.array([a[0], a[1], 0.0, 0.0])
     if a.size != 4:
         raise ValueError("need (alpha1, beta1) or (alpha1, beta1, gamma1, delta1)")
-    if abs(np.sum(a**2) - 1.0) > 1e-9:
+    if not abs(np.sum(a**2) - 1.0) <= 1e-9:  # NaN fails
         raise ValueError("amplitudes must be normalized")
     return a
 
@@ -182,7 +185,9 @@ def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
     """Closed-form output operators of two local copiers on a pure input."""
     mats = broadcast_output_matrices(amplitudes, lmbda)
     # rho_AB' = rho_A'B, one array; one stacked check for all three
-    pair, aa, bb = density_operators((2, 2), [mats["AB'"], mats["AA'"], mats["BB'"]])
+    stack = np.stack([mats["AB'"], mats["AA'"], mats["BB'"]])
+    check_densities(stack)
+    pair, aa, bb = (_derived((2, 2), m) for m in stack)
     return {"AB'": pair, "A'B": pair, "AA'": aa, "BB'": bb}
 
 
@@ -251,8 +256,8 @@ def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
         for j in range(2):
             ab += np.kron(chan(_UNITS[i, j]), chan(np.outer(rows[i], rows[j].conj())))
     pair = _pair_channel(lmbda)
-    rho_a, rho_b = density_operators((2,), [reduce_ket(psi.amps, psi.dims, [k]) for k in (0, 1)])
-    return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a.mat), "BB'": pair(rho_b.mat)}
+    rho_a, rho_b = (reduce_ket(psi.amps, psi.dims, [k]) for k in (0, 1))
+    return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a), "BB'": pair(rho_b)}
 
 
 def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
@@ -266,8 +271,7 @@ def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOper
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
     # layout A, A', M_A, B, B', M_B
     keeps = {"AB'": [0, 4], "A'B": [1, 3], "AA'": [0, 1], "BB'": [3, 4]}
-    rhos = density_operators((2, 2), [reduce_ket(amps, dims, keep) for keep in keeps.values()])
-    return dict(zip(keeps, rhos))
+    return {name: _derived((2, 2), reduce_ket(amps, dims, keep)) for name, keep in keeps.items()}
 
 
 def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry):
@@ -367,19 +371,25 @@ def interval_by_bisection(lmbda: float, which: str) -> Interval:
     return intervals_by_bisection([lmbda], which)[0]
 
 
+def _check_fidelity_lambda(lmbda: float) -> None:
+    if not 0.0 <= lmbda <= 0.5:  # NaN fails
+        raise ValueError("lambda must lie in [0, 1/2]")
+
+
 def broadcast_fidelity(alpha2: float, lmbda: float, sign: int = -1) -> float:
     """Overlap of the nonlocal output with the input entangled state.
 
     ``sign=-1`` is the variant consistent with the universal-copier special
     case; ``sign=+1`` evaluates the alternative printed in one table header.
     """
-    if not 0.0 <= lmbda <= 0.5:
-        raise ValueError("lambda must lie in [0, 1/2]")
+    _check_fidelity_lambda(lmbda)
     check_alpha2(alpha2)
     return (1 - lmbda) ** 2 + sign * 4 * alpha2 * (1 - alpha2) * lmbda * (1 - 2 * lmbda)
 
 
 def avg_broadcast_fidelity(lmbda: float, sign: int = -1) -> float:
+    """:func:`broadcast_fidelity` averaged over alpha^2 uniform in [0, 1]."""
+    _check_fidelity_lambda(lmbda)
     return (1 - lmbda) ** 2 + sign * (2 / 3) * lmbda * (1 - 2 * lmbda)
 
 
@@ -437,12 +447,10 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     amps, dims = _apply_machine_at(amps, [2, 2, 2, 2], 1, machine)
     amps, dims = _apply_machine_at(amps, dims, 5, machine)
     labels = ("q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2")
-    keeps = {f.name: [labels.index("q" + q) for q in f.name[4:]] for f in fields(ProtocolState)[4:]}
     ops = {}
-    for size in (3, 2):  # one stacked check per operator size
-        names = [name for name, keep in keeps.items() if len(keep) == size]
-        mats = [reduce_ket(amps, dims, keeps[name]) for name in names]
-        ops.update(zip(names, density_operators((2,) * size, mats)))
+    for f in fields(ProtocolState)[4:]:
+        keep = [labels.index("q" + q) for q in f.name[4:]]
+        ops[f.name] = _derived((2,) * len(keep), reduce_ket(amps, dims, keep))
     return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, **ops)
 
 
@@ -636,19 +644,15 @@ def swap_extend(rho_325: DensityOperator, outcome: str):
         raise ValueError(f"outcome must be one of {sorted(_SWAP_CORRECTIONS)}")
     if rho_325.dims != (2, 2, 2):
         raise ValueError("expected a three-qubit operator")
-    from .qcore import bell_project, tensor
-
-    singlet = bell_state("psi-")
-    singlet_rho = DensityOperator((2, 2), np.outer(singlet, singlet.conj()))
     # layout: 3, 2, 5, 8, 7
-    joint = tensor(rho_325, singlet_rho)
+    joint = tensor(rho_325, StateVector((2, 2), bell_state("psi-")).density())
     prob, post = bell_project(joint, (1, 3), _OUTCOME_BELL[outcome])
     if post is None:
         return 0.0, None
     # remaining layout: 3, 5, 7
     u = _SWAP_CORRECTIONS[outcome]
     full = np.kron(np.eye(4, dtype=complex), u)
-    corrected = DensityOperator(post.dims, full @ post.mat @ full.conj().T)
+    corrected = _derived(post.dims, full @ post.mat @ full.conj().T)
     return prob, corrected
 
 

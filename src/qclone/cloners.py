@@ -19,13 +19,12 @@ from .qcore import (
     GramSpec,
     MachineIsometry,
     StateVector,
-    _prechecked,
+    _derived,
     apply_isometry,
     bell_state,
     check_alpha2,
-    check_densities,
+    check_kets,
     ket,
-    marginal_pair,
     partial_trace,
     realize_gram,
     reduce_ket,
@@ -347,8 +346,8 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     quality indices of every input in one pass.
 
     One product with the machine matrix gives every output ket; each
-    marginal is one batched ket reduction.  One stacked check validates the
-    clone pairs and one the single clones of both sides.
+    marginal is one batched ket reduction.  The input kets are checked;
+    the marginals, reductions of kets through a checked isometry, are not.
     """
     machine = _copier(spec)
     dims = machine.out_dims
@@ -356,10 +355,10 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] != d or not len(amps):
         raise ValueError(f"inputs of shape {amps.shape} incompatible with {spec}: need (n, {d}), n >= 1")
+    check_kets(amps)
     out = amps @ machine.matrix.T
     clones = reduce_ket(out, dims, [0, 1])
-    check_densities(clones)
-    rho_a, rho_b = marginal_pair(out, dims)
+    rho_a, rho_b = (reduce_ket(out, dims, [k]) for k in (0, 1))
     bra, col = amps.conj()[:, None, :], amps[:, :, None]
     id_mat = col * bra
     prod_out = (rho_a[:, :, None, :, None] * rho_b[:, None, :, None, :]).reshape(clones.shape)
@@ -384,9 +383,9 @@ def clone_report(spec: MachineSpec, state: StateVector) -> CloneReport:
         raise ValueError(f"input dims {state.dims} incompatible with {spec}")
     reps = clone_reports(spec, state.amps[None])
     return CloneReport(
-        _prechecked(state.dims * 2, reps.rho_out[0]),
-        _prechecked(state.dims, reps.rho_a[0]),
-        _prechecked(state.dims, reps.rho_b[0]),
+        _derived(state.dims * 2, reps.rho_out[0]),
+        _derived(state.dims, reps.rho_a[0]),
+        _derived(state.dims, reps.rho_b[0]),
         *(float(index[0]) for index in reps[3:]),
     )
 
@@ -708,6 +707,6 @@ def mixed_23_composite_overlap(psi: StateVector) -> float:
     if abs(np.trace(sym).real - 1.0) > 1e-9:
         raise ValueError("two-clone state is not supported on the symmetric subspace")
     m23 = build_mixed_23()
-    out3 = DensityOperator(m23.out_dims, m23.matrix @ sym @ m23.matrix.conj().T)
+    out3 = _derived(m23.out_dims, m23.matrix @ sym @ m23.matrix.conj().T)
     single = partial_trace(out3, [0])
     return overlap(StateVector((2,), psi.amps), single)

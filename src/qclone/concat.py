@@ -26,7 +26,7 @@ from .deleters import (
     real_inputs,
     sdep_weights,
 )
-from .qcore import StateVector, check_alpha2, marginal_pair
+from .qcore import StateVector, check_alpha2, reduce_ket
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,9 @@ def pipeline_state(spec: PipelineSpec, alpha2: float):
 
 
 def _scores(kets: np.ndarray, dims, alpha2s, spec: PipelineSpec):
-    """(distortion of the kept qubit, deletion fidelity) per ket of a batch."""
-    rho_x, rho_y = marginal_pair(kets, dims)
+    """(distortion of the kept qubit, deletion fidelity) per ket of a batch
+    of normalized kets, whose marginals need no check."""
+    rho_x, rho_y = (reduce_ket(kets, dims, [k]) for k in (0, 1))
     psi = real_inputs(alpha2s)
     diff = rho_x - psi[:, :, None] * psi[:, None, :]
     distortion = np.einsum("nab,nba->n", diff, diff).real

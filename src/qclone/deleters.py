@@ -21,12 +21,11 @@ from .qcore import (
     GramSpec,
     MachineIsometry,
     StateVector,
-    _prechecked,
+    _derived,
     bell_state,
     check_alpha2,
-    check_densities,
+    check_kets,
     ket,
-    marginal_pair,
     realize_gram,
     reduce_ket,
     spec_cache,
@@ -271,11 +270,14 @@ def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
 
 def _marginal_fidelities(spec: DeleterSpec, psi: np.ndarray, n_transformers: int):
     """(output kets, rho_1, rho_2, F_1, F_2) of deleting one copy of psi from
-    psi x psi for every ket of an (n, 2) stack."""
+    psi x psi for every ket of an (n, 2) stack.  The pairs the machine
+    receives are checked; their reductions through the checked isometry
+    and the unitary transformers are not."""
     machine = build_deleter(spec)
     pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
+    check_kets(pairs)
     kets = _transform(pairs @ machine.matrix.T, n_transformers)
-    rho_1, rho_2 = marginal_pair(kets, machine.out_dims)
+    rho_1, rho_2 = (reduce_ket(kets, machine.out_dims, [k]) for k in (0, 1))
     target = deletion_target(spec)
     f1 = (psi.conj()[:, None, :] @ rho_1 @ psi[:, :, None])[:, 0, 0].real
     f2 = (target.conj() @ rho_2 @ target).real
@@ -297,7 +299,6 @@ def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> Deletion
     rho_3 = overlap_m = None
     if len(machine.out_dims) > 2:
         rho_3 = reduce_ket(kets, machine.out_dims, [2])
-        check_densities(rho_3)
         overlap_m = (a_vec.conj() @ rho_3 @ a_vec).real
     return DeletionReports(rho_1, rho_2, rho_3, f1, f2, overlap_m)
 
@@ -314,12 +315,12 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     reps = delete_reports(spec, state.amps[None], n_transformers)
     rho_3 = overlap_m = None
     if reps.rho_3 is not None:
-        rho_3 = _prechecked(reps.rho_3.shape[-1:], reps.rho_3[0])
+        rho_3 = _derived(reps.rho_3.shape[-1:], reps.rho_3[0])
         overlap_m = float(reps.machine_overlap[0])
     avg1, avg2 = average_fidelities(spec, n_transformers)
     return DeletionReport(
-        _prechecked((2,), reps.rho_1[0]),
-        _prechecked((2,), reps.rho_2[0]),
+        _derived((2,), reps.rho_1[0]),
+        _derived((2,), reps.rho_2[0]),
         rho_3,
         float(reps.F_1[0]),
         float(reps.F_2[0]),
@@ -418,7 +419,7 @@ def pb_with_transformer(blank: BlankState, state: StateVector):
     """Conditional deleter followed by one transformer: (rho_2, F_2) where
     F_2 = <Sigma| rho_2 |Sigma>."""
     reps = delete_reports(DeleterSpec("pb", (blank,)), state.amps[None], 1)
-    return _prechecked((2,), reps.rho_2[0]), float(reps.F_2[0])
+    return _derived((2,), reps.rho_2[0]), float(reps.F_2[0])
 
 
 def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:

@@ -17,7 +17,8 @@ import numpy as np
 DEFAULT_TOL = 1e-9  # realize_gram: PSD tolerance and rank cut-off
 
 # Hermiticity, unit-trace and PSD tolerance of every density-operator check,
-# single (DensityOperator) or stacked (check_densities).
+# single (DensityOperator) or stacked (check_densities), and the |psi|^2
+# tolerance of every ket check (check_kets).
 DENSITY_TOL = 1e-7
 
 HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max entry
@@ -56,28 +57,27 @@ class StateVector:
         object.__setattr__(self, "dims", _as_dims(self.dims))
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         object.__setattr__(self, "amps", amps)
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
         if amps.size != math.prod(self.dims):
             raise ValueError(
                 f"amplitude vector of length {amps.size} does not match dims {self.dims}"
             )
-        # |psi|^2 is the trace of every reduction, so it meets the same bound
-        norm2 = np.vdot(amps, amps).real
-        if not abs(norm2 - 1.0) <= DENSITY_TOL:
-            raise ValueError(f"state vector is not normalized (|psi|^2 = {norm2})")
+        check_kets(amps)
 
     @property
     def dim(self) -> int:
         return self.amps.size
 
     def density(self) -> "DensityOperator":
-        return DensityOperator(self.dims, np.outer(self.amps, self.amps.conj()))
+        return _derived(self.dims, np.outer(self.amps, self.amps.conj()))
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, PSD matrix with an ordered subsystem-dim list."""
+    """Hermitian, unit-trace, PSD matrix with an ordered subsystem-dim list.
+
+    Built from caller data, the matrix is checked here; an operator that the
+    package derives from checked operands comes from :func:`_derived`.
+    """
 
     dims: tuple
     mat: np.ndarray = field(repr=False)
@@ -96,34 +96,41 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
-def _prechecked(dims: tuple, mat: np.ndarray) -> DensityOperator:
-    """Wrap a (d, d) matrix that has passed :func:`check_densities` as part
-    of a stack, without checking it again; ``dims`` must already be valid."""
+def _derived(dims: tuple, mat: np.ndarray) -> DensityOperator:
+    """Wrap a (d, d) matrix derived from checked operands, without a check.
+
+    The one unchecked constructor, for a matrix that a PSD- and
+    trace-preserving map made from a checked ket, operator or isometry: a
+    ket reduction M M^dag, a partial trace, a tensor product, a subsystem
+    permutation, V rho V^dag, a normalized Bell-projection branch.  Such a
+    matrix is a density operator by construction, so it is never checked
+    again; ``dims`` must already be valid.
+    """
     rho = object.__new__(DensityOperator)
     object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "mat", mat)
     return rho
 
 
-def density_operators(dims, mats) -> list:
-    """One DensityOperator on ``dims`` per matrix of an (n, d, d) stack, n >= 1.
-
-    One :func:`check_densities` call validates the whole stack; it raises
-    the message that ``DensityOperator`` raises for a bad member.
-    """
-    dims = _as_dims(dims)
-    mats = np.asarray(mats, dtype=complex)
-    d = math.prod(dims)
-    if mats.ndim != 3 or mats.shape[1:] != (d, d) or not len(mats):
-        raise ValueError(f"stack of shape {mats.shape} does not match dims {dims}: need (n, {d}, {d}), n >= 1")
-    check_densities(mats)
-    return [_prechecked(dims, m) for m in mats]
-
-
 def check_alpha2(alpha2: float) -> None:
     """Raise ValueError unless alpha^2 lies in [0, 1]; NaN fails too."""
     if not 0.0 <= alpha2 <= 1.0:
         raise ValueError(f"alpha^2 must lie in [0, 1], got {alpha2}")
+
+
+def check_kets(amps: np.ndarray) -> None:
+    """Raise ValueError unless every ket of a (..., d) stack is finite and
+    has |psi|^2 within DENSITY_TOL of 1.
+
+    |psi|^2 is the trace of every reduction of the ket, so the reductions of
+    a ket that passes meet the density check without an eigensolve.
+    """
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+    norm2 = (amps.real**2 + amps.imag**2).sum(-1)
+    worst = np.abs(norm2 - 1.0).max()
+    if not worst <= DENSITY_TOL:
+        raise ValueError(f"state vector is not normalized (|psi|^2 deviates from 1 by {worst:.3g})")
 
 
 def check_densities(mats: np.ndarray) -> None:
@@ -133,7 +140,7 @@ def check_densities(mats: np.ndarray) -> None:
     One batched eigensolve covers the whole stack.
     """
     # ndarray methods rather than np.max/np.min: those cost microseconds
-    # per call, and every DensityOperator runs this check.  Each test is
+    # per call, and every checked DensityOperator runs this.  Each test is
     # written so that a NaN fails it (every comparison with NaN is False).
     skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
     if not skew <= DENSITY_TOL:
@@ -289,7 +296,7 @@ def tensor(a, b):
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(a.dims + b.dims, np.kron(a.mat, b.mat))
+        return _derived(a.dims + b.dims, np.kron(a.mat, b.mat))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
 
@@ -337,15 +344,6 @@ def reduce_ket(amps, dims, keep) -> np.ndarray:
     return m @ m.conj().swapaxes(-1, -2)
 
 
-def marginal_pair(kets: np.ndarray, dims):
-    """Reduced states of the first two subsystems, of equal dimension, of an
-    (n, d) batch of kets: two (n, d0, d0) halves of one stack that one
-    :func:`check_densities` call validates."""
-    pair = np.concatenate([reduce_ket(kets, dims, [k]) for k in (0, 1)])
-    check_densities(pair)
-    return pair[: len(kets)], pair[len(kets) :]
-
-
 def partial_trace(state, keep) -> DensityOperator:
     """Trace out all subsystems except ``keep`` (kept in original order).
 
@@ -357,7 +355,7 @@ def partial_trace(state, keep) -> DensityOperator:
         reduced = reduce_ket(state.amps, state.dims, keep)
     else:
         reduced = _trace_axes(state.mat, state.dims, keep)
-    return DensityOperator(tuple(state.dims[k] for k in keep), reduced)
+    return _derived(tuple(state.dims[k] for k in keep), reduced)
 
 
 def partial_transpose(mat, dims, subsystems) -> np.ndarray:
@@ -417,7 +415,7 @@ def apply_isometry(v: MachineIsometry, state):
     if isinstance(state, DensityOperator):
         if state.dims != v.in_dims:
             raise ValueError(f"input dims {state.dims} do not match machine {v.in_dims}")
-        return DensityOperator(v.out_dims, v.matrix @ state.mat @ v.matrix.conj().T)
+        return _derived(v.out_dims, v.matrix @ state.mat @ v.matrix.conj().T)
     raise TypeError("expected StateVector or DensityOperator")
 
 
@@ -447,7 +445,7 @@ def permute_subsystems(rho: DensityOperator, order) -> DensityOperator:
     t = rho.mat.reshape(list(rho.dims) * 2)
     t = np.transpose(t, order + [i + n for i in order])
     dims = tuple(rho.dims[i] for i in order)
-    return DensityOperator(dims, t.reshape(rho.mat.shape))
+    return _derived(dims, t.reshape(rho.mat.shape))
 
 
 def bell_project(rho: DensityOperator, pair, outcome: str):
@@ -473,7 +471,7 @@ def bell_project(rho: DensityOperator, pair, outcome: str):
     prob = float(np.trace(reduced).real)
     if prob < ZERO_BRANCH_TOL:
         return 0.0, None
-    post = DensityOperator(tuple(rho.dims[k] for k in keep), reduced / prob)
+    post = _derived(tuple(rho.dims[k] for k in keep), reduced / prob)
     return prob, post
 
 

@@ -22,7 +22,7 @@ from . import broadcast as bc
 from . import deleters, hybrid
 from .cloners import MachineSpec, clone_report, pauli_fidelities
 from .deleters import BlankState, DeleterSpec
-from .qcore import StateVector, apply_isometry, density_operators, reduce_ket
+from .qcore import StateVector, apply_isometry, partial_trace
 from .measures import overlap
 
 
@@ -150,8 +150,7 @@ def _hybrid_sim(first: MachineSpec, second: MachineSpec, lam: float):
     """Overlaps of the two hybrid outputs with the input, by simulation."""
     machine = hybrid.hybrid_machine(hybrid.HybridSpec(first, second, lam))
     out = apply_isometry(machine, _HYBRID_INPUT)
-    clones = density_operators((2,), [reduce_ket(out.amps, out.dims, [k]) for k in (0, 1)])
-    return tuple(overlap(_HYBRID_INPUT, rho) for rho in clones)
+    return tuple(overlap(_HYBRID_INPUT, partial_trace(out, [k])) for k in (0, 1))
 
 
 _T24_PRINTED = {

@@ -24,10 +24,8 @@ from .qcore import (
     StateVector,
     UnrealizableSpec,
     apply_isometry,
-    density_operators,
     partial_trace,
     realize_gram,
-    reduce_ket,
 )
 
 TOL = 1e-9
@@ -75,7 +73,7 @@ def check_bh_optimal() -> CheckResult:
 
 def check_clone_ancilla_entanglement() -> CheckResult:
     out = apply_isometry(cloners.build_bh_opt(), StateVector((2,), [1, 0]))
-    rho_ab, rho_ax = density_operators((2, 2), [reduce_ket(out.amps, out.dims, keep) for keep in ([0, 1], [0, 2])])
+    rho_ab, rho_ax = (partial_trace(out, keep) for keep in ([0, 1], [0, 2]))
     c_ab = measures.concurrence_2q(rho_ab)
     c_ax = measures.concurrence_2q(rho_ax)
     e_ab = measures.eof_from_concurrence(c_ab)

@@ -528,3 +528,35 @@ def test_swap_outcome_probabilities_uniform():
         p, post = bc.swap_extend(rho, outcome)
         assert abs(p - 0.25) < 1e-12
         assert post is not None
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda amps: bc.broadcast_output_matrices(amps, 0.2),
+        lambda amps: bc.nonlocal_coefficients(amps, 0.2),
+        lambda amps: bc.local_coefficients(amps, 0.2),
+        lambda amps: bc.input_ket(amps),
+    ],
+    ids=["broadcast_output_matrices", "nonlocal_coefficients", "local_coefficients", "input_ket"],
+)
+def test_closed_forms_reject_nan_amplitudes(fn):
+    for amps in ([math.nan, 0.5], [0.6, 0.0, math.nan, 0.8], [math.inf, 0.0]):
+        with pytest.raises(ValueError, match="amplitudes must be normalized"):
+            fn(amps)
+
+
+def test_avg_broadcast_fidelity_rejects_lambda_outside_its_domain():
+    for lam in (3.0, -0.1, 0.5 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1/2\]"):
+            bc.avg_broadcast_fidelity(lam)
+    # the domain ends are kept, as in broadcast_fidelity
+    assert bc.avg_broadcast_fidelity(0.0) == 1.0
+    assert bc.avg_broadcast_fidelity(0.5) == 0.25
+
+
+def test_interval_rejects_nan_ends():
+    for lo, hi in ((math.nan, 0.5), (0.2, math.nan), (math.nan, math.nan), (0.6, 0.5)):
+        with pytest.raises(ValueError, match="empty interval"):
+            bc.Interval(lo, hi, "Broadcastable")
+    assert bc.Interval(0.5, 0.5, "Broadcastable").contains(0.5)

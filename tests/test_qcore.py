@@ -18,11 +18,10 @@ from qclone.qcore import (
     _trace_axes,
     bell_state,
     check_densities,
-    density_operators,
+    check_kets,
     hermitian_eigvals,
     ket,
     kron_all,
-    marginal_pair,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -308,14 +307,28 @@ def test_check_densities_rejects_any_bad_member():
     DensityOperator((2,), near)
 
 
-def test_marginal_pair_checks_the_whole_stack():
-    kets = np.array([kron_all(ket(0), ket(1)), bell_state("psi+")])
-    rho_0, rho_1 = marginal_pair(kets, (2, 2))
-    assert np.allclose(rho_0[0], np.diag([1, 0])) and np.allclose(rho_1[0], np.diag([0, 1]))
-    assert np.allclose(rho_0[1], np.eye(2) / 2) and np.allclose(rho_1[1], np.eye(2) / 2)
-    kets[1] *= 1.01  # one unnormalized node fails the stacked check
-    with pytest.raises(ValueError):
-        marginal_pair(kets, (2, 2))
+def test_check_kets_rejects_any_bad_row():
+    good = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    check_kets(good)
+    check_kets(good[0])
+    check_kets(np.stack([good, good]))  # any leading shape
+    # a norm^2 inside the tolerance passes, one outside fails
+    check_kets(np.array([[1.0, 0.0], [math.sqrt(1 + DENSITY_TOL / 2), 0.0]]))
+    with pytest.raises(ValueError, match="not normalized"):
+        check_kets(np.array([[1.0, 0.0], [math.sqrt(1 + 2 * DENSITY_TOL), 0.0]]))
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            check_kets(np.array([[1.0, 0.0], [bad, 0.0]]))
+
+
+def test_check_kets_solves_no_eigenproblem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    check_kets(np.eye(4, dtype=complex))
+    StateVector((2, 2), np.eye(4)[1]).density()
 
 
 @st.composite
@@ -351,13 +364,12 @@ def _corrupt(m, kind, rng):
 
 @settings(max_examples=80, deadline=None)
 @given(density_stacks(), st.sampled_from((None, "hermitian", "trace", "negative", "nan")), st.data())
-def test_density_operators_match_one_operator_per_matrix(case, kind, data):
+def test_stacked_check_raises_what_the_single_check_raises(case, kind, data):
     dims, stack = case
     if kind is None:
-        got = density_operators(dims, stack)
-        want = [DensityOperator(dims, m) for m in stack]
-        assert [r.dims for r in got] == [r.dims for r in want]
-        assert all(np.array_equal(g.mat, w.mat) for g, w in zip(got, want))
+        check_densities(stack)
+        for m in stack:
+            DensityOperator(dims, m)
         return
     i = data.draw(st.integers(min_value=0, max_value=len(stack) - 1))
     stack = stack.copy()
@@ -365,15 +377,8 @@ def test_density_operators_match_one_operator_per_matrix(case, kind, data):
     with pytest.raises(ValueError) as single:
         DensityOperator(dims, stack[i])
     with pytest.raises(ValueError) as stacked:
-        density_operators(dims, stack)
+        check_densities(stack)
     assert str(stacked.value) == str(single.value)
-
-
-def test_density_operators_reject_a_stack_that_does_not_match_dims():
-    rho = np.eye(4, dtype=complex) / 4
-    for mats in (rho, np.stack([rho, rho])[:0], np.stack([rho, rho])[:, :2, :2]):
-        with pytest.raises(ValueError, match="does not match dims"):
-            density_operators((2, 2), mats)
 
 
 def test_hermitian_eigvals_basics():
