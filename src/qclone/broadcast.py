@@ -150,6 +150,12 @@ def _check_lambda(lmbda: float) -> None:
         raise ValueError(f"lambda must lie in [0, 1/2), got {lmbda}")
 
 
+def _check_copier_lambda(lmbda: float) -> None:
+    """The domain of the copier's maps and fidelities, both ends kept."""
+    if not 0.0 <= lmbda <= 0.5:  # NaN fails
+        raise ValueError("lambda must lie in [0, 1/2]")
+
+
 # coefficient name of each matrix entry, row by row: 14 is the |01><10|
 # coherence and 23 the |00><11| one
 _ENTRY_NAMES = (
@@ -246,6 +252,7 @@ def _pair_channel(lmbda: float):
 
 def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
     """Same outputs from the copier's single-copy and copy-pair maps."""
+    _check_copier_lambda(lmbda)
     psi = input_ket(amplitudes)
     chan = _single_copy_channel(lmbda)
     # (Lambda x Lambda)(rho), block by block over subsystem A: the (i, j)
@@ -371,25 +378,20 @@ def interval_by_bisection(lmbda: float, which: str) -> Interval:
     return intervals_by_bisection([lmbda], which)[0]
 
 
-def _check_fidelity_lambda(lmbda: float) -> None:
-    if not 0.0 <= lmbda <= 0.5:  # NaN fails
-        raise ValueError("lambda must lie in [0, 1/2]")
-
-
 def broadcast_fidelity(alpha2: float, lmbda: float, sign: int = -1) -> float:
     """Overlap of the nonlocal output with the input entangled state.
 
     ``sign=-1`` is the variant consistent with the universal-copier special
     case; ``sign=+1`` evaluates the alternative printed in one table header.
     """
-    _check_fidelity_lambda(lmbda)
+    _check_copier_lambda(lmbda)
     check_alpha2(alpha2)
     return (1 - lmbda) ** 2 + sign * 4 * alpha2 * (1 - alpha2) * lmbda * (1 - 2 * lmbda)
 
 
 def avg_broadcast_fidelity(lmbda: float, sign: int = -1) -> float:
     """:func:`broadcast_fidelity` averaged over alpha^2 uniform in [0, 1]."""
-    _check_fidelity_lambda(lmbda)
+    _check_copier_lambda(lmbda)
     return (1 - lmbda) ** 2 + sign * (2 / 3) * lmbda * (1 - 2 * lmbda)
 
 

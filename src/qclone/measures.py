@@ -17,6 +17,8 @@ from .qcore import (
     DensityOperator,
     PAULI_Y,
     StateVector,
+    _x_min_eigenvalue,
+    _x_state,
     apply_isometry,
     partial_trace,
     partial_transpose,
@@ -107,9 +109,16 @@ def concurrence_2q(rho: DensityOperator) -> float:
     for nearly pure states.  With rho~ = YY rho* YY and YY real, symmetric
     and unitary, sqrt(rho~) = YY sqrt(rho)* YY, and the leading unitary YY
     leaves the singular values alone: one eigensolve serves both roots.
+    An X state needs none: C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22),
+    |rho_12| - sqrt(rho_00 rho_33)).
     """
     if rho.dims != (2, 2):
         raise ValueError("concurrence_2q requires a two-qubit state")
+    x = _x_state(rho.mat)
+    if x is not None:
+        p00, p11, p22, p33, c03, c12 = x
+        # a diagonal entry may lie below zero by the density tolerance
+        return 2 * max(0.0, c03 - math.sqrt(max(0.0, p11 * p22)), c12 - math.sqrt(max(0.0, p00 * p33)))
     root = _psd_sqrt(rho.mat)
     lam = np.linalg.svd(root.conj() @ _YY @ root, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
@@ -139,11 +148,15 @@ def _binary_entropy(x: float) -> float:
 
 
 def negativity(rho: DensityOperator, split) -> float:
-    """2 sum max(0,-mu) for qubit pairs; (||rho^T||_1 - 1)/(d-1) in general."""
-    mu = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, split))
+    """2 sum max(0,-mu) for qubit pairs; (||rho^T||_1 - 1)/(d-1) in general.
+
+    ``split`` names a proper nonempty subset of the subsystems."""
+    pt = partial_transpose(rho.mat, rho.dims, split)  # checks the selection
     d_a = math.prod([rho.dims[i] for i in set(split)])
-    d_b = rho.dim // d_a
-    d = min(d_a, d_b)
+    d = min(d_a, rho.dim // d_a)
+    if d == 1:
+        raise ValueError(f"a negativity split names a proper subset of the subsystems, got {tuple(split)}")
+    mu = np.linalg.eigvalsh(pt)
     if d == 2:
         return float(2 * np.sum(np.clip(-mu, 0.0, None)))
     return float((np.sum(np.abs(mu)) - 1.0) / (d - 1))
@@ -152,9 +165,34 @@ def negativity(rho: DensityOperator, split) -> float:
 def min_pt_eigenvalue(mat, dims=(2, 2), split=(1,)):
     """Smallest eigenvalue of the partial transpose of ``mat`` over ``split``:
     a float for one (d, d) matrix, an array of them for a (..., d, d) stack
-    (one batched eigensolve)."""
-    evals = np.linalg.eigvalsh(partial_transpose(mat, dims, split))
-    return float(evals[0]) if evals.ndim == 1 else evals[..., 0]
+    (one batched eigensolve, none for X states split into two qubits)."""
+    x = _x_state(mat) if _qubit_split(dims, split) else None
+    if x is None:
+        evals = np.linalg.eigvalsh(partial_transpose(mat, dims, split))
+        return float(evals[0]) if evals.ndim == 1 else evals[..., 0]
+    least = _x_pt_min(x)
+    return float(least) if least.ndim == 0 else least
+
+
+def _qubit_split(dims, split) -> bool:
+    """True when ``split`` names one qubit of a two-qubit ``dims``."""
+    return tuple(dims) == (2, 2) and tuple(split) in ((0,), (1,))
+
+
+def _x_pt_min(x):
+    """Smallest partial-transpose eigenvalue of an X state over either qubit,
+    from :func:`_x_state` entries: the transpose swaps the coherences, so
+    the blocks are ({0, 3}, |rho_12|) and ({1, 2}, |rho_03|)."""
+    p00, p11, p22, p33, c03, c12 = x
+    return _x_min_eigenvalue(p00, p11, p22, p33, c12, c03)
+
+
+def _x_minors(x):
+    """``_leading_minors`` of the partial transpose of one X state, from
+    its :func:`_x_state` floats."""
+    p00, p11, p22, p33, c03, c12 = x
+    block = p11 * p22 - c03 * c03
+    return p00 * p11, p00 * block, (p00 * p33 - c12 * c12) * block
 
 
 def is_npt(mat, dims=(2, 2), split=(1,)):
@@ -171,16 +209,21 @@ def ppt_verdict(rho: DensityOperator, split=(1,)) -> SeparabilityVerdict:
     W2-W4 come from the same partial transpose: on two qubits ``split``
     names one qubit, and the transposes over either qubit are transposes of
     each other, so their leading principal minors agree with
-    ``w_determinants``.
+    ``w_determinants``.  An X state takes both from closed forms.
     """
     if rho.dims == (2, 2) and len(set(split)) != 1:
         raise ValueError(f"a two-qubit split names one qubit, got {tuple(split)}")
-    pt = partial_transpose(rho.mat, rho.dims, split)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
-    if rho.dims == (2, 2):
-        w2, w3, w4 = _leading_minors(pt)
+    x = _x_state(rho.mat) if _qubit_split(rho.dims, split) else None
+    if x is not None:
+        min_eig = float(_x_pt_min(x))
+        w2, w3, w4 = _x_minors(x)
     else:
-        w2 = w3 = w4 = float("nan")
+        pt = partial_transpose(rho.mat, rho.dims, split)
+        min_eig = float(np.linalg.eigvalsh(pt)[0])
+        if rho.dims == (2, 2):
+            w2, w3, w4 = _leading_minors(pt)
+        else:
+            w2 = w3 = w4 = float("nan")
     if min_eig < -PPT_TOL:
         verdict = "Inseparable"
     elif rho.dims == (2, 2):
@@ -192,9 +235,14 @@ def ppt_verdict(rho: DensityOperator, split=(1,)) -> SeparabilityVerdict:
 
 def w_determinants(rho: DensityOperator):
     """Determinants (W2, W3, W4) of the leading principal submatrices of the
-    partial transpose of a two-qubit state, in basis order 00, 01, 10, 11."""
+    partial transpose of a two-qubit state, in basis order 00, 01, 10, 11:
+    for an X state rho_00 rho_11, rho_00 b and (rho_00 rho_33 - |rho_12|^2) b
+    with b = rho_11 rho_22 - |rho_03|^2."""
     if rho.dims != (2, 2):
         raise ValueError("w_determinants requires a two-qubit state")
+    x = _x_state(rho.mat)
+    if x is not None:
+        return _x_minors(x)
     return _leading_minors(partial_transpose(rho.mat, rho.dims, (1,)))
 
 

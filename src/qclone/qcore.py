@@ -137,7 +137,9 @@ def check_densities(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a (..., d, d) stack is
     Hermitian, unit-trace and PSD to within DENSITY_TOL.
 
-    One batched eigensolve covers the whole stack.
+    One batched eigensolve covers the whole stack; a stack of two-qubit X
+    states (see :func:`_x_state`) needs none, its eigenvalues are those of
+    two 2x2 blocks.
     """
     # ndarray methods rather than np.max/np.min: those cost microseconds
     # per call, and every checked DensityOperator runs this.  Each test is
@@ -148,8 +150,58 @@ def check_densities(mats: np.ndarray) -> None:
     worst = np.abs(mats.diagonal(0, -2, -1).sum(-1).real - 1.0).max()
     if not worst <= DENSITY_TOL:
         raise ValueError(f"density operator trace deviates from 1 by {worst:.3g}")
-    if not np.linalg.eigvalsh(mats)[..., 0].min() >= -DENSITY_TOL:
+    x = _x_state(mats)
+    least = np.linalg.eigvalsh(mats)[..., 0].min() if x is None else _x_min_eigenvalue(*x).min()
+    if not least >= -DENSITY_TOL:
         raise ValueError("density operator has a significantly negative eigenvalue")
+
+
+# flat indices of the entries of a 4x4 matrix off its diagonal and
+# anti-diagonal, and of rho_00, rho_11, rho_22, rho_33, rho_30, rho_21
+_OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+_X_ENTRIES = np.array([0, 5, 10, 15, 12, 9])
+_OFF_X.flags.writeable = False
+_X_ENTRIES.flags.writeable = False
+
+
+def _x_state(mats: np.ndarray):
+    """The entries of a stack of two-qubit X states, or None.
+
+    For a (..., 4, 4) stack whose entries off the diagonal and the
+    anti-diagonal are all exactly zero, returns (rho_00, rho_11, rho_22,
+    rho_33, |rho_03|, |rho_12|): Python floats for one matrix, arrays over
+    the stack otherwise; for any other input, None.  Such a matrix is the
+    direct sum of its blocks on {0, 3} and {1, 2}, so these six numbers
+    give its measures in closed form.  The test is exact zero, not a
+    tolerance: a square root is only Hoelder-1/2, so an off-X entry of
+    1e-12 could move a concurrence by about 1e-6.  The diagonal's real part
+    and rho_30 and rho_21 are what ``eigvalsh`` reads, so a matrix that is
+    Hermitian only to within a tolerance gives the eigensolver's eigenvalues.
+    """
+    if mats.shape[-2:] != (4, 4):
+        return None
+    if mats.ndim == 2:
+        # indexing a 1-d array, and closed forms in Python floats, cost a
+        # fraction of the stacked path for one matrix
+        flat = mats.reshape(16)
+        if np.count_nonzero(flat[_OFF_X]):
+            return None
+        p00, p11, p22, p33, r30, r21 = flat[_X_ENTRIES].tolist()
+        return p00.real, p11.real, p22.real, p33.real, abs(r30), abs(r21)
+    flat = mats.reshape(mats.shape[:-2] + (16,))
+    if np.count_nonzero(flat[..., _OFF_X]):
+        return None
+    x = flat[..., _X_ENTRIES]
+    return (*(x[..., i].real for i in range(4)), abs(x[..., 4]), abs(x[..., 5]))
+
+
+def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):
+    """Smallest eigenvalue of an X matrix with diagonal p and coherence
+    moduli c_outer on {0, 3} and c_inner on {1, 2}, for floats or arrays:
+    the smaller eigenvalue of [[a, z], [z*, d]] is (a+d)/2 - sqrt((a-d)^2/4 + |z|^2)."""
+    outer = (p00 + p33) / 2 - ((p00 - p33) ** 2 / 4 + c_outer * c_outer) ** 0.5
+    inner = (p11 + p22) / 2 - ((p11 - p22) ** 2 / 4 + c_inner * c_inner) ** 0.5
+    return np.minimum(outer, inner)
 
 
 @dataclass(frozen=True)

@@ -560,3 +560,15 @@ def test_interval_rejects_nan_ends():
         with pytest.raises(ValueError, match="empty interval"):
             bc.Interval(lo, hi, "Broadcastable")
     assert bc.Interval(0.5, 0.5, "Broadcastable").contains(0.5)
+
+
+def test_channel_matrices_reject_lambda_outside_the_copier_domain():
+    # outside [0, 1/2] the copy maps are not positive: lambda = 3 gives AA' an eigenvalue of -5
+    amps = [0.6, 0.0, 0.0, 0.8]
+    for lam in (math.nan, 3.0, -0.1):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1/2\]"):
+            bc.broadcast_channel_matrices(amps, lam)
+    # both ends of the machine's domain are kept, as in broadcast_outputs_machine
+    for lam in (0.0, 0.5):
+        mats = bc.broadcast_channel_matrices(amps, lam)
+        assert all(abs(np.trace(m) - 1) < 1e-12 for m in mats.values())

@@ -11,6 +11,7 @@ from qclone.qcore import (
     StateVector,
     apply_isometry,
     bell_state,
+    _x_state,
     partial_trace,
 )
 
@@ -186,6 +187,15 @@ def test_negativity_values():
     assert measures.negativity(sep, [0]) < 1e-12
 
 
+def test_negativity_rejects_a_split_with_a_trivial_side():
+    phi = projector(bell_state("phi+"), (2, 2))
+    three = DensityOperator((2, 2, 2), np.eye(8) / 8)
+    for rho, split in ((phi, (0, 1)), (phi, [1, 0]), (three, (0, 1, 2))):
+        with pytest.raises(ValueError, match="names a proper subset"):
+            measures.negativity(rho, split)
+    assert measures.negativity(three, (0, 2)) < 1e-12
+
+
 def test_ppt_verdict():
     psi = projector(bell_state("psi+"), (2, 2))
     assert measures.ppt_verdict(psi).verdict == "Inseparable"
@@ -341,6 +351,84 @@ def test_ppt_verdict_determinants_on_either_split():
     for split in ((), (0, 1)):
         with pytest.raises(ValueError, match="names one qubit"):
             measures.ppt_verdict(rho, split)
+
+
+# Oracles for two-qubit states that share no code with the package: Wootters'
+# concurrence from the eigenvalues of rho rho~, the partial transpose by an
+# explicit index swap, and the W minors by np.linalg.det.
+
+
+def _wootters_by_eigvals(m):
+    yy = np.kron(PAULI_Y, PAULI_Y)
+    mu = np.linalg.eigvals(m @ yy @ m.conj() @ yy).real
+    lam = np.sort(np.sqrt(np.clip(mu, 0.0, None)))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def _explicit_pt(m, qubit):
+    axes = (0, 3, 2, 1) if qubit == 1 else (2, 1, 0, 3)
+    return m.reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4)
+
+
+def _minors_by_det(m):
+    pt = _explicit_pt(m, 1)
+    return tuple(float(np.linalg.det(pt[:k, :k]).real) for k in (2, 3, 4))
+
+
+def _psd_block(e1, e2, theta, phi):
+    """U diag(e1, e2) U^dag for a qubit rotation U: a PSD 2x2 block with a
+    complex coherence."""
+    u = np.array(
+        [[math.cos(theta), -np.exp(-1j * phi) * math.sin(theta)], [np.exp(1j * phi) * math.sin(theta), math.cos(theta)]]
+    )
+    return (u * [e1, e2]) @ u.conj().T
+
+
+# Block eigenvalues stay at or above 1e-2 before normalization, so the
+# eigenvalues of rho rho~ stay above about 1e-6 and the square roots in the
+# Wootters oracle add under 1e-12 of rounding.
+_EIGENVALUE = st.floats(min_value=1e-2, max_value=1.0)
+_BLOCK = st.tuples(_EIGENVALUE, _EIGENVALUE, st.floats(0.0, math.pi / 2), st.floats(0.0, 2 * math.pi))
+_OFF_X_PAIRS = [(i, j) for i in range(4) for j in range(i + 1, 4) if i + j != 3]
+
+
+def _x_matrix(outer, inner):
+    """X state with the block ``outer`` on {0, 3} and ``inner`` on {1, 2}."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[np.ix_([0, 3], [0, 3])] = _psd_block(*outer)
+    m[np.ix_([1, 2], [1, 2])] = _psd_block(*inner)
+    return m / np.trace(m).real
+
+
+def _assert_measures_meet_oracles(m, tol):
+    rho = DensityOperator((2, 2), m)
+    assert abs(measures.concurrence_2q(rho) - _wootters_by_eigvals(m)) < tol
+    least = {q: np.linalg.eigvalsh(_explicit_pt(m, q))[0] for q in (0, 1)}
+    for q in (0, 1):
+        assert abs(measures.min_pt_eigenvalue(m, (2, 2), (q,)) - least[q]) < tol
+        stacked = measures.min_pt_eigenvalue(np.stack([m, m.conj()]), (2, 2), (q,))
+        assert stacked.shape == (2,) and np.abs(stacked - least[q]).max() < tol
+        verdict = measures.ppt_verdict(rho, (q,))
+        assert abs(verdict.min_pt_eigenvalue - least[q]) < tol
+        assert verdict.verdict == ("Inseparable" if least[q] < -measures.PPT_TOL else "Separable")
+        assert np.abs(np.subtract((verdict.w2, verdict.w3, verdict.w4), _minors_by_det(m))).max() < tol
+    assert np.abs(np.subtract(measures.w_determinants(rho), _minors_by_det(m))).max() < tol
+    # a transpose of both qubits has the spectrum of rho
+    full = measures.min_pt_eigenvalue(m, (2, 2), (0, 1))
+    assert abs(full - np.linalg.eigvalsh(m)[0]) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BLOCK, _BLOCK, st.sampled_from(_OFF_X_PAIRS))
+def test_x_state_closed_forms_meet_independent_oracles(outer, inner, pair):
+    m = _x_matrix(outer, inner)
+    assert _x_state(m) is not None
+    _assert_measures_meet_oracles(m, 1e-12)
+    # one off-X pair at 1e-13 is no X state: the general path serves it
+    near = m.copy()
+    near[pair] = near[pair[::-1]] = 1e-13
+    assert _x_state(near) is None
+    _assert_measures_meet_oracles(near, 1e-9)
 
 
 def test_pauli_yy_constant_is_read_only():

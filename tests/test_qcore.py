@@ -16,6 +16,7 @@ from qclone.qcore import (
     apply_isometry,
     bell_project,
     _trace_axes,
+    _x_state,
     bell_state,
     check_densities,
     check_kets,
@@ -305,6 +306,45 @@ def test_check_densities_rejects_any_bad_member():
     near = np.diag([1.0 + DENSITY_TOL / 2, -DENSITY_TOL / 2])
     check_densities(np.stack([good[0], near]))
     DensityOperator((2,), near)
+
+
+def _x_with_inner_eigenvalue(least, phase=0.7):
+    """Maximally mixed diagonal with a {1, 2} coherence of modulus
+    1/4 - least, so that block's smaller eigenvalue is ``least``."""
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = (0.25 - least) * np.exp(1j * phase)
+    m[2, 1] = np.conj(m[1, 2])
+    return m
+
+
+def test_check_densities_on_x_states_needs_no_eigensolve(monkeypatch):
+    general = random_density(np.random.default_rng(3), (2, 2)).mat
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    bad = _x_with_inner_eigenvalue(-1e-6)
+    near = _x_with_inner_eigenvalue(-DENSITY_TOL / 2)
+    assert _x_state(bad) is not None
+    for m in (bad, np.stack([near, bad])):
+        with pytest.raises(ValueError, match="density operator has a significantly negative eigenvalue"):
+            check_densities(m)
+    check_densities(near)
+    check_densities(np.stack([near, near.T]))
+    DensityOperator((2, 2), near)
+    assert calls == []
+    # a NaN coherence fails, first in the Hermitian test
+    for pair in ((0, 3), (1, 2)):
+        nan = near.copy()
+        nan[pair] = nan[pair[::-1]] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_densities(nan)
+    # one non-X member sends the whole stack through the eigensolve, which
+    # still finds the one bad X member
+    mixed = np.stack([near, general, bad])
+    assert _x_state(mixed) is None
+    with pytest.raises(ValueError, match="significantly negative eigenvalue"):
+        check_densities(mixed)
+    assert calls == [(3, 4, 4)]
 
 
 def test_check_kets_rejects_any_bad_row():
