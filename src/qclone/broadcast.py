@@ -179,7 +179,7 @@ def _assemble(co: Dict[str, float], prefix: str = "C") -> np.ndarray:
 def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
     """Closed-form output matrices; for lambda < 1/6 with coherent inputs
     the local pairs can fail positivity (the machine regime ends there)."""
-    _check_lambda(lmbda)
+    _check_copier_lambda(lmbda)
     amps = _coerce_input(amplitudes)
     c = _assemble(_nonlocal_terms(*amps, lmbda), "C")
     k_a = _assemble(_local_terms(*amps, lmbda, "A"), "K")

@@ -133,66 +133,119 @@ def check_kets(amps: np.ndarray) -> None:
         raise ValueError(f"state vector is not normalized (|psi|^2 deviates from 1 by {worst:.3g})")
 
 
+_NOT_HERMITIAN = "density operator is not Hermitian (deviation {:.3g})"
+_BAD_TRACE = "density operator trace deviates from 1 by {:.3g}"
+_NOT_PSD = "density operator has a significantly negative eigenvalue"
+
+
 def check_densities(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a (..., d, d) stack is
     Hermitian, unit-trace and PSD to within DENSITY_TOL.
 
     One batched eigensolve covers the whole stack; a stack of two-qubit X
     states (see :func:`_x_state`) needs none, its eigenvalues are those of
-    two 2x2 blocks.
+    two 2x2 blocks, and one X state is checked on its diagonal and
+    anti-diagonal alone (:func:`_check_x_state`).
     """
+    x = _x_entries(mats)
+    if x is not None and mats.ndim == 2:
+        _check_x_state(*x)
+        return
     # ndarray methods rather than np.max/np.min: those cost microseconds
     # per call, and every checked DensityOperator runs this.  Each test is
     # written so that a NaN fails it (every comparison with NaN is False).
     skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
     if not skew <= DENSITY_TOL:
-        raise ValueError(f"density operator is not Hermitian (deviation {skew:.3g})")
+        raise ValueError(_NOT_HERMITIAN.format(skew))
     worst = np.abs(mats.diagonal(0, -2, -1).sum(-1).real - 1.0).max()
     if not worst <= DENSITY_TOL:
-        raise ValueError(f"density operator trace deviates from 1 by {worst:.3g}")
-    x = _x_state(mats)
-    least = np.linalg.eigvalsh(mats)[..., 0].min() if x is None else _x_min_eigenvalue(*x).min()
+        raise ValueError(_BAD_TRACE.format(worst))
+    if x is None:
+        least = np.linalg.eigvalsh(mats)[..., 0].min()
+    else:
+        least = _x_min_eigenvalue(*_x_moduli(*x)).min()
     if not least >= -DENSITY_TOL:
-        raise ValueError("density operator has a significantly negative eigenvalue")
+        raise ValueError(_NOT_PSD)
+
+
+def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21) -> None:
+    """check_densities on one X state, from its :func:`_x_entries`, in
+    Python scalars: every other entry is zero, so only these eight can
+    differ from their conjugate partners or enter the trace.  The tests and
+    messages are the general ones, NaN failing too."""
+    devs = (
+        abs(p00 - p00.conjugate()),
+        abs(p11 - p11.conjugate()),
+        abs(p22 - p22.conjugate()),
+        abs(p33 - p33.conjugate()),
+        abs(r03 - r30.conjugate()),
+        abs(r12 - r21.conjugate()),
+    )
+    if not all(map(DENSITY_TOL.__ge__, devs)):
+        # the largest deviation, NaN if any is NaN, as ndarray.max gives it
+        raise ValueError(_NOT_HERMITIAN.format(np.max(devs)))
+    # the entries are finite now: a NaN or infinite one fails the test above
+    worst = abs((p00 + p11 + p22 + p33).real - 1.0)
+    if not worst <= DENSITY_TOL:
+        raise ValueError(_BAD_TRACE.format(worst))
+    if not _x_min_eigenvalue(*_x_moduli(p00, p11, p22, p33, r03, r30, r12, r21)) >= -DENSITY_TOL:
+        raise ValueError(_NOT_PSD)
 
 
 # flat indices of the entries of a 4x4 matrix off its diagonal and
-# anti-diagonal, and of rho_00, rho_11, rho_22, rho_33, rho_30, rho_21
+# anti-diagonal, and of rho_00, rho_11, rho_22, rho_33, rho_03, rho_30,
+# rho_12, rho_21
 _OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
-_X_ENTRIES = np.array([0, 5, 10, 15, 12, 9])
+_X_ENTRIES = np.array([0, 5, 10, 15, 3, 12, 6, 9])
 _OFF_X.flags.writeable = False
 _X_ENTRIES.flags.writeable = False
+
+
+def _x_entries(mats: np.ndarray):
+    """The diagonal and anti-diagonal of a stack of two-qubit X states, or None.
+
+    For a (..., 4, 4) stack whose entries off the diagonal and the
+    anti-diagonal are all exactly zero, returns [rho_00, rho_11, rho_22,
+    rho_33, rho_03, rho_30, rho_12, rho_21]: Python complex numbers for one
+    matrix, arrays over the stack otherwise; for any other input, None.
+    The test is exact zero, not a tolerance: a square root is only
+    Hoelder-1/2, so an off-X entry of 1e-12 could move a concurrence by
+    about 1e-6.
+    """
+    if mats.shape[-2:] != (4, 4):
+        return None
+    if mats.ndim == 2:
+        # indexing a 1-d array, and Python scalars, cost a fraction of the
+        # stacked path for one matrix
+        flat = mats.reshape(16)
+        if np.count_nonzero(flat[_OFF_X]):
+            return None
+        return flat[_X_ENTRIES].tolist()
+    flat = mats.reshape(mats.shape[:-2] + (16,))
+    if np.count_nonzero(flat[..., _OFF_X]):
+        return None
+    x = flat[..., _X_ENTRIES]
+    return [x[..., i] for i in range(8)]
+
+
+def _x_moduli(p00, p11, p22, p33, r03, r30, r12, r21):
+    """(rho_00, rho_11, rho_22, rho_33, |rho_03|, |rho_12|) from the
+    :func:`_x_entries` of an X stack.  The diagonal's real part and rho_30
+    and rho_21 are what ``eigvalsh`` reads, so a matrix that is Hermitian
+    only to within a tolerance gives the eigensolver's eigenvalues."""
+    return p00.real, p11.real, p22.real, p33.real, abs(r30), abs(r21)
 
 
 def _x_state(mats: np.ndarray):
     """The entries of a stack of two-qubit X states, or None.
 
-    For a (..., 4, 4) stack whose entries off the diagonal and the
-    anti-diagonal are all exactly zero, returns (rho_00, rho_11, rho_22,
-    rho_33, |rho_03|, |rho_12|): Python floats for one matrix, arrays over
-    the stack otherwise; for any other input, None.  Such a matrix is the
-    direct sum of its blocks on {0, 3} and {1, 2}, so these six numbers
-    give its measures in closed form.  The test is exact zero, not a
-    tolerance: a square root is only Hoelder-1/2, so an off-X entry of
-    1e-12 could move a concurrence by about 1e-6.  The diagonal's real part
-    and rho_30 and rho_21 are what ``eigvalsh`` reads, so a matrix that is
-    Hermitian only to within a tolerance gives the eigensolver's eigenvalues.
+    For a (..., 4, 4) stack that :func:`_x_entries` recognises, returns
+    :func:`_x_moduli`: Python floats for one matrix, arrays over the stack
+    otherwise.  Such a matrix is the direct sum of its blocks on {0, 3} and
+    {1, 2}, so these six numbers give its measures in closed form.
     """
-    if mats.shape[-2:] != (4, 4):
-        return None
-    if mats.ndim == 2:
-        # indexing a 1-d array, and closed forms in Python floats, cost a
-        # fraction of the stacked path for one matrix
-        flat = mats.reshape(16)
-        if np.count_nonzero(flat[_OFF_X]):
-            return None
-        p00, p11, p22, p33, r30, r21 = flat[_X_ENTRIES].tolist()
-        return p00.real, p11.real, p22.real, p33.real, abs(r30), abs(r21)
-    flat = mats.reshape(mats.shape[:-2] + (16,))
-    if np.count_nonzero(flat[..., _OFF_X]):
-        return None
-    x = flat[..., _X_ENTRIES]
-    return (*(x[..., i].real for i in range(4)), abs(x[..., 4]), abs(x[..., 5]))
+    x = _x_entries(mats)
+    return None if x is None else _x_moduli(*x)
 
 
 def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):

@@ -6,15 +6,16 @@ printed digit (the source mixes rounding and truncation, so half-ulp
 matching is impossible; see README "Tolerances").
 
 Each table is its printed data, its printed decimals per output column, and
-one computation per mode; ``generate_table`` turns them into rows.
+one computation per mode; ``generate_table`` turns them into rows.  A table
+is built once per process and mode, and rebuilt only when its printed data
+change, so every result is read-only.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,12 +27,26 @@ from .qcore import StateVector, apply_isometry, partial_trace
 from .measures import overlap
 
 
-@dataclass
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change: built tables are shared between
+    callers.  Still a dict, so it renders and serializes as one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("table rows are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # copy and pickle rebuild it whole, not item by item
+        return type(self), (dict(self),)
+
+
+@dataclass(frozen=True)
 class ReportRow:
-    inputs: Dict[str, float]
-    outputs: Dict[str, float]
-    expected: Dict[str, Optional[float]]
-    decimals: Dict[str, int]
+    inputs: Mapping[str, float]
+    outputs: Mapping[str, float]
+    expected: Mapping[str, Optional[float]]
+    decimals: Mapping[str, int]
     provenance: str = "PaperClosedForm"
 
     def matches(self, tol: Optional[float] = None) -> Dict[str, bool]:
@@ -50,11 +65,11 @@ class ReportRow:
         return all(self.matches(tol).values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableResult:
     table_id: str
     title: str
-    rows: List[ReportRow] = field(default_factory=list)
+    rows: Tuple[ReportRow, ...] = ()
 
     def all_match(self) -> bool:
         return all(r.all_match() for r in self.rows)
@@ -277,18 +292,12 @@ _T42_PRINTED = {
 _LIMIT_INPUT = deleters.real_inputs([0.3])  # the simulated deletion input, alpha^2 = 0.3
 
 
-@functools.lru_cache(maxsize=None)
-def _limit_blanks(m1sq: float):
-    """The blanks m1|0> + m2|1> and m1|0> - m2|1> with m1^2 = m1sq, built
-    once per printed m1sq (a BlankState is immutable)."""
-    m1, m2 = math.sqrt(m1sq), math.sqrt(1 - m1sq)
-    return BlankState(m1, m2), BlankState(m1, -m2)
-
-
 def _limit_fidelities(n_transformers: int, m1sq: float, simulate: bool):
-    """(F_pos, F_neg): the lambda -> 1/2 deletion fidelities of the two blanks."""
+    """(F_pos, F_neg): the lambda -> 1/2 deletion fidelities of the blanks
+    m1|0> + m2|1> and m1|0> - m2|1> with m1^2 = m1sq."""
+    m1, m2 = math.sqrt(m1sq), math.sqrt(1 - m1sq)
     out = []
-    for blank in _limit_blanks(m1sq):
+    for blank in (BlankState(m1, m2), BlankState(m1, -m2)):
         if simulate:
             spec = DeleterSpec("conv", (0.5 - 1e-6, blank))
             out.append(float(deleters.delete_reports(spec, _LIMIT_INPUT, n_transformers).F_2[0]))
@@ -357,20 +366,41 @@ _TABLES = {
 
 TABLE_IDS = tuple(_TABLES)
 
+# (table id, simulated) -> (the printed rows a table was built from, the
+# table); generate_table rebuilds an entry whose printed rows have changed
+_BUILT: Dict[Tuple[str, bool], Tuple[list, TableResult]] = {}
+
 
 def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
+    """The table in one mode, closed_form or simulate, as read-only rows.
+
+    The printed data are read on every call; the rows are computed only
+    when they differ from those of the last build in this mode.
+    """
     if table_id not in _TABLES:
         raise KeyError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
     if mode not in ("closed_form", "simulate"):
         raise ValueError("mode must be closed_form or simulate")
     table = _TABLES[table_id]
     simulated = mode == "simulate" and table.simulate is not None
-    provenance = "Simulation" if simulated else "PaperClosedForm"
     printed = table.printed()
+    built = _BUILT.get((table_id, simulated))
+    if built is not None and built[0] == printed:
+        return built[1]
+    provenance = "Simulation" if simulated else "PaperClosedForm"
     outputs = (table.simulate if simulated else table.closed_form)([x for x, _ in printed])
     cols = tuple(table.decimals)
-    rows = [
-        ReportRow(x, dict(zip(cols, out)), dict(zip(cols, ref)), table.decimals, provenance)
+    decimals = _ReadOnlyDict(table.decimals)
+    rows = tuple(
+        ReportRow(
+            _ReadOnlyDict(x),
+            _ReadOnlyDict(zip(cols, out)),
+            _ReadOnlyDict(zip(cols, ref)),
+            decimals,
+            provenance,
+        )
         for (x, ref), out in zip(printed, outputs)
-    ]
-    return TableResult(table_id, table.title, rows)
+    )
+    result = TableResult(table_id, table.title, rows)
+    _BUILT[table_id, simulated] = printed, result
+    return result

@@ -572,3 +572,20 @@ def test_channel_matrices_reject_lambda_outside_the_copier_domain():
     for lam in (0.0, 0.5):
         mats = bc.broadcast_channel_matrices(amps, lam)
         assert all(abs(np.trace(m) - 1) < 1e-12 for m in mats.values())
+
+
+def test_closed_form_outputs_take_the_copier_domain():
+    # lambda = 1/2 is the copier's end, not only the intervals' open end
+    amps = [0.6, 0.0, 0.0, 0.8]
+    closed = bc.broadcast_output_matrices(amps, 0.5)
+    checked = bc.broadcast_outputs(amps, 0.5)
+    channel = bc.broadcast_channel_matrices(amps, 0.5)
+    machine = bc.broadcast_outputs_machine(amps, 0.5)
+    for name in ("AB'", "A'B", "AA'", "BB'"):
+        assert np.max(np.abs(closed[name] - channel[name])) <= 1e-12, name
+        assert np.max(np.abs(closed[name] - machine[name].mat)) <= 1e-12, name
+        assert np.array_equal(checked[name].mat, closed[name]), name
+    for lam in (math.nan, -0.1, 0.51):
+        for fn in (bc.broadcast_output_matrices, bc.broadcast_outputs):
+            with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1/2\]"):
+                fn(amps, lam)

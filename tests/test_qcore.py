@@ -347,6 +347,50 @@ def test_check_densities_on_x_states_needs_no_eigensolve(monkeypatch):
     assert calls == [(3, 4, 4)]
 
 
+def _raised(m):
+    with pytest.raises(ValueError) as info:
+        check_densities(m)
+    return str(info.value)
+
+
+def test_one_x_state_fails_with_the_general_messages():
+    # one X state is checked on its diagonal and anti-diagonal in Python
+    # scalars; a stack of one takes the general tests, so the two must agree
+    near = _x_with_inner_eigenvalue(-DENSITY_TOL / 2)
+    imag_diagonal = near.copy()
+    imag_diagonal[2, 2] += 1e-6j
+    outer = near.copy()
+    outer[0, 3], outer[3, 0] = 0.1, 0.1j  # not a conjugate pair
+    inner = near.copy()
+    inner[1, 2] += 1e-6  # rho_12 no longer the conjugate of rho_21
+    trace = near.copy()
+    trace[3, 3] += 10 * DENSITY_TOL
+    cases = [
+        (imag_diagonal, "not Hermitian (deviation 2e-06)"),
+        (outer, "not Hermitian (deviation 0.141)"),
+        (inner, "not Hermitian (deviation 1e-06)"),
+        (trace, "trace deviates from 1 by 1e-06"),
+    ]
+    for m, message in cases:
+        assert _x_state(m) is not None
+        assert message in _raised(m)
+        assert _raised(m) == _raised(m[None])
+    # a NaN entry fails the Hermitian test, with the deviation that
+    # ndarray.max reports, wherever it sits among the eight; so does an
+    # infinite coherence (an infinite diagonal entry makes the general
+    # test warn on inf - inf, so it is left out here)
+    coherences = [(0, 3), (3, 0), (1, 2), (2, 1)]
+    x_entries = [(i, i) for i in range(4)] + coherences
+    bad_entries = [(index, bad) for index in x_entries for bad in (np.nan, complex(0.0, np.nan))]
+    bad_entries += [(index, np.inf) for index in coherences]
+    for index, bad in bad_entries:
+        m = near.copy()
+        m[index] = bad
+        assert _x_state(m) is not None
+        assert "not Hermitian" in _raised(m), (index, bad)
+        assert _raised(m) == _raised(m[None]), (index, bad)
+
+
 def test_check_kets_rejects_any_bad_row():
     good = np.array([[1.0, 0.0], [0.6, 0.8j]])
     check_kets(good)
