@@ -64,8 +64,12 @@ def sd_cloner_lambda_star(alpha2: float) -> float:
 
 def _coerce_input(amplitudes) -> np.ndarray:
     """(alpha1, beta1) or (alpha1, beta1, gamma1, delta1) -> 4-vector
-    ordered as the coefficients of |00>, |11>, |10>, |01>."""
-    a = np.asarray(amplitudes, dtype=float).reshape(-1)
+    ordered as the coefficients of |00>, |11>, |10>, |01>; an (n, 2) or
+    (n, 4) stack of inputs -> an (n, 4) array."""
+    a = np.asarray(amplitudes, dtype=float)
+    if a.ndim == 2:
+        return np.stack([_coerce_input(row) for row in a])
+    a = a.reshape(-1)
     if a.size == 2:
         a = np.array([a[0], a[1], 0.0, 0.0])
     if a.size != 4:
@@ -75,11 +79,21 @@ def _coerce_input(amplitudes) -> np.ndarray:
     return a
 
 
+def _input_amps(amplitudes) -> np.ndarray:
+    """The input ket's amplitudes on |00>, |01>, |10>, |11>, (4,) for one
+    input or (n, 4) for a stack."""
+    return _coerce_input(amplitudes)[..., (0, 3, 2, 1)].astype(complex)
+
+
+def _one_input(mats: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The output matrices of one input; ValueError for those of a stack."""
+    if mats["AB'"].ndim != 2:
+        raise ValueError("need one input, not a stack")
+    return mats
+
+
 def input_ket(amplitudes) -> StateVector:
-    a1, b1, g1, d1 = _coerce_input(amplitudes)
-    amps = np.zeros(4, dtype=complex)
-    amps[0], amps[3], amps[2], amps[1] = a1, b1, g1, d1
-    return StateVector((2, 2), amps)
+    return StateVector((2, 2), _input_amps(amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +101,9 @@ def input_ket(amplitudes) -> StateVector:
 
 
 def nonlocal_coefficients(amplitudes, lmbda: float) -> Dict[str, float]:
-    """C coefficients of the nonlocal pair output rho_AB' = rho_A'B."""
-    return _nonlocal_terms(*_coerce_input(amplitudes), lmbda)
+    """C coefficients of the nonlocal pair output rho_AB' = rho_A'B, one
+    array per name for a stack of inputs."""
+    return _nonlocal_terms(*_coerce_input(amplitudes).T, lmbda)
 
 
 def _nonlocal_terms(a1, b1, g1, d1, lmbda):
@@ -111,13 +126,14 @@ def _nonlocal_terms(a1, b1, g1, d1, lmbda):
 
 
 def local_coefficients(amplitudes, lmbda: float, side: str = "A") -> Dict[str, float]:
-    """K (side A) or K' (side B) coefficients of the local pair outputs.
+    """K (side A) or K' (side B) coefficients of the local pair outputs,
+    one array per varying name for a stack of inputs.
 
     Derived from the copier structure directly (the source's general display
     is inconsistent with its own special case); for the (alpha1, beta1)
     family they coincide with the published special-case operator.
     """
-    return _local_terms(*_coerce_input(amplitudes), lmbda, side)
+    return _local_terms(*_coerce_input(amplitudes).T, lmbda, side)
 
 
 def _local_terms(a1, b1, g1, d1, lmbda, side: str):
@@ -172,15 +188,19 @@ def _assemble(co: Dict[str, float], prefix: str = "C") -> np.ndarray:
     entries = [co[prefix + name] for name in _ENTRY_NAMES]
     if not isinstance(entries[0], np.ndarray):
         return np.array(entries, dtype=complex).reshape(4, 4)
-    m = np.array(np.broadcast_arrays(*entries), dtype=complex)  # (16, ...)
-    return np.moveaxis(m, 0, -1).reshape(m.shape[1:] + (4, 4))
+    shape = np.broadcast(*entries).shape
+    m = np.empty(shape + (16,), dtype=complex)
+    for i, entry in enumerate(entries):
+        m[..., i] = entry
+    return m.reshape(shape + (4, 4))
 
 
 def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
-    """Closed-form output matrices; for lambda < 1/6 with coherent inputs
-    the local pairs can fail positivity (the machine regime ends there)."""
+    """Closed-form output matrices, (4, 4) for one input and (n, 4, 4) for
+    an (n, 2) or (n, 4) stack; for lambda < 1/6 with coherent inputs the
+    local pairs can fail positivity (the machine regime ends there)."""
     _check_copier_lambda(lmbda)
-    amps = _coerce_input(amplitudes)
+    amps = _coerce_input(amplitudes).T
     c = _assemble(_nonlocal_terms(*amps, lmbda), "C")
     k_a = _assemble(_local_terms(*amps, lmbda, "A"), "K")
     k_b = _assemble(_local_terms(*amps, lmbda, "B"), "K")
@@ -188,8 +208,8 @@ def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]
 
 
 def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
-    """Closed-form output operators of two local copiers on a pure input."""
-    mats = broadcast_output_matrices(amplitudes, lmbda)
+    """Closed-form output operators of two local copiers on one pure input."""
+    mats = _one_input(broadcast_output_matrices(amplitudes, lmbda))
     # rho_AB' = rho_A'B, one array; one stacked check for all three
     stack = np.stack([mats["AB'"], mats["AA'"], mats["BB'"]])
     check_densities(stack)
@@ -199,13 +219,6 @@ def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
 
 # ---------------------------------------------------------------------------
 # simulation paths
-
-
-def _single_copy_channel(lmbda: float):
-    mu = 1 - 2 * lmbda
-    def chan(x: np.ndarray) -> np.ndarray:
-        return mu * x + lmbda * np.trace(x) * np.eye(2)
-    return chan
 
 
 def _pair_blocks():
@@ -226,67 +239,87 @@ def _pair_blocks():
 
 
 _SS, _E00, _E11, _CROSS, _UNITS = _pair_blocks()
+# the copy-pair map's blocks and the entry of x = rho_A (or rho_B), flat
+# index ij -> 2i + j, that weights each; |s><s| carries both populations,
+# and the cross sum is real, so its transpose is its adjoint
+_PAIR = np.stack((_E00, _E11, _SS, _SS, _CROSS, _CROSS.T))
+_PAIR.flags.writeable = False
+_PAIR_ENTRY = (0, 3, 0, 3, 1, 2)
 
 
-def _pair_channel(lmbda: float):
-    """Formal one-qubit -> copy-pair map of the two-parameter copier.
+def _copy_one(x: np.ndarray, lmbda: float) -> np.ndarray:
+    """The single-copy map Lambda(x) = mu x + lambda tr(x) I, on a
+    (..., 2, 2) stack."""
+    tr = x[..., 0, 0] + x[..., 1, 1]
+    return (1 - 2 * lmbda) * x + (lmbda * tr)[..., None, None] * np.eye(2)
+
+
+def _copy_pair(x: np.ndarray, lmbda: float) -> np.ndarray:
+    """The formal one-qubit -> copy-pair map of the two-parameter copier, on
+    a (..., 2, 2) stack: x00 (mu |00><00| + lambda |s><s|) + x11 (mu |11><11|
+    + lambda |s><s|) + (mu / 2) (x01 C + x10 C^T), C the cross sum, as one
+    weighted sum over the read-only blocks.
 
     Completely positive only for lambda >= 1/6 (where the machine exists);
     applied as a linear map elsewhere.
     """
     mu = 1 - 2 * lmbda
-    cross01 = (mu / 2) * _CROSS
-    blocks = {
-        (0, 0): mu * _E00 + lmbda * _SS,
-        (1, 1): mu * _E11 + lmbda * _SS,
-        (0, 1): cross01,
-        (1, 0): cross01.conj().T,
-    }
-    def chan(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for (i, j), block in blocks.items():
-            out += x[i, j] * block
-        return out
-    return chan
+    w = x.reshape(x.shape[:-2] + (4,))[..., _PAIR_ENTRY] * (mu, mu, lmbda, lmbda, mu / 2, mu / 2)
+    return np.sum(w[..., None, None] * _PAIR, axis=-3, initial=0)
 
 
 def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
-    """Same outputs from the copier's single-copy and copy-pair maps."""
+    """Same outputs from the copier's single-copy and copy-pair maps, for
+    one input or a stack.
+
+    (Lambda x Lambda)(rho) = sum_ij Lambda(|i><j|) x Lambda(rho_ij), where
+    rho_ij = |psi_i><psi_j| is the (i, j) block over subsystem A (psi_i the
+    B ket at A = i); it equals mu^2 rho + mu lambda (rho_A x I + I x rho_B)
+    + lambda^2 tr(rho) I.  Each output entry of either map is a sum of at
+    most two nonzero products, added from +0, so the result has the bits of
+    the same maps applied block by block with kron products.
+    """
     _check_copier_lambda(lmbda)
-    psi = input_ket(amplitudes)
-    chan = _single_copy_channel(lmbda)
-    # (Lambda x Lambda)(rho), block by block over subsystem A: the (i, j)
-    # block of |psi><psi| is |psi_i><psi_j| with psi_i the B ket at A = i
-    ab = np.zeros((4, 4), dtype=complex)
-    rows = psi.amps.reshape(2, 2)
-    for i in range(2):
-        for j in range(2):
-            ab += np.kron(chan(_UNITS[i, j]), chan(np.outer(rows[i], rows[j].conj())))
-    pair = _pair_channel(lmbda)
-    rho_a, rho_b = (reduce_ket(psi.amps, psi.dims, [k]) for k in (0, 1))
-    return {"AB'": ab, "A'B": ab, "AA'": pair(rho_a), "BB'": pair(rho_b)}
+    amps = _input_amps(amplitudes)
+    batch = amps.shape[:-1]
+    rows = amps.reshape(batch + (2, 2))
+    blocks = _copy_one(rows[..., :, None, :, None] * rows.conj()[..., None, :, None, :], lmbda)
+    units = _copy_one(_UNITS, lmbda)
+    # [..., i, j, i', a, j', b]: the kron of the (i, j) terms, summed over i, j
+    terms = units[:, :, :, None, :, None] * blocks[..., :, :, None, :, None, :]
+    ab = np.sum(terms, axis=(-6, -5), initial=0).reshape(batch + (4, 4))
+    pair = _copy_pair(np.stack([reduce_ket(amps, (2, 2), [k]) for k in (0, 1)]), lmbda)
+    return {"AB'": ab, "A'B": ab, "AA'": pair[0], "BB'": pair[1]}
 
 
-def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
-    """Outputs from the genuine Gram-realized machine applied to both qubits
-    (requires lambda >= 1/6)."""
+def broadcast_machine_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
+    """Output matrices of the genuine Gram-realized machine applied to both
+    qubits (requires lambda >= 1/6), for one input or a stack."""
     machine = build_machine(MachineSpec("bh", (lmbda,)))
-    psi = input_ket(amplitudes)
-    amps, dims = psi.amps, list(psi.dims)
+    amps, dims = _input_amps(amplitudes), [2, 2]
     amps, dims = _apply_machine_at(amps, dims, 0, machine)
     # layout now A, A', M_A, B
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
     # layout A, A', M_A, B, B', M_B
     keeps = {"AB'": [0, 4], "A'B": [1, 3], "AA'": [0, 1], "BB'": [3, 4]}
-    return {name: _derived((2, 2), reduce_ket(amps, dims, keep)) for name, keep in keeps.items()}
+    return {name: reduce_ket(amps, dims, keep) for name, keep in keeps.items()}
+
+
+def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
+    """The machine's output operators for one input (requires lambda >= 1/6)."""
+    mats = _one_input(broadcast_machine_matrices(amplitudes, lmbda))
+    return {name: _derived((2, 2), m) for name, m in mats.items()}
 
 
 def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry):
-    """Apply a one-subsystem isometry in place, expanding dims at idx."""
+    """Apply a one-subsystem isometry to a ket or to each ket of a (..., d)
+    stack, expanding dims at idx."""
     dims = list(dims)
-    t = amps.reshape(math.prod(dims[:idx]), dims[idx], math.prod(dims[idx + 1 :]))
+    batch = amps.shape[:-1]
+    # the stack axes lead, so they fold into the subsystems before idx
+    t = amps.reshape(-1, dims[idx], math.prod(dims[idx + 1 :]))
     out = np.tensordot(machine.matrix, t, axes=([1], [1]))  # (dout, pre, post)
-    out = np.transpose(out, (1, 0, 2)).reshape(-1)
+    out = np.transpose(out, (1, 0, 2)).reshape(batch + (-1,))
     new_dims = dims[:idx] + list(machine.out_dims) + dims[idx + 1 :]
     return out, new_dims
 

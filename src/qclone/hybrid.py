@@ -120,8 +120,10 @@ def universal_hybrid_lambda(xi: float, xi_prime: float):
 
 def bh_pc_hybrid(lmbda: float, xi: float) -> float:
     """Fidelity of the copier/equatorial-copier hybrid at fixed xi."""
-    if not (0.0 <= lmbda <= 1.0 and 0.0 <= xi <= 0.5):
-        raise ValueError("parameters out of range")
+    if not 0.0 <= lmbda <= 1.0:  # NaN fails
+        raise ValueError(f"lambda must lie in [0, 1], got {lmbda}")
+    if not 0.0 <= xi <= 0.5:
+        raise ValueError(f"xi must lie in [0, 1/2], got {xi}")
     base = 0.5 + 1 / math.sqrt(8)
     return base + lmbda * (0.5 - 1 / math.sqrt(8) - xi)
 
@@ -136,8 +138,10 @@ def bh_pc_hybrid_state_dependent(lmbda: float, alpha2: float) -> float:
 def bh_pauli_table(p: float, lmbda: float):
     """Fidelities of the two asymmetric clones of the symmetric/asymmetric
     hybrid; never both above 5/6."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= lmbda <= 1.0):
-        raise ValueError("parameters out of range")
+    if not 0.0 <= p <= 1.0:  # NaN fails
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not 0.0 <= lmbda <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lmbda}")
     den = p * p - p + 1
     f1 = 5 / 6 + (lmbda / 2) * ((p * p + 1) / den - 5 / 3)
     f2 = 5 / 6 + (lmbda / 2) * ((p * p - 2 * p + 2) / den - 5 / 3)
@@ -147,8 +151,8 @@ def bh_pauli_table(p: float, lmbda: float):
 def bh_anti_hybrid(lmbda: float):
     """Fidelities of the parallel and antiparallel outputs of the
     copier/anti-copier hybrid."""
-    if not 0.0 <= lmbda <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    if not 0.0 <= lmbda <= 1.0:  # NaN fails
+        raise ValueError(f"lambda must lie in [0, 1], got {lmbda}")
     f_a = 5 * lmbda / 6 + 2 * (1 - lmbda) / 3
     f_b = 5 * lmbda / 6 + (1 - lmbda) / 3
     return f_a, f_b

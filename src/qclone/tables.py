@@ -232,25 +232,23 @@ def _t32_intervals(inputs, simulate: bool) -> list:
     return [(i.lo, i.hi, s.lo, s.hi, max(i.lo, s.lo), min(i.hi, s.hi)) for i, s in zip(insep, sep)]
 
 
+# alpha -> (lambda, F): lambda is the input-tuned machine parameter
+# sd_cloner_lambda_star(alpha^2) rounded to three decimals, as printed
 _T33_PRINTED = {
-    0.1: 0.99,
-    0.2: 0.94,
-    0.3: 0.86,
-    0.4: 0.76,
-    0.5: 0.66,
-    0.6: 0.58,
-    0.7: 0.54,
-    0.8: 0.58,
-    0.9: 0.72,
+    0.1: (0.007, 0.99),
+    0.2: (0.029, 0.94),
+    0.3: (0.061, 0.86),
+    0.4: (0.101, 0.76),
+    0.5: (0.141, 0.66),
+    0.6: (0.173, 0.58),
+    0.7: (0.187, 0.54),
+    0.8: (0.173, 0.58),
+    0.9: (0.115, 0.72),
 }
 
 
 def _t33_printed() -> list:
-    """Rows at the input-tuned machine parameter, rounded to three decimals."""
-    return [
-        ({"alpha": a, "lambda": round(bc.sd_cloner_lambda_star(a * a), 3)}, (f_ref,))
-        for a, f_ref in _T33_PRINTED.items()
-    ]
+    return [({"alpha": a, "lambda": lam}, (f_ref,)) for a, (lam, f_ref) in _T33_PRINTED.items()]
 
 
 def _t33_sim(a: float, lam: float):

@@ -10,6 +10,7 @@ exactly the expected finding set.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -42,11 +43,18 @@ class CheckResult:
         self.passed = bool(self.passed)
 
 
+def _normal(rng: random.Random, *shape: int) -> np.ndarray:
+    """Standard normal draws of the given shape.  The checks draw from
+    seeded stdlib generators: importing numpy.random would cost a cold run
+    more than the checks spend on their draws."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+
+
 def _rand_kets(n: int, d: int = 2, seed: int = 12345):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     for _ in range(n):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v = _normal(rng, d) + 1j * _normal(rng, d)
         out.append(v / np.linalg.norm(v))
     return out
 
@@ -122,13 +130,13 @@ def check_closed_form_grid() -> CheckResult:
         ("heis(3,1/2)", MachineSpec("heis-asym", (3, 0.5)), 3, cloners.heis_symmetric_fidelity(3), None),
         ("heis(5,1/2)", MachineSpec("heis-asym", (5, 0.5)), 5, cloners.heis_symmetric_fidelity(5), None),
     ]
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for name, spec, d, ref, family in sims:
         if family == "equatorial":
-            phases = rng.uniform(0, 2 * np.pi, size=d)
+            phases = np.array([rng.uniform(0, 2 * np.pi) for _ in range(d)])
             v = np.exp(1j * phases) / math.sqrt(d)
         else:
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            v = _normal(rng, d) + 1j * _normal(rng, d)
             v /= np.linalg.norm(v)
         rep = cloners.clone_report(spec, StateVector((d,), v))
         if abs(rep.F_a - ref) > 1e-7:
@@ -160,10 +168,10 @@ def check_ying_indices() -> CheckResult:
     after them are the alpha^2 grid of the identities."""
     failures = []
     grid = np.linspace(0.02, 0.98, 9)
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
     for n in (2, 3, 4):
         gap = cloners.ying_bound_gap(n)
-        amps = rng.normal(size=(50, n))
+        amps = _normal(rng, 50, n)
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         rows = [amps, np.full((1, n), 1 / math.sqrt(n)), np.eye(1, n)]
         if n == 2:
@@ -271,19 +279,18 @@ def check_broadcast_intervals() -> CheckResult:
 
 
 def check_broadcast_equivalence() -> CheckResult:
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     worst = 0.0
     lams = (0.05, 0.12, 1 / 6, 0.175, 0.1875)
     for lam in lams:
-        for _ in range(5):
-            v = rng.normal(size=4)
-            v /= np.linalg.norm(v)
-            cf = bc.broadcast_output_matrices(v, lam)
-            ch = bc.broadcast_channel_matrices(v, lam)
-            worst = max(worst, max(np.max(np.abs(cf[k] - ch[k])) for k in cf))
-            if lam >= 1 / 6:
-                mm = bc.broadcast_outputs_machine(v, lam)
-                worst = max(worst, max(np.max(np.abs(cf[k] - mm[k].mat)) for k in cf))
+        # five inputs per lambda, one stack per path
+        v = _normal(rng, 5, 4)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        cf = bc.broadcast_output_matrices(v, lam)
+        paths = [bc.broadcast_channel_matrices(v, lam)]
+        if lam >= 1 / 6:
+            paths.append(bc.broadcast_machine_matrices(v, lam))
+        worst = max(worst, *(np.max(np.abs(cf[k] - path[k])) for path in paths for k in cf))
     notes = [
         "the copier's machine-vector Gram violates the Schwarz bound for "
         "lambda < 1/6, so the isometry path exists only above it; the "
@@ -439,12 +446,12 @@ def check_deletion() -> CheckResult:
     ).F_2
     if np.std(f2s) > TOL or abs(np.mean(f2s) - 0.5) > TOL:
         failures.append("universal deleter F_2 = 1/2")
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     for lam in (0.0, 0.2, 0.45):
         for m1 in (1.0, 0.7, 0.3):
             blank = BlankState(m1, math.sqrt(1 - m1 * m1))
             spec = DeleterSpec("conv", (lam, blank))
-            reps = deleters.delete_reports(spec, deleters.real_inputs(rng.uniform(size=8)))
+            reps = deleters.delete_reports(spec, deleters.real_inputs([rng.random() for _ in range(8)]))
             if not np.all(np.abs(reps.F_2 - 0.5) <= TOL):
                 failures.append(f"F_2 != 1/2 at lam={lam}, m1={m1}")
             overlaps = reps.machine_overlap
@@ -594,9 +601,9 @@ def check_structural() -> CheckResult:
         if defect > TOL:
             failures.append(f"{spec} isometry defect {defect:.2e}")
     # gram round trips
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(5):
-        m = rng.normal(size=(4, 6))
+        m = _normal(rng, 4, 6)
         g = GramSpec(tuple("abcd"), m @ m.T)
         vecs = realize_gram(g)
         regram = vecs.conj().T @ vecs

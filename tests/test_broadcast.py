@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qclone import broadcast as bc
 from qclone import measures, tables
@@ -239,6 +240,61 @@ def test_copy_map_constants_are_read_only_and_change_no_bit():
         got = bc.broadcast_channel_matrices(v, lam)
         want = _copy_maps_built_per_call(v, lam)
         assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+
+
+_AMPLITUDES = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n) for n in (2, 4)
+).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(amps=_AMPLITUDES, lam=st.floats(0.0, 0.5))
+@example(amps=[0.6, 0.8], lam=0.0)
+@example(amps=[0.6, 0.8], lam=0.5)
+@example(amps=[0.5, 0.5, -0.5, 0.5], lam=0.0)
+@example(amps=[0.5, 0.5, -0.5, 0.5], lam=0.5)
+def test_channel_matrices_match_the_block_by_block_kron_sum(amps, lam):
+    v = np.asarray(amps) / np.linalg.norm(amps)
+    got = bc.broadcast_channel_matrices(v, lam)
+    want = _copy_maps_built_per_call(v, lam)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-15, key
+
+
+@pytest.mark.parametrize(
+    "fn", [bc.broadcast_output_matrices, bc.broadcast_channel_matrices, bc.broadcast_machine_matrices]
+)
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width):
+    v = RNG.normal(size=(5, width))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    stacked = fn(v, 0.2)
+    for i in range(5):
+        one = fn(v[i], 0.2)
+        for key in one:
+            assert stacked[key].shape == (5, 4, 4)
+            assert np.max(np.abs(stacked[key][i] - one[key])) <= 1e-15, key
+    with pytest.raises(ValueError, match="amplitudes must be normalized"):
+        fn(np.vstack([v, np.full(width, 0.9)]), 0.2)
+
+
+def test_coefficients_of_a_stack_are_those_of_each_input():
+    v = RNG.normal(size=(4, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    for fn in (bc.nonlocal_coefficients, bc.local_coefficients):
+        stacked = fn(v, 0.2)
+        for i in range(4):
+            one = fn(v[i], 0.2)
+            assert stacked.keys() == one.keys()
+            assert all(abs(np.broadcast_to(stacked[k], (4,))[i] - one[k]) <= 1e-15 for k in one)
+
+
+def test_the_operator_forms_take_one_input():
+    v = np.array([[0.6, 0.0, 0.0, 0.8]] * 2)
+    for fn in (bc.broadcast_outputs, bc.broadcast_outputs_machine):
+        with pytest.raises(ValueError, match="need one input, not a stack"):
+            fn(v, 0.2)
 
 
 def test_broadcast_fidelity():

@@ -248,6 +248,23 @@ def test_out_of_domain_parameter_is_usage_error(capsys, argv):
     assert "error:" in err and "math domain error" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hybrid", "--kind", "pc", "--xi", "0.6"], "error: xi must lie in [0, 1/2], got 0.6"),
+        (["hybrid", "--kind", "pc", "--xi", "nan"], "error: xi must lie in [0, 1/2], got nan"),
+        (["hybrid", "--kind", "pc", "--lam", "1.5"], "error: lambda must lie in [0, 1], got 1.5"),
+        (["hybrid", "--kind", "pauli", "--p", "2"], "error: p must lie in [0, 1], got 2.0"),
+        (["hybrid", "--kind", "pauli", "--p", "nan"], "error: p must lie in [0, 1], got nan"),
+        (["hybrid", "--kind", "pauli", "--lam", "-0.1"], "error: lambda must lie in [0, 1], got -0.1"),
+        (["hybrid", "--kind", "anti", "--lam", "nan"], "error: lambda must lie in [0, 1], got nan"),
+    ],
+)
+def test_hybrid_errors_name_the_parameter_its_domain_and_the_value(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_tol_is_a_table_option_only(capsys):
     with pytest.raises(SystemExit) as err:
         main(["clone", "--family", "bh-opt", "--tol", "3"])
@@ -342,3 +359,18 @@ def test_reused_parser_after_a_usage_error_gives_a_fresh_process_output(capsys):
         main(["table", "--id", "9.9"])
     assert err.value.code == 2
     assert run_cli(capsys, *argv) == (0, fresh.stdout)
+
+
+def test_verify_all_leaves_numpy_random_unimported():
+    # a fresh process: pytest and hypothesis import numpy.random themselves
+    code = (
+        "import contextlib, io, sys\n"
+        "from qclone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'all', '--format', 'json'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["1", "False"]

@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from qclone import broadcast as bc
 from qclone import cli, tables
 
 
@@ -127,3 +128,10 @@ def test_invalid_arguments_still_raise():
         tables.generate_table("9.9")
     with pytest.raises(ValueError, match="mode must be closed_form or simulate"):
         tables.generate_table("2.1", "both")
+
+
+def test_table_33_machine_parameters_are_the_rounded_lambda_star():
+    for alpha, (lam, _) in tables._T33_PRINTED.items():
+        assert lam == round(bc.sd_cloner_lambda_star(alpha * alpha), 3), alpha
+    rows = tables.generate_table("3.3").rows
+    assert [row.inputs["lambda"] for row in rows] == [lam for lam, _ in tables._T33_PRINTED.values()]
