@@ -20,6 +20,7 @@ import numpy as np
 from .cloners import MachineSpec, build_machine
 from .measures import is_npt, min_pt_eigenvalue
 from .qcore import (
+    ALPHA2,
     DensityOperator,
     MachineIsometry,
     PAULI_X,
@@ -28,8 +29,8 @@ from .qcore import (
     _derived,
     bell_project,
     bell_state,
-    check_alpha2,
     check_densities,
+    domain,
     ket,
     permute_subsystems,
     reduce_ket,
@@ -40,6 +41,10 @@ PSI_PLUS = bell_state("psi+")
 
 BISECT_TOL = 1e-6  # final bracket width of intervals_by_bisection and ppt_boundary
 CERTIFY_OFFSET = 1e-7  # certify_boundary: alpha^2 offset on each side of a boundary
+
+# lambda of the copier's maps and fidelities, and of the separability intervals
+COPIER_LAMBDA = domain("lambda", 0.0, 0.5)
+INTERVAL_LAMBDA = domain("lambda", 0.0, 0.5, "[)")
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class Interval:
 
 def sd_cloner_lambda_star(alpha2: float) -> float:
     """Machine parameter minimizing the joint-clone distortion."""
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     return 0.75 * alpha2 * (1 - alpha2)
 
 
@@ -161,17 +166,6 @@ def _local_terms(a1, b1, g1, d1, lmbda, side: str):
     }
 
 
-def _check_lambda(lmbda: float) -> None:
-    if not 0.0 <= lmbda < 0.5:
-        raise ValueError(f"lambda must lie in [0, 1/2), got {lmbda}")
-
-
-def _check_copier_lambda(lmbda: float) -> None:
-    """The domain of the copier's maps and fidelities, both ends kept."""
-    if not 0.0 <= lmbda <= 0.5:  # NaN fails
-        raise ValueError("lambda must lie in [0, 1/2]")
-
-
 # coefficient name of each matrix entry, row by row: 14 is the |01><10|
 # coherence and 23 the |00><11| one
 _ENTRY_NAMES = (
@@ -199,7 +193,7 @@ def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]
     """Closed-form output matrices, (4, 4) for one input and (n, 4, 4) for
     an (n, 2) or (n, 4) stack; for lambda < 1/6 with coherent inputs the
     local pairs can fail positivity (the machine regime ends there)."""
-    _check_copier_lambda(lmbda)
+    COPIER_LAMBDA.check(lmbda)
     amps = _coerce_input(amplitudes).T
     c = _assemble(_nonlocal_terms(*amps, lmbda), "C")
     k_a = _assemble(_local_terms(*amps, lmbda, "A"), "K")
@@ -279,7 +273,7 @@ def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
     most two nonzero products, added from +0, so the result has the bits of
     the same maps applied block by block with kron products.
     """
-    _check_copier_lambda(lmbda)
+    COPIER_LAMBDA.check(lmbda)
     amps = _input_amps(amplitudes)
     batch = amps.shape[:-1]
     rows = amps.reshape(batch + (2, 2))
@@ -330,7 +324,7 @@ def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry
 
 def insep_interval(lmbda: float) -> Interval:
     """alpha^2 interval where the nonlocal outputs are inseparable."""
-    _check_lambda(lmbda)
+    INTERVAL_LAMBDA.check(lmbda)
     mu = 1 - 2 * lmbda
     disc = mu**4 - 4 * lmbda**2 * (1 - lmbda) ** 2
     if disc < 0:
@@ -341,7 +335,7 @@ def insep_interval(lmbda: float) -> Interval:
 
 def sep_interval(lmbda: float) -> Interval:
     """alpha^2 interval where the local outputs are separable."""
-    _check_lambda(lmbda)
+    INTERVAL_LAMBDA.check(lmbda)
     if lmbda > 0.25:
         raise ValueError(f"no separable interval at lambda = {lmbda}")
     half = math.sqrt(1 - 4 * lmbda) / (2 * (1 - 2 * lmbda))
@@ -378,9 +372,7 @@ def intervals_by_bisection(lmbdas, which: str) -> list[Interval]:
     lockstep, each step one stacked PPT test of the tested output only."""
     if which not in ("insep", "sep"):
         raise ValueError(f"which must be 'insep' or 'sep', got {which!r}")
-    lmbdas = [float(lmbda) for lmbda in lmbdas]
-    for lmbda in lmbdas:
-        _check_lambda(lmbda)
+    lmbdas = [INTERVAL_LAMBDA.check(float(lmbda)) for lmbda in lmbdas]
 
     def predicate(alpha2: np.ndarray, lmbda: np.ndarray) -> np.ndarray:
         zero = np.zeros_like(alpha2)
@@ -417,14 +409,14 @@ def broadcast_fidelity(alpha2: float, lmbda: float, sign: int = -1) -> float:
     ``sign=-1`` is the variant consistent with the universal-copier special
     case; ``sign=+1`` evaluates the alternative printed in one table header.
     """
-    _check_copier_lambda(lmbda)
-    check_alpha2(alpha2)
+    COPIER_LAMBDA.check(lmbda)
+    ALPHA2.check(alpha2)
     return (1 - lmbda) ** 2 + sign * 4 * alpha2 * (1 - alpha2) * lmbda * (1 - 2 * lmbda)
 
 
 def avg_broadcast_fidelity(lmbda: float, sign: int = -1) -> float:
     """:func:`broadcast_fidelity` averaged over alpha^2 uniform in [0, 1]."""
-    _check_copier_lambda(lmbda)
+    COPIER_LAMBDA.check(lmbda)
     return (1 - lmbda) ** 2 + sign * (2 / 3) * lmbda * (1 - 2 * lmbda)
 
 
@@ -452,12 +444,8 @@ class ProtocolState:
 
 
 def _alpha_weight(alpha) -> float:
-    """|alpha|^2 of a protocol input alpha|00> + beta|11>; ValueError
-    unless it is finite and in [0, 1]."""
-    a2 = abs(complex(alpha)) ** 2
-    if not 0.0 <= a2 <= 1.0:  # NaN fails the comparison too
-        raise ValueError(f"|alpha|^2 must be finite and lie in [0, 1], got alpha = {alpha}")
-    return a2
+    """|alpha|^2 of a protocol input alpha|00> + beta|11>, checked."""
+    return ALPHA2.check(abs(complex(alpha)) ** 2, "|alpha|^2")
 
 
 def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:

@@ -22,13 +22,12 @@ from . import broadcast as bc
 from . import concat, deleters, hybrid, tables, verify
 from .cloners import FAMILIES, MachineSpec, clone_report
 from .deleters import BlankState, DeleterSpec
-from .qcore import StateVector
+from .qcore import FINITE, StateVector, domain
 
 FORMATS = ("csv", "json", "pretty")
 
-# Largest --dim of `qclone clone`: a d-dimensional input gives up to d^3
-# output dimensions, and states are limited to 256.
-MAX_DIM = 6
+DIM = domain("--dim", 2, 6)  # of `clone`: up to d^3 <= 256 output dimensions
+TOL = domain("--tol", 0.0, math.inf, "[)")
 
 # `qclone clone` scores one qubit or --dim qudit input; the two 2 -> M
 # families take a qutrit or two-qubit input, so they are not offered
@@ -62,9 +61,7 @@ def _fmt_cell(v) -> str:
 def cmd_table(args):
     mode = args.mode
     run_modes = ("closed_form", "simulate") if mode == "both" else (mode,)
-    tol = args.tol  # None -> one unit in the last printed digit
-    if tol is not None and not 0.0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"--tol must be finite and >= 0, got {tol}")
+    tol = None if args.tol is None else TOL.check(args.tol)  # None: one printed unit
     rows = []
     mismatch = False
     for m in run_modes:
@@ -89,37 +86,17 @@ def _indices(rep) -> dict:
     return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)[3:]}
 
 
-def _check_alpha2(alpha2: float) -> None:
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError(f"--alpha2 must lie in [0, 1], got {alpha2}")
-
-
 def cmd_clone(args):
-    _check_alpha2(args.alpha2)
     _, options = FAMILIES[args.family]
     spec = MachineSpec(args.family, tuple(getattr(args, name) for name in options))
-    d = 2  # the input is a qubit unless the family takes --dim
-    if "dim" in options:
-        if args.dim < 2:
-            raise ValueError(f"--dim must be >= 2 for family {args.family}, got {args.dim}")
-        if args.dim > MAX_DIM:
-            raise ValueError(
-                f"--dim must be <= {MAX_DIM} for family {args.family}, got {args.dim}: "
-                f"outputs are limited to {MAX_DIM}^3 <= 256 dimensions"
-            )
-        d = args.dim
+    d = DIM.check(args.dim) if "dim" in options else 2  # else a qubit input
     params = {"family": spec.family, "alpha2": args.alpha2}
     amps = np.zeros(d, dtype=complex)
+    amps[:2] = deleters.real_inputs(args.alpha2)
     if args.phase is not None:
-        if not math.isfinite(args.phase):
-            raise ValueError(f"--phase must be finite, got {args.phase}")
         # an equatorial input: --phase replaces --alpha2
-        params.update(alpha2=0.5, phase=args.phase)
-        amps[0] = 1 / math.sqrt(2)
-        amps[1] = np.exp(1j * args.phase) / math.sqrt(2)
-    else:
-        amps[0] = math.sqrt(args.alpha2)
-        amps[1] = math.sqrt(1 - args.alpha2)
+        params.update(alpha2=0.5, phase=FINITE.check(args.phase, "--phase"))
+        amps[:2] = 1 / math.sqrt(2), np.exp(1j * args.phase) / math.sqrt(2)
     rep = clone_report(spec, StateVector((d,), amps))
     return params, [{"family": spec.family, "alpha2": params["alpha2"], **_indices(rep)}], 0
 
@@ -136,9 +113,8 @@ def _deleter_spec(args) -> DeleterSpec:
 
 
 def cmd_delete(args):
-    _check_alpha2(args.alpha2)
     spec = _deleter_spec(args)
-    psi = StateVector((2,), [math.sqrt(args.alpha2), math.sqrt(1 - args.alpha2)])
+    psi = StateVector((2,), deleters.real_inputs(args.alpha2))
     rep = deleters.delete_report(spec, psi, n_transformers=args.transformers)
     params = {
         "family": args.family,

@@ -14,7 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import (
+    ALPHA2,
     BELL_LABELS,
+    DIMENSION,
+    FINITE,
+    PROBABILITY,
     DensityOperator,
     GramSpec,
     MachineIsometry,
@@ -22,8 +26,8 @@ from .qcore import (
     _derived,
     apply_isometry,
     bell_state,
-    check_alpha2,
     check_kets,
+    domain,
     ket,
     partial_trace,
     realize_gram,
@@ -32,6 +36,14 @@ from .qcore import (
     symmetric_basis_state,
 )
 from .measures import hs_distance, overlap
+
+XI = domain("xi", 0.0, 0.5)  # eta = 1 - 2 xi of the two-parameter copier
+MU2 = domain("mu^2", 0.0, 0.5 + 1e-12)  # the KR copier's, with 1e-12 of rounding
+GM_COPIES = domain("copies", 2, 6)  # the 1->M copier, built explicitly
+MIXED_COPIES = domain("copies", 3, 6)  # the 2->M copier, built explicitly
+BDEFMS_OVERLAP = domain("S", 0.0, 1.0, "()")  # |<a|b>| of the two-state cloner
+PROB_OVERLAP = domain("state overlap", 0.0, 1.0, "[)")  # probabilistic cloning
+PROB_COPIES = domain("copies", 2, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -89,15 +101,13 @@ def build_wz() -> MachineIsometry:
 
 
 def build_wz_n(n: int) -> MachineIsometry:
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
+    DIMENSION.check(n)
     return _one_to_two_copier(n, 1.0, 0.0, 0.0)
 
 
 def bh_gram(xi: float) -> GramSpec:
     """Inner products of the machine kets Q0, Q1, Y0, Y1 with eta = 1 - 2 xi."""
-    if not 0.0 <= xi <= 0.5:
-        raise ValueError("xi must lie in [0, 1/2]")
+    XI.check(xi)
     eta = 1.0 - 2.0 * xi
     g = np.zeros((4, 4))
     g[0, 0] = g[1, 1] = 1.0 - 2.0 * xi
@@ -132,9 +142,7 @@ def build_bh_opt() -> MachineIsometry:
 
 def build_gm_1m(m_copies: int) -> MachineIsometry:
     """Universal symmetric 1->M copier for qubits (explicit for M <= 6)."""
-    M = int(m_copies)
-    if not 2 <= M <= 6:
-        raise ValueError("1->M copier is built explicitly only for 2 <= M <= 6")
+    M = int(GM_COPIES.check(m_copies))
     alphas = np.sqrt([2 * (M - j) / (M * (M + 1)) for j in range(M)])
     sym = np.stack([symmetric_basis_state(M, n) for n in range(M + 1)], axis=1)
     cols = np.zeros((2**M, M, 2), dtype=complex)  # clones, machine, input
@@ -157,8 +165,7 @@ def _one_to_two_copier(d: int, a: float, b: float, c: float) -> MachineIsometry:
 
 def build_uqcm_d(d: int) -> MachineIsometry:
     """Universal symmetric 1->2 copier in d dimensions."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    DIMENSION.check(d)
     b = math.sqrt(1 / (2 * (d + 1)))
     return _one_to_two_copier(d, math.sqrt(2 / (d + 1)), b, b)
 
@@ -175,8 +182,7 @@ def build_pc2() -> MachineIsometry:
 
 def build_pc_d(d: int) -> MachineIsometry:
     """Optimal 1->2 phase-covariant copier for d-level systems."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    DIMENSION.check(d)
     root = math.sqrt(d * d + 4 * d - 4)
     alpha = math.sqrt(0.5 - (d - 2) / (2 * root))
     beta = math.sqrt(0.5 + (d - 2) / (2 * root))
@@ -186,9 +192,7 @@ def build_pc_d(d: int) -> MachineIsometry:
 
 def _kr_nu(mu: float) -> float:
     """nu = sqrt(1 - 2 mu^2) of the KR copier; mu^2 may exceed 1/2 by 1e-12."""
-    if not mu**2 <= 0.5 + 1e-12:  # NaN fails
-        raise ValueError("mu^2 must be <= 1/2")
-    return math.sqrt(max(0.0, 1 - 2 * mu**2))
+    return math.sqrt(max(0.0, 1 - 2 * MU2.check(mu**2)))
 
 
 def build_kr(mu: float) -> MachineIsometry:
@@ -198,10 +202,8 @@ def build_kr(mu: float) -> MachineIsometry:
 
 def build_econ(d: int = 2, blank: int = 0) -> MachineIsometry:
     """Economical (ancilla-free) phase-covariant copier on a fixed blank |l>."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if not 0 <= blank < d:
-        raise ValueError("blank index out of range")
+    DIMENSION.check(d)
+    domain("blank index", 0, d, "[)").check(blank)
     k = np.delete(np.arange(d), blank)  # |k> -> (|k l> + |l k>)/sqrt2 for k != l
     cols = np.zeros((d, d, d), dtype=complex)  # clone, clone, input
     cols[k, blank, k] = cols[blank, k, k] = 1 / math.sqrt(2)
@@ -216,11 +218,8 @@ def build_pauli_asym(p: float) -> MachineIsometry:
 
 def build_heis_asym(d: int, p: float) -> MachineIsometry:
     """Optimal universal asymmetric copier for d-level systems (q = 1 - p)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    q = 1.0 - p
+    DIMENSION.check(d)
+    q = 1.0 - PROBABILITY.check(p)
     scale = 1 / math.sqrt(1 + (d - 1) * (p**2 + q**2))
     return _one_to_two_copier(d, scale, p * scale, q * scale)
 
@@ -256,8 +255,7 @@ def _mixed_alpha(j: int, k: int, M: int) -> float:
 def _antisymmetric_sector_state(M: int, n_ones: int) -> np.ndarray:
     """Deterministic state orthogonal to the symmetric one in its sector:
     singlet on the first two qubits, symmetric on the rest."""
-    if not 1 <= n_ones <= M - 1:
-        raise ValueError("sector must contain both spin values")
+    domain("n_ones", 1, M - 1).check(n_ones)  # both spin values
     singlet = bell_state("psi-")
     rest = symmetric_basis_state(M - 2, n_ones - 1)
     return np.outer(singlet, rest).reshape(-1)
@@ -276,9 +274,7 @@ def build_mixed_2m(m_copies: int) -> MachineIsometry:
     singlet column uses deterministic orthogonal-complement states (the
     source leaves them unspecified).
     """
-    M = int(m_copies)
-    if not 3 <= M <= 6:
-        raise ValueError("2->M copier is built explicitly only for 3 <= M <= 6")
+    M = int(MIXED_COPIES.check(m_copies))
     sym_0, sym_1, sym_2 = (_mixed_column(M, j, symmetric_basis_state) for j in range(3))
     anti = _mixed_column(M, 1, _antisymmetric_sector_state)
     root2 = math.sqrt(2)
@@ -402,7 +398,7 @@ def ying_indices(n: int, amplitudes) -> tuple:
             raise ValueError("amplitudes must be real")
         amps = amps.real
     amps = amps.astype(float)
-    if n < 2 or amps.ndim not in (1, 2) or amps.shape[-1] != n:
+    if amps.ndim not in (1, 2) or amps.shape[-1] != n:
         raise ValueError("need n >= 2 real amplitudes")
     if not np.all(np.abs(np.sum(amps**2, axis=-1) - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("amplitudes must be normalized")
@@ -486,13 +482,9 @@ def heis_beta_from_alpha(alpha: np.ndarray, d: int) -> np.ndarray:
 def prob_clone_success(overlap_psi: float, overlap_phi: float, m: int):
     """Success probabilities of the two-step supplementary-information
     protocol: (gamma_A, gamma_B, gamma_total)."""
-    s, t = float(overlap_psi), float(overlap_phi)
-    if not (0.0 <= s < 1.0):
-        raise ValueError("state overlap must lie in [0, 1)")
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("supplementary overlap must lie in [0, 1]")
-    if m < 2:
-        raise ValueError("need at least two copies")
+    s = PROB_OVERLAP.check(float(overlap_psi))
+    t = PROBABILITY.check(float(overlap_phi), "supplementary overlap")
+    PROB_COPIES.check(m)
     gamma_a = (1 - s) / (1 - s**m)
     gamma_b = (1 - t) / (1 - s ** (m - 1))
     gamma_tot = (1 - abs(s * t)) / (1 - s**m)
@@ -518,18 +510,18 @@ def linearly_independent(states) -> bool:
 
 
 def wz_copy_quality(alpha2: float) -> float:
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     return 2 * alpha2 * (1 - alpha2)
 
 
 def gm_fidelity(n_in: int, m_out: int) -> float:
     """Universal symmetric N->M fidelity per qubit."""
-    if not 1 <= n_in < m_out:
-        raise ValueError("need M > N >= 1")
+    domain("N", 1, m_out, "[)").check(n_in)
     return (m_out * (n_in + 1) + n_in) / (m_out * (n_in + 2))
 
 
 def uqcm_scaling(d: int) -> float:
+    DIMENSION.check(d)
     return (d + 2) / (2 * (d + 1))
 
 
@@ -540,8 +532,8 @@ def uqcm_fidelity(d: int) -> float:
 
 def fan_nmd_fidelity(n_in: int, m_out: int, d: int) -> float:
     """Universal N->M fidelity per qudit."""
-    if not 1 <= n_in < m_out or d < 2:
-        raise ValueError("need M > N >= 1 and d >= 2")
+    domain("N", 1, m_out, "[)").check(n_in)
+    DIMENSION.check(d)
     return (n_in * (d - 1) + m_out * (n_in + 1)) / ((d + n_in) * m_out)
 
 
@@ -555,14 +547,14 @@ def pc2_fidelity() -> float:
 
 
 def pc_d_fidelity(d: int) -> float:
+    DIMENSION.check(d)
     return 1 / d + (d - 2 + math.sqrt(d * d + 4 * d - 4)) / (4 * d)
 
 
 def pc_fidelity(n_in: int, m_out: int) -> float:
     """Phase-covariant N->M fidelity for equatorial qubits."""
     N, M = int(n_in), int(m_out)
-    if not 1 <= N < M:
-        raise ValueError("need M > N >= 1")
+    domain("N", 1, M, "[)").check(N)
     total = 0.0
     if (M - N) % 2 == 0:
         for j in range(N):
@@ -595,25 +587,27 @@ def pc_limit_fidelity(n_in: int) -> float:
 
 
 def econ_fidelity(d: int) -> float:
+    DIMENSION.check(d)
     return (d - 1 + (d - 1 + math.sqrt(2)) ** 2) / (2 * d * d)
 
 
 def kr_fidelity(mu: float, theta: float) -> float:
     """Fidelity of the KR copier on cos(t/2)|0> + e^{i phi} sin(t/2)|1>."""
     root = mu * _kr_nu(mu)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    FINITE.check(theta, "theta")
     mu2 = mu**2
     cos2 = math.cos(theta) ** 2
     return 0.5 + root + ((1 - 2 * mu2) / 2 - root) * cos2
 
 
 def kr_optimal_mu2(theta: float) -> float:
+    FINITE.check(theta, "theta")
     return 0.25 * (1 - 1 / math.sqrt(1 + 2 * math.tan(theta) ** 4))
 
 
 def heis_fidelities(d: int, p: float):
-    q = 1.0 - p
+    DIMENSION.check(d)
+    q = 1.0 - PROBABILITY.check(p)
     norm = 1 + (d - 1) * (p**2 + q**2)
     return (1 + (d - 1) * p**2) / norm, (1 + (d - 1) * q**2) / norm
 
@@ -623,6 +617,7 @@ def heis_symmetric_fidelity(d: int) -> float:
 
 
 def pauli_fidelities(p: float):
+    PROBABILITY.check(p)
     den = 2 * (p * p - p + 1)
     return (p * p + 1) / den, (p * p - 2 * p + 2) / den
 
@@ -633,9 +628,7 @@ def anti_fidelities():
 
 def bdefms_fidelity(s_overlap: float) -> float:
     """Optimal two-state cloner fidelity as a function of S = |<a|b>|."""
-    S = float(s_overlap)
-    if not 0.0 < S < 1.0:
-        raise ValueError("S must lie in (0, 1)")
+    S = BDEFMS_OVERLAP.check(float(s_overlap))
     root = math.sqrt(9 * S * S - 2 * S + 1)
     inner = 3 * S * S + 2 * S - 1 + (1 - S) * root
     return 0.5 + math.sqrt(2) / (32 * S) * (1 + S) * (3 - 3 * S + root) * math.sqrt(inner)
@@ -643,6 +636,7 @@ def bdefms_fidelity(s_overlap: float) -> float:
 
 def rastegin_mixed_upper_bound(f: float) -> float:
     """Upper bound on the global fidelity of two-mixed-state cloning."""
+    PROBABILITY.check(f, "f")
     return 0.5 * (1 + f**3 + (1 - f * f) * math.sqrt(1 + f * f))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import MachineSpec, build_machine
+from .cloners import XI, MachineSpec, build_machine
 from .deleters import (
     GL_ALPHA2,
     GL_WEIGHTS,
@@ -26,7 +26,7 @@ from .deleters import (
     real_inputs,
     sdep_weights,
 )
-from .qcore import StateVector, check_alpha2, reduce_ket
+from .qcore import ALPHA2, StateVector, reduce_ket
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,7 @@ def _cloner_xi(spec: MachineSpec) -> float:
     if spec.family == "wz":
         return 0.0
     if spec.family == "bh":
-        xi = float(spec.params[0])
-        if not 0.0 <= xi <= 0.5:
-            raise ValueError(f"xi must lie in [0, 1/2], got {xi}")
-        return xi
+        return XI.check(float(spec.params[0]))
     if spec.family == "bh-opt":
         return 1 / 6
     raise ValueError(
@@ -66,11 +63,8 @@ def _deleter_action(spec: DeleterSpec):
 
 def _pipeline_kets(spec: PipelineSpec, alpha2s):
     """(dims, one renormalized post-deletion ket per alpha^2 value)."""
-    alpha2s = np.asarray(alpha2s, dtype=float)
-    if not np.all((0.0 <= alpha2s) & (alpha2s <= 1.0)):
-        raise ValueError("alpha^2 must lie in [0, 1]")
-    xi = _cloner_xi(spec.cloner)
     psi = real_inputs(alpha2s)  # (n, 2): alpha, beta
+    xi = _cloner_xi(spec.cloner)
     machine, ident0, ident1, passthrough = _deleter_action(spec.deleter)
     mdim = machine.out_dims[-1]
     amps = np.zeros((len(alpha2s), 4 * mdim, 3), dtype=complex)
@@ -141,7 +135,7 @@ def _closed_form_terms(spec: PipelineSpec):
 
 def closed_form_pointwise(spec: PipelineSpec, alpha2: float):
     """Closed-form (distortion, fidelity) of the canonical pipeline."""
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     xi, gg, hh, norm, fidelity = _closed_form_terms(spec)
     beta2 = 1 - alpha2
     distortion = 2 * alpha2 * beta2 + 2 * xi**2 * (gg * beta2 - hh * alpha2) ** 2 / norm**2
@@ -156,7 +150,7 @@ def closed_form_averages(spec: PipelineSpec):
 
 
 def bh_pb_distortion(xi: float, alpha2: float) -> float:
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     ab2 = alpha2 * (1 - alpha2)
     return (2 * xi**2 + 2 * ab2 * (1 + 4 * xi)) / (1 + 2 * xi) ** 2
 
@@ -179,7 +173,6 @@ def run_pipeline_physical(spec: PipelineSpec, alpha2: float):
     Requires a realizable copier (xi >= 1/6 in the two-parameter family, or
     the basis copier).
     """
-    check_alpha2(alpha2)
     cloner = build_machine(spec.cloner)
     deleter = build_deleter(spec.deleter)
     out = cloner.matrix @ real_inputs(alpha2)  # (x, y, M_c)

@@ -16,6 +16,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .qcore import (
+    ALPHA2,
+    FINITE,
+    PROBABILITY,
     BlankState,
     DensityOperator,
     GramSpec,
@@ -23,8 +26,8 @@ from .qcore import (
     StateVector,
     _derived,
     bell_state,
-    check_alpha2,
     check_kets,
+    domain,
     ket,
     realize_gram,
     reduce_ket,
@@ -32,6 +35,9 @@ from .qcore import (
 )
 
 DEFAULT_BLANK = BlankState(1.0, 0.0)
+
+CONV_LAMBDA = domain("lambda", 0.0, 0.5)  # the Gram-parameterized deleter's lambda
+BLANK_OVERLAP = domain("blank overlap", -1.0, 1.0)
 
 # the source's worked example of state-dependent deleter amplitudes
 # (a0, a1, b0, b1); both of its sdep_weights are 1
@@ -136,8 +142,7 @@ def build_qiu(r1: float = 1.0) -> MachineIsometry:
 
 def conv_gram(lmbda: float, y: float) -> GramSpec:
     """Joint Gram of the machine kets A, A0, A1, B0, B1, C0, D0."""
-    if not 0.0 <= lmbda <= 0.5:
-        raise ValueError("lambda must lie in [0, 1/2]")
+    CONV_LAMBDA.check(lmbda)
     labels = ("A", "A0", "A1", "B0", "B1", "C0", "D0")
     g = np.zeros((7, 7))
     norms = [1.0, 1 - 2 * lmbda, 1 - 2 * lmbda, lmbda, lmbda, 2 * lmbda, 1 - 2 * lmbda]
@@ -154,9 +159,7 @@ def conv_max_y(lmbda: float) -> float:
     is PSD iff the Schur complement 1 - 3 Y^2 / (1 - 2 lambda) of the A row
     is nonnegative: Y_max = sqrt((1 - 2 lambda) / 3).
     """
-    if not 0.0 <= lmbda <= 0.5:
-        raise ValueError("lambda must lie in [0, 1/2]")
-    return math.sqrt((1 - 2 * lmbda) / 3)
+    return math.sqrt((1 - 2 * CONV_LAMBDA.check(lmbda)) / 3)
 
 
 def _conv_parts(
@@ -332,7 +335,7 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
 
 def real_inputs(alpha2s) -> np.ndarray:
     """Kets sqrt(a)|0> + sqrt(1 - a)|1>, one row per alpha^2 value."""
-    a = np.asarray(alpha2s, dtype=float)
+    a = ALPHA2.check(np.asarray(alpha2s, dtype=float))
     return np.stack([np.sqrt(a), np.sqrt(1 - a)], axis=-1)
 
 
@@ -351,14 +354,15 @@ def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
 
 def conv_f1(lmbda: float, alpha2: float) -> float:
     """Retained-mode overlap of the plain (no-transformer) deleter."""
-    check_alpha2(alpha2)
+    CONV_LAMBDA.check(lmbda)
+    ALPHA2.check(alpha2)
     return (1 - lmbda) + 2 * alpha2 * (1 - alpha2) * (2 * lmbda - 1)
 
 
 def conv_f3_limit(alpha2: float) -> float:
     """lambda -> 1/2 limit of the retained-mode overlap with one transformer
     (real amplitudes; independent of the blank state)."""
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     a = math.sqrt(alpha2)
     b = math.sqrt(1 - alpha2)
     return 0.75 - alpha2 / 2 + a * b / math.sqrt(2)
@@ -426,7 +430,7 @@ def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:
     """Closed-form deletion fidelity of the conditional deleter plus one
     transformer, for real blank amplitudes and real input amplitudes."""
     BlankState(m1, m2)
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     ab2 = alpha2 * (1 - alpha2)
     b4 = (1 - alpha2) ** 2
     a4 = alpha2**2
@@ -443,10 +447,9 @@ def pb_transformer_fidelity(m1: float, m2: float, alpha2: float) -> float:
 
 def song_optimal_fidelity(eta1: float, theta: float, phi1: float, phi2: float) -> float:
     """Optimal global fidelity for deleting one of two known candidate states."""
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValueError("prior probability must lie in [0, 1]")
-    if not all(map(math.isfinite, (theta, phi1, phi2))):  # max(0.0, nan) is 0.0
-        raise ValueError(f"angle and phases must be finite, got {(theta, phi1, phi2)}")
+    PROBABILITY.check(eta1, "prior probability")
+    for name, angle in (("theta", theta), ("phi1", phi1), ("phi2", phi2)):
+        FINITE.check(angle, name)  # max(0.0, nan) below is 0.0
     eta2 = 1.0 - eta1
     inner = 1 - 4 * eta1 * eta2 * math.sin(2 * theta - phi1 + phi2) ** 2
     return 0.5 * (1 + math.sqrt(max(0.0, inner)))
@@ -458,16 +461,10 @@ def sdep_weights(a0, a1, b0, b1):
     return abs(a0 + a1) ** 2, abs(b0 + b1) ** 2
 
 
-def _check_blank_overlap(blank_overlap: float) -> None:
-    """Raise ValueError unless the blank overlap lies in [-1, 1]; NaN fails too."""
-    if not -1.0 <= blank_overlap <= 1.0:
-        raise ValueError(f"blank overlap must lie in [-1, 1], got {blank_overlap}")
-
-
 def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
     """(D_1, F_1) of the state-dependent deleter at one input, closed form."""
-    _check_blank_overlap(blank_overlap)
-    check_alpha2(alpha2)
+    BLANK_OVERLAP.check(blank_overlap)
+    ALPHA2.check(alpha2)
     gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
     ab2 = alpha2 * (1 - alpha2)
@@ -481,7 +478,7 @@ def sdep_pointwise(a0, a1, b0, b1, blank_overlap: float, alpha2: float):
 def sdep_averages(a0, a1, b0, b1, blank_overlap: float):
     """Closed-form averages over alpha^2: (avg distortion, avg deletion
     fidelity); both approach (1/3, 5/6) as |g|^2, |h|^2 -> 1."""
-    _check_blank_overlap(blank_overlap)
+    BLANK_OVERLAP.check(blank_overlap)
     gg, hh = sdep_weights(a0, a1, b0, b1)
     k = (gg - 1) ** 2 + (hh - 1) ** 2
     avg_d1 = (1 + k / 10) / 3

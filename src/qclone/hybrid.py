@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import MachineSpec, build_machine
-from .qcore import MachineIsometry, check_alpha2
+from .cloners import XI, MachineSpec, build_machine
+from .qcore import ALPHA2, PROBABILITY, MachineIsometry, domain
+
+BHBH_LAMBDA = domain("lambda", 0.0, 1.0, "(]")  # bhbh_state_dependent divides by it
 
 
 @dataclass(frozen=True)
@@ -26,8 +28,7 @@ class HybridSpec:
 
 def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
     """Superpose two component machines with weights lmbda and 1 - lmbda."""
-    if not 0.0 <= spec.lmbda <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
+    PROBABILITY.check(spec.lmbda, "lambda")
     v1 = build_machine(spec.m1)
     v2 = build_machine(spec.m2)
     if v1.in_dims != v2.in_dims:
@@ -49,9 +50,17 @@ def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
 # closed forms for the two-component hybrids
 
 
+def _check_two_copiers(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> None:
+    """The domains of the two-copier hybrid's closed forms."""
+    ALPHA2.check(alpha2)
+    XI.check(xi)
+    XI.check(xi_prime, "xi'")
+    PROBABILITY.check(lmbda, "lambda")
+
+
 def f_hcm(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> float:
     """Single-clone overlap of the two-component hybrid (eta_i = 1 - 2 xi_i)."""
-    check_alpha2(alpha2)
+    _check_two_copiers(alpha2, xi, xi_prime, lmbda)
     a2, b2 = alpha2, 1 - alpha2
     eta = 1 - 2 * xi
     eta_p = 1 - 2 * xi_prime
@@ -63,7 +72,7 @@ def f_hcm(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> float:
 def dab_two_mode(alpha2: float, xi: float, xi_prime: float, lmbda: float) -> float:
     """HS distance between the joint clone output and the ideal product,
     for the hybrid of two copiers with parameters xi and xi' (eta = 1-2xi)."""
-    check_alpha2(alpha2)
+    _check_two_copiers(alpha2, xi, xi_prime, lmbda)
     a2, b2 = alpha2, 1 - alpha2
     a = math.sqrt(a2)
     b = math.sqrt(b2)
@@ -89,9 +98,8 @@ def bhbh_state_dependent(alpha2: float, lmbda: float):
     Only xi_star < 0 is rejected here; a lambda below the range that gives
     xi_star > 1/2 is returned as computed, and the caller checks the range.
     """
-    check_alpha2(alpha2)
-    if not 0.0 < lmbda <= 1.0:
-        raise ValueError("lambda must lie in (0, 1]")
+    ALPHA2.check(alpha2)
+    BHBH_LAMBDA.check(lmbda)
     ab2 = alpha2 * (1 - alpha2)
     lo = max(0.0, 1 - 9 * ab2 / 2, (9 * ab2 - 2) / 4)
     xi_star = (9 * ab2 - 2 * (1 - lmbda)) / (12 * lmbda)
@@ -120,10 +128,8 @@ def universal_hybrid_lambda(xi: float, xi_prime: float):
 
 def bh_pc_hybrid(lmbda: float, xi: float) -> float:
     """Fidelity of the copier/equatorial-copier hybrid at fixed xi."""
-    if not 0.0 <= lmbda <= 1.0:  # NaN fails
-        raise ValueError(f"lambda must lie in [0, 1], got {lmbda}")
-    if not 0.0 <= xi <= 0.5:
-        raise ValueError(f"xi must lie in [0, 1/2], got {xi}")
+    PROBABILITY.check(lmbda, "lambda")
+    XI.check(xi)
     base = 0.5 + 1 / math.sqrt(8)
     return base + lmbda * (0.5 - 1 / math.sqrt(8) - xi)
 
@@ -131,17 +137,15 @@ def bh_pc_hybrid(lmbda: float, xi: float) -> float:
 def bh_pc_hybrid_state_dependent(lmbda: float, alpha2: float) -> float:
     """Same fidelity with the copier parameter tied to the input,
     xi(alpha^2) = 3 alpha^2 (1 - alpha^2) / 4."""
-    check_alpha2(alpha2)
+    ALPHA2.check(alpha2)
     return bh_pc_hybrid(lmbda, 0.75 * alpha2 * (1 - alpha2))
 
 
 def bh_pauli_table(p: float, lmbda: float):
     """Fidelities of the two asymmetric clones of the symmetric/asymmetric
     hybrid; never both above 5/6."""
-    if not 0.0 <= p <= 1.0:  # NaN fails
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not 0.0 <= lmbda <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lmbda}")
+    PROBABILITY.check(p)
+    PROBABILITY.check(lmbda, "lambda")
     den = p * p - p + 1
     f1 = 5 / 6 + (lmbda / 2) * ((p * p + 1) / den - 5 / 3)
     f2 = 5 / 6 + (lmbda / 2) * ((p * p - 2 * p + 2) / den - 5 / 3)
@@ -151,8 +155,7 @@ def bh_pauli_table(p: float, lmbda: float):
 def bh_anti_hybrid(lmbda: float):
     """Fidelities of the parallel and antiparallel outputs of the
     copier/anti-copier hybrid."""
-    if not 0.0 <= lmbda <= 1.0:  # NaN fails
-        raise ValueError(f"lambda must lie in [0, 1], got {lmbda}")
+    PROBABILITY.check(lmbda, "lambda")
     f_a = 5 * lmbda / 6 + 2 * (1 - lmbda) / 3
     f_b = 5 * lmbda / 6 + (1 - lmbda) / 3
     return f_a, f_b

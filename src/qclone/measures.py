@@ -20,11 +20,14 @@ from .qcore import (
     _x_min_eigenvalue,
     _x_state,
     apply_isometry,
+    domain,
     partial_trace,
     partial_transpose,
 )
 
 _CLAMP = 1e-12
+
+CONCURRENCE = domain("concurrence", -_CLAMP, 1 + _CLAMP)  # with _CLAMP of rounding
 
 # Peres-Horodecki threshold: a state is NPT, hence entangled, when the
 # smallest eigenvalue of its partial transpose lies below -PPT_TOL.
@@ -134,8 +137,7 @@ def concurrence_pure(ket: StateVector) -> float:
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation as a function of the concurrence."""
-    if not -_CLAMP <= c <= 1 + _CLAMP:  # NaN fails
-        raise ValueError(f"concurrence {c} outside [0, 1]")
+    CONCURRENCE.check(c)
     c = min(1.0, max(0.0, c))
     x = (1 + np.sqrt(1 - c**2)) / 2
     return float(_binary_entropy(x))

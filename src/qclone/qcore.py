@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,62 @@ class UnrealizableSpec(ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
+class Domain(NamedTuple):
+    """A parameter's interval, made by :func:`domain`: printed ends ``lo``,
+    ``hi`` in brackets ``ends``; accepted extremes ``least``, ``most``, an
+    open end moved one float inward so that a check is one comparison."""
+
+    name: str
+    lo: float
+    hi: float
+    ends: str
+    least: float
+    most: float
+
+    def __str__(self):
+        return f"{self.ends[0]}{_printed_end(self.lo)}, {_printed_end(self.hi)}{self.ends[1]}"
+
+    def check(self, x, name=None):
+        """x if it lies in the domain (every entry of an ndarray), else raise
+        ValueError("NAME must lie in DOMAIN, got V"); NaN lies in none."""
+        try:
+            if self.least <= x <= self.most:
+                return x
+        except ValueError:  # the truth value of an ndarray of several entries
+            if ((self.least <= x) & (x <= self.most)).all():
+                return x
+            x = next(v for v in x.flat if not self.least <= v <= self.most)
+        raise ValueError(f"{name or self.name} must lie in {self}, got {x}")
+
+
+def domain(name: str, lo: float, hi: float, ends: str = "[]") -> Domain:
+    """The interval of parameter ``name``; a round bracket in ``ends`` marks an open end."""
+    least = math.nextafter(lo, math.inf) if ends[0] == "(" else lo
+    most = math.nextafter(hi, -math.inf) if ends[1] == ")" else hi
+    return Domain(name, lo, hi, ends, least, most)
+
+
+def _printed_end(v) -> str:
+    """An interval end as printed: 0, 1/2, -1, inf, or in full."""
+    from fractions import Fraction  # error messages only
+    f = Fraction(v).limit_denominator(12) if math.isfinite(v) else v
+    return str(f) if float(f) == v else repr(v)
+
+
+# the domains that several modules share
+ALPHA2 = domain("alpha^2", 0.0, 1.0)
+PROBABILITY = domain("p", 0.0, 1.0)  # also a fidelity or an overlap in [0, 1]
+DIMENSION = domain("dimension", 2, math.inf, "[)")
+FINITE = domain("angle", -math.inf, math.inf, "()")  # an angle or a phase
+
+check_alpha2 = ALPHA2.check
+
+
 def _as_dims(dims) -> tuple:
     dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
-        raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
+    if not dims:
+        raise ValueError("need at least one subsystem")
+    DIMENSION.check(min(dims), "subsystem dimension")
     return dims
 
 
@@ -110,12 +163,6 @@ def _derived(dims: tuple, mat: np.ndarray) -> DensityOperator:
     object.__setattr__(rho, "dims", dims)
     object.__setattr__(rho, "mat", mat)
     return rho
-
-
-def check_alpha2(alpha2: float) -> None:
-    """Raise ValueError unless alpha^2 lies in [0, 1]; NaN fails too."""
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError(f"alpha^2 must lie in [0, 1], got {alpha2}")
 
 
 def check_kets(amps: np.ndarray) -> None:
@@ -602,8 +649,7 @@ def operator_on(op: np.ndarray, subsystems, dims) -> np.ndarray:
 
 def symmetric_basis_state(n_qubits: int, n_ones: int) -> np.ndarray:
     """Normalized symmetric n-qubit state with the given number of 1s."""
-    if not 0 <= n_ones <= n_qubits:
-        raise ValueError("n_ones out of range")
+    domain("n_ones", 0, n_qubits).check(n_ones)
     ones = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits) & 1).sum(1)  # popcounts
     v = (ones == n_ones).astype(complex)
     return v / np.linalg.norm(v)

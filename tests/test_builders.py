@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from qclone import cli, cloners, deleters
 from qclone.cloners import FAMILIES, MachineSpec, bh_gram, build_machine
 from qclone.hybrid import HybridSpec, hybrid_machine
-from qclone.qcore import BlankState, GramSpec, bell_state, ket, realize_gram, symmetric_basis_state
+from qclone.qcore import PROBABILITY, BlankState, GramSpec, bell_state, ket, realize_gram, symmetric_basis_state
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_anti_and_qiu_equal_kron_construction():
 
 @pytest.mark.parametrize("kind", sorted(HYBRID_KINDS))
 @settings(max_examples=20, deadline=None)
-@given(p=st.floats(min_value=0.0, max_value=1.0), lam=st.floats(min_value=0.0, max_value=1.0))
+@given(p=st.floats(PROBABILITY.least, PROBABILITY.most), lam=st.floats(PROBABILITY.least, PROBABILITY.most))
 def test_hybrid_machine_equals_column_loop(kind, p, lam):
     spec = HYBRID_KINDS[kind](p, lam)
     assert np.array_equal(hybrid_machine(spec).matrix, _hybrid_by_columns(spec))

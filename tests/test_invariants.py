@@ -17,7 +17,7 @@ from qclone import broadcast as bc
 from qclone import cloners, concat, deleters
 from qclone.cloners import MachineSpec
 from qclone.deleters import DeleterSpec
-from qclone.qcore import DensityOperator, StateVector, apply_isometry, check_densities, partial_trace
+from qclone.qcore import ALPHA2, DensityOperator, StateVector, apply_isometry, check_densities, partial_trace
 from test_cloners import ONE_TO_M_PARAMS, one_to_m_cases
 from test_deleters import DELETER_PARAMS, deleter_cases
 
@@ -40,7 +40,7 @@ def two_to_m_cases(draw):
 @st.composite
 def protocol_cases(draw):
     """A complex alpha with |alpha|^2 in [0, 1], and a branch."""
-    a2 = draw(st.floats(0.0, 1.0))
+    a2 = draw(st.floats(ALPHA2.least, ALPHA2.most))
     phase = draw(st.floats(0.0, 2 * math.pi))
     return math.sqrt(a2) * complex(math.cos(phase), math.sin(phase)), draw(st.sampled_from(bc.BRANCHES))
 
@@ -57,12 +57,14 @@ def broadcast_cases(draw):
 PIPELINE_CLONERS = st.one_of(
     st.just(MachineSpec("wz")),
     st.just(MachineSpec("bh-opt")),
-    st.tuples(st.floats(0.0, 0.5)).map(lambda p: MachineSpec("bh", p)),
+    st.tuples(st.floats(cloners.XI.least, cloners.XI.most)).map(lambda p: MachineSpec("bh", p)),
 )
 PIPELINE_DELETERS = st.sampled_from(["pb", "sdep"]).flatmap(
     lambda family: DELETER_PARAMS[family].map(lambda p: DeleterSpec(family, p))
 )
-pipeline_cases = st.tuples(st.builds(concat.PipelineSpec, PIPELINE_CLONERS, PIPELINE_DELETERS), st.floats(0.0, 1.0))
+pipeline_cases = st.tuples(
+    st.builds(concat.PipelineSpec, PIPELINE_CLONERS, PIPELINE_DELETERS), st.floats(ALPHA2.least, ALPHA2.most)
+)
 
 
 def _clone_ops(spec, kets):
