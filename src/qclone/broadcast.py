@@ -108,6 +108,7 @@ def input_ket(amplitudes) -> StateVector:
 def nonlocal_coefficients(amplitudes, lmbda: float) -> Dict[str, float]:
     """C coefficients of the nonlocal pair output rho_AB' = rho_A'B, one
     array per name for a stack of inputs."""
+    COPIER_LAMBDA.check(lmbda)
     return _nonlocal_terms(*_coerce_input(amplitudes).T, lmbda)
 
 
@@ -138,6 +139,7 @@ def local_coefficients(amplitudes, lmbda: float, side: str = "A") -> Dict[str, f
     is inconsistent with its own special case); for the (alpha1, beta1)
     family they coincide with the published special-case operator.
     """
+    COPIER_LAMBDA.check(lmbda)
     return _local_terms(*_coerce_input(amplitudes).T, lmbda, side)
 
 

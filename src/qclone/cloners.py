@@ -44,6 +44,8 @@ MIXED_COPIES = domain("copies", 3, 6)  # the 2->M copier, built explicitly
 BDEFMS_OVERLAP = domain("S", 0.0, 1.0, "()")  # |<a|b>| of the two-state cloner
 PROB_OVERLAP = domain("state overlap", 0.0, 1.0, "[)")  # probabilistic cloning
 PROB_COPIES = domain("copies", 2, math.inf, "[)")
+PC_INPUTS = domain("input copies", 1, math.inf, "[)")  # N of the phase-covariant N -> inf limit
+SCALING_COPIES = domain("copies", 2, math.inf, "[)")  # M of the 2 -> M shrinking factor
 
 
 @dataclass(frozen=True)
@@ -409,6 +411,7 @@ def ying_indices(n: int, amplitudes) -> tuple:
 
 def ying_bound_gap(n: int) -> float:
     """The slack (n-1)(n-2)/n^2 appearing in all three index inequalities."""
+    DIMENSION.check(n)
     return (n - 1) * (n - 2) / n**2
 
 
@@ -438,7 +441,7 @@ def cerf_reparam(amps, target: str = "RB_AC") -> np.ndarray:
     """Re-express double-Bell amplitudes (v, z, x, y) on partition RA;BC in
     the paired double-Bell basis of another bipartition of the four qubits."""
     amps = np.asarray(amps, dtype=complex).reshape(4)
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:  # NaN fails
         raise ValueError("amplitudes must be normalized")
     pairs = {"RB_AC": ((0, 2), (1, 3)), "RC_AB": ((0, 3), (1, 2))}
     if target not in pairs:
@@ -451,7 +454,7 @@ def cerf_reparam(amps, target: str = "RB_AC") -> np.ndarray:
         basis = _double_bell_vector(ket(i, 4), pa, pb)
         out[i] = basis.conj() @ state
         recon += out[i] * basis
-    if np.linalg.norm(recon - state) > 1e-9:
+    if not np.linalg.norm(recon - state) <= 1e-9:
         raise ValueError("state is not supported on the paired double-Bell subspace")
     return out
 
@@ -539,6 +542,7 @@ def fan_nmd_fidelity(n_in: int, m_out: int, d: int) -> float:
 
 def copier_entropy(d: int) -> float:
     """Copier/copies entanglement entropy (nats) of the d-dim universal copier."""
+    DIMENSION.check(d)
     return math.log(d + 1) - 2 * math.log(2) / (d + 1)
 
 
@@ -578,7 +582,7 @@ def pc_fidelity(n_in: int, m_out: int) -> float:
 
 def pc_limit_fidelity(n_in: int) -> float:
     """M -> infinity limit of the phase-covariant N->M fidelity."""
-    N = int(n_in)
+    N = int(PC_INPUTS.check(n_in))
     total = 0.0
     for j in range(N):
         w = math.factorial(N) / (math.factorial(j) * math.factorial(N - j - 1))
@@ -613,6 +617,7 @@ def heis_fidelities(d: int, p: float):
 
 
 def heis_symmetric_fidelity(d: int) -> float:
+    DIMENSION.check(d)
     return (d + 3) / (2 * (d + 1))
 
 
@@ -641,6 +646,7 @@ def rastegin_mixed_upper_bound(f: float) -> float:
 
 
 def mixed_2m_scaling(m_out: int) -> float:
+    SCALING_COPIES.check(m_out)
     return (m_out + 2) / (2 * m_out)
 
 

@@ -150,16 +150,19 @@ def closed_form_averages(spec: PipelineSpec):
 
 
 def bh_pb_distortion(xi: float, alpha2: float) -> float:
+    XI.check(xi)
     ALPHA2.check(alpha2)
     ab2 = alpha2 * (1 - alpha2)
     return (2 * xi**2 + 2 * ab2 * (1 + 4 * xi)) / (1 + 2 * xi) ** 2
 
 
 def bh_pb_avg_distortion(xi: float) -> float:
+    XI.check(xi)
     return (6 * xi**2 + 4 * xi + 1) / (3 * (1 + 2 * xi) ** 2)
 
 
 def bh_pb_fidelity(xi: float) -> float:
+    XI.check(xi)
     return (1 + xi) / (1 + 2 * xi)
 
 

@@ -116,6 +116,8 @@ def bhbh_state_dependent(alpha2: float, lmbda: float):
 
 def universal_hybrid_lambda(xi: float, xi_prime: float):
     """Mixing weight making the two-copier hybrid universal; fidelity 5/6."""
+    XI.check(xi)
+    XI.check(xi_prime, "xi'")
     if abs(xi - xi_prime) < 1e-12:
         raise ValueError("xi and xi' must differ")
     if abs(xi_prime - 1 / 6) < 1e-12:

@@ -11,13 +11,17 @@ verify` reports as its one expected finding; see the README section "Known
 finding" for the analysis.
 """
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qclone import broadcast as bc
-from qclone import cloners, measures, tables, verify
+from qclone import cloners, concat, deleters, hybrid, measures, tables, verify
 from qclone.qcore import StateVector, UnrealizableSpec
 
 
@@ -255,3 +259,136 @@ def test_runtime_sanity():
     out = bc.three_qubit_protocol(math.sqrt(0.5), "Q0Q0")
     assert out.state.dim == 256
     _report("runtime", "largest constructed state is 256-dimensional")
+
+
+def _nan_cells(table):
+    """The table with every output cell of its first row NaN."""
+    first = table.rows[0]
+    nan_row = dataclasses.replace(first, outputs={key: math.nan for key in first.outputs})
+    return dataclasses.replace(table, rows=(nan_row, *table.rows[1:]))
+
+
+def _nan(*_):
+    return math.nan
+
+
+# check -> [(owner, attribute, original -> stand-in)]: one number the check
+# compares becomes NaN.  The printed concurrence ranges are left out: that
+# check fails on the correct numbers already.
+NAN_PATCHES = {
+    "check_bh_optimal": [
+        (cloners, "clone_reports", lambda f: lambda *a: f(*a)._replace(F_a=np.full(20, math.nan)))
+    ],
+    "check_clone_ancilla_entanglement": [(measures, "eof_from_concurrence", lambda f: _nan)],
+    "check_closed_form_grid": [(cloners, "gm_fidelity", lambda f: _nan)],
+    "check_ying_indices": [(cloners, "ying_bound_gap", lambda f: _nan)],
+    "check_tables_ch2": [(tables, "generate_table", lambda f: lambda *a: _nan_cells(f(*a)))],
+    "check_mutual_exclusion": [
+        (hybrid, "bh_pauli_table", lambda f: lambda p, lam: (f(p, lam)[0], np.full(np.shape(p), math.nan)))
+    ],
+    "check_broadcast_intervals": [(bc, "avg_broadcast_fidelity", lambda f: _nan)],
+    "check_broadcast_equivalence": [
+        (bc, "broadcast_channel_matrices", lambda f: lambda *a: {k: m * math.nan for k, m in f(*a).items()})
+    ],
+    "check_three_qubit_boundaries": [
+        (bc, "protocol_boundary", lambda f: lambda *a: f(*a)._replace(alpha2=math.nan)),
+        (bc, "certify_boundary", lambda f: lambda *a: True),
+    ],
+    "check_branch_ranges": [
+        (bc, "branch_range", lambda f: lambda *a: SimpleNamespace(lo=math.nan, hi=math.nan))
+    ],
+    "check_swap_corrections": [
+        (bc, "swap_extend", lambda f: lambda rho, oc: (f(rho, oc)[0], SimpleNamespace(mat=rho.mat * math.nan)))
+    ],
+    "check_deletion": [(deleters, "conv_avg_f3_limit", lambda f: _nan)],
+    "check_concatenation": [(concat, "closed_form_averages", lambda f: lambda spec: (math.nan, math.nan))],
+    "check_herbert": [(measures, "herbert_gap_with_machine", lambda f: _nan)],
+    "check_structural": [(verify, "realize_gram", lambda f: lambda g: np.full((4, 4), math.nan))],
+}
+
+
+def test_every_check_that_compares_numbers_has_a_nan_case():
+    checks = {fn.__name__ for fns in verify._SCOPES.values() for fn in fns}
+    assert checks - set(NAN_PATCHES) == {"check_protocol_concurrences"}
+
+
+@pytest.mark.parametrize("check", sorted(NAN_PATCHES))
+def test_a_nan_result_fails_its_check(monkeypatch, check):
+    assert getattr(verify, check)().passed
+    for owner, attr, stand_in in NAN_PATCHES[check]:
+        monkeypatch.setattr(owner, attr, stand_in(getattr(owner, attr)))
+    assert not getattr(verify, check)().passed
+
+
+# a comparison holds a tolerance when it holds one of these: a name ending
+# in TOL, a float literal of at most 0.01 in size, or a deviation call
+DEVIATIONS = {"abs", "std", "isclose", "allclose"}
+
+
+def _is_tolerance_name(node) -> bool:
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return isinstance(node, (ast.Name, ast.Attribute)) and name.endswith("TOL")
+
+
+def _tolerance_terms(node) -> list:
+    found = []
+    for sub in ast.walk(node):
+        if _is_tolerance_name(sub):
+            found.append(ast.unparse(sub))
+        elif isinstance(sub, ast.Call):
+            func = sub.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")) in DEVIATIONS:
+                found.append(ast.unparse(func))
+        elif isinstance(sub, ast.Constant) and type(sub.value) is float and 0 < abs(sub.value) <= 0.01:
+            found.append(repr(sub.value))
+    return found
+
+
+def _verify_tree():
+    return ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+
+
+def test_every_tolerance_comparison_in_verify_goes_through_the_kernel():
+    tree = _verify_tree()
+    (kernel,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Expect"]
+    inside = {id(node) for node in ast.walk(kernel)}
+    outside = [
+        f"verify.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in inside and _tolerance_terms(node)
+    ]
+    assert outside == []
+
+
+def test_verify_tolerances_are_named_constants_only_the_kernel_reads():
+    tree = _verify_tree()
+    constants = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if _is_tolerance_name(target)
+    }
+    assert {"TOL", "PRINTED_TOL"} <= set(constants)
+    assert all(type(getattr(value, "value", None)) is float for value in constants.values())
+    # each tolerance argument of close and exceeds, and the kernel's defaults, is a named constant
+    kernel_args = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") in ("close", "exceeds"):
+            first = 3 if node.func.attr == "close" else 2
+            kernel_args += node.args[first:] + [k.value for k in node.keywords if k.arg == "tol"]
+        elif isinstance(node, ast.FunctionDef):
+            kernel_args += node.args.defaults
+    named = [arg for arg in kernel_args if _is_tolerance_name(arg)]
+    assert [ast.unparse(arg) for arg in kernel_args if _tolerance_terms(arg) and arg not in named] == []
+    # and a tolerance is read nowhere else
+    passed = {id(arg) for arg in named}
+    stray = [
+        f"verify.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if _is_tolerance_name(node) and isinstance(node.ctx, ast.Load) and id(node) not in passed
+    ]
+    assert stray == []
+    # README's Tolerances table has a row for each
+    readme = (Path(verify.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in constants if f"| `verify.{name}` |" not in readme] == []

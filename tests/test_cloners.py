@@ -309,6 +309,8 @@ def test_cerf_reparam():
         cloners.cerf_reparam([1, 0, 0, 0], "XX")
     with pytest.raises(ValueError):
         cloners.cerf_reparam([1, 1, 0, 0], "RB_AC")
+    with pytest.raises(ValueError, match="normalized"):
+        cloners.cerf_reparam([math.nan, 0, 0, 0], "RB_AC")  # once returned a NaN vector
 
 
 def test_prob_clone_success():

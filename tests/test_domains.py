@@ -48,6 +48,8 @@ LIBRARY = {
     "cloners.BDEFMS_OVERLAP": (cloners.bdefms_fidelity, "S"),
     "cloners.PROB_OVERLAP": (lambda v: cloners.prob_clone_success(v, 0.5, 2), "state overlap"),
     "cloners.PROB_COPIES": (lambda v: cloners.prob_clone_success(0.5, 0.5, v), "copies"),
+    "cloners.PC_INPUTS": (cloners.pc_limit_fidelity, "input copies"),
+    "cloners.SCALING_COPIES": (cloners.mixed_2m_scaling, "copies"),
     "deleters.CONV_LAMBDA": (deleters.conv_max_y, "lambda"),
     "deleters.BLANK_OVERLAP": (lambda v: deleters.sdep_averages(*deleters.SDEP_EXAMPLE, v), "blank overlap"),
     "hybrid.BHBH_LAMBDA": (lambda v: hybrid.bhbh_state_dependent(0.5, v), "lambda"),
@@ -159,6 +161,18 @@ def test_cli_option_outside_its_domain_exits_2_with_one_error_line(capsys, key, 
         (cloners.econ_fidelity, (1,), "dimension must lie in [2, inf), got 1"),
         (cloners.uqcm_fidelity, (0,), "dimension must lie in [2, inf), got 0"),
         (cloners.kr_optimal_mu2, (math.nan,), "theta must lie in (-inf, inf), got nan"),
+        (cloners.copier_entropy, (0,), "dimension must lie in [2, inf), got 0"),
+        (cloners.ying_bound_gap, (1,), "dimension must lie in [2, inf), got 1"),
+        (cloners.heis_symmetric_fidelity, (0,), "dimension must lie in [2, inf), got 0"),
+        (cloners.pc_limit_fidelity, (0,), "input copies must lie in [1, inf), got 0"),
+        (cloners.mixed_2m_scaling, (1,), "copies must lie in [2, inf), got 1"),
+        (bc.nonlocal_coefficients, ((1, 0), 0.9), "lambda must lie in [0, 1/2], got 0.9"),
+        (bc.local_coefficients, ((1, 0), 0.9), "lambda must lie in [0, 1/2], got 0.9"),
+        (hybrid.universal_hybrid_lambda, (-1, 0.3), "xi must lie in [0, 1/2], got -1"),
+        (hybrid.universal_hybrid_lambda, (0.05, 0.6), "xi' must lie in [0, 1/2], got 0.6"),
+        (concat.bh_pb_fidelity, (5,), "xi must lie in [0, 1/2], got 5"),
+        (concat.bh_pb_avg_distortion, (-3,), "xi must lie in [0, 1/2], got -3"),
+        (concat.bh_pb_distortion, (5, 0.5), "xi must lie in [0, 1/2], got 5"),
     ],
     ids=lambda x: getattr(x, "__name__", None),
 )
