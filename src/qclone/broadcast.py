@@ -648,14 +648,13 @@ def branch_range(
 # ---------------------------------------------------------------------------
 # entanglement swapping with corrections
 
-_SWAP_CORRECTIONS = {
-    "B1+": PAULI_Z @ PAULI_X,
-    "B1-": PAULI_X,
-    "B2+": PAULI_Z,
-    "B2-": np.eye(2, dtype=complex),
+# outcome -> (the Bell state measured, the Pauli correction of qubit 7)
+_SWAP_OUTCOMES = {
+    "B1+": ("phi+", PAULI_Z @ PAULI_X),
+    "B1-": ("phi-", PAULI_X),
+    "B2+": ("psi+", PAULI_Z),
+    "B2-": ("psi-", np.eye(2, dtype=complex)),
 }
-
-_OUTCOME_BELL = {"B1+": "phi+", "B1-": "phi-", "B2+": "psi+", "B2-": "psi-"}
 
 
 def swap_extend(rho_325: DensityOperator, outcome: str):
@@ -665,17 +664,17 @@ def swap_extend(rho_325: DensityOperator, outcome: str):
     Returns (probability, corrected DensityOperator on (3,5,7)); a
     zero-probability branch returns (0.0, None).
     """
-    if outcome not in _SWAP_CORRECTIONS:
-        raise ValueError(f"outcome must be one of {sorted(_SWAP_CORRECTIONS)}")
+    if outcome not in _SWAP_OUTCOMES:
+        raise ValueError(f"outcome must be one of {sorted(_SWAP_OUTCOMES)}")
+    bell, u = _SWAP_OUTCOMES[outcome]
     if rho_325.dims != (2, 2, 2):
         raise ValueError("expected a three-qubit operator")
     # layout: 3, 2, 5, 8, 7
     joint = tensor(rho_325, StateVector((2, 2), bell_state("psi-")).density())
-    prob, post = bell_project(joint, (1, 3), _OUTCOME_BELL[outcome])
+    prob, post = bell_project(joint, (1, 3), bell)
     if post is None:
         return 0.0, None
     # remaining layout: 3, 5, 7
-    u = _SWAP_CORRECTIONS[outcome]
     full = np.kron(np.eye(4, dtype=complex), u)
     corrected = _derived(post.dims, full @ post.mat @ full.conj().T)
     return prob, corrected

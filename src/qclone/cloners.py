@@ -24,12 +24,9 @@ from .qcore import (
     MachineIsometry,
     StateVector,
     _derived,
-    apply_isometry,
     bell_state,
     check_kets,
     domain,
-    ket,
-    partial_trace,
     realize_gram,
     reduce_ket,
     spec_cache,
@@ -357,16 +354,15 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     out = amps @ machine.matrix.T
     clones = reduce_ket(out, dims, [0, 1])
     rho_a, rho_b = (reduce_ket(out, dims, [k]) for k in (0, 1))
-    bra, col = amps.conj()[:, None, :], amps[:, :, None]
-    id_mat = col * bra
+    id_mat = amps[:, :, None] * amps.conj()[:, None, :]
     prod_out = (rho_a[:, :, None, :, None] * rho_b[:, None, :, None, :]).reshape(clones.shape)
     prod_id = (id_mat[:, :, None, :, None] * id_mat[:, None, :, None, :]).reshape(clones.shape)
     return CloneReports(
         clones,
         rho_a,
         rho_b,
-        (bra @ rho_a @ col)[:, 0, 0].real,
-        (bra @ rho_b @ col)[:, 0, 0].real,
+        overlap(amps, rho_a),
+        overlap(amps, rho_b),
         hs_distance(rho_a, id_mat),
         hs_distance(rho_b, id_mat),
         hs_distance(clones, prod_out),
@@ -419,22 +415,12 @@ def ying_bound_gap(n: int) -> float:
 # double-Bell reparametrization (asymmetric cloning bookkeeping)
 
 
-def _double_bell_vector(amps, pair_a, pair_b) -> np.ndarray:
-    """4-qubit state sum_i amps[i] |Bell_i>_pair_a |Bell_i>_pair_b."""
-    state = np.zeros(16, dtype=complex)
-    for c, label in zip(amps, BELL_LABELS):
-        bell = bell_state(label).reshape(2, 2)
-        t = np.zeros((2, 2, 2, 2), dtype=complex)
-        for i1 in range(2):
-            for i2 in range(2):
-                for j1 in range(2):
-                    for j2 in range(2):
-                        bits = [0, 0, 0, 0]
-                        bits[pair_a[0]], bits[pair_a[1]] = i1, i2
-                        bits[pair_b[0]], bits[pair_b[1]] = j1, j2
-                        t[tuple(bits)] += c * bell[i1, i2] * bell[j1, j2]
-        state += t.reshape(16)
-    return state
+def _double_bell_basis(pair_a, pair_b) -> np.ndarray:
+    """16x4 matrix whose column i is |Bell_i>_pair_a |Bell_i>_pair_b on
+    four qubits, in BELL_LABELS order."""
+    bells = np.stack([bell_state(label).reshape(2, 2) for label in BELL_LABELS])
+    t = np.einsum("iab,icd->abcdi", bells, bells)  # qubit axes pair_a + pair_b
+    return np.moveaxis(t, range(4), pair_a + pair_b).reshape(16, 4)
 
 
 def cerf_reparam(amps, target: str = "RB_AC") -> np.ndarray:
@@ -446,15 +432,10 @@ def cerf_reparam(amps, target: str = "RB_AC") -> np.ndarray:
     pairs = {"RB_AC": ((0, 2), (1, 3)), "RC_AB": ((0, 3), (1, 2))}
     if target not in pairs:
         raise ValueError(f"unknown target partition {target!r}")
-    state = _double_bell_vector(amps, (0, 1), (2, 3))
-    pa, pb = pairs[target]
-    out = np.zeros(4, dtype=complex)
-    recon = np.zeros_like(state)
-    for i, label in enumerate(BELL_LABELS):
-        basis = _double_bell_vector(ket(i, 4), pa, pb)
-        out[i] = basis.conj() @ state
-        recon += out[i] * basis
-    if not np.linalg.norm(recon - state) <= 1e-9:
+    state = _double_bell_basis((0, 1), (2, 3)) @ amps
+    basis = _double_bell_basis(*pairs[target])
+    out = basis.conj().T @ state
+    if not np.linalg.norm(basis @ out - state) <= 1e-9:
         raise ValueError("state is not supported on the paired double-Bell subspace")
     return out
 
@@ -469,13 +450,9 @@ def rb_ac_matrix() -> np.ndarray:
 def heis_beta_from_alpha(alpha: np.ndarray, d: int) -> np.ndarray:
     """beta_{m,n} = (1/d) sum_{x,y} exp(2 pi i (n x - m y)/d) alpha_{x,y}."""
     alpha = np.asarray(alpha, dtype=complex).reshape(d, d)
-    beta = np.zeros_like(alpha)
-    for m in range(d):
-        for n in range(d):
-            for x in range(d):
-                for y in range(d):
-                    beta[m, n] += np.exp(2j * np.pi * (n * x - m * y) / d) * alpha[x, y]
-    return beta / d
+    k = np.arange(d)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / d)  # symmetric: F[n, x] = F[x, n]
+    return dft.conj() @ alpha.T @ dft / d
 
 
 # ---------------------------------------------------------------------------
@@ -693,20 +670,12 @@ def mixed_23_composite_overlap(psi: StateVector) -> float:
     two-qubit state in the symmetric subspace) is fed to the 2->3 machine;
     the result is input-independent.
     """
-    two_clones = partial_trace(apply_isometry(build_gm_1m(3), psi), [0, 1])
-    # express on the symmetric basis {|00>, psi+, |11>}
-    basis = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-    sym = basis @ two_clones.mat @ basis.conj().T
-    if abs(np.trace(sym).real - 1.0) > 1e-9:
+    # clones 1 and 2 (rows), purified by clone 3 and the machine (columns)
+    out = (build_gm_1m(3).matrix @ psi.amps).reshape(4, -1)
+    # the rows on the symmetric basis {|00>, psi+, |11>}
+    sym = np.stack([symmetric_basis_state(2, n) for n in range(3)]).conj() @ out
+    if not abs(np.vdot(sym, sym).real - 1.0) <= 1e-9:  # NaN fails
         raise ValueError("two-clone state is not supported on the symmetric subspace")
     m23 = build_mixed_23()
-    out3 = _derived(m23.out_dims, m23.matrix @ sym @ m23.matrix.conj().T)
-    single = partial_trace(out3, [0])
-    return overlap(StateVector((2,), psi.amps), single)
+    out3 = (m23.matrix @ sym).reshape(-1)
+    return overlap(psi.amps, reduce_ket(out3, m23.out_dims + (sym.shape[1],), [0]))

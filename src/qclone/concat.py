@@ -26,6 +26,7 @@ from .deleters import (
     real_inputs,
     sdep_weights,
 )
+from .measures import hs_distance, overlap
 from .qcore import ALPHA2, StateVector, reduce_ket
 
 
@@ -90,11 +91,8 @@ def _scores(kets: np.ndarray, dims, alpha2s, spec: PipelineSpec):
     of normalized kets, whose marginals need no check."""
     rho_x, rho_y = (reduce_ket(kets, dims, [k]) for k in (0, 1))
     psi = real_inputs(alpha2s)
-    diff = rho_x - psi[:, :, None] * psi[:, None, :]
-    distortion = np.einsum("nab,nba->n", diff, diff).real
-    target = _spec_blank(spec.deleter).vec
-    fidelity = (target.conj() @ rho_y @ target).real
-    return distortion, fidelity
+    distortion = hs_distance(rho_x, psi[:, :, None] * psi[:, None, :])
+    return distortion, overlap(_spec_blank(spec.deleter).vec, rho_y)
 
 
 def run_pipeline(spec: PipelineSpec, alpha2: float):

@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .measures import overlap
 from .qcore import (
     ALPHA2,
     FINITE,
@@ -281,10 +282,7 @@ def _marginal_fidelities(spec: DeleterSpec, psi: np.ndarray, n_transformers: int
     check_kets(pairs)
     kets = _transform(pairs @ machine.matrix.T, n_transformers)
     rho_1, rho_2 = (reduce_ket(kets, machine.out_dims, [k]) for k in (0, 1))
-    target = deletion_target(spec)
-    f1 = (psi.conj()[:, None, :] @ rho_1 @ psi[:, :, None])[:, 0, 0].real
-    f2 = (target.conj() @ rho_2 @ target).real
-    return kets, rho_1, rho_2, f1, f2
+    return kets, rho_1, rho_2, overlap(psi, rho_1), overlap(deletion_target(spec), rho_2)
 
 
 def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> DeletionReports:
@@ -302,7 +300,7 @@ def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> Deletion
     rho_3 = overlap_m = None
     if len(machine.out_dims) > 2:
         rho_3 = reduce_ket(kets, machine.out_dims, [2])
-        overlap_m = (a_vec.conj() @ rho_3 @ a_vec).real
+        overlap_m = overlap(a_vec, rho_3)
     return DeletionReports(rho_1, rho_2, rho_3, f1, f2, overlap_m)
 
 

@@ -19,10 +19,10 @@ from .qcore import (
     StateVector,
     _x_min_eigenvalue,
     _x_state,
-    apply_isometry,
     domain,
     partial_trace,
     partial_transpose,
+    reduce_ket,
 )
 
 _CLAMP = 1e-12
@@ -65,11 +65,20 @@ def fidelity_mixed(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(min(1.0, np.sum(np.sqrt(evals))))
 
 
-def overlap(psi: StateVector, rho: DensityOperator) -> float:
-    """<psi|rho|psi>, the working 'fidelity' of all result formulas here."""
-    if psi.dims != rho.dims:
+def overlap(psi, rho):
+    """<psi|rho|psi>, the working 'fidelity' of all result formulas here: a
+    float for one ket and one operator, an array for raw arrays with a stack
+    among them, an (n, d) ket stack against a (d, d) matrix or an (n, d, d)
+    stack, or one (d,) ket against a stack."""
+    if isinstance(psi, StateVector) and isinstance(rho, DensityOperator) and psi.dims != rho.dims:
         raise ValueError("state and operator live on different spaces")
-    return float(np.real(psi.amps.conj() @ rho.mat @ psi.amps))
+    a = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
+    m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
+    if a.ndim == 1:
+        ov = (a.conj() @ m @ a).real
+    else:
+        ov = (a.conj()[:, None, :] @ m @ a[:, :, None])[:, 0, 0].real
+    return float(ov) if ov.ndim == 0 else ov
 
 
 def fidelity_pure(psi: StateVector, rho: DensityOperator) -> float:
@@ -256,6 +265,18 @@ def _leading_minors(w: np.ndarray):
     return w2, w3, w4
 
 
+# Bob's qubit after Alice measures sigma_x (|+>, |->) or sigma_z (|0>, |1>)
+# on her half of a shared singlet, one ket per outcome
+_HERBERT_KETS = np.vstack([np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2)]).astype(complex)
+
+
+def _herbert_mixes(outs, dims):
+    """(rho_x, rho_z): Bob's clone pair, reduced from the kets ``outs`` that his
+    cloner makes of the _HERBERT_KETS rows, mixed over each of Alice's bases."""
+    pairs = reduce_ket(outs, dims, [0, 1])
+    return pairs[:2].mean(0), pairs[2:].mean(0)
+
+
 def herbert_ensembles():
     """Bob's two-qubit ensembles under a hypothetical perfect cloner.
 
@@ -263,38 +284,14 @@ def herbert_ensembles():
     perfectly clones his collapsed qubit.  Returns (rho_x, rho_z, hs_gap);
     the positive gap is the flawed superluminal-signalling signature.
     """
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    zero = np.array([1, 0], dtype=complex)
-    one = np.array([0, 1], dtype=complex)
-
-    def perfect_clone_mix(states):
-        mats = [np.outer(np.kron(s, s), np.kron(s, s).conj()) for s in states]
-        return DensityOperator((2, 2), sum(mats) / len(mats))
-
-    rho_x = perfect_clone_mix([plus, minus])
-    rho_z = perfect_clone_mix([zero, one])
-    gap = hs_distance(rho_x, rho_z)
-    return rho_x, rho_z, gap
+    clones = np.stack([np.kron(s, s) for s in _HERBERT_KETS])  # |s>|s>
+    rho_x, rho_z = (DensityOperator((2, 2), m) for m in _herbert_mixes(clones, (2, 2)))
+    return rho_x, rho_z, hs_distance(rho_x, rho_z)
 
 
 def herbert_gap_with_machine(machine) -> float:
     """HS gap between Bob's ensembles when a physical (isometric) cloning
     machine replaces the perfect cloner; zero for any linear machine."""
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    zero = np.array([1, 0], dtype=complex)
-    one = np.array([0, 1], dtype=complex)
-
-    def clone_mix(states):
-        total = None
-        for s in states:
-            out = apply_isometry(machine, StateVector((2,), s))
-            pair = partial_trace(out, [0, 1])
-            total = pair.mat if total is None else total + pair.mat
-        return total / len(states)
-
-    gx = clone_mix([plus, minus])
-    gz = clone_mix([zero, one])
-    d = gx - gz
-    return float(np.real(np.trace(d @ d)))
+    if machine.in_dims != (2,):
+        raise ValueError(f"input dims (2,) do not match machine {machine.in_dims}")
+    return hs_distance(*_herbert_mixes(_HERBERT_KETS @ machine.matrix.T, machine.out_dims))

@@ -56,15 +56,15 @@ class Domain(NamedTuple):
         return f"{self.ends[0]}{_printed_end(self.lo)}, {_printed_end(self.hi)}{self.ends[1]}"
 
     def check(self, x, name=None):
-        """x if it lies in the domain (every entry of an ndarray), else raise
-        ValueError("NAME must lie in DOMAIN, got V"); NaN lies in none."""
-        try:
-            if self.least <= x <= self.most:
+        """x if every entry lies in the domain, else raise ValueError("NAME must
+        lie in DOMAIN, got V") for the first entry V outside it; NaN lies in none."""
+        if isinstance(x, np.ndarray):
+            outside = x[~((self.least <= x) & (x <= self.most))]
+            if not outside.size:
                 return x
-        except ValueError:  # the truth value of an ndarray of several entries
-            if ((self.least <= x) & (x <= self.most)).all():
-                return x
-            x = next(v for v in x.flat if not self.least <= v <= self.most)
+            x = outside.flat[0]
+        elif self.least <= x <= self.most:
+            return x
         raise ValueError(f"{name or self.name} must lie in {self}, got {x}")
 
 
@@ -407,11 +407,6 @@ def ket(index: int, dim: int = 2) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def qubit(alpha, beta) -> np.ndarray:
-    v = np.array([alpha, beta], dtype=complex)
-    return v / np.linalg.norm(v)
 
 
 def kron_all(*factors) -> np.ndarray:

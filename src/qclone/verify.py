@@ -27,6 +27,7 @@ from .qcore import (
     apply_isometry,
     partial_trace,
     realize_gram,
+    reduce_ket,
 )
 
 # Every comparison goes through _Expect.close with one of these tolerances,
@@ -173,8 +174,7 @@ def check_closed_form_grid() -> CheckResult:
     # GM(2,3) via the 2->M machine on identical pure inputs
     m23 = cloners.build_mixed_2m(3)
     v = _rand_kets(1, seed=3)[0]
-    out = StateVector(m23.out_dims, m23.matrix @ np.kron(v, v))
-    f = float(np.real(v.conj() @ partial_trace(out, [0]).mat @ v))
+    f = measures.overlap(v, reduce_ket(m23.matrix @ np.kron(v, v), m23.out_dims, [0]))
     e.close("sim 2->3", f, cloners.gm_fidelity(2, 3), SIM_TOL)
     # recloning two clones of the 1->3 copier
     comp = cloners.mixed_23_composite_overlap(StateVector((2,), _rand_kets(1, seed=5)[0]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -7,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from qclone import cloners, measures
 from qclone.cloners import MachineSpec, build_machine, clone_report
-from qclone.qcore import StateVector, UnrealizableSpec, apply_isometry, ket, kron_all, partial_trace
+from qclone.qcore import (
+    BELL_LABELS,
+    StateVector,
+    UnrealizableSpec,
+    apply_isometry,
+    bell_state,
+    ket,
+    kron_all,
+    partial_trace,
+)
 
 
 RNG = np.random.default_rng(2024)
@@ -311,6 +321,51 @@ def test_cerf_reparam():
         cloners.cerf_reparam([1, 1, 0, 0], "RB_AC")
     with pytest.raises(ValueError, match="normalized"):
         cloners.cerf_reparam([math.nan, 0, 0, 0], "RB_AC")  # once returned a NaN vector
+
+
+def _double_bell_by_loops(amps, pair_a, pair_b):
+    """Reference: sum_i amps[i] |Bell_i>_pair_a |Bell_i>_pair_b, entry by entry."""
+    state = np.zeros((2, 2, 2, 2), dtype=complex)
+    for c, label in zip(amps, BELL_LABELS):
+        bell = bell_state(label).reshape(2, 2)
+        for i1, i2, j1, j2 in itertools.product(range(2), repeat=4):
+            bits = [0] * 4
+            bits[pair_a[0]], bits[pair_a[1]] = i1, i2
+            bits[pair_b[0]], bits[pair_b[1]] = j1, j2
+            state[tuple(bits)] += c * bell[i1, i2] * bell[j1, j2]
+    return state.reshape(16)
+
+
+def _heis_beta_by_loops(alpha, d):
+    """Reference: beta_{m,n} = (1/d) sum_{x,y} exp(2 pi i (n x - m y)/d) alpha_{x,y}, term by term."""
+    alpha = np.asarray(alpha, dtype=complex).reshape(d, d)
+    beta = np.zeros_like(alpha)
+    for m, n, x, y in itertools.product(range(d), repeat=4):
+        beta[m, n] += np.exp(2j * np.pi * (n * x - m * y) / d) * alpha[x, y]
+    return beta / d
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("pairs", [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))])
+def test_double_bell_basis_matches_the_index_loops(pairs):
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    # four terms, each a product of three factors of modulus at most 1
+    got = cloners._double_bell_basis(*pairs) @ v
+    assert np.max(np.abs(got - _double_bell_by_loops(v, *pairs))) <= 16 * EPS
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_heis_beta_matches_the_index_loops(d):
+    rng = np.random.default_rng(d)
+    alpha = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    alpha /= np.linalg.norm(alpha)
+    # d^2 terms, each phase rounded from an argument below 2 pi d
+    got = cloners.heis_beta_from_alpha(alpha, d)
+    assert np.max(np.abs(got - _heis_beta_by_loops(alpha, d))) <= 8 * d * d * EPS
 
 
 def test_prob_clone_success():

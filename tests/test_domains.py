@@ -193,7 +193,14 @@ def test_kernel_checks_scalars_and_arrays_with_open_and_closed_ends():
     assert str(qcore.domain("n", 1, 3, "(]")) == "(1, 3]"
     grid = np.linspace(0.0, 1.0, 5)
     assert qcore.ALPHA2.check(grid) is grid
-    for bad, shown in (([0.2, 1.5, 2.0], "1.5"), ([0.2, math.nan], "nan"), (1.5, "1.5")):
+    cases = [
+        ([0.2, 1.5, 2.0], "1.5"),
+        ([0.2, math.nan], "nan"),
+        (1.5, "1.5"),
+        ([1.5], "1.5"),  # once printed as "[1.5]"
+        ([[1.5]], "1.5"),
+    ]
+    for bad, shown in cases:
         with pytest.raises(ValueError) as exc:
             qcore.ALPHA2.check(np.asarray(bad))
         assert str(exc.value) == f"alpha^2 must lie in [0, 1], got {shown}"

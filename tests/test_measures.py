@@ -64,6 +64,8 @@ def test_overlap_and_fidelity_pure():
     half = DensityOperator((2,), np.eye(2) / 2)
     assert abs(measures.overlap(psi, half) - 0.5) < 1e-12
     assert abs(measures.fidelity_pure(psi, half) - math.sqrt(0.5)) < 1e-12
+    with pytest.raises(ValueError, match="different spaces"):
+        measures.overlap(StateVector((4,), [1, 0, 0, 0]), DensityOperator((2, 2), np.eye(4) / 4))
 
 
 def test_overlap_bh_optimal_output():
@@ -72,6 +74,28 @@ def test_overlap_bh_optimal_output():
         v = random_pure(rng, 2)
         rep = cloners.clone_report(cloners.MachineSpec("bh-opt"), StateVector((2,), v))
         assert abs(measures.overlap(StateVector((2,), v), rep.rho_a) - 5 / 6) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 10_000))
+def test_overlap_of_stacks_equals_the_overlap_of_each_row(d, n, seed):
+    rng = np.random.default_rng(seed)
+    kets = np.stack([random_pure(rng, d) for _ in range(n)])
+    rhos = [random_density(rng, (d,)) for _ in range(n)]
+    mats = np.stack([rho.mat for rho in rhos])
+    one_ket, one_rho = StateVector((d,), kets[0]), rhos[0]
+    pairs = {
+        "ket stack, operator stack": (kets, mats, zip(kets, rhos)),
+        "ket stack, one operator": (kets, one_rho.mat, ((k, one_rho) for k in kets)),
+        "one ket, operator stack": (kets[0], mats, ((kets[0], rho) for rho in rhos)),
+    }
+    for name, (psi, rho, rows) in pairs.items():
+        want = [measures.overlap(StateVector((d,), k), r) for k, r in rows]
+        got = measures.overlap(psi, rho)
+        assert got.shape == (n,), name
+        assert np.max(np.abs(got - want)) <= 1e-15, name
+    single = measures.overlap(one_ket, one_rho)
+    assert type(single) is float and single == measures.overlap(kets[0], one_rho.mat)
 
 
 def test_hs_distance():
@@ -444,6 +468,8 @@ def test_herbert_ensembles():
     for family in ("bh-opt", "wz", "pc2"):
         machine = cloners.build_machine(cloners.MachineSpec(family))
         assert measures.herbert_gap_with_machine(machine) < 1e-9
+    with pytest.raises(ValueError, match=r"input dims \(2,\) do not match machine \(3,\)"):
+        measures.herbert_gap_with_machine(cloners.build_machine(cloners.MachineSpec("mixed-23")))
 
 
 # Parameters of every catalog family with a qubit input, each in the
