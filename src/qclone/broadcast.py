@@ -72,19 +72,18 @@ def _coerce_input(amplitudes) -> np.ndarray:
     ordered as the coefficients of |00>, |11>, |10>, |01>; an (n, 2) or
     (n, 4) stack of inputs -> an (n, 4) array."""
     a = np.asarray(amplitudes, dtype=float)
-    if a.ndim == 2:
-        return np.stack([_coerce_input(row) for row in a])
-    a = a.reshape(-1)
-    if a.size == 2:
-        a = np.array([a[0], a[1], 0.0, 0.0])
-    if a.size != 4:
+    a = a if a.ndim == 2 else a.reshape(-1)
+    if a.shape[-1] == 2:
+        a, pair = np.zeros(a.shape[:-1] + (4,)), a
+        a[..., :2] = pair
+    if a.shape[-1] != 4 or not a.size:
         raise ValueError("need (alpha1, beta1) or (alpha1, beta1, gamma1, delta1)")
-    if not abs(np.sum(a**2) - 1.0) <= 1e-9:  # NaN fails
+    if not abs((a * a).sum(-1) - 1.0).max() <= 1e-9:  # ndarray methods, cheap per call; NaN fails
         raise ValueError("amplitudes must be normalized")
     return a
 
 
-def _input_amps(amplitudes) -> np.ndarray:
+def input_amps(amplitudes) -> np.ndarray:
     """The input ket's amplitudes on |00>, |01>, |10>, |11>, (4,) for one
     input or (n, 4) for a stack."""
     return _coerce_input(amplitudes)[..., (0, 3, 2, 1)].astype(complex)
@@ -98,7 +97,7 @@ def _one_input(mats: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 def input_ket(amplitudes) -> StateVector:
-    return StateVector((2, 2), _input_amps(amplitudes))
+    return StateVector((2, 2), input_amps(amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -243,30 +242,30 @@ _PAIR.flags.writeable = False
 _PAIR_ENTRY = (0, 3, 0, 3, 1, 2)
 
 
-def _copy_one(x: np.ndarray, lmbda: float) -> np.ndarray:
+def _copy_one(x: np.ndarray, lmbda) -> np.ndarray:
     """The single-copy map Lambda(x) = mu x + lambda tr(x) I, on a
-    (..., 2, 2) stack."""
+    (..., 2, 2) stack; an array of lambda broadcasts with its stack axes."""
     tr = x[..., 0, 0] + x[..., 1, 1]
-    return (1 - 2 * lmbda) * x + (lmbda * tr)[..., None, None] * np.eye(2)
+    return np.expand_dims(1 - 2 * lmbda, (-2, -1)) * x + (lmbda * tr)[..., None, None] * np.eye(2)
 
 
-def _copy_pair(x: np.ndarray, lmbda: float) -> np.ndarray:
+def _copy_pair(x: np.ndarray, lmbda) -> np.ndarray:
     """The formal one-qubit -> copy-pair map of the two-parameter copier, on
     a (..., 2, 2) stack: x00 (mu |00><00| + lambda |s><s|) + x11 (mu |11><11|
     + lambda |s><s|) + (mu / 2) (x01 C + x10 C^T), C the cross sum, as one
-    weighted sum over the read-only blocks.
+    weighted sum over the read-only blocks (lambda: a number or an array).
 
     Completely positive only for lambda >= 1/6 (where the machine exists);
     applied as a linear map elsewhere.
     """
     mu = 1 - 2 * lmbda
-    w = x.reshape(x.shape[:-2] + (4,))[..., _PAIR_ENTRY] * (mu, mu, lmbda, lmbda, mu / 2, mu / 2)
+    w = x.reshape(x.shape[:-2] + (4,))[..., _PAIR_ENTRY] * np.stack([mu, mu, lmbda, lmbda, mu / 2, mu / 2], -1)
     return np.sum(w[..., None, None] * _PAIR, axis=-3, initial=0)
 
 
-def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
+def broadcast_channel_matrices(amplitudes, lmbda) -> Dict[str, np.ndarray]:
     """Same outputs from the copier's single-copy and copy-pair maps, for
-    one input or a stack.
+    one input or a stack, with one lambda or one per input of the stack.
 
     (Lambda x Lambda)(rho) = sum_ij Lambda(|i><j|) x Lambda(rho_ij), where
     rho_ij = |psi_i><psi_j| is the (i, j) block over subsystem A (psi_i the
@@ -276,13 +275,14 @@ def broadcast_channel_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
     the same maps applied block by block with kron products.
     """
     COPIER_LAMBDA.check(lmbda)
-    amps = _input_amps(amplitudes)
+    amps = input_amps(amplitudes)
     batch = amps.shape[:-1]
     rows = amps.reshape(batch + (2, 2))
-    blocks = _copy_one(rows[..., :, None, :, None] * rows.conj()[..., None, :, None, :], lmbda)
-    units = _copy_one(_UNITS, lmbda)
+    lam = np.reshape(lmbda, np.shape(lmbda) + (1, 1))  # per input, broadcast over the (i, j) blocks
+    blocks = _copy_one(rows[..., :, None, :, None] * rows.conj()[..., None, :, None, :], lam)
+    units = _copy_one(_UNITS, lam)
     # [..., i, j, i', a, j', b]: the kron of the (i, j) terms, summed over i, j
-    terms = units[:, :, :, None, :, None] * blocks[..., :, :, None, :, None, :]
+    terms = units[..., :, :, :, None, :, None] * blocks[..., :, :, None, :, None, :]
     ab = np.sum(terms, axis=(-6, -5), initial=0).reshape(batch + (4, 4))
     pair = _copy_pair(np.stack([reduce_ket(amps, (2, 2), [k]) for k in (0, 1)]), lmbda)
     return {"AB'": ab, "A'B": ab, "AA'": pair[0], "BB'": pair[1]}
@@ -292,7 +292,7 @@ def broadcast_machine_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
     """Output matrices of the genuine Gram-realized machine applied to both
     qubits (requires lambda >= 1/6), for one input or a stack."""
     machine = build_machine(MachineSpec("bh", (lmbda,)))
-    amps, dims = _input_amps(amplitudes), [2, 2]
+    amps, dims = input_amps(amplitudes), [2, 2]
     amps, dims = _apply_machine_at(amps, dims, 0, machine)
     # layout now A, A', M_A, B
     amps, dims = _apply_machine_at(amps, dims, 3, machine)

@@ -150,16 +150,17 @@ def build_gm_1m(m_copies: int) -> MachineIsometry:
     return MachineIsometry((2,), (2,) * M + (M,), cols.reshape(2**M * M, 2))
 
 
-def _one_to_two_copier(d: int, a: float, b: float, c: float) -> MachineIsometry:
+def _one_to_two_copier(d: int, a, b, c) -> MachineIsometry:
     """The 1->2 copier |j> -> a|jj>|j> + sum_{k != j} (b|jk> + c|kj>)|k>;
-    symmetric for b = c."""
+    symmetric for b = c.  Arrays a, b, c of one shape give a stack."""
     diag = np.arange(d)
     j, k = np.nonzero(~np.eye(d, dtype=bool))  # every pair k != j
-    cols = np.zeros((d, d, d, d), dtype=complex)  # clone, clone, machine, input
-    cols[diag, diag, diag, diag] = a
-    cols[j, k, k, j] = b
-    cols[k, j, k, j] = c
-    return MachineIsometry((d,), (d, d, d), cols.reshape(d**3, d))
+    a, b, c = (np.asarray(x)[..., None] for x in (a, b, c))  # broadcast along each index axis
+    cols = np.zeros(a.shape[:-1] + (d, d, d, d), dtype=complex)  # clone, clone, machine, input
+    cols[..., diag, diag, diag, diag] = a
+    cols[..., j, k, k, j] = b
+    cols[..., k, j, k, j] = c
+    return MachineIsometry((d,), (d, d, d), cols.reshape(a.shape[:-1] + (d**3, d)))
 
 
 def build_uqcm_d(d: int) -> MachineIsometry:
@@ -210,16 +211,16 @@ def build_econ(d: int = 2, blank: int = 0) -> MachineIsometry:
     return MachineIsometry((d,), (d, d), cols.reshape(d * d, d))
 
 
-def build_pauli_asym(p: float) -> MachineIsometry:
+def build_pauli_asym(p) -> MachineIsometry:
     """Asymmetric 1->2 copier; p + q = 1 trades quality between the clones."""
     return build_heis_asym(2, p)
 
 
-def build_heis_asym(d: int, p: float) -> MachineIsometry:
-    """Optimal universal asymmetric copier for d-level systems (q = 1 - p)."""
+def build_heis_asym(d: int, p) -> MachineIsometry:
+    """Optimal universal asymmetric copier for d-level systems (q = 1 - p), or a stack for an array of p."""
     DIMENSION.check(d)
     q = 1.0 - PROBABILITY.check(p)
-    scale = 1 / math.sqrt(1 + (d - 1) * (p**2 + q**2))
+    scale = 1 / np.sqrt(1 + (d - 1) * (p**2 + q**2))
     return _one_to_two_copier(d, scale, p * scale, q * scale)
 
 
@@ -343,20 +344,22 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     One product with the machine matrix gives every output ket; each
     marginal is one batched ket reduction.  The input kets are checked;
     the marginals, reductions of kets through a checked isometry, are not.
+    A spec with array parameters runs its machine stack in the same pass,
+    for (n_machines, n) results, on (n, d) or (n_machines, n, d) inputs.
     """
     machine = _copier(spec)
     dims = machine.out_dims
     (d,) = machine.in_dims
     amps = np.asarray(amps, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != d or not len(amps):
+    if amps.ndim < 2 or amps.shape[-1] != d or not amps.shape[-2]:
         raise ValueError(f"inputs of shape {amps.shape} incompatible with {spec}: need (n, {d}), n >= 1")
     check_kets(amps)
-    out = amps @ machine.matrix.T
+    out = amps @ machine.matrix.swapaxes(-1, -2)
     clones = reduce_ket(out, dims, [0, 1])
     rho_a, rho_b = (reduce_ket(out, dims, [k]) for k in (0, 1))
-    id_mat = amps[:, :, None] * amps.conj()[:, None, :]
-    prod_out = (rho_a[:, :, None, :, None] * rho_b[:, None, :, None, :]).reshape(clones.shape)
-    prod_id = (id_mat[:, :, None, :, None] * id_mat[:, None, :, None, :]).reshape(clones.shape)
+    id_mat = amps[..., :, None] * amps.conj()[..., None, :]
+    prod_out = (rho_a[..., :, None, :, None] * rho_b[..., None, :, None, :]).reshape(clones.shape)
+    prod_id = (id_mat[..., :, None, :, None] * id_mat[..., None, :, None, :]).reshape(*amps.shape[:-1], d * d, -1)
     return CloneReports(
         clones,
         rho_a,
@@ -670,12 +673,15 @@ def mixed_23_composite_overlap(psi: StateVector) -> float:
     two-qubit state in the symmetric subspace) is fed to the 2->3 machine;
     the result is input-independent.
     """
+    gm = build_machine(MachineSpec("gm-1m", (3,)))
+    if psi.dims != gm.in_dims:
+        raise ValueError(f"input dims {psi.dims} do not match machine {gm.in_dims}")
     # clones 1 and 2 (rows), purified by clone 3 and the machine (columns)
-    out = (build_gm_1m(3).matrix @ psi.amps).reshape(4, -1)
+    out = (gm.matrix @ psi.amps).reshape(4, -1)
     # the rows on the symmetric basis {|00>, psi+, |11>}
     sym = np.stack([symmetric_basis_state(2, n) for n in range(3)]).conj() @ out
     if not abs(np.vdot(sym, sym).real - 1.0) <= 1e-9:  # NaN fails
         raise ValueError("two-clone state is not supported on the symmetric subspace")
-    m23 = build_mixed_23()
+    m23 = build_machine(MachineSpec("mixed-23"))
     out3 = (m23.matrix @ sym).reshape(-1)
     return overlap(psi.amps, reduce_ket(out3, m23.out_dims + (sym.shape[1],), [0]))

@@ -167,7 +167,8 @@ def _conv_parts(
     lmbda: float, blank: BlankState = DEFAULT_BLANK, y: Optional[float] = None
 ):
     """(machine, initial machine ket A) of the deleter with machine
-    parameter lambda and free blank |Sigma>.
+    parameter lambda and free blank |Sigma>; a stack of blanks gives the
+    stack of their machines, from one Gram realization.
 
     Y (the overlap of the initial machine ket with A0, A1, D0) defaults to
     the largest value keeping the Gram PSD.
@@ -180,20 +181,20 @@ def _conv_parts(
     kets = np.zeros((7, mdim), dtype=complex)
     kets[:, :rank] = vecs.T
     a, a0, a1, b0, b1, c0, d0 = kets
-    sigma, sigma_p = blank.vec, blank.perp
-    # cols[i, j, :, k]: kept qubit i, deleted qubit j, machine; input |k>
-    cols = np.zeros((2, 2, mdim, 4), dtype=complex)
-    cols[0, :, :, 0] = np.outer(sigma, a0)  # |0 Sigma A0> + (|01> + |10>)|B0>
-    cols[0, 1, :, 0] += b0
-    cols[1, 0, :, 0] += b0
-    cols[0, :, :, 1] = np.outer(sigma_p, d0)  # |0 Sigma' D0> + |10 C0>
-    cols[1, 0, :, 1] += c0
-    cols[1, :, :, 2] = np.outer(sigma, d0)  # |1 Sigma D0> + |01 C0>
-    cols[0, 1, :, 2] += c0
-    cols[1, :, :, 3] = np.outer(sigma_p, a1)  # |1 Sigma' A1> + (|01> + |10>)|B1>
-    cols[0, 1, :, 3] += b1
-    cols[1, 0, :, 3] += b1
-    return MachineIsometry((2, 2), (2, 2, mdim), cols.reshape(4 * mdim, 4)), a
+    sigma, sigma_p = blank.vec[..., :, None], blank.perp[..., :, None]  # for outer products
+    # cols[..., i, j, :, k]: kept qubit i, deleted qubit j, machine; input |k>
+    cols = np.zeros(sigma.shape[:-2] + (2, 2, mdim, 4), dtype=complex)
+    cols[..., 0, :, :, 0] = sigma * a0  # |0 Sigma A0> + (|01> + |10>)|B0>
+    cols[..., 0, 1, :, 0] += b0
+    cols[..., 1, 0, :, 0] += b0
+    cols[..., 0, :, :, 1] = sigma_p * d0  # |0 Sigma' D0> + |10 C0>
+    cols[..., 1, 0, :, 1] += c0
+    cols[..., 1, :, :, 2] = sigma * d0  # |1 Sigma D0> + |01 C0>
+    cols[..., 0, 1, :, 2] += c0
+    cols[..., 1, :, :, 3] = sigma_p * a1  # |1 Sigma' A1> + (|01> + |10>)|B1>
+    cols[..., 0, 1, :, 3] += b1
+    cols[..., 1, 0, :, 3] += b1
+    return MachineIsometry((2, 2), (2, 2, mdim), cols.reshape(cols.shape[:-4] + (4 * mdim, 4))), a
 
 
 def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsometry:
@@ -263,40 +264,34 @@ def _transform(kets: np.ndarray, n_transformers: int) -> np.ndarray:
     return np.einsum("ab,...bm->...am", _T_POWERS[n_transformers], data).reshape(kets.shape)
 
 
-def apply_deleter(spec: DeleterSpec, state: StateVector, n_transformers: int = 0) -> StateVector:
-    """Deleter (plus optional transformers on the data qubits) on a 2-qubit
-    input; the output is pure, so it is returned as a ket."""
-    if state.dims != (2, 2):
-        raise ValueError("deleters act on two qubits")
-    machine = build_deleter(spec)
-    return StateVector(machine.out_dims, _transform(machine.matrix @ state.amps, n_transformers))
-
-
-def _marginal_fidelities(spec: DeleterSpec, psi: np.ndarray, n_transformers: int):
+def _marginal_fidelities(spec: DeleterSpec, machine: MachineIsometry, psi: np.ndarray, n_transformers: int):
     """(output kets, rho_1, rho_2, F_1, F_2) of deleting one copy of psi from
-    psi x psi for every ket of an (n, 2) stack.  The pairs the machine
-    receives are checked; their reductions through the checked isometry
-    and the unitary transformers are not."""
-    machine = build_deleter(spec)
-    pairs = (psi[:, :, None] * psi[:, None, :]).reshape(-1, 4)
+    psi x psi for every ket of an (n, 2) stack with the spec's machine (or
+    stack).  The pairs it receives are checked; their reductions through
+    the checked isometry and the unitary transformers are not."""
+    pairs = (psi[..., :, None] * psi[..., None, :]).reshape(psi.shape[:-1] + (4,))
     check_kets(pairs)
-    kets = _transform(pairs @ machine.matrix.T, n_transformers)
+    kets = _transform(pairs @ machine.matrix.swapaxes(-1, -2), n_transformers)
     rho_1, rho_2 = (reduce_ket(kets, machine.out_dims, [k]) for k in (0, 1))
-    return kets, rho_1, rho_2, overlap(psi, rho_1), overlap(deletion_target(spec), rho_2)
+    target = deletion_target(spec)  # one ket, or one per machine of a stack for all its inputs
+    target = target if target.ndim == 1 else target[:, None]
+    return kets, rho_1, rho_2, overlap(psi, rho_1), overlap(target, rho_2)
 
 
 def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> DeletionReports:
     """Delete one copy of psi from psi x psi for every single-qubit ket psi
     of an (n, 2) stack, and report the per-input fidelities in one pass.
 
+    A conv spec with a stack of blanks runs its machine stack in one pass,
+    for (n_machines, n) results, on (n, 2) or (n_machines, n, 2) inputs.
     The alpha^2 averages belong to the spec, not to an input: they come
     from :func:`average_fidelities`.
     """
     machine, a_vec = _deleter_parts(spec)
     psi = np.asarray(amps, dtype=complex)
-    if psi.ndim != 2 or psi.shape[1] != 2 or not len(psi):
+    if psi.ndim < 2 or psi.shape[-1] != 2 or not psi.shape[-2]:
         raise ValueError(f"inputs of shape {psi.shape} are not an (n, 2) stack of qubit kets, n >= 1")
-    kets, rho_1, rho_2, f1, f2 = _marginal_fidelities(spec, psi, n_transformers)
+    kets, rho_1, rho_2, f1, f2 = _marginal_fidelities(spec, machine, psi, n_transformers)
     rho_3 = overlap_m = None
     if len(machine.out_dims) > 2:
         rho_3 = reduce_ket(kets, machine.out_dims, [2])
@@ -342,7 +337,7 @@ def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
     """Quadrature averages of (F_1, F_2) over alpha^2 for real amplitudes,
     all 64 nodes in one batched pass, the one :func:`delete_reports` makes
     without the machine marginal; computed once per (spec, count)."""
-    f1, f2 = _marginal_fidelities(spec, real_inputs(GL_ALPHA2), n_transformers)[3:]
+    f1, f2 = _marginal_fidelities(spec, build_deleter(spec), real_inputs(GL_ALPHA2), n_transformers)[3:]
     return float(GL_WEIGHTS @ f1), float(GL_WEIGHTS @ f2)
 
 

@@ -27,8 +27,9 @@ class HybridSpec:
 
 
 def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
-    """Superpose two component machines with weights lmbda and 1 - lmbda."""
-    PROBABILITY.check(spec.lmbda, "lambda")
+    """Superpose two component machines with weights lmbda and 1 - lmbda; an array of
+    lmbda or a component stack (array parameters), one stack length, gives a stack."""
+    lam = PROBABILITY.check(spec.lmbda, "lambda")
     v1 = build_machine(spec.m1)
     v2 = build_machine(spec.m2)
     if v1.in_dims != v2.in_dims:
@@ -36,14 +37,16 @@ def hybrid_machine(spec: HybridSpec) -> MachineIsometry:
     if v1.out_dims[:-1] != v2.out_dims[:-1]:
         raise ValueError("component machines produce different clone spaces")
     clone_dim = math.prod(v1.out_dims[:-1])
-    m1_dim, m2_dim = v1.out_dims[-1], v2.out_dims[-1]
-    mdim = max(m1_dim, m2_dim)
+    mdim = max(v1.out_dims[-1], v2.out_dims[-1])
     din = math.prod(v1.in_dims)
-    cols = np.zeros((clone_dim, mdim, 2, din), dtype=complex)  # clones, machine, flag, input
-    cols[:, :m1_dim, 0] = math.sqrt(spec.lmbda) * v1.matrix.reshape(clone_dim, m1_dim, din)
-    cols[:, :m2_dim, 1] = math.sqrt(1 - spec.lmbda) * v2.matrix.reshape(clone_dim, m2_dim, din)
+    w1, w2 = np.sqrt(lam)[..., None, None, None], np.sqrt(1 - lam)[..., None, None, None]
+    m1, m2 = (v.matrix.reshape(v.matrix.shape[:-2] + (clone_dim, -1, din)) for v in (v1, v2))
+    batch = w1.shape[:-3] or m1.shape[:-3] or m2.shape[:-3]
+    cols = np.zeros(batch + (clone_dim, mdim, 2, din), dtype=complex)  # clones, machine, flag, input
+    cols[..., : m1.shape[-2], 0, :] = w1 * m1
+    cols[..., : m2.shape[-2], 1, :] = w2 * m2
     out_dims = v1.out_dims[:-1] + (mdim, 2)
-    return MachineIsometry(v1.in_dims, out_dims, cols.reshape(-1, din))
+    return MachineIsometry(v1.in_dims, out_dims, cols.reshape(batch + (-1, din)))
 
 
 # ---------------------------------------------------------------------------

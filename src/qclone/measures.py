@@ -68,8 +68,9 @@ def fidelity_mixed(rho: DensityOperator, sigma: DensityOperator) -> float:
 def overlap(psi, rho):
     """<psi|rho|psi>, the working 'fidelity' of all result formulas here: a
     float for one ket and one operator, an array for raw arrays with a stack
-    among them, an (n, d) ket stack against a (d, d) matrix or an (n, d, d)
-    stack, or one (d,) ket against a stack."""
+    among them, an (..., d) ket stack against a (d, d) matrix or a stack
+    whose leading axes broadcast with the kets', or one (d,) ket against an
+    (..., d, d) stack."""
     if isinstance(psi, StateVector) and isinstance(rho, DensityOperator) and psi.dims != rho.dims:
         raise ValueError("state and operator live on different spaces")
     a = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
@@ -77,7 +78,7 @@ def overlap(psi, rho):
     if a.ndim == 1:
         ov = (a.conj() @ m @ a).real
     else:
-        ov = (a.conj()[:, None, :] @ m @ a[:, :, None])[:, 0, 0].real
+        ov = (a.conj()[..., None, :] @ m @ a[..., :, None])[..., 0, 0].real
     return float(ov) if ov.ndim == 0 else ov
 
 
@@ -90,11 +91,11 @@ def hs_distance(rho, sigma):
     """Hilbert-Schmidt distance Tr[(rho - sigma)^2]; inputs Hermitian.
 
     A float for two operators, an array of distances for two (..., d, d)
-    stacks of raw matrices.
+    stacks of raw matrices whose leading axes broadcast.
     """
     a = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
     b = sigma.mat if isinstance(sigma, DensityOperator) else np.asarray(sigma)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError("operators live on different spaces")
     d = a - b
     dist = (d @ d).trace(axis1=-2, axis2=-1).real

@@ -306,7 +306,8 @@ def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):
 
 @dataclass(frozen=True)
 class MachineIsometry:
-    """Inner-product-preserving map: one output column per input basis index."""
+    """Inner-product-preserving map: one output column per input basis index;
+    an (n, dout, din) ``matrix`` is a stack of n maps, checked in one call."""
 
     in_dims: tuple
     out_dims: tuple
@@ -319,7 +320,7 @@ class MachineIsometry:
         object.__setattr__(self, "matrix", m)
         din = math.prod(self.in_dims)
         dout = math.prod(self.out_dims)
-        if m.shape != (dout, din):
+        if m.ndim > 3 or m.shape[-2:] != (dout, din):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.in_dims}->{self.out_dims}")
         if dout < din:
             raise ValueError("output space smaller than input space")
@@ -328,9 +329,9 @@ class MachineIsometry:
             raise ValueError(f"columns are not orthonormal (V^dag V deviates by {defect:.3g})")
 
     def isometry_defect(self) -> float:
-        """max |V^dag V - I|, by ndarray methods as in :func:`check_densities`."""
+        """max |V^dag V - I| over the map or stack, by ndarray methods as in :func:`check_densities`."""
         m = self.matrix
-        return float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max())
+        return float(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max())
 
 
 @dataclass(frozen=True)
@@ -355,23 +356,24 @@ class GramSpec:
 
 @dataclass(frozen=True)
 class BlankState:
-    """Qubit blank |Sigma> = m1|0> + m2|1> with m1 real."""
+    """Qubit blank |Sigma> = m1|0> + m2|1> with m1 real; (n,) arrays m1, m2 make a stack."""
 
     m1: float
     m2: complex
 
     def __post_init__(self):
-        if not abs(self.m1**2 + abs(self.m2) ** 2 - 1.0) <= 1e-9:  # NaN fails
+        dev = abs(self.m1**2 + abs(self.m2) ** 2 - 1.0)  # an array for a stack
+        if not (dev.max() if isinstance(dev, np.ndarray) else dev) <= 1e-9:  # NaN fails
             raise ValueError("blank state must satisfy m1^2 + |m2|^2 = 1")
 
     @property
     def vec(self) -> np.ndarray:
-        return np.array([self.m1, self.m2], dtype=complex)
+        return np.array([self.m1, self.m2], dtype=complex).T
 
     @property
     def perp(self) -> np.ndarray:
         """|Sigma_perp> = -m2* |0> + m1 |1>."""
-        return np.array([-np.conj(self.m2), self.m1], dtype=complex)
+        return np.array([-np.conj(self.m2), self.m1], dtype=complex).T
 
 
 def spec_cache(fn):
@@ -379,7 +381,8 @@ def spec_cache(fn):
 
     The key holds the types of ``spec.params`` beside the spec, because equal
     numbers of different types hash alike: ``MachineSpec("wz-n", (3.0,))``
-    must not be served the machine of ``(3,)``; the spec must be hashable.
+    must not be served the machine of ``(3,)``.  A spec with array
+    parameters, a stack, is unhashable: it is built on every call, uncached.
     Exceptions are not cached, so an invalid spec raises on every call.
     Every hit returns the same object, so ``fn`` must return read-only
     arrays.  The result is a plain function with the name of ``fn`` and a
@@ -393,6 +396,10 @@ def spec_cache(fn):
 
     @functools.wraps(fn)
     def lookup(spec, *args, **kwargs):
+        try:
+            hash(spec)
+        except TypeError:  # a stack
+            return fn(spec, *args, **kwargs)
         return cached(spec, tuple(map(type, spec.params)), *args, **kwargs)
 
     lookup.cache_clear = cached.cache_clear
@@ -620,26 +627,6 @@ def bell_project(rho: DensityOperator, pair, outcome: str):
         return 0.0, None
     post = _derived(tuple(rho.dims[k] for k in keep), reduced / prob)
     return prob, post
-
-
-def operator_on(op: np.ndarray, subsystems, dims) -> np.ndarray:
-    """Embed an operator acting on the given subsystems into the full space."""
-    subsystems = list(subsystems)
-    dims = list(dims)
-    n = len(dims)
-    d_op = math.prod([dims[s] for s in subsystems])
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d_op, d_op):
-        raise ValueError("operator shape does not match selected subsystems")
-    rest = [i for i in range(n) if i not in subsystems]
-    d_rest = math.prod([dims[i] for i in rest])
-    full = np.kron(op, np.eye(d_rest))
-    # kron put (subsystems..., rest...); permute back to the original layout
-    cur = subsystems + rest
-    perm = [cur.index(i) for i in range(n)]
-    t = full.reshape([dims[i] for i in cur] * 2)
-    t = np.transpose(t, perm + [p + n for p in perm])
-    return t.reshape(math.prod(dims), math.prod(dims))
 
 
 def symmetric_basis_state(n_qubits: int, n_ones: int) -> np.ndarray:

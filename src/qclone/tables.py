@@ -21,7 +21,7 @@ import numpy as np
 
 from . import broadcast as bc
 from . import deleters, hybrid
-from .cloners import MachineSpec, clone_report, pauli_fidelities
+from .cloners import MachineSpec, clone_reports, pauli_fidelities
 from .deleters import BlankState, DeleterSpec
 from .qcore import StateVector, reduce_ket
 from .measures import overlap
@@ -93,6 +93,11 @@ def _rowwise(fn) -> Callable:
     return lambda inputs: [fn(*x.values()) for x in inputs]
 
 
+def _column(inputs, name: str) -> np.ndarray:
+    """One input column of all rows, the parameter axis of a machine stack."""
+    return np.array([x[name] for x in inputs])
+
+
 def _with_diff(f1: float, f2: float):
     """Append the printed difference column: it subtracts rounded fidelities."""
     return f1, f2, abs(round(f1, 2) - round(f2, 2))
@@ -115,9 +120,10 @@ _T21_PRINTED = {
 _T21_INPUT = StateVector((2,), [math.sqrt(0.3), math.sqrt(0.7)])
 
 
-def _pauli_sim(p: float):
-    rep = clone_report(MachineSpec("pauli-asym", (p,)), _T21_INPUT)
-    return _with_diff(rep.F_a, rep.F_b)
+def _pauli_sim(inputs) -> list:
+    """All rows at once: one stack of copiers, one pass over it."""
+    reps = clone_reports(MachineSpec("pauli-asym", (_column(inputs, "p"),)), _T21_INPUT.amps[None])
+    return [_with_diff(*f) for f in zip(reps.F_a[:, 0].tolist(), reps.F_b[:, 0].tolist())]
 
 
 _T22_PRINTED = {
@@ -161,11 +167,13 @@ _HYBRID_INPUT = np.array([math.sqrt(0.42), math.sqrt(0.58)], dtype=complex)
 _BH_OPT = MachineSpec("bh-opt")
 
 
-def _hybrid_sim(first: MachineSpec, second: MachineSpec, lam: float):
-    """Overlaps of the two hybrid outputs with the input, by simulation."""
-    machine = hybrid.hybrid_machine(hybrid.HybridSpec(first, second, lam))
+def _hybrid_sim(first: MachineSpec, second: MachineSpec, inputs) -> list:
+    """Overlaps of the two hybrid outputs with the input, by simulation: one
+    stack of hybrids along the rows' lambda column (and ``first``'s stack)."""
+    machine = hybrid.hybrid_machine(hybrid.HybridSpec(first, second, _column(inputs, "lambda")))
     out = machine.matrix @ _HYBRID_INPUT
-    return tuple(overlap(_HYBRID_INPUT, reduce_ket(out, machine.out_dims, [k])) for k in (0, 1))
+    f1, f2 = (overlap(_HYBRID_INPUT[None], reduce_ket(out, machine.out_dims, [k])) for k in (0, 1))
+    return list(zip(f1.tolist(), f2.tolist()))
 
 
 _T24_PRINTED = {
@@ -251,10 +259,12 @@ def _t33_printed() -> list:
     return [({"alpha": a, "lambda": lam}, (f_ref,)) for a, (lam, f_ref) in _T33_PRINTED.items()]
 
 
-def _t33_sim(a: float, lam: float):
-    amps = (a, math.sqrt(1 - a * a))
-    mats = bc.broadcast_channel_matrices(amps, lam)
-    return (overlap(bc.input_ket(amps), mats["AB'"]),)
+def _t33_sim(inputs) -> list:
+    """All rows at once: one channel pass over the stack of inputs."""
+    a = _column(inputs, "alpha")
+    amps = np.stack([a, np.sqrt(1 - a * a)], -1)
+    mats = bc.broadcast_channel_matrices(amps, _column(inputs, "lambda"))
+    return [(f,) for f in overlap(bc.input_amps(amps), mats["AB'"]).tolist()]
 
 
 _T41_PRINTED = {
@@ -289,29 +299,27 @@ _T42_PRINTED = {
 _LIMIT_INPUT = deleters.real_inputs([0.3])  # the simulated deletion input, alpha^2 = 0.3
 
 
-def _limit_fidelities(n_transformers: int, m1sq: float, simulate: bool):
-    """(F_pos, F_neg): the lambda -> 1/2 deletion fidelities of the blanks
-    m1|0> + m2|1> and m1|0> - m2|1> with m1^2 = m1sq."""
-    m1, m2 = math.sqrt(m1sq), math.sqrt(1 - m1sq)
-    out = []
-    for blank in (BlankState(m1, m2), BlankState(m1, -m2)):
-        if simulate:
-            spec = DeleterSpec("conv", (0.5 - 1e-6, blank))
-            out.append(float(deleters.delete_reports(spec, _LIMIT_INPUT, n_transformers).F_2[0]))
-        else:
-            out.append(deleters.limiting_deletion_fidelity(n_transformers, blank))
-    return tuple(out)
-
-
 def _limit_table(n_transformers: int, printed: Callable) -> _Table:
-    def fidelities(simulate: bool):
-        return _rowwise(lambda m1sq: _limit_fidelities(n_transformers, m1sq, simulate))
+    """(F_pos, F_neg): the lambda -> 1/2 deletion fidelities of the blanks m1|0> + m2|1>
+    and m1|0> - m2|1>, m1^2 = m1sq; simulated as one deleter stack from one Gram realization."""
+    def closed(m1sq: float):
+        m1, m2 = math.sqrt(m1sq), math.sqrt(1 - m1sq)
+        blanks = (BlankState(m1, m2), BlankState(m1, -m2))
+        return tuple(deleters.limiting_deletion_fidelity(n_transformers, blank) for blank in blanks)
+
+    def simulated(inputs) -> list:
+        m1sq = _column(inputs, "m1sq")
+        m1, m2 = np.sqrt(m1sq), np.sqrt(1 - m1sq)
+        blanks = BlankState(np.repeat(m1, 2), np.stack([m2, -m2], -1).reshape(-1))  # (m1, +-m2) per row
+        spec = DeleterSpec("conv", (0.5 - 1e-6, blanks))
+        f2 = deleters.delete_reports(spec, _LIMIT_INPUT, n_transformers).F_2
+        return [tuple(row) for row in f2.reshape(-1, 2).tolist()]
 
     return _Table(
         f"deletion limits, {n_transformers} transformer(s)", {"F_pos": 2, "F_neg": 2},
         printed,
-        fidelities(False),
-        fidelities(True),
+        _rowwise(closed),
+        simulated,
     )
 
 
@@ -320,7 +328,7 @@ _TABLES = {
         "asymmetric copier fidelities", {"F1": 2, "F2": 2, "diff": 2},
         lambda: _keyed("p", _T21_PRINTED),
         _rowwise(lambda p: _with_diff(*pauli_fidelities(p))),
-        _rowwise(_pauli_sim),
+        _pauli_sim,
     ),
     "2.2": _Table(
         "state-dependent hybrid quality", {"lambda_lo": 3, "xi_hi": 4, "D_min": 2, "F": 2},
@@ -331,13 +339,13 @@ _TABLES = {
         "asymmetric hybrid fidelities", {"F1": 2, "F2": 2},
         _t23_printed,
         _rowwise(lambda p, lam: hybrid.bh_pauli_table(p, lam)),
-        _rowwise(lambda p, lam: _hybrid_sim(MachineSpec("pauli-asym", (p,)), _BH_OPT, lam)),
+        lambda inputs: _hybrid_sim(MachineSpec("pauli-asym", (_column(inputs, "p"),)), _BH_OPT, inputs),
     ),
     "2.4": _Table(
         "hybrid anti-copier fidelities", {"F_a": 2, "F_b": 2, "diff": 2},
         lambda: _keyed("lambda", _T24_PRINTED),
         _rowwise(lambda lam: _with_diff(*hybrid.bh_anti_hybrid(lam))),
-        _rowwise(lambda lam: _with_diff(*_hybrid_sim(_BH_OPT, MachineSpec("anti"), lam))),
+        lambda inputs: [_with_diff(*f) for f in _hybrid_sim(_BH_OPT, MachineSpec("anti"), inputs)],
     ),
     "3.1": _Table(
         "state-dependent copier quality", {"lambda": 3, "D_a": 6},
@@ -355,7 +363,7 @@ _TABLES = {
         "broadcast fidelity", {"F": 2},
         _t33_printed,
         _rowwise(lambda a, lam: (bc.broadcast_fidelity(a * a, lam),)),
-        _rowwise(_t33_sim),
+        _t33_sim,
     ),
     "4.1": _limit_table(1, lambda: _keyed("m1sq", _T41_PRINTED)),
     "4.2": _limit_table(2, lambda: _keyed("m1sq", _T42_PRINTED)),

@@ -444,15 +444,15 @@ def check_deletion() -> CheckResult:
     ).F_2
     e.close("universal deleter F_2 = 1/2", (np.std(f2s), np.mean(f2s)), (0.0, 0.5))
     rng = random.Random(17)
+    m1s = np.array([1.0, 0.7, 0.3])
     for lam in (0.0, 0.2, 0.45):
-        for m1 in (1.0, 0.7, 0.3):
-            blank = BlankState(m1, math.sqrt(1 - m1 * m1))
-            spec = DeleterSpec("conv", (lam, blank))
-            inputs = deleters.real_inputs([rng.random() for _ in range(8)])
-            reps = deleters.delete_reports(spec, inputs)
-            e.close(f"F_2 != 1/2 at lam={lam}, m1={m1}", reps.F_2, 0.5)
-            overlaps = reps.machine_overlap
-            y = deleters.conv_max_y(lam)
+        # the three blanks' deleters as one stack, eight inputs each
+        spec = DeleterSpec("conv", (lam, BlankState(m1s, np.sqrt(1 - m1s * m1s))))
+        inputs = deleters.real_inputs([[rng.random() for _ in range(8)] for _ in m1s])
+        reps = deleters.delete_reports(spec, inputs)
+        y = deleters.conv_max_y(lam)
+        for m1, f2, overlaps in zip(m1s.tolist(), reps.F_2, reps.machine_overlap):
+            e.close(f"F_2 != 1/2 at lam={lam}, m1={m1}", f2, 0.5)
             e.close(f"machine overlap varies at lam={lam}, m1={m1}", np.std(overlaps), 0.0)
             e.close(f"machine overlap != Y^2 at lam={lam}, m1={m1}", overlaps[0], y * y, SIM_TOL)
     _match_tables(e, ("4.1", "4.2"))

@@ -279,6 +279,50 @@ def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width):
         fn(np.vstack([v, np.full(width, 0.9)]), 0.2)
 
 
+@pytest.mark.parametrize("bad", [np.array([0.6, 0.7]), np.array([math.nan, 0.8])], ids=["unnormalized", "nan"])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        bc.input_amps,
+        lambda amps: bc.broadcast_output_matrices(amps, 0.2),
+        lambda amps: bc.broadcast_channel_matrices(amps, 0.2),
+        lambda amps: bc.nonlocal_coefficients(amps, 0.2),
+    ],
+    ids=["input_amps", "broadcast_output_matrices", "broadcast_channel_matrices", "nonlocal_coefficients"],
+)
+def test_a_stack_with_one_bad_row_is_rejected(fn, bad):
+    good = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]])
+    for stack in (np.vstack([good, bad]), np.vstack([bad, good])):
+        with pytest.raises(ValueError, match="amplitudes must be normalized"):
+            fn(stack)
+        with pytest.raises(ValueError, match="amplitudes must be normalized"):
+            fn(np.hstack([stack, np.zeros((4, 2))]))
+    for shape in ((3, 3), (0, 2)):
+        with pytest.raises(ValueError, match=r"need \(alpha1, beta1\)"):
+            fn(np.ones(shape) / math.sqrt(3))
+
+
+def test_a_stack_is_coerced_as_its_rows():
+    v = RNG.normal(size=(6, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    for stack in (v, v[:, :2] / np.linalg.norm(v[:, :2], axis=1, keepdims=True)):
+        coerced = bc._coerce_input(stack)
+        assert coerced.shape == (6, 4)
+        for row, one in zip(stack, coerced):
+            assert np.array_equal(bc._coerce_input(row), one)
+
+
+def test_the_channel_takes_one_lambda_per_input():
+    v = RNG.normal(size=(5, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    lams = np.array([0.0, 0.05, 1 / 6, 0.3, 0.5])
+    stacked = bc.broadcast_channel_matrices(v, lams)
+    for i, lam in enumerate(lams.tolist()):
+        one = bc.broadcast_channel_matrices(v[i], lam)
+        for key in one:
+            assert np.array_equal(stacked[key][i], one[key]), key
+
+
 def test_coefficients_of_a_stack_are_those_of_each_input():
     v = RNG.normal(size=(4, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)

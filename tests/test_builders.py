@@ -271,3 +271,57 @@ def test_builders_need_neither_kron_nor_pad(monkeypatch):
     finally:
         build_machine.cache_clear()
         deleters._deleter_parts.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# a stack along a parameter axis is its machines, built one by one
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3, 5)), st.lists(st.floats(PROBABILITY.least, PROBABILITY.most), min_size=1, max_size=6))
+def test_heis_asym_stack_is_its_machines(d, ps):
+    stack = cloners.build_heis_asym(d, np.array(ps))
+    assert stack.matrix.shape == (len(ps), d**3, d)
+    for p, matrix in zip(ps, stack.matrix):
+        assert np.array_equal(matrix, cloners.build_heis_asym(d, p).matrix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.0, 0.5), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+def test_conv_stack_of_blanks_is_its_deleters(lam, seeds):
+    blanks = [_blank_and_unitary(seed)[0] for seed in seeds]
+    stack, a = deleters._conv_parts(lam, BlankState(np.array([b.m1 for b in blanks]), np.array([b.m2 for b in blanks])))
+    for blank, matrix in zip(blanks, stack.matrix):
+        one, a_one = deleters._conv_parts(lam, blank)
+        assert np.array_equal(matrix, one.matrix)
+        assert np.array_equal(a, a_one)
+
+
+@pytest.mark.parametrize("kind", sorted(HYBRID_KINDS))
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(PROBABILITY.least, PROBABILITY.most), min_size=1, max_size=5))
+def test_hybrid_stack_along_lambda_is_its_hybrids(kind, lams):
+    stack = hybrid_machine(HYBRID_KINDS[kind](0.3, np.array(lams)))
+    for lam, matrix in zip(lams, stack.matrix):
+        assert np.array_equal(matrix, hybrid_machine(HYBRID_KINDS[kind](0.3, lam)).matrix)
+
+
+def test_hybrid_stack_of_components_and_lambdas_is_its_hybrids():
+    ps, lams = np.array([0.0, 0.3, 1.0]), np.array([0.9, 0.1, 0.5])
+    stack = hybrid_machine(HybridSpec(MachineSpec("pauli-asym", (ps,)), MachineSpec("bh-opt"), lams))
+    for p, lam, matrix in zip(ps, lams, stack.matrix):
+        one = HybridSpec(MachineSpec("pauli-asym", (float(p),)), MachineSpec("bh-opt"), float(lam))
+        assert np.array_equal(matrix, hybrid_machine(one).matrix)
+
+
+def test_a_stack_spec_is_built_per_call_and_a_single_spec_once():
+    stack_spec = MachineSpec("pauli-asym", (np.array([0.2, 0.7]),))
+    first = build_machine(stack_spec)
+    assert first.matrix.shape == (2, 8, 2)
+    assert build_machine(stack_spec) is not first
+    assert not first.matrix.flags.writeable
+    single = MachineSpec("pauli-asym", (0.2,))
+    assert build_machine(single) is build_machine(single)
+    blanks = BlankState(np.array([1.0, 0.6]), np.array([0.0, 0.8]))
+    conv = deleters.DeleterSpec("conv", (0.3, blanks))
+    assert deleters.build_deleter(conv) is not deleters.build_deleter(conv)

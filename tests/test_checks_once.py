@@ -72,7 +72,7 @@ DERIVED = {
     "broadcast_channel_matrices": lambda: bc.broadcast_channel_matrices([0.6, 0.0, 0.0, 0.8], 0.19),
     "run_pipeline": lambda: concat.run_pipeline(PIPELINE, 0.3),
     "pipeline_averages": lambda: concat.pipeline_averages(PIPELINE),
-    "tables._hybrid_sim": lambda: tables._hybrid_sim(BH, BH, 0.4),
+    "tables._hybrid_sim": lambda: tables._hybrid_sim(BH, BH, [{"lambda": 0.4}]),
     "mixed_23_composite_overlap": lambda: cloners.mixed_23_composite_overlap(PSI),
     "check_clone_ancilla_entanglement": lambda: verify.check_clone_ancilla_entanglement(),
 }

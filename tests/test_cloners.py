@@ -278,6 +278,20 @@ def test_mixed_23_composite_overlap():
         assert abs(got - 79 / 108) < 1e-9
 
 
+def test_mixed_23_composite_overlap_takes_its_machines_from_the_cache(monkeypatch):
+    psi = StateVector((2,), rand_ket())
+    expected = cloners.mixed_23_composite_overlap(psi)
+
+    def rebuilt(*args):
+        raise AssertionError("a machine was built again")
+
+    monkeypatch.setattr(cloners, "build_gm_1m", rebuilt)
+    monkeypatch.setattr(cloners, "build_mixed_23", rebuilt)
+    assert cloners.mixed_23_composite_overlap(psi) == expected
+    with pytest.raises(ValueError, match=re.escape("input dims (3,) do not match machine (2,)")):
+        cloners.mixed_23_composite_overlap(StateVector((3,), np.eye(3)[0]))
+
+
 def test_clone_report_wz_indices():
     rep = clone_report(MachineSpec("wz"), StateVector((2,), [math.sqrt(0.5), math.sqrt(0.5)]))
     assert abs(rep.D_a - 0.5) < 1e-12
@@ -515,6 +529,28 @@ def test_clone_reports_equal_the_per_input_loop(case):
             assert abs(getattr(reps, name)[i] - getattr(rep, name)) <= 1e-15, name
         for name in ("rho_out", "rho_a", "rho_b"):
             assert np.max(np.abs(getattr(reps, name)[i] - getattr(rep, name).mat)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_clone_reports_of_a_stack_spec_are_those_of_each_machine(d, ps, seed, n, shared):
+    """One pass over a stack of copiers, on one input stack for every machine
+    or one per machine, gives each machine's one-machine pass bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = (n, d) if shared else (len(ps), n, d)
+    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    reps = cloners.clone_reports(MachineSpec("heis-asym", (d, np.array(ps))), kets)
+    for i, p in enumerate(ps):
+        one = cloners.clone_reports(MachineSpec("heis-asym", (d, p)), kets if shared else kets[i])
+        for name in cloners.CloneReports._fields:
+            assert np.array_equal(getattr(reps, name)[i], getattr(one, name)), name
 
 
 def test_clone_reports_make_no_eigensolve(monkeypatch):

@@ -12,7 +12,6 @@ from qclone.qcore import (
     bell_state,
     ket,
     kron_all,
-    operator_on,
     partial_trace,
     realize_gram,
 )
@@ -193,9 +192,9 @@ def _loop_average_fidelities(spec, n_transformers):
     """Oracle: one density matrix per Gauss-Legendre node, transformers
     applied as T rho T^dag on the full space, then traced."""
     machine = build_deleter(spec)
-    t_full = operator_on(
-        np.linalg.matrix_power(transformer(), n_transformers), [0, 1], machine.out_dims
-    )
+    # T^n on the two data qubits, the leading factors, times the identity on the machine, if any
+    t_n = np.linalg.matrix_power(transformer(), n_transformers)
+    t_full = np.kron(t_n, np.eye(math.prod(machine.out_dims[2:])))
     target = deleters.deletion_target(spec)
     x, w = np.polynomial.legendre.leggauss(64)
     f1 = f2 = 0.0
@@ -290,10 +289,7 @@ def test_two_transformer_output_matrix():
     devs = []
     for eps in (1e-3, 1e-6):
         spec = DeleterSpec("conv", (0.5 - eps, BlankState(1.0, 0.0)))
-        out = deleters.apply_deleter(
-            spec, StateVector((2, 2), np.kron([math.sqrt(0.3), math.sqrt(0.7)], [math.sqrt(0.3), math.sqrt(0.7)])), 2
-        )
-        rho_2 = partial_trace(out, [1]).mat
+        rho_2 = deleters.delete_reports(spec, [[math.sqrt(0.3), math.sqrt(0.7)]], 2).rho_2[0]
         devs.append(np.max(np.abs(rho_2 - target)))
     assert devs[1] < devs[0]
     assert devs[1] < 1e-5
@@ -565,6 +561,38 @@ def test_delete_reports_leave_the_averages_to_the_spec():
     assert abs(avg[0] - deleters.GL_WEIGHTS @ reps.F_1) < 1e-15
     assert abs(avg[1] - deleters.GL_WEIGHTS @ reps.F_2) < 1e-15
     assert not hasattr(reps, "avg_F_1")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0, 1, 2]),
+    st.booleans(),
+)
+def test_delete_reports_of_a_blank_stack_are_those_of_each_deleter(lam, seed, n_machines, n, n_transformers, shared):
+    """One pass over a stack of conv deleters, on one input stack for every
+    machine or one per machine, gives each machine's one-machine pass bit
+    for bit; only F_2 with several inputs per machine, an overlap with a
+    per-machine target, may differ in the last bit."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n_machines, 2)) + 1j * rng.normal(size=(n_machines, 2))
+    z = z / np.linalg.norm(z, axis=1, keepdims=True) * np.exp(-1j * np.angle(z[:, :1]))
+    m1, m2 = z[:, 0].real, z[:, 1]
+    shape = (n, 2) if shared else (n_machines, n, 2)
+    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    reps = deleters.delete_reports(DeleterSpec("conv", (lam, BlankState(m1, m2))), kets, n_transformers)
+    for i in range(n_machines):
+        spec = DeleterSpec("conv", (lam, BlankState(float(m1[i]), complex(m2[i]))))
+        one = deleters.delete_reports(spec, kets if shared else kets[i], n_transformers)
+        for name in deleters.DeletionReports._fields:
+            if name == "F_2" and n > 1:
+                assert np.max(np.abs(reps.F_2[i] - one.F_2)) <= 1e-15
+            else:
+                assert np.array_equal(getattr(reps, name)[i], getattr(one, name)), name
 
 
 def test_delete_reports_reject_a_stack_of_wrong_shape():

@@ -638,6 +638,66 @@ def test_isometry_rejects_bad_columns():
         MachineIsometry((2,), (2, 2), np.ones((4, 2)))
 
 
+def _isometry(rng, dout, din):
+    """A random (dout, din) isometry: the Q factor of a random complex matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(dout, din)) + 1j * rng.normal(size=(dout, din)))
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from((((2,), (2, 2)), ((2,), (2, 2, 2)), ((3,), (3, 3)), ((2, 2), (2, 2, 3)))),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_an_isometry_stack_is_checked_as_its_worst_element(n, dims, seed, data):
+    in_dims, out_dims = dims
+    din, dout = math.prod(in_dims), math.prod(out_dims)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_isometry(rng, dout, din) for _ in range(n)])
+    stack[:, 0, 0] += rng.uniform(-1e-9, 1e-9, size=n)  # element defects of up to about 2e-9
+    elements = [MachineIsometry(in_dims, out_dims, m) for m in stack]
+    assert MachineIsometry(in_dims, out_dims, stack).isometry_defect() == max(e.isometry_defect() for e in elements)
+    # one element perturbed beyond the 1e-7 tolerance fails the whole stack
+    k = data.draw(st.integers(0, n - 1))
+    stack[k, 0, 0] += 1e-5
+    with pytest.raises(ValueError, match="columns are not orthonormal"):
+        MachineIsometry(in_dims, out_dims, stack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((2, 2), (4, 2), (8, 2), (9, 3))), st.integers(0, 2**32 - 1), st.floats(0.0, 1e-3))
+def test_a_single_isometry_is_checked_as_before(shape, seed, eps):
+    dout, din = shape
+    m = _isometry(np.random.default_rng(seed), dout, din)
+    m[-1, -1] += eps
+    # the (dout, din) defect as it was computed before stacks
+    before = float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max())
+    if before <= 1e-7:
+        assert MachineIsometry((din,), (dout,), m).isometry_defect() == before
+    else:
+        with pytest.raises(ValueError, match=f"columns are not orthonormal \\(V\\^dag V deviates by {before:.3g}\\)"):
+            MachineIsometry((din,), (dout,), m)
+
+
+def test_an_isometry_matrix_must_be_one_map_or_a_stack_of_maps():
+    for matrix in (np.eye(2)[0], np.eye(2)[None, None]):
+        with pytest.raises(ValueError, match="does not match dims"):
+            MachineIsometry((2,), (2,), matrix)
+
+
+def test_a_blank_stack_is_its_blanks():
+    m1, m2 = np.array([1.0, 0.6, 0.0]), np.array([0.0, -0.8j, 1.0])
+    stack = BlankState(m1, m2)
+    for i in range(3):
+        one = BlankState(float(m1[i]), complex(m2[i]))
+        assert np.array_equal(stack.vec[i], one.vec) and np.array_equal(stack.perp[i], one.perp)
+    for bad in (np.array([0.0, 0.9j, 1.0]), np.array([0.0, math.nan, 1.0])):
+        with pytest.raises(ValueError, match="blank state must satisfy"):
+            BlankState(m1, bad)
+
+
 def test_nan_fails_every_validation():
     good = np.eye(2, dtype=complex) / 2
     for i, j in product(range(2), repeat=2):

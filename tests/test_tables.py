@@ -1,14 +1,21 @@
 """The reference tables are built once per process and mode, rebuilt when
-their printed data change, and shared read-only between callers."""
+their printed data change, and shared read-only between callers; each
+simulated column is one machine stack, equal row by row to one machine per
+row."""
 
 import copy
 import dataclasses
+import math
 import pickle
 
+import numpy as np
 import pytest
 
 from qclone import broadcast as bc
-from qclone import cli, tables
+from qclone import cli, cloners, deleters, hybrid, qcore, tables
+from qclone.cloners import MachineSpec
+from qclone.deleters import BlankState, DeleterSpec
+from qclone.measures import overlap
 
 
 @pytest.fixture
@@ -135,3 +142,102 @@ def test_table_33_machine_parameters_are_the_rounded_lambda_star():
         assert lam == round(bc.sd_cloner_lambda_star(alpha * alpha), 3), alpha
     rows = tables.generate_table("3.3").rows
     assert [row.inputs["lambda"] for row in rows] == [lam for lam, _ in tables._T33_PRINTED.values()]
+
+
+# ---------------------------------------------------------------------------
+# the simulated columns are machine stacks; each row equals a one-machine run
+
+_KET = [math.sqrt(0.3), math.sqrt(0.7)]
+_HYBRID_KET = np.array([math.sqrt(0.42), math.sqrt(0.58)], dtype=complex)
+
+
+def _diff(f1, f2):
+    return f1, f2, abs(round(f1, 2) - round(f2, 2))
+
+
+def _hybrid_row(first, second, lam):
+    machine = hybrid.hybrid_machine(hybrid.HybridSpec(first, second, lam))
+    out = machine.matrix @ _HYBRID_KET
+    return tuple(overlap(_HYBRID_KET, qcore.reduce_ket(out, machine.out_dims, [k])) for k in (0, 1))
+
+
+def _limit_row(n_transformers, m1sq):
+    m1, m2 = math.sqrt(m1sq), math.sqrt(1 - m1sq)
+    psi = qcore.StateVector((2,), _KET)
+    return tuple(
+        deleters.delete_report(DeleterSpec("conv", (0.5 - 1e-6, blank)), psi, n_transformers).F_2
+        for blank in (BlankState(m1, m2), BlankState(m1, -m2))
+    )
+
+
+def _t33_row(a, lam):
+    amps = (a, math.sqrt(1 - a * a))
+    return (overlap(bc.input_ket(amps), bc.broadcast_channel_matrices(amps, lam)["AB'"]),)
+
+
+def _pauli_row(p):
+    rep = cloners.clone_report(MachineSpec("pauli-asym", (p,)), qcore.StateVector((2,), _KET))
+    return _diff(rep.F_a, rep.F_b)
+
+
+# table id -> the simulated row from one machine per row, through the public
+# single-spec entry points, as the tables computed it before stacks
+PER_ROW_ORACLES = {
+    "2.1": _pauli_row,
+    "2.3": lambda p, lam: _hybrid_row(MachineSpec("pauli-asym", (p,)), MachineSpec("bh-opt"), lam),
+    "2.4": lambda lam: _diff(*_hybrid_row(MachineSpec("bh-opt"), MachineSpec("anti"), lam)),
+    "3.3": _t33_row,
+    "4.1": lambda m1sq: _limit_row(1, m1sq),
+    "4.2": lambda m1sq: _limit_row(2, m1sq),
+}
+
+
+@pytest.mark.parametrize("table_id", sorted(PER_ROW_ORACLES))
+def test_every_stacked_column_row_equals_its_one_machine_run(fresh_tables, table_id):
+    rows = tables.generate_table(table_id, "simulate").rows
+    for row in rows:
+        expected = PER_ROW_ORACLES[table_id](*row.inputs.values())
+        assert np.array_equal(tuple(row.outputs.values()), expected), row.inputs
+        assert all(type(v) is float for v in row.outputs.values())
+
+
+# table id -> the builder calls of its simulation; 2.2, 3.1 and 3.2 build none
+STACK_CALLS = {
+    "2.1": {"_one_to_two_copier": 1},
+    "2.3": {"_one_to_two_copier": 1, "hybrid_machine": 1},
+    "2.4": {"hybrid_machine": 1},
+    "3.3": {"broadcast_channel_matrices": 1},
+    "4.1": {"realize_gram": 1},
+    "4.2": {"realize_gram": 1},
+}
+
+
+@pytest.mark.parametrize("table_id", tables.TABLE_IDS)
+def test_a_simulated_table_builds_one_stack(monkeypatch, fresh_tables, table_id):
+    """With every cache cleared, a simulated table makes one builder call or
+    one Gram realization for all its rows, so no per-row loop comes back."""
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # realize_gram is counted where each builder looks it up
+    for module, name in (
+        (cloners, "realize_gram"),
+        (deleters, "realize_gram"),
+        (cloners, "_one_to_two_copier"),
+        (hybrid, "hybrid_machine"),
+        (bc, "broadcast_channel_matrices"),
+    ):
+        counting(module, name)
+    cloners.build_machine.cache_clear()
+    deleters._deleter_parts.cache_clear()
+    deleters.average_fidelities.cache_clear()
+    tables.generate_table(table_id, "simulate")
+    assert calls == STACK_CALLS.get(table_id, {})
