@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import broadcast as bc
 from . import concat, deleters, hybrid, tables, verify
-from .cloners import FAMILIES, MachineSpec, clone_report
+from .cloners import FAMILIES, TWO_TO_M, MachineSpec, clone_report
 from .deleters import BlankState, DeleterSpec
 from .qcore import FINITE, StateVector, domain
 
@@ -31,7 +32,7 @@ TOL = domain("--tol", 0.0, math.inf, "[)")
 
 # `qclone clone` scores one qubit or --dim qudit input; the two 2 -> M
 # families take a qutrit or two-qubit input, so they are not offered
-CLONE_FAMILIES = tuple(f for f in FAMILIES if f not in ("mixed-23", "mixed-2m"))
+CLONE_FAMILIES = tuple(f for f in FAMILIES if f not in TWO_TO_M)
 
 
 def _render(rows, meta, fmt: str) -> str:
@@ -87,7 +88,7 @@ def _indices(rep) -> dict:
 
 
 def cmd_clone(args):
-    _, options = FAMILIES[args.family]
+    options = FAMILIES[args.family].params
     spec = MachineSpec(args.family, tuple(getattr(args, name) for name in options))
     d = DIM.check(args.dim) if "dim" in options else 2  # else a qubit input
     params = {"family": spec.family, "alpha2": args.alpha2}
@@ -101,19 +102,17 @@ def cmd_clone(args):
     return params, [{"family": spec.family, "alpha2": params["alpha2"], **_indices(rep)}], 0
 
 
-def _deleter_spec(args) -> DeleterSpec:
-    blank = BlankState(args.m1, args.m2)
-    params = {
-        "pb": (blank,),
-        "qiu": (args.r1,),
-        "conv": (args.lam, blank),
-        "sdep": deleters.SDEP_EXAMPLE + (blank,),
-    }
-    return DeleterSpec(args.family, params[args.family])
+def _deleter_spec(family: str, options: dict) -> DeleterSpec:
+    """The spec of a deleter family, each parameter by name from ``options``
+    (sdep's amplitudes from the source's worked example), up to the first one
+    without a value: it and every later one keep their defaults."""
+    values = {**dict(zip(("a0", "a1", "b0", "b1"), deleters.SDEP_EXAMPLE)), **options}
+    names = itertools.takewhile(values.__contains__, deleters.DELETERS[family].params)
+    return DeleterSpec(family, tuple(values[name] for name in names))
 
 
 def cmd_delete(args):
-    spec = _deleter_spec(args)
+    spec = _deleter_spec(args.family, dict(vars(args), blank=BlankState(args.m1, args.m2)))
     psi = StateVector((2,), deleters.real_inputs(args.alpha2))
     rep = deleters.delete_report(spec, psi, n_transformers=args.transformers)
     params = {
@@ -196,12 +195,8 @@ def cmd_broadcast(args):
 
 
 def cmd_concat(args):
-    cloner = MachineSpec("wz") if args.cloner == "wz" else MachineSpec("bh", (args.xi,))
-    if args.deleter == "pb":
-        dspec = DeleterSpec("pb")
-    else:
-        dspec = DeleterSpec("sdep", deleters.SDEP_EXAMPLE)
-    spec = concat.PipelineSpec(cloner, dspec)
+    cloner = MachineSpec(args.cloner, tuple(getattr(args, name) for name in FAMILIES[args.cloner].params))
+    spec = concat.PipelineSpec(cloner, _deleter_spec(args.deleter, vars(args)))
     d, f = concat.run_pipeline(spec, args.alpha2)
     avg_d, avg_f = concat.closed_form_averages(spec)
     rows = [
@@ -276,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, cmd_clone)
 
     p = sub.add_parser("delete", help="run a deletion machine on identical copies")
-    p.add_argument("--family", required=True, choices=("pb", "qiu", "conv", "sdep"))
+    p.add_argument("--family", required=True, choices=tuple(deleters.DELETERS))
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--transformers", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--lam", type=float, default=0.25)
@@ -301,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("concat", help="clone-then-delete pipeline")
     p.add_argument("--cloner", choices=("wz", "bh"), default="bh")
-    p.add_argument("--deleter", choices=("pb", "sdep"), default="pb")
+    p.add_argument("--deleter", choices=concat.CONDITIONAL_DELETERS, default="pb")
     p.add_argument("--xi", type=float, default=1 / 6)
     p.add_argument("--alpha2", type=float, default=0.5)
     add_common(p, cmd_concat)

@@ -20,6 +20,7 @@ from .qcore import (
     FINITE,
     PROBABILITY,
     DensityOperator,
+    Family,
     GramSpec,
     MachineIsometry,
     StateVector,
@@ -27,6 +28,7 @@ from .qcore import (
     bell_state,
     check_kets,
     domain,
+    family_entry,
     realize_gram,
     reduce_ket,
     spec_cache,
@@ -99,9 +101,9 @@ def build_wz() -> MachineIsometry:
     return build_wz_n(2)
 
 
-def build_wz_n(n: int) -> MachineIsometry:
-    DIMENSION.check(n)
-    return _one_to_two_copier(n, 1.0, 0.0, 0.0)
+def build_wz_n(dim: int) -> MachineIsometry:
+    DIMENSION.check(dim)
+    return _one_to_two_copier(dim, 1.0, 0.0, 0.0)
 
 
 def bh_gram(xi: float) -> GramSpec:
@@ -139,9 +141,9 @@ def build_bh_opt() -> MachineIsometry:
     return build_gm_1m(2)
 
 
-def build_gm_1m(m_copies: int) -> MachineIsometry:
+def build_gm_1m(copies: int) -> MachineIsometry:
     """Universal symmetric 1->M copier for qubits (explicit for M <= 6)."""
-    M = int(GM_COPIES.check(m_copies))
+    M = int(GM_COPIES.check(copies))
     alphas = np.sqrt([2 * (M - j) / (M * (M + 1)) for j in range(M)])
     sym = np.stack([symmetric_basis_state(M, n) for n in range(M + 1)], axis=1)
     cols = np.zeros((2**M, M, 2), dtype=complex)  # clones, machine, input
@@ -163,9 +165,9 @@ def _one_to_two_copier(d: int, a, b, c) -> MachineIsometry:
     return MachineIsometry((d,), (d, d, d), cols.reshape(a.shape[:-1] + (d**3, d)))
 
 
-def build_uqcm_d(d: int) -> MachineIsometry:
+def build_uqcm_d(dim: int) -> MachineIsometry:
     """Universal symmetric 1->2 copier in d dimensions."""
-    DIMENSION.check(d)
+    d = DIMENSION.check(dim)
     b = math.sqrt(1 / (2 * (d + 1)))
     return _one_to_two_copier(d, math.sqrt(2 / (d + 1)), b, b)
 
@@ -180,9 +182,9 @@ def build_pc2() -> MachineIsometry:
     return build_kr(0.5)
 
 
-def build_pc_d(d: int) -> MachineIsometry:
+def build_pc_d(dim: int) -> MachineIsometry:
     """Optimal 1->2 phase-covariant copier for d-level systems."""
-    DIMENSION.check(d)
+    d = DIMENSION.check(dim)
     root = math.sqrt(d * d + 4 * d - 4)
     alpha = math.sqrt(0.5 - (d - 2) / (2 * root))
     beta = math.sqrt(0.5 + (d - 2) / (2 * root))
@@ -200,10 +202,10 @@ def build_kr(mu: float) -> MachineIsometry:
     return _one_to_two_copier(2, _kr_nu(mu), mu, mu)
 
 
-def build_econ(d: int = 2, blank: int = 0) -> MachineIsometry:
+def build_econ(dim: int = 2, blank_index: int = 0) -> MachineIsometry:
     """Economical (ancilla-free) phase-covariant copier on a fixed blank |l>."""
-    DIMENSION.check(d)
-    domain("blank index", 0, d, "[)").check(blank)
+    d = DIMENSION.check(dim)
+    blank = domain("blank index", 0, d, "[)").check(blank_index)
     k = np.delete(np.arange(d), blank)  # |k> -> (|k l> + |l k>)/sqrt2 for k != l
     cols = np.zeros((d, d, d), dtype=complex)  # clone, clone, input
     cols[k, blank, k] = cols[blank, k, k] = 1 / math.sqrt(2)
@@ -216,9 +218,9 @@ def build_pauli_asym(p) -> MachineIsometry:
     return build_heis_asym(2, p)
 
 
-def build_heis_asym(d: int, p) -> MachineIsometry:
+def build_heis_asym(dim: int, p) -> MachineIsometry:
     """Optimal universal asymmetric copier for d-level systems (q = 1 - p), or a stack for an array of p."""
-    DIMENSION.check(d)
+    d = DIMENSION.check(dim)
     q = 1.0 - PROBABILITY.check(p)
     scale = 1 / np.sqrt(1 + (d - 1) * (p**2 + q**2))
     return _one_to_two_copier(d, scale, p * scale, q * scale)
@@ -267,14 +269,14 @@ def _mixed_column(M: int, j: int, sector_state) -> np.ndarray:
     return np.stack([_mixed_alpha(j, k, M) * sector_state(M, j + k) for k in range(M - 1)], axis=1)
 
 
-def build_mixed_2m(m_copies: int) -> MachineIsometry:
+def build_mixed_2m(copies: int) -> MachineIsometry:
     """2->M copier for two identical (possibly mixed) qubits.
 
     The symmetric-subspace columns follow the alpha_{jk} coefficients; the
     singlet column uses deterministic orthogonal-complement states (the
     source leaves them unspecified).
     """
-    M = int(MIXED_COPIES.check(m_copies))
+    M = int(MIXED_COPIES.check(copies))
     sym_0, sym_1, sym_2 = (_mixed_column(M, j, symmetric_basis_state) for j in range(3))
     anti = _mixed_column(M, 1, _antisymmetric_sector_state)
     root2 = math.sqrt(2)
@@ -291,35 +293,32 @@ def build_mixed_23() -> MachineIsometry:
     return MachineIsometry((3,), (2, 2, 2, 2), cols.reshape(16, 3))
 
 
-# family -> (builder, the `qclone clone` options that supply its parameters,
-# in order, by argparse dest); the CLI and the structural check read it too
+# family -> (builder, its parameters in order, named as the `qclone clone`
+# options that supply them, the ones that may be arrays); CLI, verify and tests read it
 FAMILIES = {
-    "wz": (build_wz, ()),
-    "wz-n": (build_wz_n, ("dim",)),
-    "bh": (build_bh, ("xi",)),
-    "bh-opt": (build_bh_opt, ()),
-    "gm-1m": (build_gm_1m, ("copies",)),
-    "uqcm-d": (build_uqcm_d, ("dim",)),
-    "pc2": (build_pc2, ()),
-    "pc-d": (build_pc_d, ("dim",)),
-    "kr": (build_kr, ("mu",)),
-    "econ": (build_econ, ("dim", "blank_index")),
-    "pauli-asym": (build_pauli_asym, ("p",)),
-    "heis-asym": (build_heis_asym, ("dim", "p")),
-    "anti": (build_anti, ()),
-    "mixed-23": (build_mixed_23, ()),
-    "mixed-2m": (build_mixed_2m, ("copies",)),
+    "wz": Family(build_wz, (), ()),
+    "wz-n": Family(build_wz_n, ("dim",), ()),
+    "bh": Family(build_bh, ("xi",), ()),
+    "bh-opt": Family(build_bh_opt, (), ()),
+    "gm-1m": Family(build_gm_1m, ("copies",), ()),
+    "uqcm-d": Family(build_uqcm_d, ("dim",), ()),
+    "pc2": Family(build_pc2, (), ()),
+    "pc-d": Family(build_pc_d, ("dim",), ()),
+    "kr": Family(build_kr, ("mu",), ()),
+    "econ": Family(build_econ, ("dim", "blank_index"), ()),
+    "pauli-asym": Family(build_pauli_asym, ("p",), ("p",)),
+    "heis-asym": Family(build_heis_asym, ("dim", "p"), ("p",)),
+    "anti": Family(build_anti, (), ()),
+    "mixed-23": Family(build_mixed_23, (), ()),
+    "mixed-2m": Family(build_mixed_2m, ("copies",), ()),
 }
+TWO_TO_M = ("mixed-23", "mixed-2m")  # a qutrit or two-qubit input: not 1->M copiers
 
 
 @spec_cache
 def build_machine(spec: MachineSpec) -> MachineIsometry:
     """The machine of a spec, built once per spec; its matrix is read-only."""
-    try:
-        builder, _ = FAMILIES[spec.family]
-    except KeyError:
-        raise ValueError(f"unknown machine family {spec.family!r}") from None
-    machine = builder(*spec.params)
+    machine = family_entry(FAMILIES, spec, "machine").build(*spec.params)
     machine.matrix.flags.writeable = False
     return machine
 
@@ -332,7 +331,7 @@ def _copier(spec: MachineSpec) -> MachineIsometry:
     """The machine of a 1->M spec: one input system, whose first two output
     systems are its clones."""
     machine = build_machine(spec)
-    if len(machine.in_dims) != 1 or machine.out_dims[:2] != machine.in_dims * 2:
+    if spec.family in TWO_TO_M:
         raise ValueError(f"{spec.family} is a 2->M copier; the clone report takes 1->M copiers only")
     return machine
 
@@ -376,7 +375,10 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
 
 def clone_report(spec: MachineSpec, state: StateVector) -> CloneReport:
     """Run the machine on one pure input: element 0 of :func:`clone_reports`."""
-    if state.dims != _copier(spec).in_dims:
+    machine = _copier(spec)
+    if machine.matrix.ndim > 2:
+        raise ValueError(f"the {spec.family} spec builds a stack of machines: use clone_reports")
+    if state.dims != machine.in_dims:
         raise ValueError(f"input dims {state.dims} incompatible with {spec}")
     reps = clone_reports(spec, state.amps[None])
     return CloneReport(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloners import XI, MachineSpec, build_machine
+from .cloners import FAMILIES, XI, MachineSpec, build_machine
 from .deleters import (
     GL_ALPHA2,
     GL_WEIGHTS,
@@ -27,7 +27,9 @@ from .deleters import (
     sdep_weights,
 )
 from .measures import hs_distance, overlap
-from .qcore import ALPHA2, StateVector, reduce_ket
+from .qcore import ALPHA2, StateVector, family_entry, reduce_ket
+
+CONDITIONAL_DELETERS = ("pb", "sdep")  # the deleters a pipeline composes
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ def _cloner_xi(spec: MachineSpec) -> float:
     if spec.family == "wz":
         return 0.0
     if spec.family == "bh":
+        family_entry(FAMILIES, spec, "machine")  # one copier: no array xi
         return XI.check(float(spec.params[0]))
     if spec.family == "bh-opt":
         return 1 / 6
@@ -50,8 +53,8 @@ def _cloner_xi(spec: MachineSpec) -> float:
 
 
 def _check_deleter(spec: DeleterSpec) -> None:
-    if spec.family not in ("pb", "sdep"):
-        raise ValueError("pipelines use the conditional deleter families (pb, sdep)")
+    if spec.family not in CONDITIONAL_DELETERS:
+        raise ValueError(f"pipelines use the conditional deleter families ({', '.join(CONDITIONAL_DELETERS)})")
 
 
 def _deleter_action(spec: DeleterSpec):

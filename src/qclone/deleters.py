@@ -9,6 +9,7 @@ is left alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -22,6 +23,7 @@ from .qcore import (
     PROBABILITY,
     BlankState,
     DensityOperator,
+    Family,
     GramSpec,
     MachineIsometry,
     StateVector,
@@ -29,6 +31,7 @@ from .qcore import (
     bell_state,
     check_kets,
     domain,
+    family_entry,
     ket,
     realize_gram,
     reduce_ket,
@@ -54,7 +57,7 @@ GL_WEIGHTS = _GL_W / 2
 
 @dataclass(frozen=True)
 class DeleterSpec:
-    family: str  # "pb" | "qiu" | "conv" | "sdep"
+    family: str  # a key of DELETERS
     params: tuple = ()
 
     def __str__(self):
@@ -164,7 +167,7 @@ def conv_max_y(lmbda: float) -> float:
 
 
 def _conv_parts(
-    lmbda: float, blank: BlankState = DEFAULT_BLANK, y: Optional[float] = None
+    lam: float, blank: BlankState = DEFAULT_BLANK, y: Optional[float] = None
 ):
     """(machine, initial machine ket A) of the deleter with machine
     parameter lambda and free blank |Sigma>; a stack of blanks gives the
@@ -174,8 +177,8 @@ def _conv_parts(
     the largest value keeping the Gram PSD.
     """
     if y is None:
-        y = conv_max_y(lmbda)
-    vecs = realize_gram(conv_gram(lmbda, y))
+        y = conv_max_y(lam)
+    vecs = realize_gram(conv_gram(lam, y))
     rank = vecs.shape[0]
     mdim = max(rank, 2)
     kets = np.zeros((7, mdim), dtype=complex)
@@ -213,12 +216,18 @@ def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsom
     return MachineIsometry((2, 2), (2, 2, 3), cols.reshape(12, 4))
 
 
-# the families without a Gram-parameterized machine; their machine starts
-# in |0> (qiu has none)
-_BUILDERS = {
-    "pb": build_pb,
-    "qiu": build_qiu,
-    "sdep": build_sdep,
+def _starting_in_zero(build):
+    """The (machine, initial machine ket |0>) builder of a deleter; qiu's has no machine."""
+    return functools.wraps(build)(lambda *params: (build(*params), ket(0, 3)))
+
+
+# family -> (builder of (machine, initial machine ket), its parameters in
+# order, the parameters that may be arrays); the CLI reads it too
+DELETERS = {
+    "pb": Family(_starting_in_zero(build_pb), ("blank",), ()),
+    "qiu": Family(_starting_in_zero(build_qiu), ("r1",), ()),
+    "conv": Family(_conv_parts, ("lam", "blank", "y"), ("blank",)),
+    "sdep": Family(_starting_in_zero(build_sdep), ("a0", "a1", "b0", "b1", "blank"), ()),
 }
 
 
@@ -226,12 +235,7 @@ _BUILDERS = {
 def _deleter_parts(spec: DeleterSpec):
     """(machine, initial machine ket) of a spec, from one build per spec;
     both arrays are read-only."""
-    if spec.family == "conv":
-        machine, a = _conv_parts(*spec.params)
-    elif spec.family in _BUILDERS:
-        machine, a = _BUILDERS[spec.family](*spec.params), ket(0, 3)
-    else:
-        raise ValueError(f"unknown deleter family {spec.family!r}")
+    machine, a = family_entry(DELETERS, spec, "deleter").build(*spec.params)
     machine.matrix.flags.writeable = False
     a.flags.writeable = False
     return machine, a
@@ -242,8 +246,8 @@ def build_deleter(spec: DeleterSpec) -> MachineIsometry:
 
 
 def _spec_blank(spec: DeleterSpec) -> BlankState:
-    """The blank state among the spec's parameters, DEFAULT_BLANK if none."""
-    return next((p for p in spec.params if isinstance(p, BlankState)), DEFAULT_BLANK)
+    """The spec's parameter named blank, DEFAULT_BLANK if it gives none."""
+    return dict(zip(DELETERS[spec.family].params, spec.params)).get("blank", DEFAULT_BLANK)
 
 
 def deletion_target(spec: DeleterSpec) -> np.ndarray:
@@ -309,6 +313,8 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     if state.dims != (2,):
         raise ValueError("delete_report expects the single-qubit input state")
     reps = delete_reports(spec, state.amps[None], n_transformers)
+    if reps.F_1.ndim > 1:  # (n_machines, 1): the spec built a machine stack
+        raise ValueError(f"the {spec.family} spec builds a stack of deleters: use delete_reports")
     rho_3 = overlap_m = None
     if reps.rho_3 is not None:
         rho_3 = _derived(reps.rho_3.shape[-1:], reps.rho_3[0])

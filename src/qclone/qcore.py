@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -404,6 +404,24 @@ def spec_cache(fn):
 
     lookup.cache_clear = cached.cache_clear
     return lookup
+
+
+# a catalog entry: the builder, its parameter names in order, and the names
+# of the parameters that may be arrays, for a stack of machines
+Family = NamedTuple("Family", [("build", Callable), ("params", tuple), ("stack", tuple)])
+
+
+def family_entry(table: dict, spec, kind: str) -> Family:
+    """The entry of ``spec.family`` in the ``kind`` catalog ``table``.  An
+    unknown family, or an array (or a blank stack) given to a parameter the
+    entry does not list as a stack parameter, raises ValueError."""
+    if spec.family not in table:
+        raise ValueError(f"unknown {kind} family {spec.family!r}")
+    entry = table[spec.family]
+    for name, value in zip(entry.params, spec.params):
+        if name not in entry.stack and isinstance(getattr(value, "m1", value), np.ndarray):
+            raise ValueError(f"{spec.family} parameter {name} must be one value, not an array")
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -558,18 +558,21 @@ def check_structural() -> CheckResult:
         MachineSpec("mixed-23"),
         MachineSpec("mixed-2m", (4,)),
     ]
-    differ = set(cloners.FAMILIES) ^ {spec.family for spec in catalog}
-    e.true(f"catalog and cloners.FAMILIES differ in {sorted(differ)}", not differ)
-    for spec in catalog:
-        if spec.family in cloners.FAMILIES:  # else reported above
-            e.close(f"{spec} isometry defect", cloners.build_machine(spec).isometry_defect(), 0.0)
-    for spec in (
+    deleter_catalog = [
         DeleterSpec("pb"),
         DeleterSpec("qiu", (1.0,)),
         DeleterSpec("conv", (0.3,)),
         DeleterSpec("sdep", deleters.SDEP_EXAMPLE),
+    ]
+    for table, name, build, specs in (
+        (cloners.FAMILIES, "cloners.FAMILIES", cloners.build_machine, catalog),
+        (deleters.DELETERS, "deleters.DELETERS", deleters.build_deleter, deleter_catalog),
     ):
-        e.close(f"{spec} isometry defect", deleters.build_deleter(spec).isometry_defect(), 0.0)
+        differ = set(table) ^ {spec.family for spec in specs}
+        e.true(f"catalog and {name} differ in {sorted(differ)}", not differ)
+        for spec in specs:
+            if spec.family in table:  # else reported above
+                e.close(f"{spec} isometry defect", build(spec).isometry_defect(), 0.0)
     # gram round trips
     rng = random.Random(5)
     grams = [GramSpec(tuple("abcd"), m @ m.T) for m in (_normal(rng, 4, 6) for _ in range(5))]

@@ -4,6 +4,7 @@ the tensor-product construction it replaced, entry for entry
 (``np.array_equal``, so only the signs of zeros may differ), and check that
 no builder calls ``np.kron`` or ``np.pad``."""
 
+import inspect
 import math
 from itertools import product
 
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qclone import cli, cloners, deleters
+from qclone import cli, cloners, concat, deleters, tables
 from qclone.cloners import FAMILIES, MachineSpec, bh_gram, build_machine
 from qclone.hybrid import HybridSpec, hybrid_machine
-from qclone.qcore import PROBABILITY, BlankState, GramSpec, bell_state, ket, realize_gram, symmetric_basis_state
+from qclone.qcore import PROBABILITY, BlankState, GramSpec, StateVector, bell_state, ket, realize_gram, symmetric_basis_state
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +249,10 @@ def test_builders_need_neither_kron_nor_pad(monkeypatch):
     defaults = parser.parse_args(["clone", "--family", "wz"])  # every `qclone clone` option
     clone_specs = [
         MachineSpec(family, tuple(getattr(defaults, name) for name in options))
-        for family, (_, options) in FAMILIES.items()
+        for family, (_, options, _) in FAMILIES.items()
     ]
-    deleter_specs = [
-        cli._deleter_spec(parser.parse_args(["delete", "--family", family])) for family in ("pb", "qiu", "conv", "sdep")
-    ]
+    delete_options = dict(vars(parser.parse_args(["delete", "--family", "pb"])), blank=deleters.DEFAULT_BLANK)
+    deleter_specs = [cli._deleter_spec(family, delete_options) for family in deleters.DELETERS]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a builder called np.kron or np.pad")
@@ -274,27 +274,130 @@ def test_builders_need_neither_kron_nor_pad(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a stack along a parameter axis is its machines, built one by one
+# the catalog tables: each entry names its builder's parameters, and a
+# parameter may be an array exactly where the entry says
 
 
+CATALOGS = {"machine": (cloners.FAMILIES, MachineSpec), "deleter": (deleters.DELETERS, deleters.DeleterSpec)}
+ENTRIES = [(kind, family) for kind, (table, _) in CATALOGS.items() for family in table]
+
+
+@pytest.mark.parametrize("kind, family", ENTRIES, ids=[family for _, family in ENTRIES])
+def test_each_entry_names_its_builders_parameters(kind, family):
+    entry = CATALOGS[kind][0][family]
+    assert entry.params == tuple(inspect.signature(entry.build).parameters)
+    assert set(entry.stack) <= set(entry.params)
+
+
+def _parts(kind, spec):
+    """The arrays a spec builds: the machine matrix, a stack for a stack
+    spec, then the arrays every machine of a stack shares."""
+    if kind == "machine":
+        return (build_machine(spec).matrix,)
+    machine, a = deleters._deleter_parts(spec)
+    return machine.matrix, a
+
+
+def _stack_of_blanks(blanks):
+    return BlankState(np.array([b.m1 for b in blanks]), np.array([b.m2 for b in blanks]))
+
+
+# per stack parameter: a strategy for one value, and the stack of a list of them
+STACK_VALUES = {
+    "p": (st.floats(PROBABILITY.least, PROBABILITY.most), np.array),
+    "blank": (st.integers(0, 2**32 - 1).map(lambda seed: _blank_and_unitary(seed)[0]), _stack_of_blanks),
+}
+# the parameters of each family that has a stack parameter, which it replaces;
+# a new stack parameter fails the property below until it has both
+STACK_BASES = {
+    "pauli-asym": st.tuples(st.just(0.5)),
+    "heis-asym": st.tuples(st.sampled_from((2, 3, 5)), st.just(0.5)),
+    "conv": st.tuples(st.floats(0.0, 0.5), st.just(deleters.DEFAULT_BLANK)),
+}
+STACKS = [(kind, family, name) for kind, family in ENTRIES for name in CATALOGS[kind][0][family].stack]
+
+
+@pytest.mark.parametrize("kind, family, name", STACKS, ids=[f"{family}-{name}" for _, family, name in STACKS])
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from((2, 3, 5)), st.lists(st.floats(PROBABILITY.least, PROBABILITY.most), min_size=1, max_size=6))
-def test_heis_asym_stack_is_its_machines(d, ps):
-    stack = cloners.build_heis_asym(d, np.array(ps))
-    assert stack.matrix.shape == (len(ps), d**3, d)
-    for p, matrix in zip(ps, stack.matrix):
-        assert np.array_equal(matrix, cloners.build_heis_asym(d, p).matrix)
+@given(data=st.data())
+def test_a_two_element_stack_is_its_elements(kind, family, name, data):
+    table, spec_type = CATALOGS[kind]
+    base = list(data.draw(STACK_BASES[family]))
+    values, stack_of = STACK_VALUES[name]
+    pair = data.draw(st.lists(values, min_size=2, max_size=2))
+    at = table[family].params.index(name)
+
+    def spec(value):
+        return spec_type(family, tuple(base[:at]) + (value,) + tuple(base[at + 1 :]))
+
+    stack, *shared = _parts(kind, spec(stack_of(pair)))
+    assert stack.shape[0] == 2
+    for value, matrix in zip(pair, stack):
+        one, *one_shared = _parts(kind, spec(value))
+        assert np.array_equal(matrix, one)
+        assert all(np.array_equal(x, y) for x, y in zip(shared, one_shared))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0.0, 0.5), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-def test_conv_stack_of_blanks_is_its_deleters(lam, seeds):
-    blanks = [_blank_and_unitary(seed)[0] for seed in seeds]
-    stack, a = deleters._conv_parts(lam, BlankState(np.array([b.m1 for b in blanks]), np.array([b.m2 for b in blanks])))
-    for blank, matrix in zip(blanks, stack.matrix):
-        one, a_one = deleters._conv_parts(lam, blank)
-        assert np.array_equal(matrix, one.matrix)
-        assert np.array_equal(a, a_one)
+# ---------------------------------------------------------------------------
+# a stack spec given where the table allows none, or to a single-spec driver
+
+
+_P_STACK = MachineSpec("pauli-asym", (np.array([0.2, 0.3]),))
+_BLANKS = BlankState(np.array([1.0, 0.6]), np.array([0.0, 0.8]))
+_PSI = StateVector((2,), [0.6, 0.8])
+_BLANK_STACK = {
+    "conv": deleters.DeleterSpec("conv", (0.3, _BLANKS)),
+    "pb": deleters.DeleterSpec("pb", (_BLANKS,)),
+    "sdep": deleters.DeleterSpec("sdep", deleters.SDEP_EXAMPLE + (_BLANKS,)),
+}
+
+
+# a call given a stack where its table or its driver allows none, and the family it must name
+NOT_A_STACK = {
+    "clone_report-pauli-asym": (lambda: cloners.clone_report(_P_STACK, _PSI), "pauli-asym"),
+    "delete_report-conv": (lambda: deleters.delete_report(_BLANK_STACK["conv"], _PSI), "conv"),
+    "build_deleter-pb": (lambda: deleters.build_deleter(_BLANK_STACK["pb"]), "pb"),
+    "delete_reports-pb": (lambda: deleters.delete_reports(_BLANK_STACK["pb"], _PSI.amps[None]), "pb"),
+    "build_deleter-sdep": (lambda: deleters.build_deleter(_BLANK_STACK["sdep"]), "sdep"),
+    "delete_reports-sdep": (lambda: deleters.delete_reports(_BLANK_STACK["sdep"], _PSI.amps[None]), "sdep"),
+    "build_machine-gm-1m": (lambda: build_machine(MachineSpec("gm-1m", (np.array([3, 4]),))), "gm-1m"),
+    "build_machine-heis-asym": (
+        lambda: build_machine(MachineSpec("heis-asym", (np.array([2, 3]), 0.5))),
+        "heis-asym",
+    ),
+    "run_pipeline-bh": (
+        lambda: concat.run_pipeline(
+            concat.PipelineSpec(MachineSpec("bh", (np.array([0.2, 0.3]),)), deleters.DeleterSpec("pb")), 0.5
+        ),
+        "bh",
+    ),
+}
+# the stack forms of the two single-spec driver cases, which must still work
+STACK_FORMS = {
+    "clone_report-pauli-asym": lambda: [
+        cloners.clone_reports(_P_STACK, _PSI.amps[None]),
+        tables.generate_table("2.1", "simulate"),
+        tables.generate_table("2.3", "simulate"),
+    ],
+    "delete_report-conv": lambda: [
+        deleters.delete_reports(_BLANK_STACK["conv"], _PSI.amps[None]),
+        tables.generate_table("4.1", "simulate"),
+        tables.generate_table("4.2", "simulate"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_STACK)
+def test_a_stack_where_none_is_allowed_is_a_value_error(case):
+    call, family = NOT_A_STACK[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    message = str(exc.value)
+    assert f"{family} " in message and "[" not in message  # names the family, prints no array
+    tables._BUILT.clear()  # build the simulated tables, not find them
+    for result in STACK_FORMS.get(case, lambda: [])():
+        rows = getattr(result, "rows", [])
+        assert all(all(row.matches(None).values()) for row in rows)
 
 
 @pytest.mark.parametrize("kind", sorted(HYBRID_KINDS))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclone import cli, tables
+from qclone import cli, concat, deleters, tables
 from qclone.cli import CLONE_FAMILIES, main
 from qclone.cloners import FAMILIES
 
@@ -180,7 +180,7 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command, where):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-DIM_FAMILIES = ("uqcm-d", "wz-n", "pc-d", "econ", "heis-asym")
+DIM_FAMILIES = [f for f, entry in FAMILIES.items() if "dim" in entry.params]
 
 
 @pytest.mark.parametrize(
@@ -297,10 +297,10 @@ FUZZ_FLAGS = {
 }
 FUZZ_CHOICES = {
     "clone": [["--family", f] for f in CLONE_FAMILIES],
-    "delete": [["--family", f] for f in ("pb", "qiu", "conv", "sdep")],
+    "delete": [["--family", f] for f in deleters.DELETERS],
     "hybrid": [["--kind", k] for k in ("pauli", "anti", "bhbh", "pc")],
     "broadcast": [[], ["--interval"]],
-    "concat": [["--cloner", c, "--deleter", d] for c in ("wz", "bh") for d in ("pb", "sdep")],
+    "concat": [["--cloner", c, "--deleter", d] for c in ("wz", "bh") for d in concat.CONDITIONAL_DELETERS],
 }
 FUZZ_NUMBERS = ["nan", "inf", "-inf", "-0.5", "0.001", "0.25", "0.5"] + [str(i) for i in range(-2, 11)]
 

@@ -482,7 +482,7 @@ def test_machine_cache_is_keyed_by_parameter_types():
 # ---------------------------------------------------------------------------
 # batched reports
 
-TWO_TO_M = {"mixed-23", "mixed-2m"}
+TWO_TO_M = set(cloners.TWO_TO_M)
 
 # parameter strategy of every 1 -> M family, inputs of dimension d <= 4
 ONE_TO_M_PARAMS = {

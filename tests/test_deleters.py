@@ -514,7 +514,7 @@ DELETER_PARAMS = {
 
 
 def test_batched_property_covers_every_deleter_family():
-    assert set(DELETER_PARAMS) == set(deleters._BUILDERS) | {"conv"}
+    assert set(DELETER_PARAMS) == set(deleters.DELETERS)
 
 
 @st.composite

@@ -59,7 +59,7 @@ PIPELINE_CLONERS = st.one_of(
     st.just(MachineSpec("bh-opt")),
     st.tuples(st.floats(cloners.XI.least, cloners.XI.most)).map(lambda p: MachineSpec("bh", p)),
 )
-PIPELINE_DELETERS = st.sampled_from(["pb", "sdep"]).flatmap(
+PIPELINE_DELETERS = st.sampled_from(concat.CONDITIONAL_DELETERS).flatmap(
     lambda family: DELETER_PARAMS[family].map(lambda p: DeleterSpec(family, p))
 )
 pipeline_cases = st.tuples(
@@ -123,7 +123,7 @@ PRODUCERS = {
 def test_every_derived_operator_is_a_density_operator(case):
     # a new copier or deleter family fails here until it has a strategy
     assert set(ONE_TO_M_PARAMS) | set(TWO_TO_M_PARAMS) == set(cloners.FAMILIES)
-    assert set(DELETER_PARAMS) == set(deleters._BUILDERS) | {"conv"}
+    assert set(DELETER_PARAMS) == set(deleters.DELETERS)
     kind, args = case
     for op in PRODUCERS[kind][1](*args):
         check_densities(op.mat if isinstance(op, DensityOperator) else op)

@@ -498,5 +498,5 @@ QUBIT_MACHINES = st.sampled_from(sorted(NO_SIGNALLING_PARAMS)).flatmap(
 @given(QUBIT_MACHINES)
 def test_no_signalling_across_the_cloner_catalog(spec):
     # a new qubit-input family fails here until it has a strategy
-    assert set(NO_SIGNALLING_PARAMS) == set(cloners.FAMILIES) - {"mixed-23", "mixed-2m"}
+    assert set(NO_SIGNALLING_PARAMS) == set(cloners.FAMILIES) - set(cloners.TWO_TO_M)
     assert measures.herbert_gap_with_machine(cloners.build_machine(spec)) < 1e-9
