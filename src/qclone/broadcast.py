@@ -12,7 +12,6 @@ exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Dict, NamedTuple, Optional
 
 import numpy as np
@@ -21,6 +20,7 @@ from .cloners import MachineSpec, build_machine
 from .measures import is_npt, min_pt_eigenvalue
 from .qcore import (
     ALPHA2,
+    Checked,
     DensityOperator,
     MachineIsometry,
     PAULI_X,
@@ -47,15 +47,19 @@ COPIER_LAMBDA = domain("lambda", 0.0, 0.5)
 INTERVAL_LAMBDA = domain("lambda", 0.0, 0.5, "[)")
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Interval(NamedTuple):
     lo: float
     hi: float
     kind: str  # "Inseparable" | "Separable" | "Broadcastable"
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:  # NaN fails
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+
+class Interval(Checked, _Interval):
+    __slots__ = ()
+
+    def __new__(cls, lo, hi, kind):
+        if not lo <= hi:  # NaN fails
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi, kind))
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -428,8 +432,7 @@ def avg_broadcast_fidelity(lmbda: float, sign: int = -1) -> float:
 BRANCHES = ("Q0Q0", "Q0Q1", "Q1Q0", "Q1Q1")
 
 
-@dataclass(frozen=True)
-class ProtocolState:
+class ProtocolState(NamedTuple):
     branch: str
     probability: float
     state: StateVector  # qubits 1,2,5 + machine, 3,4,6 + machine
@@ -472,11 +475,11 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     amps, dims = _apply_machine_at(amps, [2, 2, 2, 2], 1, machine)
     amps, dims = _apply_machine_at(amps, dims, 5, machine)
     labels = ("q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2")
-    ops = {}
-    for f in fields(ProtocolState)[4:]:
-        keep = [labels.index("q" + q) for q in f.name[4:]]
-        ops[f.name] = _derived((2,) * len(keep), reduce_ket(amps, dims, keep))
-    return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, **ops)
+    ops = []
+    for name in ProtocolState._fields[4:]:
+        keep = [labels.index("q" + q) for q in name[4:]]
+        ops.append(_derived((2,) * len(keep), reduce_ket(amps, dims, keep)))
+    return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, *ops)
 
 
 def _rho_146_terms():

@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 verification/table mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -42,6 +40,8 @@ def _render(rows, meta, fmt: str) -> str:
     keys = list(rows[0].keys()) if rows else []
     lines = [keys] + [[_fmt_cell(row[k]) for k in keys] for row in rows]
     if fmt == "csv":
+        import csv  # csv output only
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(lines)
         return buf.getvalue()
@@ -84,7 +84,7 @@ def cmd_table(args):
 def _indices(rep) -> dict:
     """The scalar fields of a clone or deletion report, in field order:
     every field after its three marginals."""
-    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)[3:]}
+    return dict(zip(rep._fields[3:], rep[3:]))
 
 
 def cmd_clone(args):
@@ -238,27 +238,15 @@ def vars_clean(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qclone",
-        description="Quantum cloning/deletion machine simulations and table regeneration.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-
-    def add_common(p, func):
-        p.add_argument("--format", choices=FORMATS, default="pretty")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        p.set_defaults(func=func)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="regenerate one of the reference tables")
+def _table_arguments(p):
+    p.set_defaults(func=cmd_table)
     p.add_argument("--id", required=True, choices=tables.TABLE_IDS)
     p.add_argument("--mode", choices=("closed_form", "simulate", "both"), default="both")
     p.add_argument("--tol", type=float, help="override the printed-precision matching tolerance")
-    add_common(p, cmd_table)
 
-    p = sub.add_parser("clone", help="run a cloning machine on one input")
+
+def _clone_arguments(p):
+    p.set_defaults(func=cmd_clone)
     p.add_argument("--family", required=True, choices=CLONE_FAMILIES)
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--phase", type=float, help="equatorial input phase instead of alpha2")
@@ -268,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--copies", type=int, default=3)
     p.add_argument("--blank-index", type=int, default=0)
-    add_common(p, cmd_clone)
 
-    p = sub.add_parser("delete", help="run a deletion machine on identical copies")
+
+def _delete_arguments(p):
+    p.set_defaults(func=cmd_delete)
     p.add_argument("--family", required=True, choices=tuple(deleters.DELETERS))
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--transformers", type=int, default=0, choices=(0, 1, 2))
@@ -278,41 +267,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=float, default=1.0)
     p.add_argument("--m1", type=float, default=1.0)
     p.add_argument("--m2", type=float, default=0.0)
-    add_common(p, cmd_delete)
 
-    p = sub.add_parser("hybrid", help="hybrid machine fidelities")
+
+def _hybrid_arguments(p):
+    p.set_defaults(func=cmd_hybrid)
     p.add_argument("--kind", required=True, choices=("pauli", "anti", "bhbh", "pc"))
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--xi", type=float, default=1 / 6)
     p.add_argument("--alpha2", type=float, default=0.5)
-    add_common(p, cmd_hybrid)
 
-    p = sub.add_parser("broadcast", help="entanglement broadcasting quantities")
+
+def _broadcast_arguments(p):
+    p.set_defaults(func=cmd_broadcast)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha2", type=float, default=0.5)
     p.add_argument("--interval", action="store_true", help="report the separability intervals")
-    add_common(p, cmd_broadcast)
 
-    p = sub.add_parser("concat", help="clone-then-delete pipeline")
+
+def _concat_arguments(p):
+    p.set_defaults(func=cmd_concat)
     p.add_argument("--cloner", choices=("wz", "bh"), default="bh")
     p.add_argument("--deleter", choices=concat.CONDITIONAL_DELETERS, default="pb")
     p.add_argument("--xi", type=float, default=1 / 6)
     p.add_argument("--alpha2", type=float, default=0.5)
-    add_common(p, cmd_concat)
 
-    p = sub.add_parser("verify", help="run the regression suite")
+
+def _verify_arguments(p):
+    p.set_defaults(func=cmd_verify)
     p.add_argument("scope", nargs="?", default="all")
-    add_common(p, cmd_verify)
 
+
+# subcommand -> (its help line, the adder of its own arguments and function)
+COMMANDS = {
+    "table": ("regenerate one of the reference tables", _table_arguments),
+    "clone": ("run a cloning machine on one input", _clone_arguments),
+    "delete": ("run a deletion machine on identical copies", _delete_arguments),
+    "hybrid": ("hybrid machine fidelities", _hybrid_arguments),
+    "broadcast": ("entanglement broadcasting quantities", _broadcast_arguments),
+    "concat": ("clone-then-delete pipeline", _concat_arguments),
+    "verify": ("run the regression suite", _verify_arguments),
+}
+
+
+def _subcommands():
+    """A qclone parser whose subcommands are only names and help lines, all
+    that its help, usage and errors print, and its subparser per subcommand,
+    which :func:`_add_arguments` completes."""
+    parser = argparse.ArgumentParser(
+        prog="qclone",
+        description="Quantum cloning/deletion machine simulations and table regeneration.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_line)
+    return parser, sub.choices
+
+
+def _add_arguments(subparser, command: str) -> None:
+    COMMANDS[command][1](subparser)
+    subparser.add_argument("--format", choices=FORMATS, default="pretty")
+    subparser.add_argument("--out", help="write output to a file instead of stdout")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full qclone parser: every subcommand with its arguments."""
+    parser, subparsers = _subcommands()
+    for command, subparser in subparsers.items():
+        _add_arguments(subparser, command)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built by the first :func:`main` call
-    rather than at import, so importing the module stays cheap."""
-    return build_parser()
+# the parser of the process, built by the first main() call rather than at
+# import; main() completes the subparser of each subcommand that runs, once
+_tree = functools.cache(_subcommands)
 
 
 def main(argv=None) -> int:
@@ -321,7 +350,15 @@ def main(argv=None) -> int:
     Each ``cmd_*`` returns ``(params, rows, exit_code)``; ``cmd_verify``
     appends its summary, which goes into ``meta`` too.
     """
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = _tree()
+    # the top-level options take no value, so the first other word names
+    # the subcommand that parse_args will run, if any
+    command = next((a for a in argv if not a.startswith("-")), None)
+    subparser = subparsers.get(command)
+    if subparser is not None and subparser.get_default("func") is None:
+        _add_arguments(subparser, command)
+    args = parser.parse_args(argv)
     try:
         params, rows, code, *summary = args.func(args)
     except (ValueError, KeyError) as exc:

@@ -9,7 +9,6 @@ live alongside so simulations can be checked against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 import numpy as np
 
@@ -47,8 +46,7 @@ PC_INPUTS = domain("input copies", 1, math.inf, "[)")  # N of the phase-covarian
 SCALING_COPIES = domain("copies", 2, math.inf, "[)")  # M of the 2 -> M shrinking factor
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(NamedTuple):
     """Family name plus parameters, resolvable by :func:`build_machine`."""
 
     family: str
@@ -60,8 +58,7 @@ class MachineSpec:
         return f"{self.family}({', '.join(map(str, self.params))})"
 
 
-@dataclass(frozen=True)
-class CloneReport:
+class CloneReport(NamedTuple):
     rho_out: DensityOperator
     rho_a: DensityOperator
     rho_b: DensityOperator
@@ -77,8 +74,7 @@ class CloneReport:
 class CloneReports(NamedTuple):
     """:class:`CloneReport` of n inputs at once, field for field in its
     order: (n, d^2, d^2) and (n, d, d) marginal stacks, then one (n,) array
-    per index.  A NamedTuple, not a frozen dataclass, because it is built at
-    import in a seventh of the time."""
+    per index."""
 
     rho_out: np.ndarray
     rho_a: np.ndarray
@@ -351,7 +347,9 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     (d,) = machine.in_dims
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim < 2 or amps.shape[-1] != d or not amps.shape[-2]:
-        raise ValueError(f"inputs of shape {amps.shape} incompatible with {spec}: need (n, {d}), n >= 1")
+        m = machine.matrix
+        machines = f"a stack of {len(m)} {spec.family} machines" if m.ndim > 2 else spec
+        raise ValueError(f"inputs of shape {amps.shape} incompatible with {machines}: need (n, {d}), n >= 1")
     check_kets(amps)
     out = amps @ machine.matrix.swapaxes(-1, -2)
     clones = reduce_ket(out, dims, [0, 1])

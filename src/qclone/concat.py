@@ -11,7 +11,7 @@ different channel and is exposed separately for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,24 +32,23 @@ from .qcore import ALPHA2, StateVector, family_entry, reduce_ket
 CONDITIONAL_DELETERS = ("pb", "sdep")  # the deleters a pipeline composes
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(NamedTuple):
     cloner: MachineSpec
     deleter: DeleterSpec
 
 
 def _cloner_xi(spec: MachineSpec) -> float:
+    if spec.family not in ("wz", "bh", "bh-opt"):
+        raise ValueError(
+            "pipelines are defined for the basis copier (wz) and the "
+            f"two-parameter copier family (bh), not {spec.family!r}"
+        )
+    family_entry(FAMILIES, spec, "machine")  # its parameter count; one copier: no array xi
     if spec.family == "wz":
         return 0.0
     if spec.family == "bh":
-        family_entry(FAMILIES, spec, "machine")  # one copier: no array xi
         return XI.check(float(spec.params[0]))
-    if spec.family == "bh-opt":
-        return 1 / 6
-    raise ValueError(
-        "pipelines are defined for the basis copier (wz) and the "
-        f"two-parameter copier family (bh), not {spec.family!r}"
-    )
+    return 1 / 6
 
 
 def _check_deleter(spec: DeleterSpec) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -49,14 +48,52 @@ SDEP_EXAMPLE = (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2)
 # the conditional deleter's amplitudes: unmixed pass-through branches
 PB_MIXING = (1.0, 0.0, 0.0, 1.0)
 
-# 64-node Gauss-Legendre rule for averages over alpha^2 in [0, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+# The 64-node Gauss-Legendre rule on [-1, 1], as (node, weight) pairs of its
+# 32 positive nodes in ascending order: the rule is symmetric, node -x with
+# the weight of x.  These are the bits of numpy.polynomial.legendre.leggauss(64),
+# written out so that importing the package does not load numpy.polynomial.
+_GL_HALF = np.array([
+    (0.02435029266342443, 0.048690957009139814),
+    (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996),
+    (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042),
+    (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447),
+    (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566),
+    (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361),
+    (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544),
+    (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009),
+    (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794),
+    (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554),
+    (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491),
+    (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297),
+    (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284),
+    (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786),
+    (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397),
+    (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499),
+    (0.9993050417357722, 0.00178328072169414),
+])
+_GL_X = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
+# the rule for averages over alpha^2 in [0, 1]
 GL_ALPHA2 = (_GL_X + 1) / 2
 GL_WEIGHTS = _GL_W / 2
 
 
-@dataclass(frozen=True)
-class DeleterSpec:
+class DeleterSpec(NamedTuple):
     family: str  # a key of DELETERS
     params: tuple = ()
 
@@ -64,8 +101,7 @@ class DeleterSpec:
         return f"{self.family}{self.params if self.params else ''}"
 
 
-@dataclass(frozen=True)
-class DeletionReport:
+class DeletionReport(NamedTuple):
     rho_1: DensityOperator
     rho_2: DensityOperator
     rho_3: Optional[DensityOperator]
@@ -79,8 +115,7 @@ class DeletionReport:
 class DeletionReports(NamedTuple):
     """The per-input part of :class:`DeletionReport` for n inputs at once:
     (n, 2, 2) and (n, m, m) marginal stacks and one (n,) array per index;
-    ``rho_3`` and ``machine_overlap`` are None for a machine-free deleter.
-    A NamedTuple for the reason given at ``cloners.CloneReports``."""
+    ``rho_3`` and ``machine_overlap`` are None for a machine-free deleter."""
 
     rho_1: np.ndarray
     rho_2: np.ndarray

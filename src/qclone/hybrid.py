@@ -9,7 +9,7 @@ outputs are the convex mixture of the component outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .qcore import ALPHA2, PROBABILITY, MachineIsometry, domain
 BHBH_LAMBDA = domain("lambda", 0.0, 1.0, "(]")  # bhbh_state_dependent divides by it
 
 
-@dataclass(frozen=True)
-class HybridSpec:
+class HybridSpec(NamedTuple):
     m1: MachineSpec
     m2: MachineSpec
     lmbda: float

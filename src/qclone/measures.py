@@ -9,7 +9,7 @@ this package is computed from ``overlap``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 _YY.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(NamedTuple):
     verdict: str  # "Separable" | "Inseparable" | "Unknown"
     min_pt_eigenvalue: float
     w2: float

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small multi-qubit/qudit systems.
 
-Everything is a plain numpy array wrapped in a thin dataclass that remembers
+Everything is a plain numpy array wrapped in a thin NamedTuple that remembers
 the subsystem dimensions.  Index convention throughout the package:
 row-major, with the *leftmost* tensor factor most significant, matching
 ``numpy.kron``.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -99,22 +98,43 @@ def _as_dims(dims) -> tuple:
     return dims
 
 
-@dataclass(frozen=True)
-class StateVector:
+class Checked:
+    """Mixin of a record whose ``__new__`` checks and normalizes its fields.
+
+    Such a record is a private NamedTuple of the fields, subclassed by the
+    public class with ``__slots__ = ()`` and that ``__new__``, which ends in
+    ``tuple.__new__(cls, fields)``.  Here ``_make``, and so ``_replace``,
+    goes through ``__new__``, and the repr leaves out array fields.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __repr__(self):
+        shown = (f"{k}={v!r}" for k, v in zip(self._fields, self) if not isinstance(v, np.ndarray))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class _StateVector(NamedTuple):
+    dims: tuple
+    amps: np.ndarray
+
+
+class StateVector(Checked, _StateVector):
     """Pure state on an ordered product of finite-dimensional subsystems."""
 
-    dims: tuple
-    amps: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amps", amps)
-        if amps.size != math.prod(self.dims):
-            raise ValueError(
-                f"amplitude vector of length {amps.size} does not match dims {self.dims}"
-            )
+    def __new__(cls, dims, amps):
+        dims = _as_dims(dims)
+        amps = np.asarray(amps, dtype=complex).reshape(-1)
+        if amps.size != math.prod(dims):
+            raise ValueError(f"amplitude vector of length {amps.size} does not match dims {dims}")
         check_kets(amps)
+        return tuple.__new__(cls, (dims, amps))
 
     @property
     def dim(self) -> int:
@@ -124,25 +144,33 @@ class StateVector:
         return _derived(self.dims, np.outer(self.amps, self.amps.conj()))
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class _DensityOperator(NamedTuple):
+    dims: tuple
+    mat: np.ndarray
+
+
+class DensityOperator(Checked, _DensityOperator):
     """Hermitian, unit-trace, PSD matrix with an ordered subsystem-dim list.
 
     Built from caller data, the matrix is checked here; an operator that the
     package derives from checked operands comes from :func:`_derived`.
     """
 
-    dims: tuple
-    mat: np.ndarray = field(repr=False)
+    __slots__ = ()
+
+    def __new__(cls, dims, mat):
+        rho = tuple.__new__(cls, (_as_dims(dims), np.asarray(mat, dtype=complex)))
+        rho.__post_init__()
+        return rho
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _as_dims(self.dims))
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
+        """The check of every operator built from caller data.  It is looked
+        up on the class at each construction, so that ``bench/tracer.py``
+        can wrap it to count and time the checks."""
         d = math.prod(self.dims)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims}")
-        check_densities(mat)
+        if self.mat.shape != (d, d):
+            raise ValueError(f"matrix shape {self.mat.shape} does not match dims {self.dims}")
+        check_densities(self.mat)
 
     @property
     def dim(self) -> int:
@@ -159,10 +187,7 @@ def _derived(dims: tuple, mat: np.ndarray) -> DensityOperator:
     matrix is a density operator by construction, so it is never checked
     again; ``dims`` must already be valid.
     """
-    rho = object.__new__(DensityOperator)
-    object.__setattr__(rho, "dims", dims)
-    object.__setattr__(rho, "mat", mat)
-    return rho
+    return tuple.__new__(DensityOperator, (dims, mat))
 
 
 def check_kets(amps: np.ndarray) -> None:
@@ -304,29 +329,32 @@ def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):
     return np.minimum(outer, inner)
 
 
-@dataclass(frozen=True)
-class MachineIsometry:
+class _MachineIsometry(NamedTuple):
+    in_dims: tuple
+    out_dims: tuple
+    matrix: np.ndarray
+
+
+class MachineIsometry(Checked, _MachineIsometry):
     """Inner-product-preserving map: one output column per input basis index;
     an (n, dout, din) ``matrix`` is a stack of n maps, checked in one call."""
 
-    in_dims: tuple
-    out_dims: tuple
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "in_dims", _as_dims(self.in_dims))
-        object.__setattr__(self, "out_dims", _as_dims(self.out_dims))
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        din = math.prod(self.in_dims)
-        dout = math.prod(self.out_dims)
+    def __new__(cls, in_dims, out_dims, matrix):
+        in_dims, out_dims = _as_dims(in_dims), _as_dims(out_dims)
+        m = np.asarray(matrix, dtype=complex)
+        din = math.prod(in_dims)
+        dout = math.prod(out_dims)
         if m.ndim > 3 or m.shape[-2:] != (dout, din):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {self.in_dims}->{self.out_dims}")
+            raise ValueError(f"matrix shape {m.shape} does not match dims {in_dims}->{out_dims}")
         if dout < din:
             raise ValueError("output space smaller than input space")
-        defect = self.isometry_defect()
+        v = tuple.__new__(cls, (in_dims, out_dims, m))
+        defect = v.isometry_defect()
         if not defect <= 1e-7:  # NaN fails
             raise ValueError(f"columns are not orthonormal (V^dag V deviates by {defect:.3g})")
+        return v
 
     def isometry_defect(self) -> float:
         """max |V^dag V - I| over the map or stack, by ndarray methods as in :func:`check_densities`."""
@@ -334,37 +362,44 @@ class MachineIsometry:
         return float(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max())
 
 
-@dataclass(frozen=True)
-class GramSpec:
+class _GramSpec(NamedTuple):
+    labels: tuple
+    gram: np.ndarray
+
+
+class GramSpec(Checked, _GramSpec):
     """Prescribed Hermitian matrix of machine-vector inner products."""
 
-    labels: tuple
-    gram: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        g = np.asarray(self.gram, dtype=complex)
-        object.__setattr__(self, "gram", g)
-        n = len(self.labels)
+    def __new__(cls, labels, gram):
+        labels = tuple(labels)
+        g = np.asarray(gram, dtype=complex)
+        n = len(labels)
         if g.shape != (n, n):
             raise ValueError("gram matrix shape does not match labels")
         if not np.max(np.abs(g - g.conj().T)) <= 1e-10:  # NaN fails
             raise ValueError("gram matrix must be Hermitian")
         if np.any(np.diag(g).real < -1e-12):
             raise ValueError("gram diagonal must be nonnegative")
+        return tuple.__new__(cls, (labels, g))
 
 
-@dataclass(frozen=True)
-class BlankState:
-    """Qubit blank |Sigma> = m1|0> + m2|1> with m1 real; (n,) arrays m1, m2 make a stack."""
-
+class _BlankState(NamedTuple):
     m1: float
     m2: complex
 
-    def __post_init__(self):
-        dev = abs(self.m1**2 + abs(self.m2) ** 2 - 1.0)  # an array for a stack
+
+class BlankState(Checked, _BlankState):
+    """Qubit blank |Sigma> = m1|0> + m2|1> with m1 real; (n,) arrays m1, m2 make a stack."""
+
+    __slots__ = ()
+
+    def __new__(cls, m1, m2):
+        dev = abs(m1**2 + abs(m2) ** 2 - 1.0)  # an array for a stack
         if not (dev.max() if isinstance(dev, np.ndarray) else dev) <= 1e-9:  # NaN fails
             raise ValueError("blank state must satisfy m1^2 + |m2|^2 = 1")
+        return tuple.__new__(cls, (m1, m2))
 
     @property
     def vec(self) -> np.ndarray:
@@ -413,11 +448,22 @@ Family = NamedTuple("Family", [("build", Callable), ("params", tuple), ("stack",
 
 def family_entry(table: dict, spec, kind: str) -> Family:
     """The entry of ``spec.family`` in the ``kind`` catalog ``table``.  An
-    unknown family, or an array (or a blank stack) given to a parameter the
-    entry does not list as a stack parameter, raises ValueError."""
+    unknown family, a parameter count the builder does not take (its
+    trailing parameters with defaults may be left out), or an array (or a
+    blank stack) given to a parameter the entry does not list as a stack
+    parameter, raises ValueError."""
     if spec.family not in table:
         raise ValueError(f"unknown {kind} family {spec.family!r}")
     entry = table[spec.family]
+    most = len(entry.params)
+    # a wrapped builder (deleters._starting_in_zero) keeps its defaults on __wrapped__
+    least = most - len(getattr(entry.build, "__wrapped__", entry.build).__defaults__ or ())
+    if not least <= len(spec.params) <= most:
+        count = f"{least} to {most}" if least < most else str(most)
+        names = f" ({', '.join(entry.params)})" if most else ""
+        raise ValueError(
+            f"{spec.family} takes {count} parameter{'' if count == '1' else 's'}{names}, got {len(spec.params)}"
+        )
     for name, value in zip(entry.params, spec.params):
         if name not in entry.stack and isinstance(getattr(value, "m1", value), np.ndarray):
             raise ValueError(f"{spec.family} parameter {name} must be one value, not an array")

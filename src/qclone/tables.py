@@ -14,7 +14,6 @@ change, so every result is read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -41,8 +40,7 @@ class _ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     inputs: Mapping[str, float]
     outputs: Mapping[str, float]
     expected: Mapping[str, Optional[float]]
@@ -65,8 +63,7 @@ class ReportRow:
         return all(self.matches(tol).values())
 
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(NamedTuple):
     table_id: str
     title: str
     rows: Tuple[ReportRow, ...] = ()

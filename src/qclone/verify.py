@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, NamedTuple
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from . import cloners, concat, deleters, hybrid, measures, tables
 from .cloners import MachineSpec
 from .deleters import BlankState, DeleterSpec
 from .qcore import (
+    Checked,
     GramSpec,
     StateVector,
     UnrealizableSpec,
@@ -44,15 +44,18 @@ TRUNCATED_TOL = 8e-3  # the printed 0.77, which truncates 0.7777
 SIGNAL_GAP = 0.01  # the perfect cloner's signal must exceed it
 
 
-@dataclass
-class CheckResult:
+class _CheckResult(NamedTuple):
     name: str
     passed: bool
-    detail: str = ""
-    notes: List[str] = field(default_factory=list)
+    detail: str
+    notes: List[str]
 
-    def __post_init__(self):
-        self.passed = bool(self.passed)
+
+class CheckResult(Checked, _CheckResult):
+    __slots__ = ()
+
+    def __new__(cls, name, passed, detail="", notes=()):
+        return tuple.__new__(cls, (name, bool(passed), detail, list(notes)))
 
 
 class _Expect:

@@ -12,7 +12,6 @@ finding" for the analysis.
 """
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -264,8 +263,8 @@ def test_runtime_sanity():
 def _nan_cells(table):
     """The table with every output cell of its first row NaN."""
     first = table.rows[0]
-    nan_row = dataclasses.replace(first, outputs={key: math.nan for key in first.outputs})
-    return dataclasses.replace(table, rows=(nan_row, *table.rows[1:]))
+    nan_row = first._replace(outputs={key: math.nan for key in first.outputs})
+    return table._replace(rows=(nan_row, *table.rows[1:]))
 
 
 def _nan(*_):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qclone import cli, cloners, concat, deleters, tables
+from qclone import cli, cloners, concat, deleters, qcore, tables
 from qclone.cloners import FAMILIES, MachineSpec, bh_gram, build_machine
 from qclone.hybrid import HybridSpec, hybrid_machine
 from qclone.qcore import PROBABILITY, BlankState, GramSpec, StateVector, bell_state, ket, realize_gram, symmetric_basis_state
@@ -428,3 +428,55 @@ def test_a_stack_spec_is_built_per_call_and_a_single_spec_once():
     blanks = BlankState(np.array([1.0, 0.6]), np.array([0.0, 0.8]))
     conv = deleters.DeleterSpec("conv", (0.3, blanks))
     assert deleters.build_deleter(conv) is not deleters.build_deleter(conv)
+
+
+def test_a_stack_spec_with_inputs_of_the_wrong_shape_names_its_family_and_size():
+    with pytest.raises(ValueError) as exc:
+        cloners.clone_reports(_P_STACK, np.ones(3))
+    message = str(exc.value)
+    assert "a stack of 2 pauli-asym machines" in message and "[" not in message
+
+
+# ---------------------------------------------------------------------------
+# a spec with more parameters than its builder takes, or fewer than it needs
+
+
+# a call given such a spec, and the message it must raise
+WRONG_COUNT = {
+    "build_machine-wz": (lambda: build_machine(MachineSpec("wz", (5,))), "wz takes 0 parameters, got 1"),
+    "build_deleter-qiu": (
+        lambda: deleters.build_deleter(deleters.DeleterSpec("qiu", (1.0, 2.0))),
+        "qiu takes 0 to 1 parameters (r1), got 2",
+    ),
+    "run_pipeline-wz": (
+        lambda: concat.run_pipeline(concat.PipelineSpec(MachineSpec("wz", (5,)), deleters.DeleterSpec("pb")), 0.5),
+        "wz takes 0 parameters, got 1",
+    ),
+    "build_machine-bh": (lambda: build_machine(MachineSpec("bh")), "bh takes 1 parameter (xi), got 0"),
+    "build_deleter-conv": (
+        lambda: deleters.build_deleter(deleters.DeleterSpec("conv")),
+        "conv takes 1 to 3 parameters (lam, blank, y), got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_COUNT)
+def test_a_wrong_parameter_count_is_a_value_error_naming_the_family(case):
+    call, message = WRONG_COUNT[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind, family", ENTRIES, ids=[family for _, family in ENTRIES])
+def test_each_entry_takes_what_its_builder_takes(kind, family):
+    table, spec_type = CATALOGS[kind]
+    parameters = inspect.signature(table[family].build).parameters.values()
+    least = sum(p.default is inspect.Parameter.empty for p in parameters)
+    for count in range(len(parameters) + 2):
+        spec = spec_type(family, (0.5,) * count)
+        if least <= count <= len(parameters):
+            assert qcore.family_entry(table, spec, kind) is table[family]
+        else:
+            with pytest.raises(ValueError, match=f"^{family} takes "):
+                qcore.family_entry(table, spec, kind)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -328,23 +329,20 @@ def test_cli_fuzz_exits_cleanly(data):
         assert all(math.isfinite(v) for v in cells), argv
 
 
-def test_main_builds_one_parser_per_process(monkeypatch, capsys):
-    built = []
-    real = cli.build_parser
-
-    def counting():
-        built.append(real())
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
+def test_main_builds_one_parser_per_process(capsys):
+    cli._tree.cache_clear()
     try:
         assert run_cli(capsys, "broadcast", "--lam", "0.1")[0] == 0
+        parser, subparsers = cli._tree()
+        completed = lambda: [name for name, sub in subparsers.items() if sub.get_default("func")]  # noqa: E731
+        assert completed() == ["broadcast"]  # only the subcommand that ran has its arguments
+        # a second run adds none (adding --lam again would raise)
         assert run_cli(capsys, "broadcast", "--lam", "0.2", "--interval")[0] == 0
-        assert len(built) == 1
-        assert cli._parser() is built[0]
+        assert run_cli(capsys, "hybrid", "--kind", "anti")[0] == 0
+        assert cli._tree()[0] is parser
+        assert completed() == ["hybrid", "broadcast"]
     finally:
-        cli._parser.cache_clear()
+        cli._tree.cache_clear()
 
 
 def test_reused_parser_after_a_usage_error_gives_a_fresh_process_output(capsys):
@@ -374,3 +372,61 @@ def test_verify_all_leaves_numpy_random_unimported():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.split() == ["1", "False"]
+
+
+# ---------------------------------------------------------------------------
+# start-up: the per-subcommand parser, and what `import qclone.cli` loads
+
+
+def _parse(parse_args, argv):
+    """(exit code, stdout, stderr) of one argparse call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+USAGE_ARGVS = [
+    ["--help"],
+    [],
+    ["--version"],
+    ["tabel"],
+    ["table"],
+    ["table", "--id", "9.9"],
+    ["--format", "json", "table"],
+    *([name, "--help"] for name in cli.COMMANDS),
+]
+
+
+def test_the_process_parser_prints_what_the_full_tree_prints():
+    # main() completes the subparser of each subcommand on its first run:
+    # every text is the full tree's, on that first run and after others
+    cli._tree.cache_clear()
+    try:
+        for argv in USAGE_ARGVS + USAGE_ARGVS[::-1]:
+            got = _parse(cli.main, argv)
+            assert got == _parse(cli.build_parser().parse_args, argv), argv
+            assert got[0] in (0, 2) and got[1] + got[2], argv
+    finally:
+        cli._tree.cache_clear()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_numpy_polynomial():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qclone.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'dataclasses' or m.startswith('numpy.polynomial')))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert loaded.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "qclone").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert not any(name.split(".")[0] == "dataclasses" for name in names), f"{path.name}:{node.lineno}"

@@ -618,3 +618,13 @@ def test_nan_blank_is_rejected_before_any_average():
 def test_nan_deleter_parameter_is_rejected_by_name(spec, message):
     with pytest.raises(ValueError, match=message):
         build_deleter(spec)
+
+
+def test_the_written_out_quadrature_rule_is_leggauss_64_and_symmetric():
+    x, w = np.polynomial.legendre.leggauss(64)
+    assert np.abs(deleters._GL_X - x).max() <= 1e-15
+    assert np.abs(deleters._GL_W - w).max() <= 1e-15
+    assert np.array_equal(deleters._GL_X, -deleters._GL_X[::-1])
+    assert np.array_equal(deleters._GL_W, deleters._GL_W[::-1])
+    assert np.array_equal(deleters.GL_ALPHA2, (deleters._GL_X + 1) / 2)
+    assert np.array_equal(deleters.GL_WEIGHTS, deleters._GL_W / 2)

@@ -91,7 +91,7 @@ def _delete_ops(spec, kets, n_transformers):
 
 def _protocol_ops(alpha, branch):
     out = bc.three_qubit_protocol(alpha, branch)
-    ops = [getattr(out, name) for name in bc.ProtocolState.__dataclass_fields__ if name.startswith("rho_")]
+    ops = [getattr(out, name) for name in bc.ProtocolState._fields if name.startswith("rho_")]
     for outcome in ("B1+", "B1-", "B2+", "B2-"):
         ops.append(bc.swap_extend(out.rho_325, outcome)[1])
     return [op for op in ops if op is not None] + [bc.relabel_325_to_357(out.rho_325)]

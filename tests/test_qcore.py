@@ -29,9 +29,13 @@ from qclone.qcore import (
     realize_gram,
     reduce_ket,
     schmidt,
+    spec_cache,
     tensor,
 )
-from qclone.cloners import bh_gram, build_bh_opt, build_wz
+from qclone import broadcast as bc
+from qclone.cloners import MachineSpec, bh_gram, build_bh_opt, build_wz
+from qclone.deleters import DeleterSpec
+from qclone.verify import CheckResult
 
 
 def random_density(rng, dims):
@@ -721,3 +725,46 @@ def test_nan_fails_every_validation():
         GramSpec(("a",), np.array([[np.nan]]))
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigvals(np.full((2, 2), np.nan))
+
+
+# ---------------------------------------------------------------------------
+# the records are NamedTuples; the checked ones check in __new__
+
+
+# a valid record of each checked type, and a field value that fails its check
+CHECKED = {
+    "StateVector": (lambda: StateVector((2,), [1.0, 0.0]), "amps", [1.0, 1.0]),
+    "DensityOperator": (lambda: DensityOperator((2,), np.eye(2) / 2), "mat", np.eye(2)),
+    "MachineIsometry": (lambda: MachineIsometry((2,), (2,), np.eye(2)), "matrix", np.ones((2, 2))),
+    "GramSpec": (lambda: GramSpec(("a",), [[1.0]]), "gram", [[1.0, 0.0]]),
+    "BlankState": (lambda: BlankState(1.0, 0.0), "m2", 0.5),
+    "Interval": (lambda: bc.Interval(0.1, 0.2, "Separable"), "lo", 0.3),
+    "CheckResult": (lambda: CheckResult("name", 1), "passed", 0),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_checked_record_rechecks_on_replace(name):
+    make, field, value = CHECKED[name]
+    record = make()
+    assert type(record).__name__ == name and isinstance(record, tuple)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    if name == "CheckResult":  # its one normalization: passed is a bool
+        assert record.passed is True and record._replace(passed=0).passed is False
+        return
+    with pytest.raises(ValueError):
+        record._replace(**{field: value})
+
+
+def test_a_checked_record_repr_leaves_out_its_arrays():
+    assert repr(DensityOperator((2,), np.eye(2) / 2)) == "DensityOperator(dims=(2,))"
+    assert repr(bc.Interval(0.1, 0.2, "Separable")) == "Interval(lo=0.1, hi=0.2, kind='Separable')"
+
+
+def test_the_spec_cache_keeps_equal_specs_of_two_types_apart():
+    # a MachineSpec and a DeleterSpec of equal fields are equal tuples
+    machine, deleter = MachineSpec("pb", (1,)), DeleterSpec("pb", (1,))
+    assert machine == deleter and hash(machine) == hash(deleter)
+    kind = spec_cache(lambda spec: type(spec).__name__)
+    assert [kind(machine), kind(deleter), kind(machine)] == ["MachineSpec", "DeleterSpec", "MachineSpec"]

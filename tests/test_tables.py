@@ -4,7 +4,6 @@ simulated column is one machine stack, equal row by row to one machine per
 row."""
 
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -105,11 +104,11 @@ def test_returned_rows_are_read_only():
     before = _contents(result)
     row = result.rows[0]
     assert isinstance(result.rows, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         result.rows = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         row.provenance = "PaperClosedForm"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         row.outputs = {}
     for mapping in (row.inputs, row.outputs, row.expected, row.decimals):
         key = next(iter(mapping))
