@@ -33,10 +33,10 @@ print("\n=== two rounds of cloning make three-qubit entanglement ===")
 out = bc.three_qubit_protocol(math.sqrt(0.8), "Q0Q0")
 print(f"  branch probability: {out.probability:.4f}")
 print(f"  C(1,6) = {concurrence_2q(out.rho_16):.4f}, C(4,6) = {concurrence_2q(out.rho_46):.4f}")
-b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
 x0 = bc.PROTOCOL_BOUNDARIES["Q0Q0", "rho_46"].alpha2
-print(f"  the three-qubit state is closed-entangled for alpha^2 > {b46:.6f} (bisected)")
-print(f"  exact x0 = (3 + 2 sqrt 3) / (7 + 2 sqrt 3) = {x0:.8f}, {abs(b46 - x0):.1e} from the bisection")
+print(f"  the three-qubit state is closed-entangled for alpha^2 > x0 = (3 + 2 sqrt 3) / (7 + 2 sqrt 3) = {x0:.8f}")
+certified = bc.certify_boundary("Q0Q0", "rho_46")
+print(f"  the simulated rho_46 changes its PPT sign between x0 -/+ {bc.CERTIFY_OFFSET:.0e}: {certified}")
 
 print("\n=== swapping extends the state to a third party ===")
 target = bc.relabel_325_to_357(out.rho_325)

@@ -39,7 +39,8 @@ from .qcore import (
 
 PSI_PLUS = bell_state("psi+")
 
-BISECT_TOL = 1e-6  # final bracket width of intervals_by_bisection and ppt_boundary
+BISECT_TOL = 1e-6  # final bracket width of intervals_by_bisection
+SECTION = 5  # halvings of a bracket decided by each stacked PPT test of intervals_by_bisection
 CERTIFY_OFFSET = 1e-7  # certify_boundary: alpha^2 offset on each side of a boundary
 
 # lambda of the copier's maps and fidelities, and of the separability intervals
@@ -359,14 +360,33 @@ def broadcast_interval(lmbda: float) -> Interval:
 def _bisect(flag, lo, hi, tol: float) -> np.ndarray:
     """Midpoints of the last brackets of bisections in lockstep: bracket k
     runs from ``lo[k]``, where ``flag`` is False, to ``hi[k]``, where it is
-    True (either may be larger).  ``flag`` maps an array of points to an
-    array of bools.  Every bracket is halved until the widest is within
-    ``tol``, so brackets of one start width end as separate bisections would."""
+    True (either may be larger).  Every bracket is halved until the widest
+    is within ``tol``, so brackets of one start width end as separate
+    bisections would.
+
+    The next SECTION halvings of a bracket can only land on its
+    2**SECTION-section points, so one call of ``flag``, which maps an (n, m)
+    array of points to an (n, m) array of bools, flags all inner points of
+    every bracket, and the halvings are replayed on those flags.  The points
+    are the bisection's midpoints bit for bit while the bracket ends are
+    dyadic fractions of few bits, as every bracket from 0 or 1 to 1/2 is."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    while np.abs(hi - lo).max() > tol:
-        mid = (lo + hi) / 2
-        up = flag(mid)
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    halvings, width = 0, np.abs(hi - lo).max()
+    while width > tol:
+        halvings, width = halvings + 1, width / 2
+    rows = np.arange(len(lo))
+    while halvings:
+        k = min(SECTION, halvings)
+        halvings -= k
+        m = 1 << k
+        points = lo[:, None] + (hi - lo)[:, None] * (np.arange(m + 1) / m)
+        up = flag(points[:, 1:-1])
+        a, b = np.zeros(len(lo), dtype=int), np.full(len(lo), m)
+        for _ in range(k):
+            mid = (a + b) // 2
+            at = up[rows, mid - 1]
+            a, b = np.where(at, a, mid), np.where(at, mid, b)
+        lo, hi = points[rows, a], points[rows, b]
     return (lo + hi) / 2
 
 
@@ -374,8 +394,9 @@ def intervals_by_bisection(lmbdas, which: str) -> list[Interval]:
     """Locate the closed-form interval endpoints for every lambda in
     ``lmbdas`` from the PPT test of the corresponding output; an end is 0 or
     1 when the predicate holds there.  ``which`` is "insep" (nonlocal output
-    AB') or "sep" (local output AA').  All open ends are bisected in
-    lockstep, each step one stacked PPT test of the tested output only."""
+    AB') or "sep" (local output AA').  One stacked PPT test of the tested
+    output takes the midpoint and both ends of every lambda; all open ends
+    are then bisected in lockstep, SECTION halvings per stacked test."""
     if which not in ("insep", "sep"):
         raise ValueError(f"which must be 'insep' or 'sep', got {which!r}")
     lmbdas = [INTERVAL_LAMBDA.check(float(lmbda)) for lmbda in lmbdas]
@@ -388,15 +409,15 @@ def intervals_by_bisection(lmbdas, which: str) -> list[Interval]:
         return ~is_npt(_assemble(_local_terms(*amps, lmbda, "A"), "K"))
 
     n = len(lmbdas)
-    lam = np.array(lmbdas * 2)  # every lambda twice: its lower, then its upper end
-    at_mid = predicate(np.full(n, 0.5), lam[:n])
-    if not at_mid.all():
-        bad = lmbdas[int(np.argmin(at_mid))]
+    lam = np.array(lmbdas * 3)  # every lambda thrice: its midpoint, its lower end, its upper end
+    holds = predicate(np.repeat([0.5, 0.0, 1.0], n), lam)
+    if not holds[:n].all():
+        bad = lmbdas[int(np.argmin(holds[:n]))]
         raise ValueError(f"midpoint does not satisfy the predicate at lambda = {bad}; no interval")
     ends = np.repeat([0.0, 1.0], n)
-    open_ = ~predicate(ends, lam)
+    open_ = ~holds[n:]
     if open_.any():
-        lam_open = lam[open_]
+        lam_open = lam[n:][open_, None]
         ends[open_] = _bisect(
             lambda x: predicate(x, lam_open), ends[open_], np.full(len(lam_open), 0.5), BISECT_TOL
         )
@@ -561,17 +582,6 @@ def rho_12_closed(alpha) -> DensityOperator:
     m[3, 3] = (b2 / 36) * (1 / 3)
     m[1, 2] = m[2, 1] = (b2 / 36) * (4 / 3)
     return DensityOperator((2, 2), m / norm)
-
-
-def ppt_boundary(fn, lo: float, hi: float, entangled_above: bool = True) -> float:
-    """Bisect alpha^2 in (lo, hi) for the boundary above which the two-qubit
-    operator fn(alpha^2) is entangled (or separable, if not entangled_above)."""
-    def flag(a2: float) -> bool:
-        return is_npt(fn(a2).mat) == entangled_above
-
-    if flag(lo) or not flag(hi):
-        raise ValueError(f"no boundary in ({lo}, {hi}) with entangled_above={entangled_above}")
-    return float(_bisect(lambda x: flag(float(x[0])), [lo], [hi], BISECT_TOL)[0])
 
 
 class Boundary(NamedTuple):

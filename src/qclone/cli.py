@@ -33,10 +33,21 @@ TOL = domain("--tol", 0.0, math.inf, "[)")
 CLONE_FAMILIES = tuple(f for f in FAMILIES if f not in TWO_TO_M)
 
 
+# writes a flat dict as a row of the json output, already indented; with
+# no indent set, json takes its C encoder
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def _render(rows, meta, fmt: str) -> str:
-    """rows: list of flat dicts with stable keys."""
+    """rows: list of flat dicts with stable keys.  The json text is that of
+    ``json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True)``."""
     if fmt == "json":
-        return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        head = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        body = ",\n    ".join(
+            "{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" if row else "{}" for row in rows
+        )
+        body = "[\n    " + body + "\n  ]" if rows else "[]"
+        return '{\n  "meta": ' + head + ',\n  "rows": ' + body + "\n}\n"
     keys = list(rows[0].keys()) if rows else []
     lines = [keys] + [[_fmt_cell(row[k]) for k in keys] for row in rows]
     if fmt == "csv":

@@ -22,6 +22,7 @@ import pytest
 from qclone import broadcast as bc
 from qclone import cloners, concat, deleters, hybrid, measures, tables, verify
 from qclone.qcore import StateVector, UnrealizableSpec
+from test_broadcast import ppt_boundary
 
 
 def _report(criterion: str, detail: str = ""):
@@ -164,7 +165,7 @@ def test_c09_concurrence_ranges_as_printed():
     """
     x0 = (3 + 2 * math.sqrt(3)) / (7 + 2 * math.sqrt(3))
     assert abs(37 * x0**2 - 18 * x0 - 3) < 1e-12
-    b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
+    b46 = ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
     assert abs(b46 - x0) < 1e-6
 
     xs = np.linspace(x0, 1, 41, endpoint=False)

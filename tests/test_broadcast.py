@@ -121,6 +121,19 @@ def _scalar_bisect(flag, lo, hi, tol):
     return (lo + hi) / 2
 
 
+def ppt_boundary(fn, lo, hi, entangled_above=True):
+    """Test oracle: bisect alpha^2 in (lo, hi) for the boundary above which
+    the two-qubit operator fn(alpha^2) is entangled (or separable, if not
+    entangled_above)."""
+
+    def flag(a2):
+        return measures.is_npt(fn(a2).mat) == entangled_above
+
+    if flag(lo) or not flag(hi):
+        raise ValueError(f"no boundary in ({lo}, {hi}) with entangled_above={entangled_above}")
+    return _scalar_bisect(flag, lo, hi, bc.BISECT_TOL)
+
+
 def _scalar_interval(lmbda, which):
     key = "AB'" if which == "insep" else "AA'"
 
@@ -155,6 +168,37 @@ def test_interval_by_bisection_matches_scalar_or_raises_alike(lam, which):
         assert bc.interval_by_bisection(lam, which) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 0.5, exclude_max=True), max_size=6),
+    st.sampled_from(["insep", "sep"]),
+)
+def test_intervals_by_bisection_equal_scalar_bisections_or_raise_alike(lams, which):
+    try:
+        expected = [_scalar_interval(lam, which) for lam in lams]
+    except ValueError:
+        with pytest.raises(ValueError, match="no interval"):
+            bc.intervals_by_bisection(lams, which)
+    else:
+        assert bc.intervals_by_bisection(lams, which) == expected
+
+
+@pytest.mark.parametrize("lams", [[1 / 6], list(tables._T32_PRINTED)], ids=["one", "nine"])
+@pytest.mark.parametrize("which", ["insep", "sep"])
+def test_intervals_by_bisection_take_five_stacked_ppt_tests(monkeypatch, lams, which):
+    # the midpoint and both ends in one test, then ceil(19 / SECTION) tests
+    # for the 19 halvings of a bracket of width 1/2 down to BISECT_TOL
+    calls = []
+
+    def counting(mat, *args):
+        calls.append(mat)
+        return measures.is_npt(mat, *args)
+
+    monkeypatch.setattr(bc, "is_npt", counting)
+    bc.intervals_by_bisection(lams, which)
+    assert 1 <= len(calls) <= 5
+
+
 def test_interval_error_names_the_lambda():
     with pytest.raises(ValueError, match="at lambda = 0.3;"):
         bc.intervals_by_bisection([0.1, 0.3], "insep")
@@ -164,9 +208,9 @@ def test_interval_error_names_the_lambda():
 
 def test_ppt_boundary_values_are_unchanged():
     # the values the scalar bisection loop gave, to the last bit
-    b16 = bc.ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
-    b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
-    b12 = bc.ppt_boundary(lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, False)
+    b16 = ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
+    b46 = ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
+    b12 = ppt_boundary(lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, False)
     assert (b16, b46, b12) == (0.18367314338684082, 0.617740797996521, 0.2727272272109985)
     assert all(type(b) is float for b in (b16, b46, b12))
 
@@ -394,20 +438,20 @@ def test_interval_lambda_outside_domain(interval, lam):
 
 
 def test_protocol_boundaries():
-    b16 = bc.ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
+    b16 = ppt_boundary(lambda a2: bc.rho_16_closed(math.sqrt(a2)), 0.05, 0.5)
     assert abs(b16 - 0.18) <= 0.01
-    b46 = bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
+    b46 = ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95)
     assert abs(b46 - 0.61) <= 0.01
-    b12 = bc.ppt_boundary(
+    b12 = ppt_boundary(
         lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, entangled_above=False
     )
     assert abs(b12 - 0.27) <= 0.01
     # rho_46 is entangled above its boundary, so the opposite orientation and
     # a bracket without a boundary are both rejected
     with pytest.raises(ValueError):
-        bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95, False)
+        ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.3, 0.95, False)
     with pytest.raises(ValueError):
-        bc.ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.7, 0.95)
+        ppt_boundary(lambda a2: bc.rho_46_closed(math.sqrt(a2)), 0.7, 0.95)
 
 
 def _simulated(branch, op):
@@ -426,7 +470,7 @@ def _simulated(branch, op):
 )
 def test_branch_boundary_values(branch, op, lo, hi, entangled_above, printed):
     # test oracle: bisect the PPT boundary of the simulated pair operator
-    found = bc.ppt_boundary(_simulated(branch, op), lo, hi, entangled_above)
+    found = ppt_boundary(_simulated(branch, op), lo, hi, entangled_above)
     assert abs(found - printed) <= 0.01
     exact = bc.PROTOCOL_BOUNDARIES[branch, op]
     assert abs(found - exact.alpha2) <= 1e-4

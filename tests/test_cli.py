@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclone import cli, concat, deleters, tables
+from qclone import cli, concat, deleters, tables, verify
 from qclone.cli import CLONE_FAMILIES, main
 from qclone.cloners import FAMILIES
 
@@ -430,3 +430,79 @@ def test_no_module_imports_dataclasses():
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             assert not any(name.split(".")[0] == "dataclasses" for name in names), f"{path.name}:{node.lineno}"
+
+
+# every subcommand's real output: each table in both modes, verify all, and
+# the variants that the CLI offers
+RENDER_CALLS = [
+    *(["table", "--id", tid, "--mode", "both"] for tid in tables.TABLE_IDS),
+    *(["verify", scope] for scope in ("all", *verify._SCOPES)),
+    *(["clone", "--family", family] for family in CLONE_FAMILIES),
+    *(["delete", "--family", f, "--transformers", t] for f in deleters.DELETERS for t in ("0", "1", "2")),
+    *(["hybrid", "--kind", kind] for kind in ("pauli", "anti", "bhbh", "pc")),
+    *(["concat", "--cloner", c, "--deleter", d] for c in ("wz", "bh") for d in concat.CONDITIONAL_DELETERS),
+    ["broadcast", "--lam", "0.2"],
+    ["broadcast", "--lam", "0.2", "--interval"],
+]
+
+
+def _rendered(monkeypatch, capsys, argv):
+    """(rows, meta, text) of one json run of the CLI."""
+    seen = []
+    render = cli._render
+
+    def capture(rows, meta, fmt):
+        seen.append((rows, meta))
+        return render(rows, meta, fmt)
+
+    monkeypatch.setattr(cli, "_render", capture)
+    main(argv + ["--format", "json"])
+    ((rows, meta),) = seen
+    return rows, meta, capsys.readouterr().out
+
+
+def _dumps(rows, meta):
+    return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", RENDER_CALLS, ids=" ".join)
+def test_json_output_is_json_dumps_of_its_rows_and_meta(monkeypatch, capsys, argv):
+    rows, meta, out = _rendered(monkeypatch, capsys, argv)
+    assert out == _dumps(rows, meta)
+
+
+@pytest.mark.parametrize("argv", RENDER_CALLS, ids=" ".join)
+def test_every_subcommand_row_is_flat(monkeypatch, capsys, argv):
+    # the json renderer's precondition: no cell holds a container
+    rows, _, _ = _rendered(monkeypatch, capsys, argv)
+    assert rows and all(type(row) is dict for row in rows)
+    assert all(isinstance(v, (str, int, float, type(None))) for row in rows for v in row.values())
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [{}],
+        [{}, {"a": 1}, {}],
+        [
+            {
+                "nan": math.nan,
+                "inf": math.inf,
+                "-inf": -math.inf,
+                "none": None,
+                "yes": True,
+                "no": False,
+                "int": -3,
+                "tiny": 5e-324,
+                "text": 'Ψ+ "quoted" \\ tab\there',
+                "é": 0.1,
+            }
+        ],
+    ],
+    ids=["no rows", "one empty row", "empty rows around one", "special cells"],
+)
+def test_json_renderer_equals_json_dumps_on_edge_rows(rows):
+    meta = {"version": "0", "command": "x", "params": {"list": [1, [2]], "empty": {}, "none": None}}
+    for m in (meta, {}):
+        assert cli._render(rows, m, "json") == _dumps(rows, m)
