@@ -27,9 +27,11 @@ from .qcore import (
     PAULI_Z,
     StateVector,
     _derived,
+    _derived_ket,
     bell_project,
     bell_state,
     check_densities,
+    check_kets,
     domain,
     ket,
     permute_subsystems,
@@ -75,7 +77,7 @@ def sd_cloner_lambda_star(alpha2: float) -> float:
 def _coerce_input(amplitudes) -> np.ndarray:
     """(alpha1, beta1) or (alpha1, beta1, gamma1, delta1) -> 4-vector
     ordered as the coefficients of |00>, |11>, |10>, |01>; an (n, 2) or
-    (n, 4) stack of inputs -> an (n, 4) array."""
+    (n, 4) stack of inputs -> an (n, 4) array, each input ket checked."""
     a = np.asarray(amplitudes, dtype=float)
     a = a if a.ndim == 2 else a.reshape(-1)
     if a.shape[-1] == 2:
@@ -83,8 +85,7 @@ def _coerce_input(amplitudes) -> np.ndarray:
         a[..., :2] = pair
     if a.shape[-1] != 4 or not a.size:
         raise ValueError("need (alpha1, beta1) or (alpha1, beta1, gamma1, delta1)")
-    if not abs((a * a).sum(-1) - 1.0).max() <= 1e-9:  # ndarray methods, cheap per call; NaN fails
-        raise ValueError("amplitudes must be normalized")
+    check_kets(a)
     return a
 
 
@@ -102,7 +103,10 @@ def _one_input(mats: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 def input_ket(amplitudes) -> StateVector:
-    return StateVector((2, 2), input_amps(amplitudes))
+    amps = input_amps(amplitudes)
+    if amps.ndim != 1:
+        raise ValueError("need one input, not a stack")
+    return _derived_ket((2, 2), amps)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +504,7 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     for name in ProtocolState._fields[4:]:
         keep = [labels.index("q" + q) for q in name[4:]]
         ops.append(_derived((2,) * len(keep), reduce_ket(amps, dims, keep)))
-    return ProtocolState(branch, prob, StateVector(tuple(dims), amps), labels, *ops)
+    return ProtocolState(branch, prob, _derived_ket(tuple(dims), amps), labels, *ops)
 
 
 def _rho_146_terms():
@@ -668,6 +672,7 @@ _SWAP_OUTCOMES = {
     "B2+": ("psi+", PAULI_Z),
     "B2-": ("psi-", np.eye(2, dtype=complex)),
 }
+_SINGLET = StateVector((2, 2), bell_state("psi-")).density()  # the pair shared by swap_extend
 
 
 def swap_extend(rho_325: DensityOperator, outcome: str):
@@ -683,7 +688,7 @@ def swap_extend(rho_325: DensityOperator, outcome: str):
     if rho_325.dims != (2, 2, 2):
         raise ValueError("expected a three-qubit operator")
     # layout: 3, 2, 5, 8, 7
-    joint = tensor(rho_325, StateVector((2, 2), bell_state("psi-")).density())
+    joint = tensor(rho_325, _SINGLET)
     prob, post = bell_project(joint, (1, 3), bell)
     if post is None:
         return 0.0, None

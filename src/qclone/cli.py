@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params, rows, code, *summary = args.func(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     meta = {"version": __version__, "command": args.command, "params": params}

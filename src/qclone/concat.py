@@ -27,7 +27,7 @@ from .deleters import (
     sdep_weights,
 )
 from .measures import hs_distance, overlap
-from .qcore import ALPHA2, StateVector, family_entry, reduce_ket
+from .qcore import ALPHA2, family_entry, reduce_ket
 
 CONDITIONAL_DELETERS = ("pb", "sdep")  # the deleters a pipeline composes
 
@@ -65,7 +65,10 @@ def _deleter_action(spec: DeleterSpec):
 
 
 def _pipeline_kets(spec: PipelineSpec, alpha2s):
-    """(dims, one renormalized post-deletion ket per alpha^2 value)."""
+    """(dims, one renormalized post-deletion ket per alpha^2 value) of the
+    canonical pipeline.  Subsystems: kept qubit, deleted qubit, deleter
+    machine, branch label (identical branch, then the two pass-through
+    labels carrying sqrt(xi))."""
     psi = real_inputs(alpha2s)  # (n, 2): alpha, beta
     xi = _cloner_xi(spec.cloner)
     machine, ident0, ident1, passthrough = _deleter_action(spec.deleter)
@@ -76,16 +79,6 @@ def _pipeline_kets(spec: PipelineSpec, alpha2s):
     amps[:, :, 2] = math.sqrt(xi) * psi[:, 1:] * passthrough
     kets = amps.reshape(len(alpha2s), -1)
     return (2, 2, mdim, 3), kets / np.linalg.norm(kets, axis=1, keepdims=True)
-
-
-def pipeline_state(spec: PipelineSpec, alpha2: float):
-    """The renormalized post-deletion pure state of the canonical pipeline.
-
-    Subsystems: kept qubit, deleted qubit, deleter machine, branch label
-    (identical branch, then the two pass-through labels carrying sqrt(xi)).
-    """
-    dims, kets = _pipeline_kets(spec, [alpha2])
-    return StateVector(dims, kets[0])
 
 
 def _scores(kets: np.ndarray, dims, alpha2s, spec: PipelineSpec):

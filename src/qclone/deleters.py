@@ -236,12 +236,8 @@ def _conv_parts(
 
 
 def build_sdep(a0, a1, b0, b1, blank: BlankState = DEFAULT_BLANK) -> MachineIsometry:
-    """State-dependent deleter: pass-through branches mix |01> and |10>."""
-    for ai, bi in ((a0, b0), (a1, b1)):
-        if not abs(abs(ai) ** 2 + abs(bi) ** 2 - 1.0) <= 1e-9:  # NaN fails
-            raise ValueError("need |a_i|^2 + |b_i|^2 = 1")
-    if not abs(a0 * np.conj(a1) + b0 * np.conj(b1)) <= 1e-9:
-        raise ValueError("need a0 a1* + b0 b1* = 0")
+    """State-dependent deleter: pass-through branches mix |01> and |10>.  Its
+    isometry check covers the amplitudes: |a_i|^2 + |b_i|^2 = 1, a0* a1 + b0* b1 = 0."""
     q, qa0, qa1 = range(3)  # the machine kets
     cols = np.zeros((2, 2, 3, 4), dtype=complex)  # kept, deleted, machine, input
     cols[0, :, qa0, 0] = blank.vec  # |00> -> |0 Sigma A0>
@@ -305,11 +301,10 @@ def _transform(kets: np.ndarray, n_transformers: int) -> np.ndarray:
 
 def _marginal_fidelities(spec: DeleterSpec, machine: MachineIsometry, psi: np.ndarray, n_transformers: int):
     """(output kets, rho_1, rho_2, F_1, F_2) of deleting one copy of psi from
-    psi x psi for every ket of an (n, 2) stack with the spec's machine (or
-    stack).  The pairs it receives are checked; their reductions through
-    the checked isometry and the unitary transformers are not."""
+    psi x psi for every checked ket of an (n, 2) stack with the spec's
+    machine (or stack).  The pairs and their reductions through the checked
+    isometry and the unitary transformers are not checked again."""
     pairs = (psi[..., :, None] * psi[..., None, :]).reshape(psi.shape[:-1] + (4,))
-    check_kets(pairs)
     kets = _transform(pairs @ machine.matrix.swapaxes(-1, -2), n_transformers)
     rho_1, rho_2 = (reduce_ket(kets, machine.out_dims, [k]) for k in (0, 1))
     target = deletion_target(spec)  # one ket, or one per machine of a stack for all its inputs
@@ -330,6 +325,7 @@ def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> Deletion
     psi = np.asarray(amps, dtype=complex)
     if psi.ndim < 2 or psi.shape[-1] != 2 or not psi.shape[-2]:
         raise ValueError(f"inputs of shape {psi.shape} are not an (n, 2) stack of qubit kets, n >= 1")
+    check_kets(psi)
     kets, rho_1, rho_2, f1, f2 = _marginal_fidelities(spec, machine, psi, n_transformers)
     rho_3 = overlap_m = None
     if len(machine.out_dims) > 2:

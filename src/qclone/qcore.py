@@ -18,7 +18,7 @@ DEFAULT_TOL = 1e-9  # realize_gram: PSD tolerance and rank cut-off
 
 # Hermiticity, unit-trace and PSD tolerance of every density-operator check,
 # single (DensityOperator) or stacked (check_densities), and the |psi|^2
-# tolerance of every ket check (check_kets).
+# tolerance of every ket check (check_kets) and of BlankState.
 DENSITY_TOL = 1e-7
 
 HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max entry
@@ -86,8 +86,6 @@ ALPHA2 = domain("alpha^2", 0.0, 1.0)
 PROBABILITY = domain("p", 0.0, 1.0)  # also a fidelity or an overlap in [0, 1]
 DIMENSION = domain("dimension", 2, math.inf, "[)")
 FINITE = domain("angle", -math.inf, math.inf, "()")  # an angle or a phase
-
-check_alpha2 = ALPHA2.check
 
 
 def _as_dims(dims) -> tuple:
@@ -190,18 +188,24 @@ def _derived(dims: tuple, mat: np.ndarray) -> DensityOperator:
     return tuple.__new__(DensityOperator, (dims, mat))
 
 
-def check_kets(amps: np.ndarray) -> None:
-    """Raise ValueError unless every ket of a (..., d) stack is finite and
-    has |psi|^2 within DENSITY_TOL of 1.
+def _derived_ket(dims: tuple, amps: np.ndarray) -> StateVector:
+    """:func:`_derived` for a (d,) ket derived from checked operands (V|psi>,
+    a tensor product, a normalized measurement branch): no check."""
+    return tuple.__new__(StateVector, (dims, amps))
 
-    |psi|^2 is the trace of every reduction of the ket, so the reductions of
-    a ket that passes meet the density check without an eigensolve.
+
+def check_kets(amps: np.ndarray) -> None:
+    """Raise ValueError unless every ket of a real or complex (..., d) stack
+    is finite and has |psi|^2 within DENSITY_TOL of 1: the check of every
+    ket a caller hands in.  |psi|^2 is the trace of every reduction of the
+    ket, so the reductions of a ket that passes meet the density check
+    without an eigensolve.  A NaN or inf fails the norm test first.
     """
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
-    norm2 = (amps.real**2 + amps.imag**2).sum(-1)
-    worst = np.abs(norm2 - 1.0).max()
+    sq = amps.real**2 + amps.imag**2 if amps.dtype.kind == "c" else amps * amps
+    worst = abs(sq.sum(-1) - 1.0).max()  # builtin abs: cheap on the scalar of one ket
     if not worst <= DENSITY_TOL:
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         raise ValueError(f"state vector is not normalized (|psi|^2 deviates from 1 by {worst:.3g})")
 
 
@@ -397,7 +401,7 @@ class BlankState(Checked, _BlankState):
 
     def __new__(cls, m1, m2):
         dev = abs(m1**2 + abs(m2) ** 2 - 1.0)  # an array for a stack
-        if not (dev.max() if isinstance(dev, np.ndarray) else dev) <= 1e-9:  # NaN fails
+        if not (dev.max() if isinstance(dev, np.ndarray) else dev) <= DENSITY_TOL:  # NaN fails
             raise ValueError("blank state must satisfy m1^2 + |m2|^2 = 1")
         return tuple.__new__(cls, (m1, m2))
 
@@ -480,13 +484,6 @@ def ket(index: int, dim: int = 2) -> np.ndarray:
     return v
 
 
-def kron_all(*factors) -> np.ndarray:
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
-
-
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
@@ -512,7 +509,7 @@ def bell_state(label: str) -> np.ndarray:
 def tensor(a, b):
     """Tensor product of two StateVectors or two DensityOperators."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
+        return _derived_ket(a.dims + b.dims, np.kron(a.amps, b.amps))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         return _derived(a.dims + b.dims, np.kron(a.mat, b.mat))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
@@ -625,11 +622,13 @@ def realize_gram(spec: GramSpec) -> np.ndarray:
 
 
 def apply_isometry(v: MachineIsometry, state):
-    """Apply V to a StateVector (-> StateVector) or DensityOperator (-> V rho V^dag)."""
+    """Apply one V to a StateVector (-> StateVector) or DensityOperator (-> V rho V^dag)."""
+    if v.matrix.ndim > 2:
+        raise ValueError(f"apply_isometry takes one machine, not a stack of {len(v.matrix)}")
     if isinstance(state, StateVector):
         if state.dims != v.in_dims:
             raise ValueError(f"input dims {state.dims} do not match machine {v.in_dims}")
-        return StateVector(v.out_dims, v.matrix @ state.amps)
+        return _derived_ket(v.out_dims, v.matrix @ state.amps)
     if isinstance(state, DensityOperator):
         if state.dims != v.in_dims:
             raise ValueError(f"input dims {state.dims} do not match machine {v.in_dims}")

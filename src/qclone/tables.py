@@ -188,8 +188,6 @@ _T24_PRINTED = {
 }
 
 
-_T31_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
 _T31_PRINTED = {
     0.1: (0.007, 0.000098),
     0.2: (0.029, 0.001682),
@@ -347,7 +345,7 @@ _TABLES = {
     ),
     "3.1": _Table(
         "state-dependent copier quality", {"lambda": 3, "D_a": 6},
-        lambda: [({"alpha": a}, _T31_PRINTED[a]) for a in _T31_ALPHAS],
+        lambda: _keyed("alpha", _T31_PRINTED),
         _rowwise(_t31_closed),
     ),
     "3.2": _Table(

@@ -629,7 +629,7 @@ def run(scope: str = "all") -> List[CheckResult]:
     elif scope in _SCOPES:
         checks = _SCOPES[scope]
     else:
-        raise KeyError(f"unknown scope {scope!r}; choose from {sorted(_SCOPES)} or 'all'")
+        raise ValueError(f"unknown scope {scope!r}; choose from {sorted(_SCOPES)} or 'all'")
     return [fn() for fn in checks]
 
 

@@ -319,11 +319,15 @@ def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width):
         for key in one:
             assert stacked[key].shape == (5, 4, 4)
             assert np.max(np.abs(stacked[key][i] - one[key])) <= 1e-15, key
-    with pytest.raises(ValueError, match="amplitudes must be normalized"):
+    with pytest.raises(ValueError, match="state vector is not normalized"):
         fn(np.vstack([v, np.full(width, 0.9)]), 0.2)
 
 
-@pytest.mark.parametrize("bad", [np.array([0.6, 0.7]), np.array([math.nan, 0.8])], ids=["unnormalized", "nan"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(np.array([0.6, 0.7]), "state vector is not normalized"), (np.array([math.nan, 0.8]), "amplitudes must be finite")],
+    ids=["unnormalized", "nan"],
+)
 @pytest.mark.parametrize(
     "fn",
     [
@@ -334,12 +338,12 @@ def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width):
     ],
     ids=["input_amps", "broadcast_output_matrices", "broadcast_channel_matrices", "nonlocal_coefficients"],
 )
-def test_a_stack_with_one_bad_row_is_rejected(fn, bad):
+def test_a_stack_with_one_bad_row_is_rejected(fn, bad, message):
     good = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]])
     for stack in (np.vstack([good, bad]), np.vstack([bad, good])):
-        with pytest.raises(ValueError, match="amplitudes must be normalized"):
+        with pytest.raises(ValueError, match=message):
             fn(stack)
-        with pytest.raises(ValueError, match="amplitudes must be normalized"):
+        with pytest.raises(ValueError, match=message):
             fn(np.hstack([stack, np.zeros((4, 2))]))
     for shape in ((3, 3), (0, 2)):
         with pytest.raises(ValueError, match=r"need \(alpha1, beta1\)"):
@@ -686,7 +690,7 @@ def test_swap_outcome_probabilities_uniform():
 )
 def test_closed_forms_reject_nan_amplitudes(fn):
     for amps in ([math.nan, 0.5], [0.6, 0.0, math.nan, 0.8], [math.inf, 0.0]):
-        with pytest.raises(ValueError, match="amplitudes must be normalized"):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
             fn(amps)
 
 

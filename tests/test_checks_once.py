@@ -1,10 +1,12 @@
-"""The validation policy: a matrix is checked where it enters the program.
+"""The validation policy: a matrix or a ket is checked where it enters the program.
 
 Caller-built DensityOperators and the closed-form operators pass
-check_densities; kets from a caller pass check_kets.  A matrix the program
-derives from checked operands (a ket reduction, a partial trace, a tensor
-product, a permutation, V rho V^dag, a Bell-projection branch) is never
-checked again; tests/test_invariants.py holds that invariant instead.
+check_densities; every ket a caller hands in passes check_kets once, under
+DENSITY_TOL.  A matrix the program derives from checked operands (a ket
+reduction, a partial trace, a tensor product, a permutation, V rho V^dag, a
+Bell-projection branch) is never checked again; tests/test_invariants.py
+holds that invariant instead.  Nor is a derived ket (V|psi>, a tensor
+product of kets, a normalized measurement branch).
 """
 
 import math
@@ -12,12 +14,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qclone import broadcast as bc
 from qclone import cloners, concat, deleters, measures, qcore, tables, verify
 from qclone.cloners import MachineSpec
 from qclone.deleters import BlankState, DeleterSpec
-from qclone.qcore import DensityOperator, StateVector
+from qclone.qcore import DENSITY_TOL, DensityOperator, MachineIsometry, StateVector
 
 
 @pytest.fixture
@@ -114,12 +117,12 @@ def test_herbert_ensembles_are_checked(checks):
 
 # input row -> (clone_reports verdict, delete_reports verdict): None accepts,
 # a string is the check_kets message that rejects.  1 + 4e-8 is inside the
-# tolerance as a ket (|psi|^2 - 1 = 8e-8) but not as the pair psi x psi
-# that the deleter receives (1.6e-7).
+# tolerance (|psi|^2 - 1 = 8e-8); the pair psi x psi that the deleter
+# derives from it (1.6e-7) is not checked again.
 KET_VERDICTS = [
     ([1.001, 0.0], "not normalized", "not normalized"),
     ([math.nan, 0.0], "amplitudes must be finite", "amplitudes must be finite"),
-    ([1 + 4e-8, 0.0], None, "not normalized"),
+    ([1 + 4e-8, 0.0], None, None),
 ]
 
 
@@ -141,3 +144,132 @@ def test_the_drivers_check_their_input_kets(checks, monkeypatch, row, clone_verd
                 run()
         assert len(seen) == 1
     assert shapes(checks) == []
+
+
+@pytest.fixture
+def ket_checks(monkeypatch):
+    """The stacks that check_kets receives, in call order, from every qclone
+    module that binds it (StateVector's check included)."""
+    seen = []
+    check = qcore.check_kets
+
+    def recording(amps):
+        seen.append(amps)
+        return check(amps)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qclone") and getattr(mod, "check_kets", None) is check:
+            monkeypatch.setattr(mod, "check_kets", recording)
+    return seen
+
+
+def _average_fidelities():
+    deleters.average_fidelities.cache_clear()
+    return deleters.average_fidelities(DeleterSpec("conv", (0.3,)), 1)
+
+
+# every producer of a derived ket, or of operators from derived kets
+DERIVED_KETS = {
+    "apply_isometry to a ket": lambda: qcore.apply_isometry(cloners.build_machine(BH), PSI),
+    "tensor of kets": lambda: qcore.tensor(PSI, PSI),
+    "three_qubit_protocol": lambda: bc.three_qubit_protocol(0.6, "Q0Q1"),
+    "swap_extend": lambda: bc.swap_extend(RHO, "B1+"),
+    "average_fidelities": _average_fidelities,
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_KETS)
+def test_a_derived_ket_is_not_checked_again(ket_checks, name):
+    DERIVED_KETS[name]()  # warm the spec caches
+    ket_checks.clear()
+    DERIVED_KETS[name]()
+    assert shapes(ket_checks) == []
+
+
+def test_input_ket_checks_its_amplitudes_once(ket_checks):
+    psi = bc.input_ket((0.6, 0.8))
+    assert shapes(ket_checks) == [(4,)]
+    assert np.array_equal(psi.amps, [0.6, 0, 0, 0.8])
+
+
+def test_a_derived_ket_is_one_ket():
+    """The unchecked ket constructor never receives a stack, which
+    StateVector's length check used to reject."""
+    stack = MachineIsometry((2,), (2, 2), np.stack([np.eye(4)[:, :2]] * 3))
+    with pytest.raises(ValueError, match="takes one machine, not a stack of 3"):
+        qcore.apply_isometry(stack, PSI)
+    with pytest.raises(ValueError, match="need one input, not a stack"):
+        bc.input_ket([[0.6, 0.8], [1.0, 0.0]])
+
+
+def test_a_ket_inside_the_tolerance_passes_through_its_derived_kets():
+    a = StateVector((2,), [1 + 4e-8, 0])  # |a|^2 - 1 = 8e-8, a x a deviates by 1.6e-7
+    assert qcore.tensor(a, a).dims == (2, 2)
+    assert deleters.delete_report(DeleterSpec("pb"), a).F_1 > 0.99
+    off = 0.6 * (1 + 1e-8)  # |psi|^2 - 1 = 7.2e-9
+    assert bc.input_ket((off, 0.8)).amps[0] == off
+    assert len(cloners.ying_indices(2, [off, 0.8])) == 4
+    assert cloners.cerf_reparam([off, 0.8, 0.0, 0.0]).shape == (4,)
+    assert BlankState(off, 0.8).m1 == off
+
+
+R2 = np.array([0.6, 0.8])
+C2 = np.array([0.6, 0.8j])
+R3 = np.array([2.0, 1.0, 2.0]) / 3
+R4 = np.array([0.5, 0.5, -0.5, 0.5])
+C4 = np.array([0.5, 0.5j, -0.5, 0.5])
+
+# every entry of a ket from a caller: (the call on one ket, a unit ket it takes)
+KET_ENTRIES = {
+    "StateVector": (lambda k: StateVector((2, 2), k), C4),
+    "clone_reports": (lambda k: cloners.clone_reports(BH, [C2, k]), C2),
+    "delete_reports": (lambda k: deleters.delete_reports(DeleterSpec("pb"), [C2, k]), C2),
+    "input_amps": (bc.input_amps, R4),
+    "input_ket": (bc.input_ket, R2),
+    "nonlocal_coefficients": (lambda k: bc.nonlocal_coefficients([R2, k], 0.2), R2),
+    "broadcast_output_matrices": (lambda k: bc.broadcast_output_matrices(k, 0.2), R4),
+    "ying_indices": (lambda k: cloners.ying_indices(3, k), R3),
+    "cerf_reparam": (cloners.cerf_reparam, C4),
+    "BlankState": (lambda k: BlankState(k[0].real, k[1]), C2),
+}
+
+
+def _rejection(name, amps):
+    """The message of KET_ENTRIES[name] on amps, or None if it accepts them."""
+    try:
+        KET_ENTRIES[name][0](amps)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.floats(-2 * DENSITY_TOL, 2 * DENSITY_TOL).filter(
+        lambda dev: abs(abs(dev) - DENSITY_TOL) > 1e-6 * DENSITY_TOL
+    )
+)
+@example(DENSITY_TOL * (1 - 2e-6))
+@example(DENSITY_TOL * (1 + 2e-6))
+@example(-DENSITY_TOL * (1 - 2e-6))
+@example(-DENSITY_TOL * (1 + 2e-6))
+@example(1e-8)
+@settings(max_examples=40, deadline=None)
+def test_every_ket_entry_draws_the_same_line(dev):
+    """|psi|^2 = 1 + dev: every entry accepts within DENSITY_TOL, and rejects
+    outside it with the message of check_kets (BlankState with its own)."""
+    for name, (_, unit) in KET_ENTRIES.items():
+        message = _rejection(name, unit * math.sqrt(1 + dev))
+        if abs(dev) < DENSITY_TOL:
+            assert message is None, name
+        else:
+            expected = "blank state must satisfy" if name == "BlankState" else "state vector is not normalized"
+            assert message is not None and message.startswith(expected), name
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("name", KET_ENTRIES)
+def test_every_ket_entry_rejects_a_non_finite_amplitude(name, bad):
+    amps = KET_ENTRIES[name][1].copy()
+    amps[0] = bad
+    expected = "blank state must satisfy" if name == "BlankState" else "amplitudes must be finite"
+    assert _rejection(name, amps).startswith(expected)

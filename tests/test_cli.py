@@ -126,6 +126,17 @@ def test_usage_error_exit_code(capsys):
 
 def test_unknown_scope_is_usage_error(capsys):
     assert main(["verify", "bogus"]) == 2
+    scopes = sorted(verify._SCOPES)
+    assert capsys.readouterr().err == f"error: unknown scope 'bogus'; choose from {scopes} or 'all'\n"
+
+
+def test_a_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
+    def broken(scope):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(verify, "run", broken)
+    with pytest.raises(KeyError, match="a bug"):
+        main(["verify", "qcore"])
 
 
 def test_out_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from qclone import cloners, concat, deleters, hybrid
 from qclone.cloners import MachineSpec
 from qclone.deleters import BlankState, DeleterSpec
-from qclone.qcore import partial_trace
+from qclone.qcore import StateVector, partial_trace
 
 
 WZ_PB = concat.PipelineSpec(MachineSpec("wz"), DeleterSpec("pb"))
@@ -14,6 +14,12 @@ BH_PB = concat.PipelineSpec(MachineSpec("bh", (1 / 6,)), DeleterSpec("pb"))
 SDEP_PARAMS = (math.sqrt(3) / 2, 0.5j, 0.5j, math.sqrt(3) / 2)
 BH_SDEP = concat.PipelineSpec(MachineSpec("bh", (1 / 6,)), DeleterSpec("sdep", SDEP_PARAMS))
 WZ_SDEP = concat.PipelineSpec(MachineSpec("wz"), DeleterSpec("sdep", SDEP_PARAMS))
+
+
+def pipeline_state(spec, alpha2):
+    """The renormalized post-deletion pure state of the canonical pipeline, checked."""
+    dims, kets = concat._pipeline_kets(spec, [alpha2])
+    return StateVector(dims, kets[0])
 
 
 def test_basis_copier_pipeline():
@@ -82,7 +88,7 @@ def test_batched_pipeline_averages_match_per_node_loop():
     for spec in (WZ_PB, BH_PB, BH_SDEP):
         d_ref = f_ref = 0.0
         for a2, wi in zip((x + 1) / 2, w / 2):
-            rho = concat.pipeline_state(spec, a2).density()
+            rho = pipeline_state(spec, a2).density()
             psi = np.array([math.sqrt(a2), math.sqrt(1 - a2)])
             diff = partial_trace(rho, [0]).mat - np.outer(psi, psi)
             d_ref += wi * np.trace(diff @ diff).real

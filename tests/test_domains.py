@@ -204,9 +204,9 @@ def test_kernel_checks_scalars_and_arrays_with_open_and_closed_ends():
         with pytest.raises(ValueError) as exc:
             qcore.ALPHA2.check(np.asarray(bad))
         assert str(exc.value) == f"alpha^2 must lie in [0, 1], got {shown}"
-    assert qcore.check_alpha2(0.3) == 0.3
+    assert qcore.ALPHA2.check(0.3) == 0.3
     with pytest.raises(ValueError, match=r"^--alpha2 must lie in \[0, 1\], got -1$"):
-        qcore.check_alpha2(-1, "--alpha2")
+        qcore.ALPHA2.check(-1, "--alpha2")
 
 
 RANGE_PHRASES = ("must lie in", "must be <=", "must be >=")

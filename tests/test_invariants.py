@@ -19,6 +19,7 @@ from qclone.cloners import MachineSpec
 from qclone.deleters import DeleterSpec
 from qclone.qcore import ALPHA2, DensityOperator, StateVector, apply_isometry, check_densities, partial_trace
 from test_cloners import ONE_TO_M_PARAMS, one_to_m_cases
+from test_concat import pipeline_state
 from test_deleters import DELETER_PARAMS, deleter_cases
 
 TWO_TO_M_PARAMS = {"mixed-23": st.just(()), "mixed-2m": st.tuples(st.integers(3, 6))}
@@ -104,7 +105,7 @@ def _broadcast_ops(amps, lam):
 
 
 def _pipeline_ops(spec, alpha2):
-    state = concat.pipeline_state(spec, alpha2)
+    state = pipeline_state(spec, alpha2)
     return [state.density()] + [partial_trace(state, [k]) for k in range(len(state.dims))]
 
 

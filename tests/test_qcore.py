@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import product
 
@@ -22,7 +23,6 @@ from qclone.qcore import (
     check_kets,
     hermitian_eigvals,
     ket,
-    kron_all,
     partial_trace,
     partial_transpose,
     permute_subsystems,
@@ -36,6 +36,11 @@ from qclone import broadcast as bc
 from qclone.cloners import MachineSpec, bh_gram, build_bh_opt, build_wz
 from qclone.deleters import DeleterSpec
 from qclone.verify import CheckResult
+
+
+def kron_all(*factors) -> np.ndarray:
+    """The tensor product of kets or matrices, leftmost factor most significant."""
+    return functools.reduce(np.kron, factors)
 
 
 def random_density(rng, dims):
