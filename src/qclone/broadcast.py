@@ -26,8 +26,10 @@ from .qcore import (
     PAULI_X,
     PAULI_Z,
     StateVector,
+    _check_x_state,
     _derived,
     _derived_ket,
+    _real_amplitudes,
     bell_project,
     bell_state,
     check_densities,
@@ -77,8 +79,9 @@ def sd_cloner_lambda_star(alpha2: float) -> float:
 def _coerce_input(amplitudes) -> np.ndarray:
     """(alpha1, beta1) or (alpha1, beta1, gamma1, delta1) -> 4-vector
     ordered as the coefficients of |00>, |11>, |10>, |01>; an (n, 2) or
-    (n, 4) stack of inputs -> an (n, 4) array, each input ket checked."""
-    a = np.asarray(amplitudes, dtype=float)
+    (n, 4) stack of inputs -> an (n, 4) array, each input ket checked.
+    Complex amplitudes with a nonzero imaginary part raise ValueError."""
+    a = _real_amplitudes(amplitudes)
     a = a if a.ndim == 2 else a.reshape(-1)
     if a.shape[-1] == 2:
         a, pair = np.zeros(a.shape[:-1] + (4,)), a
@@ -199,25 +202,55 @@ def _assemble(co: Dict[str, float], prefix: str = "C") -> np.ndarray:
     return m.reshape(shape + (4, 4))
 
 
+def _output_terms(amps: np.ndarray, lmbda):
+    """The C, K and K' coefficient sets of the nonlocal pair AB' and the
+    local pairs AA' and BB', from coerced amplitudes, each with its prefix.
+    One input's coefficients are Python floats: the arithmetic of numpy
+    float64 scalars, at a fraction of its cost."""
+    amps = amps.tolist() if amps.ndim == 1 else amps.T
+    return (
+        (_nonlocal_terms(*amps, lmbda), "C"),
+        (_local_terms(*amps, lmbda, "A"), "K"),
+        (_local_terms(*amps, lmbda, "B"), "K"),
+    )
+
+
 def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]:
     """Closed-form output matrices, (4, 4) for one input and (n, 4, 4) for
     an (n, 2) or (n, 4) stack; for lambda < 1/6 with coherent inputs the
     local pairs can fail positivity (the machine regime ends there)."""
     COPIER_LAMBDA.check(lmbda)
-    amps = _coerce_input(amplitudes).T
-    c = _assemble(_nonlocal_terms(*amps, lmbda), "C")
-    k_a = _assemble(_local_terms(*amps, lmbda, "A"), "K")
-    k_b = _assemble(_local_terms(*amps, lmbda, "B"), "K")
+    c, k_a, k_b = (_assemble(co, prefix) for co, prefix in _output_terms(_coerce_input(amplitudes), lmbda))
     return {"AB'": c, "A'B": c, "AA'": k_a, "BB'": k_b}
 
 
+# the coefficient names of rho_00, rho_11, rho_22, rho_33, rho_03, rho_30,
+# rho_12 and rho_21 (see _ENTRY_NAMES)
+_X_NAMES = ("11", "22", "33", "44", "23", "23", "14", "14")
+
+
 def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
-    """Closed-form output operators of two local copiers on one pure input."""
-    mats = _one_input(broadcast_output_matrices(amplitudes, lmbda))
-    # rho_AB' = rho_A'B, one array; one stacked check for all three
-    stack = np.stack([mats["AB'"], mats["AA'"], mats["BB'"]])
-    check_densities(stack)
-    pair, aa, bb = (_derived((2, 2), m) for m in stack)
+    """Closed-form output operators of two local copiers on one pure input.
+
+    For an input alpha1|00> + beta1|11> (gamma1 = delta1 = 0, as every
+    two-amplitude input) the C and K coefficients off the X entries vanish,
+    so each of the three operators is an X state, checked on its
+    coefficients; any other input's three matrices take one stacked check,
+    which fails for some lambda < 1/6."""
+    COPIER_LAMBDA.check(lmbda)
+    a = _coerce_input(amplitudes)
+    if a.ndim != 1:
+        raise ValueError("need one input, not a stack")
+    terms = _output_terms(a, lmbda)
+    if a[2] or a[3]:
+        mats = np.stack([_assemble(co, prefix) for co, prefix in terms])
+        check_densities(mats)
+    else:
+        for co, prefix in terms:
+            _check_x_state(*(co[prefix + name] for name in _X_NAMES))
+        mats = [_assemble(co, prefix) for co, prefix in terms]
+    # rho_AB' = rho_A'B, one array
+    pair, aa, bb = (_derived((2, 2), m) for m in mats)
     return {"AB'": pair, "A'B": pair, "AA'": aa, "BB'": bb}
 
 
@@ -532,20 +565,49 @@ def _rho_146_terms():
 _RHO_146_A2, _RHO_146_UP, _RHO_146_DOWN, _RHO_146_B2 = _rho_146_terms()
 
 
+# The closed-form protocol operators are built from a few scalars, and
+# checked on those scalars as X states (qcore._check_x_state), with the
+# tests and tolerance of check_densities: no eigensolve.  The matrix is
+# divided by norm in numpy, which multiplies by 1 / norm; dividing the
+# Python scalars instead would move some entries by their last bit.
+
+
 def rho_146_closed(alpha) -> DensityOperator:
     """Closed-form three-qubit operator of the both-machines-in-the-first-
-    branch outcome (qubit order 1, 4, 6)."""
+    branch outcome (qubit order 1, 4, 6).
+
+    It is the direct sum of two 2x2 blocks, on {|000>, |1>psi+} and
+    {|0>psi+, |111>}, each with a coherence of modulus |alpha beta| sqrt(2)
+    / 27 / norm, of the weight w = beta^2 / 54 / norm on |011> and on
+    |100>, and of zero on |0>psi- and |1>psi-."""
     alpha = complex(alpha)
     a2 = _alpha_weight(alpha)
     beta2 = 1 - a2
     beta = math.sqrt(beta2)
     norm = (3 * a2 + 1) / 9
     ab = alpha * np.conj(beta)
-    m = (4 * a2 / 9) * _RHO_146_A2
-    m += (np.conj(ab) / 9) * (math.sqrt(2) / 3) * _RHO_146_UP
-    m += (ab / 9) * (math.sqrt(2) / 3) * _RHO_146_DOWN
-    m += (beta2 / 36) * (2 / 3) * _RHO_146_B2
-    return DensityOperator((2, 2, 2), m / norm)
+    a = 4 * a2 / 9
+    up = (np.conj(ab) / 9) * (math.sqrt(2) / 3)
+    down = (ab / 9) * (math.sqrt(2) / 3)
+    w = (beta2 / 36) * (2 / 3)  # each of the six projectors of the beta^2 term
+    c_up, c_down = complex(up) / norm, complex(down) / norm
+    _check_x_state(
+        (a * (2 / 3) + w) / norm,  # |000>
+        (a * (1 / 3) + w) / norm,  # |0>psi+
+        w / norm,  # |111>
+        w / norm,  # |1>psi+
+        c_up,
+        c_down,
+        c_up,
+        c_down,
+        w / norm,  # |011>
+        w / norm,  # |100>
+    )
+    m = a * _RHO_146_A2
+    m += up * _RHO_146_UP
+    m += down * _RHO_146_DOWN
+    m += w * _RHO_146_B2
+    return _derived((2, 2, 2), m / norm)
 
 
 def rho_16_closed(alpha) -> DensityOperator:
@@ -553,39 +615,47 @@ def rho_16_closed(alpha) -> DensityOperator:
     a2 = _alpha_weight(alpha)
     beta = math.sqrt(1 - a2)
     norm = (3 * a2 + 1) / 9
+    p0, p1 = (4 * a2 / 9) * (5 / 6), (4 * a2 / 9) * (1 / 6)
+    c = 2 * alpha * beta / 27  # the |00><11| coherence
+    d = (1 - a2) / 36  # the white-noise share of every diagonal entry
+    _check_x_state(
+        (p0 + d) / norm, (p1 + d) / norm, d / norm, d / norm, c / norm, c.conjugate() / norm, 0.0, 0.0
+    )
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (4 * a2 / 9) * (5 / 6)
-    m[1, 1] = (4 * a2 / 9) * (1 / 6)
-    m[0, 3] = 2 * alpha * beta / 27
-    m[3, 0] = np.conj(m[0, 3])
-    m += (1 - a2) / 36 * np.eye(4)
-    return DensityOperator((2, 2), m / norm)
+    m[0, 0] = p0
+    m[1, 1] = p1
+    m[0, 3] = c
+    m[3, 0] = c.conjugate()
+    m += d * np.eye(4)
+    return _derived((2, 2), m / norm)
 
 
 def rho_46_closed(alpha) -> DensityOperator:
     a2 = _alpha_weight(alpha)
     b2 = 1 - a2
     norm = (3 * a2 + 1) / 9
-    s = np.zeros((4, 4))
-    s[1:3, 1:3] = 1.0
+    p0 = (4 * a2 / 9) * (2 / 3) + (b2 / 36) * (4 / 3)
+    p3 = (b2 / 36) * (4 / 3)
+    f = (4 * a2 / 9) * (1 / 6) + (b2 / 36) * (2 / 3)  # every entry of the {|01>, |10>} block
+    _check_x_state(p0 / norm, f / norm, f / norm, p3 / norm, 0.0, 0.0, f / norm, f / norm)
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] += (4 * a2 / 9) * (2 / 3) + (b2 / 36) * (4 / 3)
-    m[3, 3] += (b2 / 36) * (4 / 3)
-    m += ((4 * a2 / 9) * (1 / 6) + (b2 / 36) * (2 / 3)) * s
-    return DensityOperator((2, 2), m / norm)
+    m[0, 0] = p0
+    m[3, 3] = p3
+    m[1:3, 1:3] = f
+    return _derived((2, 2), m / norm)
 
 
 def rho_12_closed(alpha) -> DensityOperator:
     a2 = _alpha_weight(alpha)
-    b2 = 1 - a2
     norm = (3 * a2 + 1) / 9
+    a, b = 4 * a2 / 9, (1 - a2) / 36
+    p = (a * (5 / 6) + b * (1 / 3), a * (1 / 6) + b * (5 / 3), b * (5 / 3), b * (1 / 3))
+    c = b * (4 / 3)  # the |01><10| coherence
+    _check_x_state(p[0] / norm, p[1] / norm, p[2] / norm, p[3] / norm, 0.0, 0.0, c / norm, c / norm)
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (4 * a2 / 9) * (5 / 6) + (b2 / 36) * (1 / 3)
-    m[1, 1] = (4 * a2 / 9) * (1 / 6) + (b2 / 36) * (5 / 3)
-    m[2, 2] = (b2 / 36) * (5 / 3)
-    m[3, 3] = (b2 / 36) * (1 / 3)
-    m[1, 2] = m[2, 1] = (b2 / 36) * (4 / 3)
-    return DensityOperator((2, 2), m / norm)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p
+    m[1, 2] = m[2, 1] = c
+    return _derived((2, 2), m / norm)
 
 
 class Boundary(NamedTuple):

@@ -24,6 +24,7 @@ from .qcore import (
     MachineIsometry,
     StateVector,
     _derived,
+    _real_amplitudes,
     bell_state,
     check_kets,
     domain,
@@ -343,7 +344,6 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
     for (n_machines, n) results, on (n, d) or (n_machines, n, d) inputs.
     """
     machine = _copier(spec)
-    dims = machine.out_dims
     (d,) = machine.in_dims
     amps = np.asarray(amps, dtype=complex)
     if amps.ndim < 2 or amps.shape[-1] != d or not amps.shape[-2]:
@@ -351,6 +351,13 @@ def clone_reports(spec: MachineSpec, amps) -> CloneReports:
         machines = f"a stack of {len(m)} {spec.family} machines" if m.ndim > 2 else spec
         raise ValueError(f"inputs of shape {amps.shape} incompatible with {machines}: need (n, {d}), n >= 1")
     check_kets(amps)
+    return _clone_reports(machine, amps)
+
+
+def _clone_reports(machine: MachineIsometry, amps: np.ndarray) -> CloneReports:
+    """:func:`clone_reports` of a copier on a complex stack of checked kets."""
+    dims = machine.out_dims
+    d = amps.shape[-1]
     out = amps @ machine.matrix.swapaxes(-1, -2)
     clones = reduce_ket(out, dims, [0, 1])
     rho_a, rho_b = (reduce_ket(out, dims, [k]) for k in (0, 1))
@@ -378,7 +385,7 @@ def clone_report(spec: MachineSpec, state: StateVector) -> CloneReport:
         raise ValueError(f"the {spec.family} spec builds a stack of machines: use clone_reports")
     if state.dims != machine.in_dims:
         raise ValueError(f"input dims {state.dims} incompatible with {spec}")
-    reps = clone_reports(spec, state.amps[None])
+    reps = _clone_reports(machine, state.amps[None])  # a StateVector's ket is checked
     return CloneReport(
         _derived(state.dims * 2, reps.rho_out[0]),
         _derived(state.dims, reps.rho_a[0]),
@@ -393,12 +400,7 @@ def ying_indices(n: int, amplitudes) -> tuple:
     ``amplitudes`` is one real ket of shape (n,), for four floats, or a
     (k, n) stack of them, for four arrays of k indices from one batched run.
     """
-    amps = np.asarray(amplitudes)
-    if np.iscomplexobj(amps):
-        if np.any(amps.imag != 0):
-            raise ValueError("amplitudes must be real")
-        amps = amps.real
-    amps = amps.astype(float)
+    amps = _real_amplitudes(amplitudes)
     if amps.ndim not in (1, 2) or amps.shape[-1] != n:
         raise ValueError("need n >= 2 real amplitudes")
     reps = clone_reports(MachineSpec("wz-n", (n,)), amps.reshape(-1, n))

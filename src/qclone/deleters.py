@@ -326,6 +326,13 @@ def delete_reports(spec: DeleterSpec, amps, n_transformers: int = 0) -> Deletion
     if psi.ndim < 2 or psi.shape[-1] != 2 or not psi.shape[-2]:
         raise ValueError(f"inputs of shape {psi.shape} are not an (n, 2) stack of qubit kets, n >= 1")
     check_kets(psi)
+    return _delete_reports(spec, machine, a_vec, psi, n_transformers)
+
+
+def _delete_reports(
+    spec: DeleterSpec, machine: MachineIsometry, a_vec, psi: np.ndarray, n_transformers: int
+) -> DeletionReports:
+    """:func:`delete_reports` with the spec's parts, on a complex stack of checked kets."""
     kets, rho_1, rho_2, f1, f2 = _marginal_fidelities(spec, machine, psi, n_transformers)
     rho_3 = overlap_m = None
     if len(machine.out_dims) > 2:
@@ -343,7 +350,8 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     """
     if state.dims != (2,):
         raise ValueError("delete_report expects the single-qubit input state")
-    reps = delete_reports(spec, state.amps[None], n_transformers)
+    machine, a_vec = _deleter_parts(spec)
+    reps = _delete_reports(spec, machine, a_vec, state.amps[None], n_transformers)  # a StateVector's ket is checked
     if reps.F_1.ndim > 1:  # (n_machines, 1): the spec built a machine stack
         raise ValueError(f"the {spec.family} spec builds a stack of deleters: use delete_reports")
     rho_3 = overlap_m = None

@@ -202,11 +202,25 @@ def check_kets(amps: np.ndarray) -> None:
     without an eigensolve.  A NaN or inf fails the norm test first.
     """
     sq = amps.real**2 + amps.imag**2 if amps.dtype.kind == "c" else amps * amps
-    worst = abs(sq.sum(-1) - 1.0).max()  # builtin abs: cheap on the scalar of one ket
+    dev = np.add.reduce(sq, -1) - 1.0  # the reduction ndarray.sum makes, without its wrapper
+    # one ket in Python floats: ndarray.max costs microseconds on a 0-d result
+    worst = abs(float(dev)) if amps.ndim == 1 else abs(dev).max()
     if not worst <= DENSITY_TOL:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         raise ValueError(f"state vector is not normalized (|psi|^2 deviates from 1 by {worst:.3g})")
+
+
+def _real_amplitudes(amplitudes) -> np.ndarray:
+    """``amplitudes`` as a float array.  A complex array whose imaginary
+    parts are all zero is taken as real; any other raises ValueError, where
+    a cast would drop the imaginary parts with only a ComplexWarning."""
+    a = np.asarray(amplitudes)
+    if a.dtype.kind == "c":
+        if (a.imag != 0).any():
+            raise ValueError("amplitudes must be real")
+        a = a.real
+    return a.astype(float, copy=False)
 
 
 _NOT_HERMITIAN = "density operator is not Hermitian (deviation {:.3g})"
@@ -244,11 +258,16 @@ def check_densities(mats: np.ndarray) -> None:
         raise ValueError(_NOT_PSD)
 
 
-def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21) -> None:
+def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21, *diagonal) -> None:
     """check_densities on one X state, from its :func:`_x_entries`, in
     Python scalars: every other entry is zero, so only these eight can
     differ from their conjugate partners or enter the trace.  The tests and
-    messages are the general ones, NaN failing too."""
+    messages are the general ones, NaN failing too.
+
+    A larger operator that is the direct sum of two 2x2 blocks and 1x1
+    blocks passes its blocks as the X state's {0, 3} and {1, 2} pairs and
+    its 1x1 blocks, real numbers, as ``diagonal``: they enter the trace and
+    the PSD test (a zero block may be left out)."""
     devs = (
         abs(p00 - p00.conjugate()),
         abs(p11 - p11.conjugate()),
@@ -256,15 +275,18 @@ def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21) -> None:
         abs(p33 - p33.conjugate()),
         abs(r03 - r30.conjugate()),
         abs(r12 - r21.conjugate()),
+        *[abs(d - d.conjugate()) for d in diagonal],
     )
     if not all(map(DENSITY_TOL.__ge__, devs)):
         # the largest deviation, NaN if any is NaN, as ndarray.max gives it
         raise ValueError(_NOT_HERMITIAN.format(np.max(devs)))
     # the entries are finite now: a NaN or infinite one fails the test above
-    worst = abs((p00 + p11 + p22 + p33).real - 1.0)
+    worst = abs((p00 + p11 + p22 + p33 + sum(diagonal)).real - 1.0)
     if not worst <= DENSITY_TOL:
         raise ValueError(_BAD_TRACE.format(worst))
-    if not _x_min_eigenvalue(*_x_moduli(p00, p11, p22, p33, r03, r30, r12, r21)) >= -DENSITY_TOL:
+    # builtin min on Python floats: np.minimum costs microseconds on scalars
+    outer, inner = _x_block_minima(*_x_moduli(p00, p11, p22, p33, r03, r30, r12, r21))
+    if not min(outer, inner, *diagonal) >= -DENSITY_TOL:
         raise ValueError(_NOT_PSD)
 
 
@@ -324,13 +346,19 @@ def _x_state(mats: np.ndarray):
     return None if x is None else _x_moduli(*x)
 
 
-def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):
-    """Smallest eigenvalue of an X matrix with diagonal p and coherence
-    moduli c_outer on {0, 3} and c_inner on {1, 2}, for floats or arrays:
-    the smaller eigenvalue of [[a, z], [z*, d]] is (a+d)/2 - sqrt((a-d)^2/4 + |z|^2)."""
+def _x_block_minima(p00, p11, p22, p33, c_outer, c_inner):
+    """The smaller eigenvalues of the blocks {0, 3} and {1, 2} of an X
+    matrix with diagonal p and coherence moduli c_outer and c_inner, for
+    floats or arrays: the smaller eigenvalue of [[a, z], [z*, d]] is
+    (a+d)/2 - sqrt((a-d)^2/4 + |z|^2)."""
     outer = (p00 + p33) / 2 - ((p00 - p33) ** 2 / 4 + c_outer * c_outer) ** 0.5
     inner = (p11 + p22) / 2 - ((p11 - p22) ** 2 / 4 + c_inner * c_inner) ** 0.5
-    return np.minimum(outer, inner)
+    return outer, inner
+
+
+def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):
+    """Smallest eigenvalue of an X matrix (see :func:`_x_block_minima`)."""
+    return np.minimum(*_x_block_minima(p00, p11, p22, p33, c_outer, c_inner))
 
 
 class _MachineIsometry(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -604,6 +605,129 @@ def _rho_146_reference(alpha):
 @pytest.mark.parametrize("alpha", [0, 0.3, 0.6 + 0.2j, 1j, 1])
 def test_rho_146_closed_equals_per_call_construction(alpha):
     assert np.array_equal(bc.rho_146_closed(alpha).mat, _rho_146_reference(alpha))
+
+
+def _rho_146_first(alpha):
+    """rho_146 as its constant-operator form first built it: the four
+    alpha-independent operators, built here, weighted and summed in numpy."""
+    z = np.kron(ket(0), np.kron(ket(0), ket(0)))
+    o = np.kron(ket(1), np.kron(ket(1), ket(1)))
+    zpsi, opsi = np.kron(ket(0), bell_state("psi+")), np.kron(ket(1), bell_state("psi+"))
+    z11 = np.kron(ket(0), np.kron(ket(1), ket(1)))
+    o00 = np.kron(ket(1), np.kron(ket(0), ket(0)))
+    a2_term = (2 / 3) * np.outer(z, z) + (1 / 3) * np.outer(zpsi, zpsi)
+    up, down = np.outer(z, opsi) + np.outer(zpsi, o), np.outer(o, zpsi) + np.outer(opsi, z)
+    b2_term = sum(np.outer(v, v) for v in (z11, zpsi, z, o, opsi, o00))
+    alpha = complex(alpha)
+    a2 = abs(alpha) ** 2
+    beta2 = 1 - a2
+    beta = math.sqrt(beta2)
+    norm = (3 * a2 + 1) / 9
+    ab = alpha * np.conj(beta)
+    m = (4 * a2 / 9) * a2_term
+    m += (np.conj(ab) / 9) * (math.sqrt(2) / 3) * up
+    m += (ab / 9) * (math.sqrt(2) / 3) * down
+    m += (beta2 / 36) * (2 / 3) * b2_term
+    return m / norm
+
+
+def _pair_operators_first(alpha):
+    """rho_16, rho_46 and rho_12 as first built: numpy matrices filled entry
+    by entry, with the identity or the {|01>, |10>} block added as arrays,
+    and divided by norm in numpy."""
+    alpha = complex(alpha)
+    a2 = abs(alpha) ** 2
+    b2 = 1 - a2
+    beta = math.sqrt(b2)
+    norm = (3 * a2 + 1) / 9
+    m16 = np.zeros((4, 4), dtype=complex)
+    m16[0, 0] = (4 * a2 / 9) * (5 / 6)
+    m16[1, 1] = (4 * a2 / 9) * (1 / 6)
+    m16[0, 3] = 2 * alpha * beta / 27
+    m16[3, 0] = np.conj(m16[0, 3])
+    m16 += (1 - a2) / 36 * np.eye(4)
+    s = np.zeros((4, 4))
+    s[1:3, 1:3] = 1.0
+    m46 = np.zeros((4, 4), dtype=complex)
+    m46[0, 0] += (4 * a2 / 9) * (2 / 3) + (b2 / 36) * (4 / 3)
+    m46[3, 3] += (b2 / 36) * (4 / 3)
+    m46 += ((4 * a2 / 9) * (1 / 6) + (b2 / 36) * (2 / 3)) * s
+    m12 = np.zeros((4, 4), dtype=complex)
+    m12[0, 0] = (4 * a2 / 9) * (5 / 6) + (b2 / 36) * (1 / 3)
+    m12[1, 1] = (4 * a2 / 9) * (1 / 6) + (b2 / 36) * (5 / 3)
+    m12[2, 2] = (b2 / 36) * (5 / 3)
+    m12[3, 3] = (b2 / 36) * (1 / 3)
+    m12[1, 2] = m12[2, 1] = (b2 / 36) * (4 / 3)
+    return {"rho_16": m16 / norm, "rho_46": m46 / norm, "rho_12": m12 / norm}
+
+
+def _bit_alphas():
+    """The ends and signed zeros of the alpha domain, and fresh complex alphas."""
+    rng = np.random.default_rng(146)
+    fresh = np.sqrt(rng.uniform(0, 1, 300)) * np.exp(2j * math.pi * rng.uniform(0, 1, 300))
+    edges = [0, 1, -1, 1j, -1j, -0.6, 0.6, complex(0.6, -0.0), complex(-0.0, 0.6), complex(-0.6, -0.0)]
+    return edges + fresh.tolist() + fresh.real.tolist()
+
+
+def test_the_closed_form_protocol_operators_keep_their_bits():
+    """The oracles run on the numpy at hand, so the bits are those that
+    numpy gives the first construction."""
+    for alpha in _bit_alphas():
+        assert bc.rho_146_closed(alpha).mat.tobytes() == _rho_146_first(alpha).tobytes(), alpha
+        for name, m in _pair_operators_first(alpha).items():
+            assert getattr(bc, name + "_closed")(alpha).mat.tobytes() == m.tobytes(), (name, alpha)
+
+
+def _broadcast_first(amplitudes, lmbda):
+    """The AB', AA' and BB' matrices as first built: the C and K coefficients
+    in numpy float64 scalars, assembled one by one."""
+    a = bc._coerce_input(amplitudes)  # (4,): *a gives numpy scalars
+    return (
+        bc._assemble(bc._nonlocal_terms(*a, lmbda), "C"),
+        bc._assemble(bc._local_terms(*a, lmbda, "A"), "K"),
+        bc._assemble(bc._local_terms(*a, lmbda, "B"), "K"),
+    )
+
+
+def test_the_broadcast_outputs_keep_their_bits():
+    rng = np.random.default_rng(30)
+    cases = [((0.6, 0.8), 0.0), ((0.6, -0.8), 0.5), ((1.0, 0.0), 0.05), ((0.0, -1.0, 0.0, 0.0), 0.2)]
+    for _ in range(200):
+        t = rng.uniform(0, 2 * math.pi)
+        pair = (math.cos(t), math.sin(t))
+        cases += [(pair, rng.uniform(0, 0.5)), (pair + (0.0, 0.0), rng.uniform(0, 0.5))]
+        v = rng.normal(size=4)
+        cases.append((v / np.linalg.norm(v), rng.uniform(1 / 6, 0.5)))
+    for amps, lam in cases:
+        first = _broadcast_first(amps, lam)
+        ops = bc.broadcast_outputs(amps, lam)
+        mats = bc.broadcast_output_matrices(amps, lam)
+        for got in (ops, mats):
+            got = [getattr(got[key], "mat", got[key]) for key in ("AB'", "A'B", "AA'", "BB'")]
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in (first[0],) + first], (amps, lam)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        bc.input_amps,
+        bc.input_ket,
+        lambda k: bc.broadcast_outputs(k, 0.2),
+        lambda k: bc.broadcast_output_matrices(k, 0.2),
+        lambda k: bc.nonlocal_coefficients(k, 0.2),
+    ],
+    ids=["input_amps", "input_ket", "broadcast_outputs", "broadcast_output_matrices", "nonlocal_coefficients"],
+)
+def test_complex_amplitudes_are_rejected_not_cast(fn):
+    """A cast to float would drop 0.05j and pass 0.6|00> + 0.8|11>, although
+    |psi|^2 = 1.0025; a complex array with zero imaginary parts is real."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning either
+        for bad in (np.array([0.6, 0.8 + 0.05j]), [0.6, 0.8 + 0.05j], np.array([[0.6, 0.8], [0.6, 0.8 + 0.05j]])):
+            with pytest.raises(ValueError, match="^amplitudes must be real$"):
+                fn(bad)
+        fn(np.array([0.6 + 0j, 0.8 + 0j]))
+    assert np.array_equal(bc.input_amps(np.array([0.6 + 0j, 0.8])), bc.input_amps([0.6, 0.8]))
 
 
 def test_rho_146_constant_operators_are_read_only():

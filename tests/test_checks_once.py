@@ -1,12 +1,15 @@
 """The validation policy: a matrix or a ket is checked where it enters the program.
 
-Caller-built DensityOperators and the closed-form operators pass
-check_densities; every ket a caller hands in passes check_kets once, under
-DENSITY_TOL.  A matrix the program derives from checked operands (a ket
-reduction, a partial trace, a tensor product, a permutation, V rho V^dag, a
-Bell-projection branch) is never checked again; tests/test_invariants.py
-holds that invariant instead.  Nor is a derived ket (V|psi>, a tensor
-product of kets, a normalized measurement branch).
+Caller-built DensityOperators pass check_densities, and so do the three
+broadcast outputs of an input with gamma1 or delta1 nonzero, in one stack.
+The other closed-form operators are checked on the scalars they are built
+from, by the scalar X-state kernel, with no eigensolve.  Every ket a caller
+hands in passes check_kets once, under DENSITY_TOL.  A matrix the program
+derives from checked operands (a ket reduction, a partial trace, a tensor
+product, a permutation, V rho V^dag, a Bell-projection branch) is never
+checked again; tests/test_invariants.py holds that invariant instead.  Nor
+is a derived ket (V|psi>, a tensor product of kets, a normalized
+measurement branch).
 """
 
 import math
@@ -94,20 +97,58 @@ def test_a_density_operator_built_from_caller_data_is_checked_once(checks):
     assert shapes(checks) == [(2, 2)]
 
 
-def test_broadcast_outputs_check_their_three_operators_in_one_stack(checks):
+@pytest.fixture
+def x_checks(monkeypatch):
+    """The entries that broadcast's scalar X-state checks receive, in call order."""
+    seen = []
+    check = qcore._check_x_state
+    monkeypatch.setattr(bc, "_check_x_state", lambda *x: seen.append(x) or check(*x))
+    return seen
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The shapes that np.linalg.eigvalsh receives, in call order."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: seen.append(a.shape) or eigvalsh(a, *args, **kw))
+    return seen
+
+
+# every closed form checked on its scalars: the call, and its number of X-state
+# checks (one per operator; rho_146's blocks make one X state and two weights)
+SCALAR_CHECKED = {
+    "rho_146_closed": (lambda: bc.rho_146_closed(0.6j), 1),
+    "rho_16_closed": (lambda: bc.rho_16_closed(0.6j), 1),
+    "rho_46_closed": (lambda: bc.rho_46_closed(0.6), 1),
+    "rho_12_closed": (lambda: bc.rho_12_closed(0.6), 1),
+    "broadcast_outputs (alpha1, beta1)": (lambda: bc.broadcast_outputs((0.6, 0.8), 0.05), 3),
+    "broadcast_outputs (alpha1, beta1, 0, 0)": (lambda: bc.broadcast_outputs((0.6, -0.8, 0.0, 0.0), 0.3), 3),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CHECKED)
+def test_a_closed_form_operator_is_checked_on_its_scalars(checks, x_checks, eigensolves, name):
+    make, count = SCALAR_CHECKED[name]
+    out = make()
+    assert shapes(checks) == [] and eigensolves == []
+    assert len(x_checks) == count
+    if isinstance(out, dict):
+        assert out["AB'"] is out["A'B"]
+
+
+def test_a_four_amplitude_broadcast_input_is_checked_in_one_stack(checks, x_checks):
     out = bc.broadcast_outputs([0.6, 0.0, 0.0, 0.8], 0.19)
-    assert shapes(checks) == [(3, 4, 4)]
+    assert shapes(checks) == [(3, 4, 4)] and x_checks == []
+    assert out["AB'"] is out["A'B"]
     assert sum(np.shares_memory(rho.mat, checks[0]) for rho in out.values()) == 4  # AB' is A'B
 
 
-@pytest.mark.parametrize(
-    "closed_form",
-    [bc.rho_146_closed, bc.rho_16_closed, bc.rho_46_closed, bc.rho_12_closed],
-    ids=lambda fn: fn.__name__,
-)
-def test_a_closed_form_operator_is_checked_once(checks, closed_form):
-    rho = closed_form(0.6)
-    assert shapes(checks) == [rho.mat.shape]
+def test_a_four_amplitude_broadcast_input_can_fail_its_check():
+    """0.6|00> + 0.8|01> at lambda = 0.05, below the machine regime: the
+    local pairs are not positive, and the stacked check says so."""
+    with pytest.raises(ValueError, match="^density operator has a significantly negative eigenvalue$"):
+        bc.broadcast_outputs((0.6, 0, 0, 0.8), 0.05)
 
 
 def test_herbert_ensembles_are_checked(checks):
@@ -175,6 +216,9 @@ DERIVED_KETS = {
     "three_qubit_protocol": lambda: bc.three_qubit_protocol(0.6, "Q0Q1"),
     "swap_extend": lambda: bc.swap_extend(RHO, "B1+"),
     "average_fidelities": _average_fidelities,
+    # a StateVector's ket was checked when it was built
+    "clone_report": lambda: cloners.clone_report(BH, PSI),
+    "delete_report": lambda: deleters.delete_report(DeleterSpec("conv", (0.3,)), PSI, 1),
 }
 
 

@@ -5,7 +5,9 @@ a reduction of a checked ket through a checked isometry, a partial trace, a
 tensor product or a unitary conjugation is Hermitian, PSD and unit-trace by
 construction.  This property holds every producer to check_densities over
 its domain instead, drawing each family from the per-family strategies of
-the batched-report tests; a family without a strategy fails it.
+the batched-report tests; a family without a strategy fails it.  The
+closed-form operators, checked at run time on the scalars they are built
+from, are held to check_densities on their matrices here too.
 """
 
 import math
@@ -38,12 +40,13 @@ def two_to_m_cases(draw):
     return spec, m / np.trace(m)
 
 
-@st.composite
-def protocol_cases(draw):
-    """A complex alpha with |alpha|^2 in [0, 1], and a branch."""
-    a2 = draw(st.floats(ALPHA2.least, ALPHA2.most))
-    phase = draw(st.floats(0.0, 2 * math.pi))
-    return math.sqrt(a2) * complex(math.cos(phase), math.sin(phase)), draw(st.sampled_from(bc.BRANCHES))
+# a complex alpha with |alpha|^2 in [0, 1]
+alphas = st.builds(
+    lambda a2, phase: math.sqrt(a2) * complex(math.cos(phase), math.sin(phase)),
+    st.floats(ALPHA2.least, ALPHA2.most),
+    st.floats(0.0, 2 * math.pi),
+)
+protocol_cases = st.tuples(alphas, st.sampled_from(bc.BRANCHES))  # and a branch
 
 
 @st.composite
@@ -104,6 +107,28 @@ def _broadcast_ops(amps, lam):
     return list(machine.values()) + list(channel.values())
 
 
+@st.composite
+def closed_form_cases(draw):
+    """A complex alpha for the four protocol operators, or broadcast_outputs'
+    input over its domain: (alpha1, beta1), bare or padded with two zeros,
+    with lambda in [0, 1/2], or four amplitudes with lambda in [1/6, 1/2]."""
+    kind = draw(st.sampled_from(["protocol", "alpha1|00> + beta1|11>", "four amplitudes"]))
+    if kind == "protocol":
+        return kind, draw(alphas)
+    if kind == "four amplitudes":
+        return kind, draw(broadcast_cases())
+    t = draw(st.floats(0.0, 2 * math.pi))
+    pair = (math.cos(t), math.sin(t))
+    amps = draw(st.sampled_from([pair, pair + (0.0, 0.0)]))
+    return kind, (amps, draw(st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most)))
+
+
+def _closed_form_ops(kind, args):
+    if kind == "protocol":
+        return [fn(args) for fn in (bc.rho_146_closed, bc.rho_16_closed, bc.rho_46_closed, bc.rho_12_closed)]
+    return list(bc.broadcast_outputs(*args).values())
+
+
 def _pipeline_ops(spec, alpha2):
     state = pipeline_state(spec, alpha2)
     return [state.density()] + [partial_trace(state, [k]) for k in range(len(state.dims))]
@@ -113,8 +138,9 @@ PRODUCERS = {
     "clone": (one_to_m_cases(), _clone_ops),
     "two-to-m": (two_to_m_cases(), _two_to_m_ops),
     "delete": (deleter_cases(), _delete_ops),
-    "protocol": (protocol_cases(), _protocol_ops),
+    "protocol": (protocol_cases, _protocol_ops),
     "broadcast": (broadcast_cases(), _broadcast_ops),
+    "closed_form": (closed_form_cases(), _closed_form_ops),
     "pipeline": (pipeline_cases, _pipeline_ops),
 }
 
