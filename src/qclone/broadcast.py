@@ -29,6 +29,7 @@ from .qcore import (
     _check_x_state,
     _derived,
     _derived_ket,
+    _derived_x,
     _real_amplitudes,
     bell_project,
     bell_state,
@@ -120,25 +121,26 @@ def nonlocal_coefficients(amplitudes, lmbda: float) -> Dict[str, float]:
     """C coefficients of the nonlocal pair output rho_AB' = rho_A'B, one
     array per name for a stack of inputs."""
     COPIER_LAMBDA.check(lmbda)
-    return _nonlocal_terms(*_coerce_input(amplitudes).T, lmbda)
+    a = _coerce_input(amplitudes)
+    return _nonlocal_terms(*(a.tolist() if a.ndim == 1 else a.T), lmbda)
 
 
 def _nonlocal_terms(a1, b1, g1, d1, lmbda):
-    """The C coefficients from the four amplitudes, on floats or on
-    equal-shape arrays (one coefficient array per name)."""
+    """The C coefficients of the four amplitudes, floats or equal-shape
+    arrays; every square is a product, since ** on a float calls pow."""
     mu = 1 - 2 * lmbda
-    lm = lmbda * (1 - lmbda)
+    lm, nu2, lam2, mu2 = lmbda * (1 - lmbda), (1 - lmbda) * (1 - lmbda), lmbda * lmbda, mu * mu
     return {
-        "C11": a1**2 * (1 - lmbda) ** 2 + b1**2 * lmbda**2 + lm * (d1**2 + g1**2),
+        "C11": a1 * a1 * nu2 + b1 * b1 * lam2 + lm * (d1 * d1 + g1 * g1),
         "C12": b1 * g1 * lmbda * mu + d1 * a1 * mu * (1 - lmbda),
         "C13": b1 * d1 * lmbda * mu + a1 * g1 * mu * (1 - lmbda),
-        "C14": mu**2 * g1 * d1,
-        "C22": d1**2 * (1 - lmbda) ** 2 + g1**2 * lmbda**2 + lm * (a1**2 + b1**2),
-        "C23": mu**2 * a1 * b1,
+        "C14": mu2 * g1 * d1,
+        "C22": d1 * d1 * nu2 + g1 * g1 * lam2 + lm * (a1 * a1 + b1 * b1),
+        "C23": mu2 * a1 * b1,
         "C24": a1 * g1 * lmbda * mu + b1 * d1 * mu * (1 - lmbda),
-        "C33": g1**2 * (1 - lmbda) ** 2 + d1**2 * lmbda**2 + lm * (a1**2 + b1**2),
+        "C33": g1 * g1 * nu2 + d1 * d1 * lam2 + lm * (a1 * a1 + b1 * b1),
         "C34": a1 * d1 * lmbda * mu + b1 * g1 * mu * (1 - lmbda),
-        "C44": a1**2 * lmbda**2 + b1**2 * (1 - lmbda) ** 2 + lm * (d1**2 + g1**2),
+        "C44": a1 * a1 * lam2 + b1 * b1 * nu2 + lm * (d1 * d1 + g1 * g1),
     }
 
 
@@ -151,7 +153,8 @@ def local_coefficients(amplitudes, lmbda: float, side: str = "A") -> Dict[str, f
     family they coincide with the published special-case operator.
     """
     COPIER_LAMBDA.check(lmbda)
-    return _local_terms(*_coerce_input(amplitudes).T, lmbda, side)
+    a = _coerce_input(amplitudes)
+    return _local_terms(*(a.tolist() if a.ndim == 1 else a.T), lmbda, side)
 
 
 def _local_terms(a1, b1, g1, d1, lmbda, side: str):
@@ -166,8 +169,8 @@ def _local_terms(a1, b1, g1, d1, lmbda, side: str):
         raise ValueError("side must be 'A' or 'B'")
     cross = (mu / 2) * (w0[0] * w0[1] + w1[0] * w1[1])
     return {
-        "K11": mu * (w0[0] ** 2 + w1[0] ** 2),
-        "K44": mu * (w0[1] ** 2 + w1[1] ** 2),
+        "K11": mu * (w0[0] * w0[0] + w1[0] * w1[0]),
+        "K44": mu * (w0[1] * w0[1] + w1[1] * w1[1]),
         "K22": lmbda,
         "K33": lmbda,
         "K14": lmbda,  # |01><10| coherence
@@ -224,19 +227,14 @@ def broadcast_output_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray]
     return {"AB'": c, "A'B": c, "AA'": k_a, "BB'": k_b}
 
 
-# the coefficient names of rho_00, rho_11, rho_22, rho_33, rho_03, rho_30,
-# rho_12 and rho_21 (see _ENTRY_NAMES)
-_X_NAMES = ("11", "22", "33", "44", "23", "23", "14", "14")
-
-
 def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
     """Closed-form output operators of two local copiers on one pure input.
 
     For an input alpha1|00> + beta1|11> (gamma1 = delta1 = 0, as every
     two-amplitude input) the C and K coefficients off the X entries vanish,
-    so each of the three operators is an X state, checked on its
-    coefficients; any other input's three matrices take one stacked check,
-    which fails for some lambda < 1/6."""
+    so each of the three operators is an X state, checked on its X entries
+    and carrying them; any other input's three matrices take one stacked
+    check, which fails for some lambda < 1/6."""
     COPIER_LAMBDA.check(lmbda)
     a = _coerce_input(amplitudes)
     if a.ndim != 1:
@@ -245,13 +243,10 @@ def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
     if a[2] or a[3]:
         mats = np.stack([_assemble(co, prefix) for co, prefix in terms])
         check_densities(mats)
+        pair, aa, bb = (_derived((2, 2), m) for m in mats)
     else:
-        for co, prefix in terms:
-            _check_x_state(*(co[prefix + name] for name in _X_NAMES))
-        mats = [_assemble(co, prefix) for co, prefix in terms]
-    # rho_AB' = rho_A'B, one array
-    pair, aa, bb = (_derived((2, 2), m) for m in mats)
-    return {"AB'": pair, "A'B": pair, "AA'": aa, "BB'": bb}
+        pair, aa, bb = (_derived_x(_assemble(co, prefix)) for co, prefix in terms)
+    return {"AB'": pair, "A'B": pair, "AA'": aa, "BB'": bb}  # rho_AB' = rho_A'B, one operator
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +560,11 @@ def _rho_146_terms():
 _RHO_146_A2, _RHO_146_UP, _RHO_146_DOWN, _RHO_146_B2 = _rho_146_terms()
 
 
-# The closed-form protocol operators are built from a few scalars, and
-# checked on those scalars as X states (qcore._check_x_state), with the
-# tests and tolerance of check_densities: no eigensolve.  The matrix is
-# divided by norm in numpy, which multiplies by 1 / norm; dividing the
-# Python scalars instead would move some entries by their last bit.
+# The closed-form protocol operators are X states, checked with the tests
+# and tolerance of check_densities, no eigensolve: rho_146 on its scalars,
+# a two-qubit one on its X entries, which it carries (qcore._derived_x).  The
+# matrix is divided by norm in numpy, which multiplies by 1 / norm; dividing
+# the Python scalars instead would move some entries by their last bit.
 
 
 def rho_146_closed(alpha) -> DensityOperator:
@@ -618,16 +613,13 @@ def rho_16_closed(alpha) -> DensityOperator:
     p0, p1 = (4 * a2 / 9) * (5 / 6), (4 * a2 / 9) * (1 / 6)
     c = 2 * alpha * beta / 27  # the |00><11| coherence
     d = (1 - a2) / 36  # the white-noise share of every diagonal entry
-    _check_x_state(
-        (p0 + d) / norm, (p1 + d) / norm, d / norm, d / norm, c / norm, c.conjugate() / norm, 0.0, 0.0
-    )
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = p0
     m[1, 1] = p1
     m[0, 3] = c
     m[3, 0] = c.conjugate()
     m += d * np.eye(4)
-    return _derived((2, 2), m / norm)
+    return _derived_x(m / norm)
 
 
 def rho_46_closed(alpha) -> DensityOperator:
@@ -637,12 +629,11 @@ def rho_46_closed(alpha) -> DensityOperator:
     p0 = (4 * a2 / 9) * (2 / 3) + (b2 / 36) * (4 / 3)
     p3 = (b2 / 36) * (4 / 3)
     f = (4 * a2 / 9) * (1 / 6) + (b2 / 36) * (2 / 3)  # every entry of the {|01>, |10>} block
-    _check_x_state(p0 / norm, f / norm, f / norm, p3 / norm, 0.0, 0.0, f / norm, f / norm)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = p0
     m[3, 3] = p3
     m[1:3, 1:3] = f
-    return _derived((2, 2), m / norm)
+    return _derived_x(m / norm)
 
 
 def rho_12_closed(alpha) -> DensityOperator:
@@ -651,11 +642,10 @@ def rho_12_closed(alpha) -> DensityOperator:
     a, b = 4 * a2 / 9, (1 - a2) / 36
     p = (a * (5 / 6) + b * (1 / 3), a * (1 / 6) + b * (5 / 3), b * (5 / 3), b * (1 / 3))
     c = b * (4 / 3)  # the |01><10| coherence
-    _check_x_state(p[0] / norm, p[1] / norm, p[2] / norm, p[3] / norm, 0.0, 0.0, c / norm, c / norm)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 1], m[2, 2], m[3, 3] = p
     m[1, 2] = m[2, 1] = c
-    return _derived((2, 2), m / norm)
+    return _derived_x(m / norm)
 
 
 class Boundary(NamedTuple):

@@ -219,7 +219,7 @@ def build_heis_asym(dim: int, p) -> MachineIsometry:
     """Optimal universal asymmetric copier for d-level systems (q = 1 - p), or a stack for an array of p."""
     d = DIMENSION.check(dim)
     q = 1.0 - PROBABILITY.check(p)
-    scale = 1 / np.sqrt(1 + (d - 1) * (p**2 + q**2))
+    scale = 1 / np.sqrt(1 + (d - 1) * (p * p + q * q))  # p**2 on a float may differ from a stack's p * p
     return _one_to_two_copier(d, scale, p * scale, q * scale)
 
 

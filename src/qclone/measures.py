@@ -120,13 +120,13 @@ def concurrence_2q(rho: DensityOperator) -> float:
     singular values of sqrt(rho~) sqrt(rho), which is numerically stabler
     for nearly pure states.  With rho~ = YY rho* YY and YY real, symmetric
     and unitary, sqrt(rho~) = YY sqrt(rho)* YY, and the leading unitary YY
-    leaves the singular values alone: one eigensolve serves both roots.
-    An X state needs none: C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22),
-    |rho_12| - sqrt(rho_00 rho_33)).
+    leaves the singular values alone: one eigensolve serves both roots.  An
+    X state needs none, and one built as such carries the numbers that
+    C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)) reads.
     """
     if rho.dims != (2, 2):
         raise ValueError("concurrence_2q requires a two-qubit state")
-    x = _x_state(rho.mat)
+    x = rho._x or _x_state(rho.mat)
     if x is not None:
         p00, p11, p22, p33, c03, c12 = x
         # a diagonal entry may lie below zero by the density tolerance
@@ -220,11 +220,11 @@ def ppt_verdict(rho: DensityOperator, split=(1,)) -> SeparabilityVerdict:
     W2-W4 come from the same partial transpose: on two qubits ``split``
     names one qubit, and the transposes over either qubit are transposes of
     each other, so their leading principal minors agree with
-    ``w_determinants``.  An X state takes both from closed forms.
+    ``w_determinants``.  An X state takes both from closed forms, on its carried moduli if any.
     """
     if rho.dims == (2, 2) and len(set(split)) != 1:
         raise ValueError(f"a two-qubit split names one qubit, got {tuple(split)}")
-    x = _x_state(rho.mat) if _qubit_split(rho.dims, split) else None
+    x = (rho._x or _x_state(rho.mat)) if _qubit_split(rho.dims, split) else None
     if x is not None:
         min_eig = float(_x_pt_min(x))
         w2, w3, w4 = _x_minors(x)
@@ -251,7 +251,7 @@ def w_determinants(rho: DensityOperator):
     with b = rho_11 rho_22 - |rho_03|^2."""
     if rho.dims != (2, 2):
         raise ValueError("w_determinants requires a two-qubit state")
-    x = _x_state(rho.mat)
+    x = rho._x or _x_state(rho.mat)
     if x is not None:
         return _x_minors(x)
     return _leading_minors(partial_transpose(rho.mat, rho.dims, (1,)))

@@ -102,7 +102,7 @@ class Checked:
     Such a record is a private NamedTuple of the fields, subclassed by the
     public class with ``__slots__ = ()`` and that ``__new__``, which ends in
     ``tuple.__new__(cls, fields)``.  Here ``_make``, and so ``_replace``,
-    goes through ``__new__``, and the repr leaves out array fields.
+    goes through ``__new__``; the repr names the public class, without arrays.
     """
 
     __slots__ = ()
@@ -113,7 +113,8 @@ class Checked:
 
     def __repr__(self):
         shown = (f"{k}={v!r}" for k, v in zip(self._fields, self) if not isinstance(v, np.ndarray))
-        return f"{type(self).__name__}({', '.join(shown)})"
+        name = next(c.__name__ for c in type(self).__mro__ if not c.__name__.startswith("_"))
+        return f"{name}({', '.join(shown)})"
 
 
 class _StateVector(NamedTuple):
@@ -155,6 +156,7 @@ class DensityOperator(Checked, _DensityOperator):
     """
 
     __slots__ = ()
+    _x = None  # the _x_moduli of an X state built as one (see _XOperator)
 
     def __new__(cls, dims, mat):
         rho = tuple.__new__(cls, (_as_dims(dims), np.asarray(mat, dtype=complex)))
@@ -186,6 +188,24 @@ def _derived(dims: tuple, mat: np.ndarray) -> DensityOperator:
     again; ``dims`` must already be valid.
     """
     return tuple.__new__(DensityOperator, (dims, mat))
+
+
+class _XOperator(DensityOperator):
+    """A DensityOperator with an instance dict, for :func:`_derived_x`."""
+
+    def __reduce__(self):  # a copy or an unpickled twin is read-only and carries its own moduli
+        return _derived_x, (self.mat,)
+
+
+def _derived_x(mat: np.ndarray) -> DensityOperator:
+    """A two-qubit X state's (4, 4) matrix, checked on its X entries, made
+    read-only (so that they cannot go stale) and carrying their :func:`_x_moduli`."""
+    x = mat.reshape(16)[_X_ENTRIES].tolist()
+    _check_x_state(*x)
+    mat.flags.writeable = False
+    rho = tuple.__new__(_XOperator, ((2, 2), mat))
+    rho._x = _x_moduli(*x)
+    return rho
 
 
 def _derived_ket(dims: tuple, amps: np.ndarray) -> StateVector:

@@ -75,14 +75,15 @@ class TableResult(NamedTuple):
 class _Table(NamedTuple):
     title: str
     decimals: Dict[str, int]  # output column -> printed decimals, in column order
-    printed: Callable  # () -> [({input column: value}, printed values)], read at call time
+    source: dict  # the printed data, one of the _T*_PRINTED mappings, read at call time
+    printed: Callable  # source -> [({input column: value}, printed values)]
     closed_form: Callable  # all rows' inputs -> [output values]
     simulate: Optional[Callable] = None  # None: the table has closed forms only
 
 
-def _keyed(name: str, printed) -> list:
-    """Rows of a table printed as {input: printed values}."""
-    return [({name: x}, ref) for x, ref in printed.items()]
+def _keyed(name: str) -> Callable:
+    """The rows of a table printed as {input: printed values}."""
+    return lambda printed: [({name: x}, ref) for x, ref in printed.items()]
 
 
 def _rowwise(fn) -> Callable:
@@ -152,10 +153,10 @@ _T23_PRINTED = {
 }
 
 
-def _t23_printed() -> list:
+def _t23_printed(printed) -> list:
     # the all-p lambda = 0 row and the all-lambda p = 0.5 row are symmetric
     rows = [((0.3, 0.0), (0.83, 0.83)), ((0.5, 0.1), (0.83, 0.83)), ((0.5, 0.9), (0.83, 0.83))]
-    for p, (f1_lo, f1_hi, f2_lo, f2_hi) in _T23_PRINTED.items():
+    for p, (f1_lo, f1_hi, f2_lo, f2_hi) in printed.items():
         rows += [((p, 0.1), (f1_lo, f2_lo)), ((p, 0.9), (f1_hi, f2_hi))]
     return [({"p": p, "lambda": lam}, ref) for (p, lam), ref in rows]
 
@@ -220,9 +221,9 @@ _T32_PRINTED = {
 }
 
 
-def _t32_printed() -> list:
+def _t32_printed(printed) -> list:
     # the common interval is the printed inseparability interval
-    return [({"lambda": lam}, insep + sep + insep) for lam, (insep, sep) in _T32_PRINTED.items()]
+    return [({"lambda": lam}, insep + sep + insep) for lam, (insep, sep) in printed.items()]
 
 
 def _t32_intervals(inputs, simulate: bool) -> list:
@@ -251,8 +252,8 @@ _T33_PRINTED = {
 }
 
 
-def _t33_printed() -> list:
-    return [({"alpha": a, "lambda": lam}, (f_ref,)) for a, (lam, f_ref) in _T33_PRINTED.items()]
+def _t33_printed(printed) -> list:
+    return [({"alpha": a, "lambda": lam}, (f_ref,)) for a, (lam, f_ref) in printed.items()]
 
 
 def _t33_sim(inputs) -> list:
@@ -295,7 +296,7 @@ _T42_PRINTED = {
 _LIMIT_INPUT = deleters.real_inputs([0.3])  # the simulated deletion input, alpha^2 = 0.3
 
 
-def _limit_table(n_transformers: int, printed: Callable) -> _Table:
+def _limit_table(n_transformers: int, source: dict) -> _Table:
     """(F_pos, F_neg): the lambda -> 1/2 deletion fidelities of the blanks m1|0> + m2|1>
     and m1|0> - m2|1>, m1^2 = m1sq; simulated as one deleter stack from one Gram realization."""
     def closed(m1sq: float):
@@ -313,7 +314,7 @@ def _limit_table(n_transformers: int, printed: Callable) -> _Table:
 
     return _Table(
         f"deletion limits, {n_transformers} transformer(s)", {"F_pos": 2, "F_neg": 2},
-        printed,
+        source, _keyed("m1sq"),
         _rowwise(closed),
         simulated,
     )
@@ -322,61 +323,60 @@ def _limit_table(n_transformers: int, printed: Callable) -> _Table:
 _TABLES = {
     "2.1": _Table(
         "asymmetric copier fidelities", {"F1": 2, "F2": 2, "diff": 2},
-        lambda: _keyed("p", _T21_PRINTED),
+        _T21_PRINTED, _keyed("p"),
         _rowwise(lambda p: _with_diff(*pauli_fidelities(p))),
         _pauli_sim,
     ),
     "2.2": _Table(
         "state-dependent hybrid quality", {"lambda_lo": 3, "xi_hi": 4, "D_min": 2, "F": 2},
-        lambda: _keyed("alpha2", _T22_PRINTED),
+        _T22_PRINTED, _keyed("alpha2"),
         _rowwise(_t22_closed),
     ),
     "2.3": _Table(
         "asymmetric hybrid fidelities", {"F1": 2, "F2": 2},
-        _t23_printed,
+        _T23_PRINTED, _t23_printed,
         _rowwise(lambda p, lam: hybrid.bh_pauli_table(p, lam)),
         lambda inputs: _hybrid_sim(MachineSpec("pauli-asym", (_column(inputs, "p"),)), _BH_OPT, inputs),
     ),
     "2.4": _Table(
         "hybrid anti-copier fidelities", {"F_a": 2, "F_b": 2, "diff": 2},
-        lambda: _keyed("lambda", _T24_PRINTED),
+        _T24_PRINTED, _keyed("lambda"),
         _rowwise(lambda lam: _with_diff(*hybrid.bh_anti_hybrid(lam))),
         lambda inputs: [_with_diff(*f) for f in _hybrid_sim(_BH_OPT, MachineSpec("anti"), inputs)],
     ),
     "3.1": _Table(
         "state-dependent copier quality", {"lambda": 3, "D_a": 6},
-        lambda: _keyed("alpha", _T31_PRINTED),
+        _T31_PRINTED, _keyed("alpha"),
         _rowwise(_t31_closed),
     ),
     "3.2": _Table(
         "broadcasting intervals",
         dict.fromkeys(("insep_lo", "insep_hi", "sep_lo", "sep_hi", "common_lo", "common_hi"), 5),
-        _t32_printed,
+        _T32_PRINTED, _t32_printed,
         lambda inputs: _t32_intervals(inputs, False),
         lambda inputs: _t32_intervals(inputs, True),
     ),
     "3.3": _Table(
         "broadcast fidelity", {"F": 2},
-        _t33_printed,
+        _T33_PRINTED, _t33_printed,
         _rowwise(lambda a, lam: (bc.broadcast_fidelity(a * a, lam),)),
         _t33_sim,
     ),
-    "4.1": _limit_table(1, lambda: _keyed("m1sq", _T41_PRINTED)),
-    "4.2": _limit_table(2, lambda: _keyed("m1sq", _T42_PRINTED)),
+    "4.1": _limit_table(1, _T41_PRINTED),
+    "4.2": _limit_table(2, _T42_PRINTED),
 }
 
 TABLE_IDS = tuple(_TABLES)
 
-# (table id, simulated) -> (the printed rows a table was built from, the
-# table); generate_table rebuilds an entry whose printed rows have changed
-_BUILT: Dict[Tuple[str, bool], Tuple[list, TableResult]] = {}
+# (table id, simulated) -> (a copy of the printed data it was built from, the table)
+_BUILT: Dict[Tuple[str, bool], Tuple[dict, TableResult]] = {}
 
 
 def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
     """The table in one mode, closed_form or simulate, as read-only rows.
 
-    The printed data are read on every call; the rows are computed only
-    when they differ from those of the last build in this mode.
+    The printed data are compared on every call with a copy taken at the
+    last build in this mode; the rows are built only when the two differ.
     """
     if table_id not in _TABLES:
         raise KeyError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
@@ -384,10 +384,10 @@ def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
         raise ValueError("mode must be closed_form or simulate")
     table = _TABLES[table_id]
     simulated = mode == "simulate" and table.simulate is not None
-    printed = table.printed()
     built = _BUILT.get((table_id, simulated))
-    if built is not None and built[0] == printed:
+    if built is not None and built[0] == table.source:
         return built[1]
+    printed = table.printed(table.source)
     provenance = "Simulation" if simulated else "PaperClosedForm"
     outputs = (table.simulate if simulated else table.closed_form)([x for x, _ in printed])
     cols = tuple(table.decimals)
@@ -403,5 +403,5 @@ def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
         for (x, ref), out in zip(printed, outputs)
     )
     result = TableResult(table_id, table.title, rows)
-    _BUILT[table_id, simulated] = printed, result
+    _BUILT[table_id, simulated] = dict(table.source), result
     return result

@@ -2,14 +2,15 @@
 
 Caller-built DensityOperators pass check_densities, and so do the three
 broadcast outputs of an input with gamma1 or delta1 nonzero, in one stack.
-The other closed-form operators are checked on the scalars they are built
-from, by the scalar X-state kernel, with no eigensolve.  Every ket a caller
-hands in passes check_kets once, under DENSITY_TOL.  A matrix the program
-derives from checked operands (a ket reduction, a partial trace, a tensor
-product, a permutation, V rho V^dag, a Bell-projection branch) is never
-checked again; tests/test_invariants.py holds that invariant instead.  Nor
-is a derived ket (V|psi>, a tensor product of kets, a normalized
-measurement branch).
+The other closed-form operators are X states, checked by the scalar
+X-state kernel with no eigensolve: a two-qubit one on its X entries,
+which it carries on, rho_146 on the scalars it is built from.  Every ket
+a caller hands in passes check_kets once, under DENSITY_TOL.  A matrix
+the program derives from checked operands (a ket reduction, a partial
+trace, a tensor product, a permutation, V rho V^dag, a Bell-projection
+branch) is never checked again; tests/test_invariants.py holds that
+invariant instead.  Nor is a derived ket (V|psi>, a tensor product of
+kets, a normalized measurement branch).
 """
 
 import math
@@ -99,10 +100,14 @@ def test_a_density_operator_built_from_caller_data_is_checked_once(checks):
 
 @pytest.fixture
 def x_checks(monkeypatch):
-    """The entries that broadcast's scalar X-state checks receive, in call order."""
+    """The entries that the scalar X-state check receives, in call order,
+    from every qclone module that binds it: qcore._derived_x checks a
+    two-qubit closed form, broadcast.rho_146_closed its own blocks."""
     seen = []
     check = qcore._check_x_state
-    monkeypatch.setattr(bc, "_check_x_state", lambda *x: seen.append(x) or check(*x))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qclone") and getattr(mod, "_check_x_state", None) is check:
+            monkeypatch.setattr(mod, "_check_x_state", lambda *x: seen.append(x) or check(*x))
     return seen
 
 
@@ -115,8 +120,9 @@ def eigensolves(monkeypatch):
     return seen
 
 
-# every closed form checked on its scalars: the call, and its number of X-state
-# checks (one per operator; rho_146's blocks make one X state and two weights)
+# every closed form checked as an X state, on its X entries or (rho_146) on
+# its scalars: the call, and its number of X-state checks (one per operator;
+# rho_146's blocks make one X state and two weights)
 SCALAR_CHECKED = {
     "rho_146_closed": (lambda: bc.rho_146_closed(0.6j), 1),
     "rho_16_closed": (lambda: bc.rho_16_closed(0.6j), 1),

@@ -1,11 +1,15 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qclone import cloners, measures
+from qclone import broadcast as bc
+from qclone import cloners, measures, qcore
 from qclone.qcore import (
+    ALPHA2,
     PAULI_Y,
     DensityOperator,
     StateVector,
@@ -453,6 +457,88 @@ def test_x_state_closed_forms_meet_independent_oracles(outer, inner, pair):
     near[pair] = near[pair[::-1]] = 1e-13
     assert _x_state(near) is None
     _assert_measures_meet_oracles(near, 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# X states built as one carry their moduli (qcore._derived_x)
+
+
+def _alpha(a2, phase):
+    return math.sqrt(a2) * complex(math.cos(phase), math.sin(phase))
+
+
+# every producer of a carried X state, from a point (alpha^2, phase, lambda)
+X_PRODUCERS = {
+    "rho_16_closed": lambda a2, phase, lam: [bc.rho_16_closed(_alpha(a2, phase))],
+    "rho_46_closed": lambda a2, phase, lam: [bc.rho_46_closed(_alpha(a2, phase))],
+    "rho_12_closed": lambda a2, phase, lam: [bc.rho_12_closed(_alpha(a2, phase))],
+    # (alpha1, beta1) with alpha1 = cos(phase): AB', A'B (the same), AA', BB'
+    "broadcast_outputs": lambda a2, phase, lam: list(
+        bc.broadcast_outputs((math.cos(phase), math.sin(phase)), lam).values()
+    ),
+}
+
+
+def _all_measures(rho):
+    """concurrence_2q, w_determinants and ppt_verdict on either qubit, the numbers by their bits."""
+    verdicts = [measures.ppt_verdict(rho, (q,)) for q in (0, 1)]
+    numbers = [measures.concurrence_2q(rho), *measures.w_determinants(rho), *(x for v in verdicts for x in v[1:])]
+    return [float(x).hex() for x in numbers] + [v.verdict for v in verdicts]
+
+
+@pytest.mark.parametrize("name", X_PRODUCERS)
+@settings(max_examples=60, deadline=None)
+@given(
+    a2=st.floats(ALPHA2.least, ALPHA2.most),
+    phase=st.floats(0.0, 2 * math.pi),
+    lam=st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most),
+)
+def test_a_carried_x_state_gives_the_measures_of_its_matrix(name, a2, phase, lam):
+    for op in X_PRODUCERS[name](a2, phase, lam):
+        assert op._x is not None
+        built = DensityOperator(op.dims, op.mat.copy())  # recognised from its matrix
+        assert built._x is None and _x_state(built.mat) == op._x
+        assert _all_measures(op) == _all_measures(built)
+
+
+def test_a_closed_form_sweep_recognises_no_state(monkeypatch):
+    """The five closed-form states that the closed_forms benchmark measures
+    take the measures from the numbers they carry."""
+    calls = []
+    entries = qcore._x_entries
+    monkeypatch.setattr(qcore, "_x_entries", lambda mats: calls.append(mats.shape) or entries(mats))
+    outputs = bc.broadcast_outputs((math.sqrt(0.3), math.sqrt(0.7)), 0.19)
+    alpha = 0.6 + 0.3j
+    states = [outputs["AB'"], outputs["AA'"], *(fn(alpha) for fn in (bc.rho_16_closed, bc.rho_46_closed, bc.rho_12_closed))]
+    for rho in states:
+        for measure in (measures.concurrence_2q, measures.ppt_verdict, measures.w_determinants):
+            measure(rho)
+    assert calls == []
+    # a caller-built copy is recognised from its matrix, once per measure
+    measures.w_determinants(DensityOperator((2, 2), states[0].mat))
+    assert calls == [(4, 4), (4, 4)]
+
+
+def test_a_carried_x_state_is_read_only_and_carries_nothing_on():
+    rho = bc.rho_16_closed(0.6)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[1, 2] += 0.1
+    assert not rho.mat.flags.writeable
+    # a replaced or caller-built operator is checked and carries nothing
+    assert rho._replace(mat=rho.mat.copy())._x is None
+    assert DensityOperator(rho.dims, rho.mat)._x is None
+    assert isinstance(rho, DensityOperator) and repr(rho) == "DensityOperator(dims=(2, 2))"
+    with pytest.raises(AttributeError):
+        DensityOperator(rho.dims, rho.mat)._x = rho._x
+    dims, mat = rho
+    assert dims == (2, 2) and mat is rho.mat
+    # a copy or an unpickled twin is read-only too, and carries the same moduli
+    for twin in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert twin._x == rho._x and np.array_equal(twin.mat, rho.mat)
+        with pytest.raises(ValueError, match="read-only"):
+            twin.mat[0, 3] = 0.0
 
 
 def test_pauli_yy_constant_is_read_only():

@@ -92,6 +92,28 @@ def test_a_changed_printed_value_recomputes_the_rows(monkeypatch, fresh_tables):
     assert len(calls) == 2 * len(tables._T21_PRINTED)
 
 
+def test_a_found_table_reads_its_printed_data_without_building_rows(monkeypatch, fresh_tables):
+    """A table is found by comparing its printed data with a copy taken at
+    its build: an in-place edit of them, and its undoing, each rebuild it."""
+    calls = []
+    table = tables._TABLES["2.1"]
+    counting = table._replace(printed=lambda source: calls.append(1) or table.printed(source))
+    monkeypatch.setitem(tables._TABLES, "2.1", counting)
+    first = tables.generate_table("2.1")
+    assert len(calls) == 1
+    assert tables.generate_table("2.1") is first and len(calls) == 1
+    printed = tables._T21_PRINTED[0.5]
+    monkeypatch.setitem(tables._T21_PRINTED, 0.5, (0.80,) + printed[1:])
+    edited = tables.generate_table("2.1")
+    assert len(calls) == 2 and edited is not first and not edited.all_match()
+    assert tables.generate_table("2.1") is edited and len(calls) == 2
+    monkeypatch.setitem(tables._T21_PRINTED, 0.5, printed)
+    restored = tables.generate_table("2.1")
+    assert len(calls) == 3 and restored is not first and _contents(restored) == _contents(first)
+    # the copy is the table's own: the printed dict is not the snapshot
+    assert tables._BUILT["2.1", False][0] is not tables._T21_PRINTED
+
+
 def _contents(result):
     return [
         (dict(r.inputs), dict(r.outputs), dict(r.expected), dict(r.decimals), r.provenance)
