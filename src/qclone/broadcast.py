@@ -38,7 +38,7 @@ from .qcore import (
     domain,
     ket,
     permute_subsystems,
-    reduce_ket,
+    reduce_kets,
     tensor,
 )
 
@@ -321,7 +321,7 @@ def broadcast_channel_matrices(amplitudes, lmbda) -> Dict[str, np.ndarray]:
     # [..., i, j, i', a, j', b]: the kron of the (i, j) terms, summed over i, j
     terms = units[..., :, :, :, None, :, None] * blocks[..., :, :, None, :, None, :]
     ab = np.sum(terms, axis=(-6, -5), initial=0).reshape(batch + (4, 4))
-    pair = _copy_pair(np.stack([reduce_ket(amps, (2, 2), [k]) for k in (0, 1)]), lmbda)
+    pair = _copy_pair(np.moveaxis(reduce_kets(amps, (2, 2), [[0], [1]]), -3, 0), lmbda)
     return {"AB'": ab, "A'B": ab, "AA'": pair[0], "BB'": pair[1]}
 
 
@@ -334,8 +334,8 @@ def broadcast_machine_matrices(amplitudes, lmbda: float) -> Dict[str, np.ndarray
     # layout now A, A', M_A, B
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
     # layout A, A', M_A, B, B', M_B
-    keeps = {"AB'": [0, 4], "A'B": [1, 3], "AA'": [0, 1], "BB'": [3, 4]}
-    return {name: reduce_ket(amps, dims, keep) for name, keep in keeps.items()}
+    mats = reduce_kets(amps, dims, [[0, 4], [1, 3], [0, 1], [3, 4]])
+    return {name: mats[..., i, :, :] for i, name in enumerate(("AB'", "A'B", "AA'", "BB'"))}
 
 
 def broadcast_outputs_machine(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
@@ -350,9 +350,10 @@ def _apply_machine_at(amps: np.ndarray, dims, idx: int, machine: MachineIsometry
     dims = list(dims)
     batch = amps.shape[:-1]
     # the stack axes lead, so they fold into the subsystems before idx
-    t = amps.reshape(-1, dims[idx], math.prod(dims[idx + 1 :]))
-    out = np.tensordot(machine.matrix, t, axes=([1], [1]))  # (dout, pre, post)
-    out = np.transpose(out, (1, 0, 2)).reshape(batch + (-1,))
+    t = amps.reshape(-1, dims[idx], math.prod(dims[idx + 1 :])).swapaxes(0, 1)  # (din, pre, post)
+    # the one product np.tensordot(machine.matrix, t, 1) makes, without its per-call shape work
+    out = np.dot(machine.matrix, t.reshape(dims[idx], -1)).reshape(-1, *t.shape[1:])  # (dout, pre, post)
+    out = out.swapaxes(0, 1).reshape(batch + (-1,))
     new_dims = dims[:idx] + list(machine.out_dims) + dims[idx + 1 :]
     return out, new_dims
 
@@ -528,10 +529,10 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     amps, dims = _apply_machine_at(amps, [2, 2, 2, 2], 1, machine)
     amps, dims = _apply_machine_at(amps, dims, 5, machine)
     labels = ("q1", "q2", "q5", "mA2", "q3", "q4", "q6", "mB2")
-    ops = []
-    for name in ProtocolState._fields[4:]:
-        keep = [labels.index("q" + q) for q in name[4:]]
-        ops.append(_derived((2,) * len(keep), reduce_ket(amps, dims, keep)))
+    # the labels' positions of the qubits of rho_146 ... rho_15: one reduction per kept size
+    keeps = [[0, 5, 6], [4, 1, 2], [0, 6], [0, 5], [5, 6], [1, 2], [0, 1], [0, 2]]
+    mats = [*reduce_kets(amps, dims, keeps[:2]), *reduce_kets(amps, dims, keeps[2:])]
+    ops = [_derived((2,) * len(keep), m) for keep, m in zip(keeps, mats)]
     return ProtocolState(branch, prob, _derived_ket(tuple(dims), amps), labels, *ops)
 
 

@@ -31,6 +31,7 @@ from .qcore import (
     family_entry,
     realize_gram,
     reduce_ket,
+    reduce_kets,
     spec_cache,
     symmetric_basis_state,
 )
@@ -360,7 +361,7 @@ def _clone_reports(machine: MachineIsometry, amps: np.ndarray) -> CloneReports:
     d = amps.shape[-1]
     out = amps @ machine.matrix.swapaxes(-1, -2)
     clones = reduce_ket(out, dims, [0, 1])
-    rho_a, rho_b = (reduce_ket(out, dims, [k]) for k in (0, 1))
+    rho_a, rho_b = np.moveaxis(reduce_kets(out, dims, [[0], [1]]), -3, 0)
     id_mat = amps[..., :, None] * amps.conj()[..., None, :]
     prod_out = (rho_a[..., :, None, :, None] * rho_b[..., None, :, None, :]).reshape(clones.shape)
     prod_id = (id_mat[..., :, None, :, None] * id_mat[..., None, :, None, :]).reshape(*amps.shape[:-1], d * d, -1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cloners import FAMILIES, XI, MachineSpec, build_machine
 from .deleters import (
-    GL_ALPHA2,
+    GL_INPUTS,
     GL_WEIGHTS,
     PB_MIXING,
     DeleterSpec,
@@ -27,7 +27,7 @@ from .deleters import (
     sdep_weights,
 )
 from .measures import hs_distance, overlap
-from .qcore import ALPHA2, family_entry, reduce_ket
+from .qcore import ALPHA2, family_entry, reduce_kets
 
 CONDITIONAL_DELETERS = ("pb", "sdep")  # the deleters a pipeline composes
 
@@ -64,44 +64,43 @@ def _deleter_action(spec: DeleterSpec):
     return machine, v[:, 0], v[:, 3], v[:, 1] + v[:, 2]
 
 
-def _pipeline_kets(spec: PipelineSpec, alpha2s):
-    """(dims, one renormalized post-deletion ket per alpha^2 value) of the
-    canonical pipeline.  Subsystems: kept qubit, deleted qubit, deleter
-    machine, branch label (identical branch, then the two pass-through
-    labels carrying sqrt(xi))."""
-    psi = real_inputs(alpha2s)  # (n, 2): alpha, beta
+def _pipeline_kets(spec: PipelineSpec, psi: np.ndarray):
+    """(dims, one renormalized post-deletion ket per input) of the canonical
+    pipeline, on an (n, 2) stack of :func:`real_inputs` (alpha, beta).
+    Subsystems: kept qubit, deleted qubit, deleter machine, branch label
+    (identical branch, then the two pass-through labels carrying sqrt(xi))."""
     xi = _cloner_xi(spec.cloner)
     machine, ident0, ident1, passthrough = _deleter_action(spec.deleter)
     mdim = machine.out_dims[-1]
-    amps = np.zeros((len(alpha2s), 4 * mdim, 3), dtype=complex)
+    amps = np.zeros((len(psi), 4 * mdim, 3), dtype=complex)
     amps[:, :, 0] = psi[:, :1] * ident0 + psi[:, 1:] * ident1
     amps[:, :, 1] = math.sqrt(xi) * psi[:, :1] * passthrough
     amps[:, :, 2] = math.sqrt(xi) * psi[:, 1:] * passthrough
-    kets = amps.reshape(len(alpha2s), -1)
+    kets = amps.reshape(len(psi), -1)
     return (2, 2, mdim, 3), kets / np.linalg.norm(kets, axis=1, keepdims=True)
 
 
-def _scores(kets: np.ndarray, dims, alpha2s, spec: PipelineSpec):
+def _scores(kets: np.ndarray, dims, psi: np.ndarray, spec: PipelineSpec):
     """(distortion of the kept qubit, deletion fidelity) per ket of a batch
-    of normalized kets, whose marginals need no check."""
-    rho_x, rho_y = (reduce_ket(kets, dims, [k]) for k in (0, 1))
-    psi = real_inputs(alpha2s)
+    of normalized kets, whose marginals need no check, made from the inputs psi."""
+    rho_x, rho_y = np.moveaxis(reduce_kets(kets, dims, [[0], [1]]), -3, 0)
     distortion = hs_distance(rho_x, psi[:, :, None] * psi[:, None, :])
     return distortion, overlap(_spec_blank(spec.deleter).vec, rho_y)
 
 
 def run_pipeline(spec: PipelineSpec, alpha2: float):
     """(distortion of the kept qubit, deletion fidelity) at one input."""
-    dims, kets = _pipeline_kets(spec, [alpha2])
-    d, f = _scores(kets, dims, [alpha2], spec)
+    psi = real_inputs([alpha2])
+    dims, kets = _pipeline_kets(spec, psi)
+    d, f = _scores(kets, dims, psi, spec)
     return float(d[0]), float(f[0])
 
 
 def pipeline_averages(spec: PipelineSpec):
     """Quadrature averages of (distortion, deletion fidelity) over alpha^2,
     all 64 nodes in one batched pass."""
-    dims, kets = _pipeline_kets(spec, GL_ALPHA2)
-    d, f = _scores(kets, dims, GL_ALPHA2, spec)
+    dims, kets = _pipeline_kets(spec, GL_INPUTS)
+    d, f = _scores(kets, dims, GL_INPUTS, spec)
     return float(GL_WEIGHTS @ d), float(GL_WEIGHTS @ f)
 
 
@@ -175,5 +174,5 @@ def run_pipeline_physical(spec: PipelineSpec, alpha2: float):
     mdim_c = cloner.out_dims[-1]
     full = deleter.matrix @ out.reshape(4, mdim_c)  # (x y M_d, M_c)
     dims = deleter.out_dims + (mdim_c,)
-    d, f = _scores(full.reshape(1, -1), dims, [alpha2], spec)
+    d, f = _scores(full.reshape(1, -1), dims, real_inputs([alpha2]), spec)
     return float(d[0]), float(f[0])

@@ -34,6 +34,7 @@ from .qcore import (
     ket,
     realize_gram,
     reduce_ket,
+    reduce_kets,
     spec_cache,
 )
 
@@ -91,6 +92,8 @@ _GL_W = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 # the rule for averages over alpha^2 in [0, 1]
 GL_ALPHA2 = (_GL_X + 1) / 2
 GL_WEIGHTS = _GL_W / 2
+GL_INPUTS = np.stack([np.sqrt(GL_ALPHA2), np.sqrt(1 - GL_ALPHA2)], axis=-1)  # real_inputs(GL_ALPHA2), read-only
+GL_INPUTS.flags.writeable = False
 
 
 class DeleterSpec(NamedTuple):
@@ -306,7 +309,7 @@ def _marginal_fidelities(spec: DeleterSpec, machine: MachineIsometry, psi: np.nd
     isometry and the unitary transformers are not checked again."""
     pairs = (psi[..., :, None] * psi[..., None, :]).reshape(psi.shape[:-1] + (4,))
     kets = _transform(pairs @ machine.matrix.swapaxes(-1, -2), n_transformers)
-    rho_1, rho_2 = (reduce_ket(kets, machine.out_dims, [k]) for k in (0, 1))
+    rho_1, rho_2 = np.moveaxis(reduce_kets(kets, machine.out_dims, [[0], [1]]), -3, 0)
     target = deletion_target(spec)  # one ket, or one per machine of a stack for all its inputs
     target = target if target.ndim == 1 else target[:, None]
     return kets, rho_1, rho_2, overlap(psi, rho_1), overlap(target, rho_2)
@@ -382,7 +385,7 @@ def average_fidelities(spec: DeleterSpec, n_transformers: int = 0):
     """Quadrature averages of (F_1, F_2) over alpha^2 for real amplitudes,
     all 64 nodes in one batched pass, the one :func:`delete_reports` makes
     without the machine marginal; computed once per (spec, count)."""
-    f1, f2 = _marginal_fidelities(spec, build_deleter(spec), real_inputs(GL_ALPHA2), n_transformers)[3:]
+    f1, f2 = _marginal_fidelities(spec, build_deleter(spec), GL_INPUTS, n_transformers)[3:]
     return float(GL_WEIGHTS @ f1), float(GL_WEIGHTS @ f2)
 
 

@@ -25,6 +25,7 @@ HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max 
 ZERO_BRANCH_TOL = 1e-12  # bell_project: smaller branch probabilities count as zero
 
 SPEC_CACHE_SIZE = 128  # spec_cache: entries kept per cached function
+LAYOUT_CACHE_SIZE = 64  # reduce_kets: (dims, selections) layouts whose gather positions are kept
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -351,6 +352,8 @@ def _x_moduli(p00, p11, p22, p33, r03, r30, r12, r21):
     :func:`_x_entries` of an X stack.  The diagonal's real part and rho_30
     and rho_21 are what ``eigvalsh`` reads, so a matrix that is Hermitian
     only to within a tolerance gives the eigensolver's eigenvalues."""
+    if isinstance(r30, np.ndarray):  # numpy's complex abs is not the hypot that a Python complex's is
+        r30, r21 = np.hypot(r30.real, r30.imag), np.hypot(r21.real, r21.imag)
     return p00.real, p11.real, p22.real, p33.real, abs(r30), abs(r21)
 
 
@@ -370,9 +373,10 @@ def _x_block_minima(p00, p11, p22, p33, c_outer, c_inner):
     """The smaller eigenvalues of the blocks {0, 3} and {1, 2} of an X
     matrix with diagonal p and coherence moduli c_outer and c_inner, for
     floats or arrays: the smaller eigenvalue of [[a, z], [z*, d]] is
-    (a+d)/2 - sqrt((a-d)^2/4 + |z|^2)."""
-    outer = (p00 + p33) / 2 - ((p00 - p33) ** 2 / 4 + c_outer * c_outer) ** 0.5
-    inner = (p11 + p22) / 2 - ((p11 - p22) ** 2 / 4 + c_inner * c_inner) ** 0.5
+    (a+d)/2 - sqrt((a-d)^2/4 + |z|^2), by products and sqrt (a float's ``**`` is libm pow)."""
+    sqrt = np.sqrt if isinstance(p00, np.ndarray) else math.sqrt
+    outer = (p00 + p33) / 2 - sqrt((p00 - p33) * (p00 - p33) / 4 + c_outer * c_outer)
+    inner = (p11 + p22) / 2 - sqrt((p11 - p22) * (p11 - p22) / 4 + c_inner * c_inner)
     return outer, inner
 
 
@@ -448,7 +452,7 @@ class BlankState(Checked, _BlankState):
     __slots__ = ()
 
     def __new__(cls, m1, m2):
-        dev = abs(m1**2 + abs(m2) ** 2 - 1.0)  # an array for a stack
+        dev = abs(m1 * m1 + abs(m2) * abs(m2) - 1.0)  # an array for a stack; products, as in _x_block_minima
         if not (dev.max() if isinstance(dev, np.ndarray) else dev) <= DENSITY_TOL:  # NaN fails
             raise ValueError("blank state must satisfy m1^2 + |m2|^2 = 1")
         return tuple.__new__(cls, (m1, m2))
@@ -583,28 +587,40 @@ def _trace_axes(mat: np.ndarray, dims, keep):
     return t.reshape(d_keep, d_keep)
 
 
-def reduce_ket(amps, dims, keep) -> np.ndarray:
-    """Reduced density matrix of a pure state on the subsystems ``keep``.
-
-    ``amps`` is one ket of shape (d,) or a batch of kets of shape (n, d); the
-    result is (d_keep, d_keep) or (n, d_keep, d_keep), with the kept
-    subsystems in the order ``keep`` lists them.  Reshape -> transpose ->
-    M M^dag: the same matrix as tracing the outer product, which is never
-    formed, and then reordering the kept subsystems.
-    """
-    dims = tuple(dims)
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _gather_index(dims: tuple, keeps: tuple) -> np.ndarray:
+    """Read-only (len(keeps), d_keep, d_rest) flat positions of a ket on
+    ``dims``: row i of view k lists the amplitudes whose kept subsystems,
+    in the order ``keeps[k]`` lists them, read i."""
     n = len(dims)
-    keep = _check_selection(keep, n)
+    keeps = [_check_selection(keep, n) for keep in keeps]
+    sizes = {math.prod([dims[k] for k in keep]) for keep in keeps}
+    if len(sizes) != 1:
+        raise ValueError(f"selections {keeps} must keep subsystems of one total dimension")
+    (d_keep,) = sizes
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    index = np.stack([flat.transpose(k + [i for i in range(n) if i not in k]).reshape(d_keep, -1) for k in keeps])
+    index.flags.writeable = False
+    return index
+
+
+def reduce_kets(amps, dims, keeps) -> np.ndarray:
+    """Reduced density matrices (..., len(keeps), d_keep, d_keep) of one ket (d,)
+    or a batch (..., d) on each selection of ``keeps``, in the order it lists
+    its subsystems, all of one kept dimension d_keep: M M^dag for the (d_keep,
+    d_rest) matrices M of one gather, the partial trace of the unformed outer product."""
+    dims = tuple(dims)
+    index = _gather_index(dims, tuple(map(tuple, keeps)))
     amps = np.asarray(amps, dtype=complex)
-    batch = amps.shape[:-1]
     if amps.shape[-1] != math.prod(dims):
         raise ValueError(f"ket of length {amps.shape[-1]} does not match dims {dims}")
-    order = keep + [i for i in range(n) if i not in keep]
-    lead = list(range(len(batch)))
-    t = np.transpose(amps.reshape(batch + dims), lead + [len(batch) + i for i in order])
-    d_keep = math.prod([dims[k] for k in keep])
-    m = t.reshape(batch + (d_keep, -1))
+    m = amps.take(index, axis=-1)  # C-ordered, where amps[..., index] may lead with the index axes
     return m @ m.conj().swapaxes(-1, -2)
+
+
+def reduce_ket(amps, dims, keep) -> np.ndarray:
+    """:func:`reduce_kets` on one selection: (..., d_keep, d_keep)."""
+    return reduce_kets(amps, dims, (keep,))[..., 0, :, :]
 
 
 def partial_trace(state, keep) -> DensityOperator:

@@ -18,7 +18,7 @@ WZ_SDEP = concat.PipelineSpec(MachineSpec("wz"), DeleterSpec("sdep", SDEP_PARAMS
 
 def pipeline_state(spec, alpha2):
     """The renormalized post-deletion pure state of the canonical pipeline, checked."""
-    dims, kets = concat._pipeline_kets(spec, [alpha2])
+    dims, kets = concat._pipeline_kets(spec, deleters.real_inputs([alpha2]))
     return StateVector(dims, kets[0])
 
 

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qclone import broadcast as bc
 from qclone import cloners, measures, qcore
@@ -499,6 +499,28 @@ def test_a_carried_x_state_gives_the_measures_of_its_matrix(name, a2, phase, lam
         built = DensityOperator(op.dims, op.mat.copy())  # recognised from its matrix
         assert built._x is None and _x_state(built.mat) == op._x
         assert _all_measures(op) == _all_measures(built)
+
+
+@pytest.mark.parametrize("name", X_PRODUCERS)
+@settings(max_examples=60, deadline=None)
+@given(
+    a2=st.floats(ALPHA2.least, ALPHA2.most),
+    phase=st.floats(0.0, 2 * math.pi),
+    lam=st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most),
+)
+# the squares and roots of one X state in libm pow moved its least eigenvalue
+# off its element of a stack: rho_16_closed, rho_46_closed, rho_12_closed
+@example(a2=0.19457688761579417, phase=0.0, lam=0.2)
+@example(a2=0.23009289560526314, phase=0.0, lam=0.2)
+@example(a2=0.2428518596136473, phase=0.0, lam=0.2)
+def test_one_x_state_gives_the_pt_eigenvalue_of_its_element_of_a_stack(name, a2, phase, lam):
+    mats = [op.mat for op in X_PRODUCERS[name](a2, phase, lam)]
+    for split in ((0,), (1,)):
+        least = measures.min_pt_eigenvalue(np.stack(mats), split=split)
+        npt = measures.is_npt(np.stack(mats), split=split)
+        for i, mat in enumerate(mats):
+            assert measures.min_pt_eigenvalue(mat, split=split).hex() == float(least[i]).hex()
+            assert measures.is_npt(mat, split=split) == npt[i]
 
 
 def test_a_closed_form_sweep_recognises_no_state(monkeypatch):
