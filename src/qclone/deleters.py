@@ -354,9 +354,9 @@ def delete_report(spec: DeleterSpec, state: StateVector, n_transformers: int = 0
     if state.dims != (2,):
         raise ValueError("delete_report expects the single-qubit input state")
     machine, a_vec = _deleter_parts(spec)
-    reps = _delete_reports(spec, machine, a_vec, state.amps[None], n_transformers)  # a StateVector's ket is checked
-    if reps.F_1.ndim > 1:  # (n_machines, 1): the spec built a machine stack
+    if machine.matrix.ndim > 2:
         raise ValueError(f"the {spec.family} spec builds a stack of deleters: use delete_reports")
+    reps = _delete_reports(spec, machine, a_vec, state.amps[None], n_transformers)  # a StateVector's ket is checked
     rho_3 = overlap_m = None
     if reps.rho_3 is not None:
         rho_3 = _derived(reps.rho_3.shape[-1:], reps.rho_3[0])

@@ -17,7 +17,7 @@ from .qcore import (
     DensityOperator,
     PAULI_Y,
     StateVector,
-    _x_min_eigenvalue,
+    _x_block_minima,
     _x_state,
     domain,
     partial_trace,
@@ -69,15 +69,12 @@ def overlap(psi, rho):
     float for one ket and one operator, an array for raw arrays with a stack
     among them, an (..., d) ket stack against a (d, d) matrix or a stack
     whose leading axes broadcast with the kets', or one (d,) ket against an
-    (..., d, d) stack."""
+    (..., d, d) stack, every case by the one stacked expression."""
     if isinstance(psi, StateVector) and isinstance(rho, DensityOperator) and psi.dims != rho.dims:
         raise ValueError("state and operator live on different spaces")
     a = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
     m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
-    if a.ndim == 1:
-        ov = (a.conj() @ m @ a).real
-    else:
-        ov = (a.conj()[..., None, :] @ m @ a[..., :, None])[..., 0, 0].real
+    ov = (a.conj()[..., None, :] @ m @ a[..., :, None])[..., 0, 0].real
     return float(ov) if ov.ndim == 0 else ov
 
 
@@ -178,10 +175,7 @@ def min_pt_eigenvalue(mat, dims=(2, 2), split=(1,)):
     a float for one (d, d) matrix, an array of them for a (..., d, d) stack
     (one batched eigensolve, none for X states split into two qubits)."""
     x = _x_state(mat) if _qubit_split(dims, split) else None
-    if x is None:
-        evals = np.linalg.eigvalsh(partial_transpose(mat, dims, split))
-        return float(evals[0]) if evals.ndim == 1 else evals[..., 0]
-    least = _x_pt_min(x)
+    least = _x_pt_min(x) if x is not None else np.linalg.eigvalsh(partial_transpose(mat, dims, split))[..., 0]
     return float(least) if least.ndim == 0 else least
 
 
@@ -195,7 +189,7 @@ def _x_pt_min(x):
     from :func:`_x_state` entries: the transpose swaps the coherences, so
     the blocks are ({0, 3}, |rho_12|) and ({1, 2}, |rho_03|)."""
     p00, p11, p22, p33, c03, c12 = x
-    return _x_min_eigenvalue(p00, p11, p22, p33, c12, c03)
+    return np.minimum(*_x_block_minima(p00, p11, p22, p33, c12, c03))
 
 
 def _x_minors(x):

@@ -16,9 +16,11 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9  # realize_gram: PSD tolerance and rank cut-off
 
-# Hermiticity, unit-trace and PSD tolerance of every density-operator check,
-# single (DensityOperator) or stacked (check_densities), and the |psi|^2
-# tolerance of every ket check (check_kets) and of BlankState.
+# Hermiticity, unit-trace and PSD tolerance of every density-operator check
+# (check_densities) and |psi|^2 tolerance of every ket check (check_kets, BlankState).
+# A stack needs no tolerance against its elements: an elementwise kernel gives each
+# element the bits of its one-value call.  The one exception is a complex BLAS product
+# (amps @ V.T), whose rounding may differ between a batch of one and a larger batch.
 DENSITY_TOL = 1e-7
 
 HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max entry
@@ -201,11 +203,9 @@ class _XOperator(DensityOperator):
 def _derived_x(mat: np.ndarray) -> DensityOperator:
     """A two-qubit X state's (4, 4) matrix, checked on its X entries, made
     read-only (so that they cannot go stale) and carrying their :func:`_x_moduli`."""
-    x = mat.reshape(16)[_X_ENTRIES].tolist()
-    _check_x_state(*x)
-    mat.flags.writeable = False
     rho = tuple.__new__(_XOperator, ((2, 2), mat))
-    rho._x = _x_moduli(*x)
+    rho._x = _check_x_state(*mat.reshape(16)[_X_ENTRIES].tolist())
+    mat.flags.writeable = False
     return rho
 
 
@@ -253,13 +253,12 @@ def check_densities(mats: np.ndarray) -> None:
     """Raise ValueError unless every matrix of a (..., d, d) stack is
     Hermitian, unit-trace and PSD to within DENSITY_TOL.
 
-    One batched eigensolve covers the whole stack; a stack of two-qubit X
-    states (see :func:`_x_state`) needs none, its eigenvalues are those of
-    two 2x2 blocks, and one X state is checked on its diagonal and
+    One batched eigensolve covers a stack; one two-qubit X state (see
+    :func:`_x_state`) needs none, it is checked on its diagonal and
     anti-diagonal alone (:func:`_check_x_state`).
     """
-    x = _x_entries(mats)
-    if x is not None and mats.ndim == 2:
+    x = _x_entries(mats) if mats.ndim == 2 else None
+    if x is not None:
         _check_x_state(*x)
         return
     # ndarray methods rather than np.max/np.min: those cost microseconds
@@ -271,19 +270,16 @@ def check_densities(mats: np.ndarray) -> None:
     worst = np.abs(mats.diagonal(0, -2, -1).sum(-1).real - 1.0).max()
     if not worst <= DENSITY_TOL:
         raise ValueError(_BAD_TRACE.format(worst))
-    if x is None:
-        least = np.linalg.eigvalsh(mats)[..., 0].min()
-    else:
-        least = _x_min_eigenvalue(*_x_moduli(*x)).min()
+    least = np.linalg.eigvalsh(mats)[..., 0].min()
     if not least >= -DENSITY_TOL:
         raise ValueError(_NOT_PSD)
 
 
-def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21, *diagonal) -> None:
+def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21, *diagonal) -> tuple:
     """check_densities on one X state, from its :func:`_x_entries`, in
-    Python scalars: every other entry is zero, so only these eight can
-    differ from their conjugate partners or enter the trace.  The tests and
-    messages are the general ones, NaN failing too.
+    Python scalars, returning their :func:`_x_moduli`: only these eight
+    entries can differ from their conjugate partners or enter the trace.
+    The tests and messages are the general ones, NaN failing too.
 
     A larger operator that is the direct sum of two 2x2 blocks and 1x1
     blocks passes its blocks as the X state's {0, 3} and {1, 2} pairs and
@@ -306,9 +302,10 @@ def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21, *diagonal) -> None:
     if not worst <= DENSITY_TOL:
         raise ValueError(_BAD_TRACE.format(worst))
     # builtin min on Python floats: np.minimum costs microseconds on scalars
-    outer, inner = _x_block_minima(*_x_moduli(p00, p11, p22, p33, r03, r30, r12, r21))
-    if not min(outer, inner, *diagonal) >= -DENSITY_TOL:
+    moduli = _x_moduli(p00, p11, p22, p33, r03, r30, r12, r21)
+    if not min(*_x_block_minima(*moduli), *diagonal) >= -DENSITY_TOL:
         raise ValueError(_NOT_PSD)
+    return moduli
 
 
 # flat indices of the entries of a 4x4 matrix off its diagonal and
@@ -378,11 +375,6 @@ def _x_block_minima(p00, p11, p22, p33, c_outer, c_inner):
     outer = (p00 + p33) / 2 - sqrt((p00 - p33) * (p00 - p33) / 4 + c_outer * c_outer)
     inner = (p11 + p22) / 2 - sqrt((p11 - p22) * (p11 - p22) / 4 + c_inner * c_inner)
     return outer, inner
-
-
-def _x_min_eigenvalue(p00, p11, p22, p33, c_outer, c_inner):
-    """Smallest eigenvalue of an X matrix (see :func:`_x_block_minima`)."""
-    return np.minimum(*_x_block_minima(p00, p11, p22, p33, c_outer, c_inner))
 
 
 class _MachineIsometry(NamedTuple):

@@ -170,7 +170,7 @@ def _hybrid_sim(first: MachineSpec, second: MachineSpec, inputs) -> list:
     stack of hybrids along the rows' lambda column (and ``first``'s stack)."""
     machine = hybrid.hybrid_machine(hybrid.HybridSpec(first, second, _column(inputs, "lambda")))
     out = machine.matrix @ _HYBRID_INPUT
-    f1, f2 = (overlap(_HYBRID_INPUT[None], reduce_ket(out, machine.out_dims, [k])) for k in (0, 1))
+    f1, f2 = (overlap(_HYBRID_INPUT, reduce_ket(out, machine.out_dims, [k])) for k in (0, 1))
     return list(zip(f1.tolist(), f2.tolist()))
 
 

@@ -317,14 +317,11 @@ def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width, seed):
     v = np.random.default_rng(seed).normal(size=(5, width))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     stacked = fn(v, 0.2)
-    # the closed forms are exact; the maps and the machine go through numpy
-    # reductions and products whose order a stack may change
-    tol = 0.0 if fn is bc.broadcast_output_matrices else 1e-15
     for i in range(5):
         one = fn(v[i], 0.2)
         for key in one:
             assert stacked[key].shape == (5, 4, 4)
-            assert np.max(np.abs(stacked[key][i] - one[key])) <= tol, key
+            assert np.array_equal(stacked[key][i], one[key]), key
     with pytest.raises(ValueError, match="state vector is not normalized"):
         fn(np.vstack([v, np.full(width, 0.9)]), 0.2)
 

@@ -143,6 +143,18 @@ def test_a_closed_form_operator_is_checked_on_its_scalars(checks, x_checks, eige
         assert out["AB'"] is out["A'B"]
 
 
+@pytest.mark.parametrize("name", SCALAR_CHECKED)
+def test_a_closed_form_operator_takes_its_moduli_from_its_check(monkeypatch, name):
+    """One _x_moduli call per X-state check: qcore._derived_x keeps the
+    moduli that _check_x_state returns instead of computing them again."""
+    calls = []
+    moduli = qcore._x_moduli
+    monkeypatch.setattr(qcore, "_x_moduli", lambda *x: calls.append(x) or moduli(*x))
+    make, count = SCALAR_CHECKED[name]
+    make()
+    assert len(calls) == count
+
+
 def test_a_four_amplitude_broadcast_input_is_checked_in_one_stack(checks, x_checks):
     out = bc.broadcast_outputs([0.6, 0.0, 0.0, 0.8], 0.19)
     assert shapes(checks) == [(3, 4, 4)] and x_checks == []

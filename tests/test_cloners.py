@@ -523,6 +523,8 @@ def one_to_m_cases(draw):
 def test_clone_reports_equal_the_per_input_loop(case):
     spec, kets = case
     reps = cloners.clone_reports(spec, kets)
+    # 1e-15, not bit for bit: a complex BLAS product such as amps @ V.T may
+    # round a batch of one otherwise than a larger batch (see qcore.DENSITY_TOL)
     for i, v in enumerate(kets):
         rep = clone_report(spec, StateVector((len(v),), v))
         for name in cloners.CloneReports._fields[3:]:
@@ -589,6 +591,8 @@ def test_ying_indices_take_a_stack():
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     stacked = cloners.ying_indices(3, amps)
     assert all(isinstance(x, np.ndarray) and x.shape == (5,) for x in stacked)
+    # 1e-15, not bit for bit: a complex BLAS product such as amps @ V.T may
+    # round a batch of one otherwise than a larger batch (see qcore.DENSITY_TOL)
     for i, row in enumerate(amps):
         single = cloners.ying_indices(3, row)
         assert all(isinstance(x, float) for x in single)

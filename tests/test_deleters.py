@@ -534,6 +534,8 @@ def test_delete_reports_equal_the_per_input_loop(case):
     reps = deleters.delete_reports(spec, kets, n_transformers)
     has_machine = len(build_deleter(spec).out_dims) > 2
     assert (reps.rho_3 is not None) == has_machine and (reps.machine_overlap is not None) == has_machine
+    # 1e-15, not bit for bit: a complex BLAS product such as amps @ V.T may
+    # round a batch of one otherwise than a larger batch (see qcore.DENSITY_TOL)
     for i, v in enumerate(kets):
         rep = delete_report(spec, StateVector((2,), v), n_transformers)
         names = ("F_1", "F_2", "machine_overlap") if has_machine else ("F_1", "F_2")
@@ -572,11 +574,12 @@ def test_delete_reports_leave_the_averages_to_the_spec():
     st.sampled_from([0, 1, 2]),
     st.booleans(),
 )
+# a one-ket overlap spelled apart from the stacked one moved F_2 by its last bit
+@example(0.0, 0, 2, 3, 0, True)
 def test_delete_reports_of_a_blank_stack_are_those_of_each_deleter(lam, seed, n_machines, n, n_transformers, shared):
     """One pass over a stack of conv deleters, on one input stack for every
     machine or one per machine, gives each machine's one-machine pass bit
-    for bit; only F_2 with several inputs per machine, an overlap with a
-    per-machine target, may differ in the last bit."""
+    for bit."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n_machines, 2)) + 1j * rng.normal(size=(n_machines, 2))
     z = z / np.linalg.norm(z, axis=1, keepdims=True) * np.exp(-1j * np.angle(z[:, :1]))
@@ -589,10 +592,20 @@ def test_delete_reports_of_a_blank_stack_are_those_of_each_deleter(lam, seed, n_
         spec = DeleterSpec("conv", (lam, BlankState(float(m1[i]), complex(m2[i]))))
         one = deleters.delete_reports(spec, kets if shared else kets[i], n_transformers)
         for name in deleters.DeletionReports._fields:
-            if name == "F_2" and n > 1:
-                assert np.max(np.abs(reps.F_2[i] - one.F_2)) <= 1e-15
-            else:
-                assert np.array_equal(getattr(reps, name)[i], getattr(one, name)), name
+            assert np.array_equal(getattr(reps, name)[i], getattr(one, name)), name
+
+
+def test_delete_report_rejects_a_stack_spec_before_any_pass(monkeypatch):
+    passes = []
+    marginals = deleters._marginal_fidelities
+    monkeypatch.setattr(deleters, "_marginal_fidelities", lambda *args: passes.append(args[1]) or marginals(*args))
+    psi = StateVector((2,), [0.6, 0.8])
+    stack = DeleterSpec("conv", (0.3, BlankState(np.array([0.6, 1.0]), np.array([0.8, 0.0]))))
+    with pytest.raises(ValueError, match="^the conv spec builds a stack of deleters: use delete_reports$"):
+        delete_report(stack, psi)
+    assert passes == []
+    delete_report(DeleterSpec("conv", (0.3, BlankState(0.6, 0.8))), psi)
+    assert passes and all(machine.matrix.ndim == 2 for machine in passes)
 
 
 def test_delete_reports_reject_a_stack_of_wrong_shape():

@@ -97,7 +97,7 @@ def test_overlap_of_stacks_equals_the_overlap_of_each_row(d, n, seed):
         want = [measures.overlap(StateVector((d,), k), r) for k, r in rows]
         got = measures.overlap(psi, rho)
         assert got.shape == (n,), name
-        assert np.max(np.abs(got - want)) <= 1e-15, name
+        assert np.array_equal(got, want), name
     single = measures.overlap(one_ket, one_rho)
     assert type(single) is float and single == measures.overlap(kets[0], one_rho.mat)
 

@@ -326,7 +326,7 @@ def _x_with_inner_eigenvalue(least, phase=0.7):
     return m
 
 
-def test_check_densities_on_x_states_needs_no_eigensolve(monkeypatch):
+def test_check_densities_on_one_x_state_needs_no_eigensolve(monkeypatch):
     general = random_density(np.random.default_rng(3), (2, 2)).mat
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -334,26 +334,27 @@ def test_check_densities_on_x_states_needs_no_eigensolve(monkeypatch):
     bad = _x_with_inner_eigenvalue(-1e-6)
     near = _x_with_inner_eigenvalue(-DENSITY_TOL / 2)
     assert _x_state(bad) is not None
-    for m in (bad, np.stack([near, bad])):
-        with pytest.raises(ValueError, match="density operator has a significantly negative eigenvalue"):
-            check_densities(m)
+    with pytest.raises(ValueError, match="density operator has a significantly negative eigenvalue"):
+        check_densities(bad)
     check_densities(near)
-    check_densities(np.stack([near, near.T]))
     DensityOperator((2, 2), near)
-    assert calls == []
     # a NaN coherence fails, first in the Hermitian test
     for pair in ((0, 3), (1, 2)):
         nan = near.copy()
         nan[pair] = nan[pair[::-1]] = np.nan
         with pytest.raises(ValueError, match="not Hermitian"):
             check_densities(nan)
-    # one non-X member sends the whole stack through the eigensolve, which
-    # still finds the one bad X member
+    assert calls == []
+    # a stack, of X states or not, takes one batched eigensolve, which
+    # gives each member its verdict
+    with pytest.raises(ValueError, match="density operator has a significantly negative eigenvalue"):
+        check_densities(np.stack([near, bad]))
+    check_densities(np.stack([near, near.T]))
     mixed = np.stack([near, general, bad])
     assert _x_state(mixed) is None
     with pytest.raises(ValueError, match="significantly negative eigenvalue"):
         check_densities(mixed)
-    assert calls == [(3, 4, 4)]
+    assert calls == [(2, 4, 4), (2, 4, 4), (3, 4, 4)]
 
 
 def _raised(m):
