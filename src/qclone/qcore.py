@@ -250,17 +250,9 @@ _NOT_PSD = "density operator has a significantly negative eigenvalue"
 
 
 def check_densities(mats: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of a (..., d, d) stack is
-    Hermitian, unit-trace and PSD to within DENSITY_TOL.
-
-    One batched eigensolve covers a stack; one two-qubit X state (see
-    :func:`_x_state`) needs none, it is checked on its diagonal and
-    anti-diagonal alone (:func:`_check_x_state`).
-    """
-    x = _x_entries(mats) if mats.ndim == 2 else None
-    if x is not None:
-        _check_x_state(*x)
-        return
+    """Raise ValueError unless one (d, d) matrix or every matrix of a
+    (..., d, d) stack is Hermitian, unit-trace and PSD to within DENSITY_TOL,
+    by one batched eigensolve: one matrix has its verdict in a stack."""
     # ndarray methods rather than np.max/np.min: those cost microseconds
     # per call, and every checked DensityOperator runs this.  Each test is
     # written so that a NaN fails it (every comparison with NaN is False).
@@ -276,10 +268,11 @@ def check_densities(mats: np.ndarray) -> None:
 
 
 def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21, *diagonal) -> tuple:
-    """check_densities on one X state, from its :func:`_x_entries`, in
-    Python scalars, returning their :func:`_x_moduli`: only these eight
-    entries can differ from their conjugate partners or enter the trace.
-    The tests and messages are the general ones, NaN failing too.
+    """The tests of check_densities on one X state that a producer builds
+    (:func:`_derived_x`, ``broadcast.rho_146_closed``), in Python scalars on
+    its eight X entries, returning their :func:`_x_moduli`: only these can
+    differ from their conjugate partners or enter the trace.  The tests and
+    messages are the general ones, NaN failing too.
 
     A larger operator that is the direct sum of two 2x2 blocks and 1x1
     blocks passes its blocks as the X state's {0, 3} and {1, 2} pairs and
@@ -317,53 +310,40 @@ _OFF_X.flags.writeable = False
 _X_ENTRIES.flags.writeable = False
 
 
-def _x_entries(mats: np.ndarray):
-    """The diagonal and anti-diagonal of a stack of two-qubit X states, or None.
+def _x_state(mats: np.ndarray):
+    """The :func:`_x_moduli` of a stack of two-qubit X states, or None.
 
     For a (..., 4, 4) stack whose entries off the diagonal and the
-    anti-diagonal are all exactly zero, returns [rho_00, rho_11, rho_22,
-    rho_33, rho_03, rho_30, rho_12, rho_21]: Python complex numbers for one
-    matrix, arrays over the stack otherwise; for any other input, None.
-    The test is exact zero, not a tolerance: a square root is only
-    Hoelder-1/2, so an off-X entry of 1e-12 could move a concurrence by
-    about 1e-6.
+    anti-diagonal are all exactly zero, returns the six moduli: Python
+    floats for one matrix, arrays over the stack otherwise; for any other
+    input, None.  Such a matrix is the direct sum of its blocks on {0, 3}
+    and {1, 2}, so these numbers give its measures in closed form.  The test
+    is exact zero, not a tolerance: a square root is only Hoelder-1/2, so
+    an off-X entry of 1e-12 could move a concurrence by about 1e-6.
     """
     if mats.shape[-2:] != (4, 4):
         return None
     if mats.ndim == 2:
-        # indexing a 1-d array, and Python scalars, cost a fraction of the
-        # stacked path for one matrix
+        # 1-d indexing and Python scalars cost a fraction of the stacked path
         flat = mats.reshape(16)
         if np.count_nonzero(flat[_OFF_X]):
             return None
-        return flat[_X_ENTRIES].tolist()
+        return _x_moduli(*flat[_X_ENTRIES].tolist())
     flat = mats.reshape(mats.shape[:-2] + (16,))
     if np.count_nonzero(flat[..., _OFF_X]):
         return None
     x = flat[..., _X_ENTRIES]
-    return [x[..., i] for i in range(8)]
+    return _x_moduli(*(x[..., i] for i in range(8)))
 
 
 def _x_moduli(p00, p11, p22, p33, r03, r30, r12, r21):
-    """(rho_00, rho_11, rho_22, rho_33, |rho_03|, |rho_12|) from the
-    :func:`_x_entries` of an X stack.  The diagonal's real part and rho_30
-    and rho_21 are what ``eigvalsh`` reads, so a matrix that is Hermitian
-    only to within a tolerance gives the eigensolver's eigenvalues."""
+    """(rho_00, rho_11, rho_22, rho_33, |rho_03|, |rho_12|) from the eight
+    X entries of one X state or an X stack.  The diagonal's real part and
+    rho_30 and rho_21 are what ``eigvalsh`` reads, so a matrix that is
+    Hermitian only to within a tolerance gives the eigensolver's eigenvalues."""
     if isinstance(r30, np.ndarray):  # numpy's complex abs is not the hypot that a Python complex's is
         r30, r21 = np.hypot(r30.real, r30.imag), np.hypot(r21.real, r21.imag)
     return p00.real, p11.real, p22.real, p33.real, abs(r30), abs(r21)
-
-
-def _x_state(mats: np.ndarray):
-    """The entries of a stack of two-qubit X states, or None.
-
-    For a (..., 4, 4) stack that :func:`_x_entries` recognises, returns
-    :func:`_x_moduli`: Python floats for one matrix, arrays over the stack
-    otherwise.  Such a matrix is the direct sum of its blocks on {0, 3} and
-    {1, 2}, so these six numbers give its measures in closed form.
-    """
-    x = _x_entries(mats)
-    return None if x is None else _x_moduli(*x)
 
 
 def _x_block_minima(p00, p11, p22, p33, c_outer, c_inner):

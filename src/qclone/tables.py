@@ -379,7 +379,7 @@ def generate_table(table_id: str, mode: str = "closed_form") -> TableResult:
     last build in this mode; the rows are built only when the two differ.
     """
     if table_id not in _TABLES:
-        raise KeyError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
+        raise ValueError(f"unknown table id {table_id!r}; choose from {TABLE_IDS}")
     if mode not in ("closed_form", "simulate"):
         raise ValueError("mode must be closed_form or simulate")
     table = _TABLES[table_id]

@@ -1,8 +1,9 @@
 """The validation policy: a matrix or a ket is checked where it enters the program.
 
-Caller-built DensityOperators pass check_densities, and so do the three
-broadcast outputs of an input with gamma1 or delta1 nonzero, in one stack.
-The other closed-form operators are X states, checked by the scalar
+Caller-built DensityOperators pass check_densities, X states among them,
+with one eigensolve each, and so do the three broadcast outputs of an
+input with gamma1 or delta1 nonzero, in one stack.  The other closed-form
+operators are X states, checked where they are built by the scalar
 X-state kernel with no eigensolve: a two-qubit one on its X entries,
 which it carries on, rho_146 on the scalars it is built from.  Every ket
 a caller hands in passes check_kets once, under DENSITY_TOL.  A matrix
@@ -169,9 +170,11 @@ def test_a_four_amplitude_broadcast_input_can_fail_its_check():
         bc.broadcast_outputs((0.6, 0, 0, 0.8), 0.05)
 
 
-def test_herbert_ensembles_are_checked(checks):
+def test_herbert_ensembles_are_checked(checks, x_checks, eigensolves):
+    """Two caller-built X states: the general tests, one eigensolve each."""
     measures.herbert_ensembles()
     assert shapes(checks) == [(4, 4), (4, 4)]
+    assert x_checks == [] and eigensolves == [(4, 4), (4, 4)]
 
 
 # input row -> (clone_reports verdict, delete_reports verdict): None accepts,

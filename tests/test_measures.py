@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qclone import broadcast as bc
-from qclone import cloners, measures, qcore
+from qclone import cloners, measures
 from qclone.qcore import (
     ALPHA2,
     PAULI_Y,
@@ -527,8 +527,8 @@ def test_a_closed_form_sweep_recognises_no_state(monkeypatch):
     """The five closed-form states that the closed_forms benchmark measures
     take the measures from the numbers they carry."""
     calls = []
-    entries = qcore._x_entries
-    monkeypatch.setattr(qcore, "_x_entries", lambda mats: calls.append(mats.shape) or entries(mats))
+    x_state = measures._x_state
+    monkeypatch.setattr(measures, "_x_state", lambda mats: calls.append(mats.shape) or x_state(mats))
     outputs = bc.broadcast_outputs((math.sqrt(0.3), math.sqrt(0.7)), 0.19)
     alpha = 0.6 + 0.3j
     states = [outputs["AB'"], outputs["AA'"], *(fn(alpha) for fn in (bc.rho_16_closed, bc.rho_46_closed, bc.rho_12_closed))]
@@ -536,9 +536,10 @@ def test_a_closed_form_sweep_recognises_no_state(monkeypatch):
         for measure in (measures.concurrence_2q, measures.ppt_verdict, measures.w_determinants):
             measure(rho)
     assert calls == []
-    # a caller-built copy is recognised from its matrix, once per measure
+    # a caller-built copy is recognised from its matrix by the measure
+    # alone: its check takes the general tests
     measures.w_determinants(DensityOperator((2, 2), states[0].mat))
-    assert calls == [(4, 4), (4, 4)]
+    assert calls == [(4, 4)]
 
 
 def test_a_carried_x_state_is_read_only_and_carries_nothing_on():

@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qclone.qcore import (
     DENSITY_TOL,
@@ -16,6 +16,7 @@ from qclone.qcore import (
     UnrealizableSpec,
     apply_isometry,
     bell_project,
+    _derived_x,
     _trace_axes,
     _x_state,
     bell_state,
@@ -326,7 +327,7 @@ def _x_with_inner_eigenvalue(least, phase=0.7):
     return m
 
 
-def test_check_densities_on_one_x_state_needs_no_eigensolve(monkeypatch):
+def test_check_densities_on_one_x_state_takes_one_eigensolve(monkeypatch):
     general = random_density(np.random.default_rng(3), (2, 2)).mat
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -334,17 +335,19 @@ def test_check_densities_on_one_x_state_needs_no_eigensolve(monkeypatch):
     bad = _x_with_inner_eigenvalue(-1e-6)
     near = _x_with_inner_eigenvalue(-DENSITY_TOL / 2)
     assert _x_state(bad) is not None
+    # one matrix, X state or not, takes the stack's tests: one eigensolve
     with pytest.raises(ValueError, match="density operator has a significantly negative eigenvalue"):
         check_densities(bad)
     check_densities(near)
     DensityOperator((2, 2), near)
-    # a NaN coherence fails, first in the Hermitian test
+    assert calls == [(4, 4), (4, 4), (4, 4)]
+    # a NaN coherence fails, first in the Hermitian test, before any eigensolve
     for pair in ((0, 3), (1, 2)):
         nan = near.copy()
         nan[pair] = nan[pair[::-1]] = np.nan
         with pytest.raises(ValueError, match="not Hermitian"):
             check_densities(nan)
-    assert calls == []
+    assert len(calls) == 3
     # a stack, of X states or not, takes one batched eigensolve, which
     # gives each member its verdict
     with pytest.raises(ValueError, match="density operator has a significantly negative eigenvalue"):
@@ -354,18 +357,22 @@ def test_check_densities_on_one_x_state_needs_no_eigensolve(monkeypatch):
     assert _x_state(mixed) is None
     with pytest.raises(ValueError, match="significantly negative eigenvalue"):
         check_densities(mixed)
-    assert calls == [(2, 4, 4), (2, 4, 4), (3, 4, 4)]
+    assert calls[3:] == [(2, 4, 4), (2, 4, 4), (3, 4, 4)]
 
 
-def _raised(m):
-    with pytest.raises(ValueError) as info:
-        check_densities(m)
-    return str(info.value)
+def _verdict(check, m):
+    """None if ``check`` accepts a copy of ``m``, else its message."""
+    try:
+        check(m.copy())
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
-def test_one_x_state_fails_with_the_general_messages():
-    # one X state is checked on its diagonal and anti-diagonal in Python
-    # scalars; a stack of one takes the general tests, so the two must agree
+def test_the_scalar_x_state_check_fails_with_the_general_messages():
+    # a closed-form X state is checked on its diagonal and anti-diagonal in
+    # Python scalars (_derived_x); check_densities takes the general tests on
+    # the same matrix, so the two must agree
     near = _x_with_inner_eigenvalue(-DENSITY_TOL / 2)
     imag_diagonal = near.copy()
     imag_diagonal[2, 2] += 1e-6j
@@ -375,16 +382,18 @@ def test_one_x_state_fails_with_the_general_messages():
     inner[1, 2] += 1e-6  # rho_12 no longer the conjugate of rho_21
     trace = near.copy()
     trace[3, 3] += 10 * DENSITY_TOL
+    psd = _x_with_inner_eigenvalue(-1e-6)
     cases = [
         (imag_diagonal, "not Hermitian (deviation 2e-06)"),
         (outer, "not Hermitian (deviation 0.141)"),
         (inner, "not Hermitian (deviation 1e-06)"),
         (trace, "trace deviates from 1 by 1e-06"),
+        (psd, "significantly negative eigenvalue"),
     ]
     for m, message in cases:
         assert _x_state(m) is not None
-        assert message in _raised(m)
-        assert _raised(m) == _raised(m[None])
+        assert message in _verdict(_derived_x, m)
+        assert _verdict(_derived_x, m) == _verdict(check_densities, m)
     # a NaN entry fails the Hermitian test, with the deviation that
     # ndarray.max reports, wherever it sits among the eight; so does an
     # infinite coherence (an infinite diagonal entry makes the general
@@ -397,8 +406,52 @@ def test_one_x_state_fails_with_the_general_messages():
         m = near.copy()
         m[index] = bad
         assert _x_state(m) is not None
-        assert "not Hermitian" in _raised(m), (index, bad)
-        assert _raised(m) == _raised(m[None]), (index, bad)
+        assert "not Hermitian" in _verdict(_derived_x, m), (index, bad)
+        assert _verdict(_derived_x, m) == _verdict(check_densities, m), (index, bad)
+
+
+def _x_matrix(p, outer, inner):
+    """The two-qubit X state with diagonal p and coherences rho_03 = outer, rho_12 = inner."""
+    m = np.diag(p).astype(complex)
+    m[0, 3], m[1, 2] = outer, inner
+    m[3, 0], m[2, 1] = np.conj(outer), np.conj(inner)
+    return m
+
+
+@st.composite
+def _boundary_x_states(draw):
+    """An X state whose boundary block has its smaller eigenvalue within
+    rounding (1e-15) of -DENSITY_TOL, where check_densities' verdict turns,
+    and whose other block has a coherence of any admissible modulus."""
+    weight = st.floats(0.01, 1.0)
+    p = np.array([draw(weight) for _ in range(4)])
+    p /= p.sum()
+    least = -DENSITY_TOL + draw(st.floats(-1e-15, 1e-15))
+    phase = st.floats(0.0, 2 * math.pi)
+    boundary, other = ((1, 2), (0, 3)) if draw(st.booleans()) else ((0, 3), (1, 2))
+    # the modulus at which the boundary block's smaller eigenvalue is least
+    c = {boundary: math.sqrt(max(0.0, (p[boundary[0]] - least) * (p[boundary[1]] - least)))}
+    c[other] = draw(st.floats(0.0, 1.0)) * math.sqrt(p[other[0]] * p[other[1]])
+    outer, inner = (c[pair] * np.exp(1j * draw(phase)) for pair in ((0, 3), (1, 2)))
+    return _x_matrix(p, outer, inner)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_boundary_x_states())
+# eigvalsh's least eigenvalue, -1.00000000003e-7, fails the tolerance; the
+# closed-form block eigenvalue, -9.99999998919e-8, passes it
+@example(
+    _x_matrix(
+        [0.07455132616725414, 0.4327081617362663, 0.19041807126985127, 0.3023224408266283],
+        0.0,
+        0.2205829437642053 - 0.183680921201668j,
+    )
+)
+def test_one_x_state_has_the_verdict_of_a_stack_of_one(m):
+    """check_densities passes or fails an X state at the PSD boundary alone
+    as in a stack of one, with the same message."""
+    assert _x_state(m) is not None
+    assert _verdict(check_densities, m) == _verdict(check_densities, m[None])
 
 
 def test_check_kets_rejects_any_bad_row():
