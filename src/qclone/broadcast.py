@@ -30,6 +30,7 @@ from .qcore import (
     _derived,
     _derived_ket,
     _derived_x,
+    _gather_index,
     _real_amplitudes,
     bell_project,
     bell_state,
@@ -520,9 +521,9 @@ def three_qubit_protocol(alpha, branch: str = "Q0Q0") -> ProtocolState:
     # first round: clone qubits 1 and 3; layout q1, q2, mA, q3, q4, mB
     amps, dims = _apply_machine_at(amps, [2, 2], 0, machine)
     amps, dims = _apply_machine_at(amps, dims, 3, machine)
-    # measure both machines in the computational (Q0/Q1) basis; layout q1..q4
-    t = np.take(np.take(amps.reshape(dims), int(branch[3]), axis=5), int(branch[1]), axis=2)
-    amps = t.reshape(-1)
+    # measure both machines in the computational (Q0/Q1) basis: the row of
+    # the machines' outcome in their gather; layout q1..q4
+    amps = amps[_gather_index(tuple(dims), ((2, 5),))[0][int(branch[1]) * dims[5] + int(branch[3])]]
     prob = float(np.linalg.norm(amps) ** 2)
     amps = amps / math.sqrt(prob)
     # second round: clone qubits 2 and 4

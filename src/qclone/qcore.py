@@ -27,7 +27,7 @@ HERMITIAN_TOL = 1e-8  # hermitian_eigvals: anti-Hermitian part, relative to max 
 ZERO_BRANCH_TOL = 1e-12  # bell_project: smaller branch probabilities count as zero
 
 SPEC_CACHE_SIZE = 128  # spec_cache: entries kept per cached function
-LAYOUT_CACHE_SIZE = 64  # reduce_kets: (dims, selections) layouts whose gather positions are kept
+LAYOUT_CACHE_SIZE = 64  # _gather_index: (dims, selections) layouts whose flat positions are kept
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -548,22 +548,12 @@ def _check_selection(keep, n: int) -> list:
     return keep
 
 
-def _trace_axes(mat: np.ndarray, dims, keep):
-    n = len(dims)
-    keep = sorted(_check_selection(keep, n))
-    t = mat.reshape(list(dims) * 2)
-    # contract traced-out row/col axis pairs, highest index first
-    for ax in reversed([i for i in range(n) if i not in keep]):
-        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
-    d_keep = math.prod([dims[k] for k in keep])
-    return t.reshape(d_keep, d_keep)
-
-
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _gather_index(dims: tuple, keeps: tuple) -> np.ndarray:
-    """Read-only (len(keeps), d_keep, d_rest) flat positions of a ket on
-    ``dims``: row i of view k lists the amplitudes whose kept subsystems,
-    in the order ``keeps[k]`` lists them, read i."""
+    """Read-only (len(keeps), d_keep, d_rest) flat positions on ``dims``, of
+    a ket's amplitudes or an operator's rows and columns: entry (k, i, r)
+    is where the subsystems of ``keeps[k]``, in its order, read i and the
+    others, in theirs, read r.  Each selection is checked as by :func:`_check_selection`."""
     n = len(dims)
     keeps = [_check_selection(keep, n) for keep in keeps]
     sizes = {math.prod([dims[k] for k in keep]) for keep in keeps}
@@ -598,14 +588,16 @@ def reduce_ket(amps, dims, keep) -> np.ndarray:
 def partial_trace(state, keep) -> DensityOperator:
     """Trace out all subsystems except ``keep`` (kept in original order).
 
-    ``state`` is a DensityOperator or a StateVector; a pure state is reduced
-    by :func:`reduce_ket` without forming its full density matrix.
+    A StateVector is reduced by :func:`reduce_ket`, without its full density
+    matrix.  A DensityOperator's entries are gathered at the positions of
+    :func:`_gather_index` as (d_keep, d_keep, d_rest) and summed over the rest.
     """
-    keep = sorted(keep)  # reduce_ket and _trace_axes check the selection
+    keep = sorted(keep)  # _gather_index checks the selection
     if isinstance(state, StateVector):
         reduced = reduce_ket(state.amps, state.dims, keep)
     else:
-        reduced = _trace_axes(state.mat, state.dims, keep)
+        (index,) = _gather_index(state.dims, (tuple(keep),))
+        reduced = state.mat[index[:, None, :], index[None, :, :]].sum(-1)
     return _derived(tuple(state.dims[k] for k in keep), reduced)
 
 
@@ -674,17 +666,13 @@ def apply_isometry(v: MachineIsometry, state):
 
 def schmidt(ket: StateVector, split) -> np.ndarray:
     """Descending Schmidt coefficients lambda_i (squared singular values) of
-    the split ``split`` | rest; the selection is checked as in
+    the split ``split`` | rest: of the (d_split, d_rest) matrix of amplitudes
+    that :func:`_gather_index` gathers.  The selection is checked as in
     :func:`partial_transpose`, and the rest must be nonempty."""
-    n = len(ket.dims)
-    left = sorted(_check_selection(split, n))
-    right = [i for i in range(n) if i not in left]
-    if not right:
+    (index,) = _gather_index(ket.dims, (tuple(sorted(split)),))
+    if index.shape[1] == 1:  # no subsystem is left outside the split
         raise ValueError("split must be a proper nonempty bipartition")
-    t = ket.amps.reshape(ket.dims)
-    t = np.transpose(t, left + right)
-    m = t.reshape(math.prod([ket.dims[i] for i in left]), -1)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(ket.amps[index], compute_uv=False)
     lam = np.sort(s**2)[::-1]
     return lam[lam > 1e-14]
 
@@ -695,37 +683,34 @@ def permute_subsystems(rho: DensityOperator, order) -> DensityOperator:
     n = len(rho.dims)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of subsystem indices")
-    t = rho.mat.reshape(list(rho.dims) * 2)
-    t = np.transpose(t, order + [i + n for i in order])
-    dims = tuple(rho.dims[i] for i in order)
-    return _derived(dims, t.reshape(rho.mat.shape))
+    index = _gather_index(rho.dims, (tuple(order),)).reshape(-1)
+    return _derived(tuple(rho.dims[i] for i in order), rho.mat[index[:, None], index])
 
 
 def bell_project(rho: DensityOperator, pair, outcome: str):
-    """Bell measurement of two qubit subsystems.
+    """Bell measurement of the two qubit subsystems ``pair`` of an operator
+    with at least one other subsystem.
 
     Returns (probability, post-measurement DensityOperator on the remaining
-    subsystems).  A branch of weight below ZERO_BRANCH_TOL returns (0.0, None).
+    subsystems).  The branch contracts the Bell ket with the entries at the
+    (pair, rest) positions of :func:`_gather_index`, rows first, without the
+    full projector.  A branch of weight below ZERO_BRANCH_TOL returns (0.0, None).
     """
     n = len(rho.dims)
     i, j = _check_selection(pair, n)
     if rho.dims[i] != 2 or rho.dims[j] != 2:
         raise ValueError("bell_project requires qubit subsystems")
+    if n == 2:
+        raise ValueError("bell_project needs a subsystem outside the measured pair")
     bell = bell_state(outcome)
-    # <bell|_{ij} rho |bell>_{ij} without building the full projector
-    t = rho.mat.reshape(list(rho.dims) * 2)
-    b = bell.reshape(2, 2)
-    # contract ket-side axes (i, j) and bra-side axes (i+n, j+n)
-    t = np.tensordot(b.conj(), t, axes=([0, 1], [i, j]))
-    t = np.tensordot(b, t, axes=([0, 1], [i + n - 2, j + n - 2]))
-    keep = [k for k in range(n) if k not in (i, j)]
-    d_keep = math.prod([rho.dims[k] for k in keep])
-    reduced = t.reshape(d_keep, d_keep)
+    (index,) = _gather_index(rho.dims, ((i, j),))
+    pairs = rho.mat[index[:, None, :, None], index[None, :, None, :]].reshape(4, -1)  # (4, 4 d_rest^2)
+    # <bell| rho |bell> on the pair: two vector-matrix products, its rows first
+    reduced = (bell @ (bell.conj() @ pairs).reshape(4, -1)).reshape(index.shape[1], -1)
     prob = float(np.trace(reduced).real)
     if prob < ZERO_BRANCH_TOL:
         return 0.0, None
-    post = _derived(tuple(rho.dims[k] for k in keep), reduced / prob)
-    return prob, post
+    return prob, _derived(tuple(d for k, d in enumerate(rho.dims) if k not in (i, j)), reduced / prob)
 
 
 def symmetric_basis_state(n_qubits: int, n_ones: int) -> np.ndarray:

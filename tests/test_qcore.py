@@ -16,8 +16,8 @@ from qclone.qcore import (
     UnrealizableSpec,
     apply_isometry,
     bell_project,
+    _check_selection,
     _derived_x,
-    _trace_axes,
     _x_state,
     bell_state,
     check_densities,
@@ -42,6 +42,20 @@ from qclone.verify import CheckResult
 def kron_all(*factors) -> np.ndarray:
     """The tensor product of kets or matrices, leftmost factor most significant."""
     return functools.reduce(np.kron, factors)
+
+
+def _trace_axes(mat: np.ndarray, dims, keep):
+    """The partial trace of a (d, d) matrix on ``dims`` over every subsystem
+    outside ``keep``, kept sorted: one np.trace per traced axis pair, the
+    reference of the gathered kernel in qclone.qcore.partial_trace."""
+    n = len(dims)
+    keep = sorted(_check_selection(keep, n))
+    t = mat.reshape(list(dims) * 2)
+    # contract traced-out row/col axis pairs, highest index first
+    for ax in reversed([i for i in range(n) if i not in keep]):
+        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+    d_keep = math.prod([dims[k] for k in keep])
+    return t.reshape(d_keep, d_keep)
 
 
 def random_density(rng, dims):
@@ -650,9 +664,17 @@ def test_bell_project_swapping():
 
 
 def test_bell_project_zero_branch():
-    rho = DensityOperator((2, 2), np.diag([1.0, 0, 0, 0]))
+    rho = DensityOperator((2, 2, 2), np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]))
     p, post = bell_project(rho, (0, 1), "psi-")
     assert p == 0.0 and post is None
+
+
+def test_bell_project_needs_a_subsystem_outside_the_pair():
+    # the post-measurement operator of a pair that covers every subsystem
+    # would have no subsystems, which no DensityOperator has
+    rho = StateVector((2, 2), bell_state("phi+")).density()
+    with pytest.raises(ValueError, match="subsystem outside the measured pair"):
+        bell_project(rho, (0, 1), "phi+")
 
 
 def test_bell_project_distinct_indices():
@@ -677,6 +699,49 @@ def test_one_subsystem_selection_check(selection):
     for call in calls:
         with pytest.raises(ValueError, match=r"invalid subsystem selection .* for 3 subsystems"):
             call()
+
+
+@st.composite
+def _layouts(draw):
+    """Dims of 2-4 subsystems of 2 or 3 levels, a selection in random order,
+    a permutation, a proper split, a rank of 2 or 3 and a seed."""
+    dims = tuple(draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4)))
+    n = len(dims)
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    order = draw(st.permutations(range(n)))
+    split = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+    return dims, keep, order, split, draw(st.sampled_from((2, 3))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_layouts())
+@example(((2, 3, 2), [2, 0], [1, 2, 0], [1], 3, 0))
+def test_gathered_layouts_match_their_axis_references(case):
+    """partial_trace of a mixed operator agrees with the per-axis trace to
+    1e-15; permute_subsystems and schmidt give the bits of a reshape and a
+    transpose of the subsystem axes."""
+    dims, keep, order, split, rank, seed = case
+    n, d = len(dims), math.prod(dims)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = a @ a.conj().T
+    rho = DensityOperator(dims, m / np.trace(m).real)
+    reduced = partial_trace(rho, keep)
+    assert reduced.dims == tuple(dims[k] for k in sorted(keep))
+    assert np.max(np.abs(reduced.mat - _trace_axes(rho.mat, dims, keep))) <= 1e-15
+
+    t = rho.mat.reshape(dims * 2).transpose(list(order) + [i + n for i in order])
+    permuted = permute_subsystems(rho, order)
+    assert permuted.dims == tuple(dims[i] for i in order)
+    assert np.array_equal(permuted.mat, t.reshape(d, d))
+
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = StateVector(dims, v / np.linalg.norm(v))
+    left = sorted(split)
+    t = psi.amps.reshape(dims).transpose(left + [i for i in range(n) if i not in left])
+    s = np.linalg.svd(t.reshape(math.prod([dims[i] for i in left]), -1), compute_uv=False)
+    lam = np.sort(s**2)[::-1]
+    assert np.array_equal(schmidt(psi, split), lam[lam > 1e-14])
 
 
 def test_permute_subsystems():
