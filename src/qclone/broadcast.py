@@ -26,7 +26,6 @@ from .qcore import (
     PAULI_X,
     PAULI_Z,
     StateVector,
-    _check_x_state,
     _derived,
     _derived_ket,
     _derived_x,
@@ -233,9 +232,9 @@ def broadcast_outputs(amplitudes, lmbda: float) -> Dict[str, DensityOperator]:
 
     For an input alpha1|00> + beta1|11> (gamma1 = delta1 = 0, as every
     two-amplitude input) the C and K coefficients off the X entries vanish,
-    so each of the three operators is an X state, checked on its X entries
-    and carrying them; any other input's three matrices take one stacked
-    check, which fails for some lambda < 1/6."""
+    so each of the three operators is an X state, derived and never
+    checked, carrying the moduli of its X entries; any other input's three
+    matrices take one stacked check, which fails for some lambda < 1/6."""
     COPIER_LAMBDA.check(lmbda)
     a = _coerce_input(amplitudes)
     if a.ndim != 1:
@@ -562,11 +561,12 @@ def _rho_146_terms():
 _RHO_146_A2, _RHO_146_UP, _RHO_146_DOWN, _RHO_146_B2 = _rho_146_terms()
 
 
-# The closed-form protocol operators are X states, checked with the tests
-# and tolerance of check_densities, no eigensolve: rho_146 on its scalars,
-# a two-qubit one on its X entries, which it carries (qcore._derived_x).  The
-# matrix is divided by norm in numpy, which multiplies by 1 / norm; dividing
-# the Python scalars instead would move some entries by their last bit.
+# The closed-form protocol operators are derived values of a checked alpha
+# and run no check (tests/test_invariants.py holds them to check_densities
+# over the domain); a two-qubit one carries its X entries' moduli
+# (qcore._derived_x).  The matrix is divided by norm in numpy, which
+# multiplies by 1 / norm; dividing the Python scalars would move some
+# entries by their last bit.
 
 
 def rho_146_closed(alpha) -> DensityOperator:
@@ -587,19 +587,6 @@ def rho_146_closed(alpha) -> DensityOperator:
     up = (np.conj(ab) / 9) * (math.sqrt(2) / 3)
     down = (ab / 9) * (math.sqrt(2) / 3)
     w = (beta2 / 36) * (2 / 3)  # each of the six projectors of the beta^2 term
-    c_up, c_down = complex(up) / norm, complex(down) / norm
-    _check_x_state(
-        (a * (2 / 3) + w) / norm,  # |000>
-        (a * (1 / 3) + w) / norm,  # |0>psi+
-        w / norm,  # |111>
-        w / norm,  # |1>psi+
-        c_up,
-        c_down,
-        c_up,
-        c_down,
-        w / norm,  # |011>
-        w / norm,  # |100>
-    )
     m = a * _RHO_146_A2
     m += up * _RHO_146_UP
     m += down * _RHO_146_DOWN

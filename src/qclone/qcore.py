@@ -194,17 +194,19 @@ def _derived(dims: tuple, mat: np.ndarray) -> DensityOperator:
 
 
 class _XOperator(DensityOperator):
-    """A DensityOperator with an instance dict, for :func:`_derived_x`."""
+    """A DensityOperator with an instance dict, for :func:`_derived_x`: a
+    closed-form X state, derived from checked scalars and never checked."""
 
     def __reduce__(self):  # a copy or an unpickled twin is read-only and carries its own moduli
         return _derived_x, (self.mat,)
 
 
 def _derived_x(mat: np.ndarray) -> DensityOperator:
-    """A two-qubit X state's (4, 4) matrix, checked on its X entries, made
-    read-only (so that they cannot go stale) and carrying their :func:`_x_moduli`."""
+    """:func:`_derived` for a closed form's two-qubit X state, built from
+    checked scalars: no check.  The matrix is made read-only, so that the
+    :func:`_x_moduli` of its X entries, which it carries, cannot go stale."""
     rho = tuple.__new__(_XOperator, ((2, 2), mat))
-    rho._x = _check_x_state(*mat.reshape(16)[_X_ENTRIES].tolist())
+    rho._x = _x_moduli(*mat.reshape(16)[_X_ENTRIES].tolist())
     mat.flags.writeable = False
     return rho
 
@@ -265,40 +267,6 @@ def check_densities(mats: np.ndarray) -> None:
     least = np.linalg.eigvalsh(mats)[..., 0].min()
     if not least >= -DENSITY_TOL:
         raise ValueError(_NOT_PSD)
-
-
-def _check_x_state(p00, p11, p22, p33, r03, r30, r12, r21, *diagonal) -> tuple:
-    """The tests of check_densities on one X state that a producer builds
-    (:func:`_derived_x`, ``broadcast.rho_146_closed``), in Python scalars on
-    its eight X entries, returning their :func:`_x_moduli`: only these can
-    differ from their conjugate partners or enter the trace.  The tests and
-    messages are the general ones, NaN failing too.
-
-    A larger operator that is the direct sum of two 2x2 blocks and 1x1
-    blocks passes its blocks as the X state's {0, 3} and {1, 2} pairs and
-    its 1x1 blocks, real numbers, as ``diagonal``: they enter the trace and
-    the PSD test (a zero block may be left out)."""
-    devs = (
-        abs(p00 - p00.conjugate()),
-        abs(p11 - p11.conjugate()),
-        abs(p22 - p22.conjugate()),
-        abs(p33 - p33.conjugate()),
-        abs(r03 - r30.conjugate()),
-        abs(r12 - r21.conjugate()),
-        *[abs(d - d.conjugate()) for d in diagonal],
-    )
-    if not all(map(DENSITY_TOL.__ge__, devs)):
-        # the largest deviation, NaN if any is NaN, as ndarray.max gives it
-        raise ValueError(_NOT_HERMITIAN.format(np.max(devs)))
-    # the entries are finite now: a NaN or infinite one fails the test above
-    worst = abs((p00 + p11 + p22 + p33 + sum(diagonal)).real - 1.0)
-    if not worst <= DENSITY_TOL:
-        raise ValueError(_BAD_TRACE.format(worst))
-    # builtin min on Python floats: np.minimum costs microseconds on scalars
-    moduli = _x_moduli(p00, p11, p22, p33, r03, r30, r12, r21)
-    if not min(*_x_block_minima(*moduli), *diagonal) >= -DENSITY_TOL:
-        raise ValueError(_NOT_PSD)
-    return moduli
 
 
 # flat indices of the entries of a 4x4 matrix off its diagonal and
@@ -697,7 +665,10 @@ def bell_project(rho: DensityOperator, pair, outcome: str):
     full projector.  A branch of weight below ZERO_BRANCH_TOL returns (0.0, None).
     """
     n = len(rho.dims)
-    i, j = _check_selection(pair, n)
+    pair = _check_selection(pair, n)
+    if len(pair) != 2:
+        raise ValueError(f"bell_project measures a pair of subsystems, not {pair}")
+    i, j = pair
     if rho.dims[i] != 2 or rho.dims[j] != 2:
         raise ValueError("bell_project requires qubit subsystems")
     if n == 2:

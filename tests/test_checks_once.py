@@ -3,15 +3,14 @@
 Caller-built DensityOperators pass check_densities, X states among them,
 with one eigensolve each, and so do the three broadcast outputs of an
 input with gamma1 or delta1 nonzero, in one stack.  The other closed-form
-operators are X states, checked where they are built by the scalar
-X-state kernel with no eigensolve: a two-qubit one on its X entries,
-which it carries on, rho_146 on the scalars it is built from.  Every ket
-a caller hands in passes check_kets once, under DENSITY_TOL.  A matrix
-the program derives from checked operands (a ket reduction, a partial
-trace, a tensor product, a permutation, V rho V^dag, a Bell-projection
-branch) is never checked again; tests/test_invariants.py holds that
-invariant instead.  Nor is a derived ket (V|psi>, a tensor product of
-kets, a normalized measurement branch).
+operators are derived values of checked scalars and are never checked: a
+two-qubit one is an X state that carries the moduli of its X entries.
+Every ket a caller hands in passes check_kets once, under DENSITY_TOL.  A
+matrix the program derives from checked operands (a closed form, a ket
+reduction, a partial trace, a tensor product, a permutation, V rho V^dag, a
+Bell-projection branch) is never checked again; tests/test_invariants.py
+holds that invariant instead.  Nor is a derived ket (V|psi>, a tensor
+product of kets, a normalized measurement branch).
 """
 
 import math
@@ -100,19 +99,6 @@ def test_a_density_operator_built_from_caller_data_is_checked_once(checks):
 
 
 @pytest.fixture
-def x_checks(monkeypatch):
-    """The entries that the scalar X-state check receives, in call order,
-    from every qclone module that binds it: qcore._derived_x checks a
-    two-qubit closed form, broadcast.rho_146_closed its own blocks."""
-    seen = []
-    check = qcore._check_x_state
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("qclone") and getattr(mod, "_check_x_state", None) is check:
-            monkeypatch.setattr(mod, "_check_x_state", lambda *x: seen.append(x) or check(*x))
-    return seen
-
-
-@pytest.fixture
 def eigensolves(monkeypatch):
     """The shapes that np.linalg.eigvalsh receives, in call order."""
     seen = []
@@ -121,11 +107,11 @@ def eigensolves(monkeypatch):
     return seen
 
 
-# every closed form checked as an X state, on its X entries or (rho_146) on
-# its scalars: the call, and its number of X-state checks (one per operator;
-# rho_146's blocks make one X state and two weights)
-SCALAR_CHECKED = {
-    "rho_146_closed": (lambda: bc.rho_146_closed(0.6j), 1),
+# every closed form, a derived value of checked scalars: the call, and the
+# number of X states it builds through qcore._derived_x (rho_146 is a
+# three-qubit operator, built through qcore._derived)
+CLOSED_FORMS = {
+    "rho_146_closed": (lambda: bc.rho_146_closed(0.6j), 0),
     "rho_16_closed": (lambda: bc.rho_16_closed(0.6j), 1),
     "rho_46_closed": (lambda: bc.rho_46_closed(0.6), 1),
     "rho_12_closed": (lambda: bc.rho_12_closed(0.6), 1),
@@ -134,31 +120,40 @@ SCALAR_CHECKED = {
 }
 
 
-@pytest.mark.parametrize("name", SCALAR_CHECKED)
-def test_a_closed_form_operator_is_checked_on_its_scalars(checks, x_checks, eigensolves, name):
-    make, count = SCALAR_CHECKED[name]
+def _operators(out):
+    return list(out.values()) if isinstance(out, dict) else [out]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_closed_form_operator_runs_no_density_check_and_no_eigensolve(checks, eigensolves, name):
+    make, _ = CLOSED_FORMS[name]
     out = make()
     assert shapes(checks) == [] and eigensolves == []
-    assert len(x_checks) == count
     if isinstance(out, dict):
         assert out["AB'"] is out["A'B"]
+    # a two-qubit closed form carries the moduli of its X entries
+    for rho in _operators(out):
+        assert rho._x == (qcore._x_state(rho.mat) if rho.dims == (2, 2) else None)
 
 
-@pytest.mark.parametrize("name", SCALAR_CHECKED)
-def test_a_closed_form_operator_takes_its_moduli_from_its_check(monkeypatch, name):
-    """One _x_moduli call per X-state check: qcore._derived_x keeps the
-    moduli that _check_x_state returns instead of computing them again."""
-    calls = []
-    moduli = qcore._x_moduli
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_closed_form_operator_computes_its_moduli_once(monkeypatch, name):
+    """One _x_moduli call per qcore._derived_x: the measures read the
+    moduli that a closed form carries instead of computing them again."""
+    calls, built = [], []
+    moduli, derived_x = qcore._x_moduli, qcore._derived_x
     monkeypatch.setattr(qcore, "_x_moduli", lambda *x: calls.append(x) or moduli(*x))
-    make, count = SCALAR_CHECKED[name]
-    make()
-    assert len(calls) == count
+    monkeypatch.setattr(bc, "_derived_x", lambda m: built.append(m) or derived_x(m))
+    make, count = CLOSED_FORMS[name]
+    for rho in _operators(make()):
+        if rho.dims == (2, 2):
+            measures.concurrence_2q(rho)  # reads the carried moduli
+    assert len(calls) == len(built) == count
 
 
-def test_a_four_amplitude_broadcast_input_is_checked_in_one_stack(checks, x_checks):
+def test_a_four_amplitude_broadcast_input_is_checked_in_one_stack(checks):
     out = bc.broadcast_outputs([0.6, 0.0, 0.0, 0.8], 0.19)
-    assert shapes(checks) == [(3, 4, 4)] and x_checks == []
+    assert shapes(checks) == [(3, 4, 4)] and all(rho._x is None for rho in out.values())
     assert out["AB'"] is out["A'B"]
     assert sum(np.shares_memory(rho.mat, checks[0]) for rho in out.values()) == 4  # AB' is A'B
 
@@ -170,11 +165,10 @@ def test_a_four_amplitude_broadcast_input_can_fail_its_check():
         bc.broadcast_outputs((0.6, 0, 0, 0.8), 0.05)
 
 
-def test_herbert_ensembles_are_checked(checks, x_checks, eigensolves):
+def test_herbert_ensembles_are_checked(checks, eigensolves):
     """Two caller-built X states: the general tests, one eigensolve each."""
     measures.herbert_ensembles()
-    assert shapes(checks) == [(4, 4), (4, 4)]
-    assert x_checks == [] and eigensolves == [(4, 4), (4, 4)]
+    assert shapes(checks) == [(4, 4), (4, 4)] and eigensolves == [(4, 4), (4, 4)]
 
 
 # input row -> (clone_reports verdict, delete_reports verdict): None accepts,

@@ -6,20 +6,29 @@ tensor product or a unitary conjugation is Hermitian, PSD and unit-trace by
 construction.  This property holds every producer to check_densities over
 its domain instead, drawing each family from the per-family strategies of
 the batched-report tests; a family without a strategy fails it.  The
-closed-form operators, checked at run time on the scalars they are built
-from, are held to check_densities on their matrices here too.
+closed-form operators are derived values too: built from checked scalars,
+they run no check at all, and their own property below holds each of them
+to check_densities over its whole domain, ends included.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qclone import broadcast as bc
 from qclone import cloners, concat, deleters
 from qclone.cloners import MachineSpec
 from qclone.deleters import DeleterSpec
-from qclone.qcore import ALPHA2, DensityOperator, StateVector, apply_isometry, check_densities, partial_trace
+from qclone.qcore import (
+    ALPHA2,
+    DensityOperator,
+    StateVector,
+    _x_state,
+    apply_isometry,
+    check_densities,
+    partial_trace,
+)
 from test_cloners import ONE_TO_M_PARAMS, one_to_m_cases
 from test_concat import pipeline_state
 from test_deleters import DELETER_PARAMS, deleter_cases
@@ -104,29 +113,7 @@ def _protocol_ops(alpha, branch):
 def _broadcast_ops(amps, lam):
     machine = bc.broadcast_outputs_machine(amps, lam)
     channel = bc.broadcast_channel_matrices(amps, lam)
-    return list(machine.values()) + list(channel.values())
-
-
-@st.composite
-def closed_form_cases(draw):
-    """A complex alpha for the four protocol operators, or broadcast_outputs'
-    input over its domain: (alpha1, beta1), bare or padded with two zeros,
-    with lambda in [0, 1/2], or four amplitudes with lambda in [1/6, 1/2]."""
-    kind = draw(st.sampled_from(["protocol", "alpha1|00> + beta1|11>", "four amplitudes"]))
-    if kind == "protocol":
-        return kind, draw(alphas)
-    if kind == "four amplitudes":
-        return kind, draw(broadcast_cases())
-    t = draw(st.floats(0.0, 2 * math.pi))
-    pair = (math.cos(t), math.sin(t))
-    amps = draw(st.sampled_from([pair, pair + (0.0, 0.0)]))
-    return kind, (amps, draw(st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most)))
-
-
-def _closed_form_ops(kind, args):
-    if kind == "protocol":
-        return [fn(args) for fn in (bc.rho_146_closed, bc.rho_16_closed, bc.rho_46_closed, bc.rho_12_closed)]
-    return list(bc.broadcast_outputs(*args).values())
+    return list(machine.values()) + list(channel.values()) + list(bc.broadcast_outputs(amps, lam).values())
 
 
 def _pipeline_ops(spec, alpha2):
@@ -140,7 +127,6 @@ PRODUCERS = {
     "delete": (deleter_cases(), _delete_ops),
     "protocol": (protocol_cases, _protocol_ops),
     "broadcast": (broadcast_cases(), _broadcast_ops),
-    "closed_form": (closed_form_cases(), _closed_form_ops),
     "pipeline": (pipeline_cases, _pipeline_ops),
 }
 
@@ -154,3 +140,41 @@ def test_every_derived_operator_is_a_density_operator(case):
     kind, args = case
     for op in PRODUCERS[kind][1](*args):
         check_densities(op.mat if isinstance(op, DensityOperator) else op)
+
+
+# an input alpha1|00> + beta1|11> of broadcast_outputs, either sign of
+# either amplitude, bare or padded with two zeros
+two_amplitude_inputs = st.floats(0.0, 2 * math.pi).flatmap(
+    lambda t: st.sampled_from([(math.cos(t), math.sin(t)), (math.cos(t), math.sin(t), 0.0, 0.0)])
+)
+closed_form_cases = st.one_of(
+    st.tuples(st.just("protocol"), alphas),
+    st.tuples(
+        st.just("broadcast"),
+        st.tuples(two_amplitude_inputs, st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most)),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(closed_form_cases)
+@example(("protocol", 0.0))
+@example(("protocol", 1.0))
+@example(("protocol", -1j))
+@example(("broadcast", ((0.0, 1.0), 0.0)))
+@example(("broadcast", ((1.0, 0.0), 0.5)))
+@example(("broadcast", ((0.0, -1.0, 0.0, 0.0), 0.5)))
+@example(("broadcast", ((-1.0, 0.0, 0.0, 0.0), 0.0)))
+def test_every_closed_form_operator_is_a_density_operator(case):
+    """The four protocol operators of a complex alpha, and the three outputs
+    of broadcast_outputs on a two-amplitude input with lambda in [0, 1/2]:
+    derived values that no check guards at run time.  Each two-qubit one is
+    an X state that carries the moduli of its X entries."""
+    kind, args = case
+    if kind == "protocol":
+        ops = [fn(args) for fn in (bc.rho_146_closed, bc.rho_16_closed, bc.rho_46_closed, bc.rho_12_closed)]
+    else:
+        ops = list(bc.broadcast_outputs(*args).values())
+    for rho in ops:
+        check_densities(rho.mat)
+        assert rho._x == (_x_state(rho.mat) if rho.dims == (2, 2) else None)

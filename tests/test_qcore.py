@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,6 @@ from qclone.qcore import (
     apply_isometry,
     bell_project,
     _check_selection,
-    _derived_x,
     _x_state,
     bell_state,
     check_densities,
@@ -383,10 +383,9 @@ def _verdict(check, m):
     return None
 
 
-def test_the_scalar_x_state_check_fails_with_the_general_messages():
-    # a closed-form X state is checked on its diagonal and anti-diagonal in
-    # Python scalars (_derived_x); check_densities takes the general tests on
-    # the same matrix, so the two must agree
+def test_check_densities_fails_an_x_state_with_the_general_messages():
+    # an X state fails the Hermitian, trace and PSD tests of check_densities
+    # with the messages of any other matrix, each naming its deviation
     near = _x_with_inner_eigenvalue(-DENSITY_TOL / 2)
     imag_diagonal = near.copy()
     imag_diagonal[2, 2] += 1e-6j
@@ -398,30 +397,29 @@ def test_the_scalar_x_state_check_fails_with_the_general_messages():
     trace[3, 3] += 10 * DENSITY_TOL
     psd = _x_with_inner_eigenvalue(-1e-6)
     cases = [
-        (imag_diagonal, "not Hermitian (deviation 2e-06)"),
-        (outer, "not Hermitian (deviation 0.141)"),
-        (inner, "not Hermitian (deviation 1e-06)"),
-        (trace, "trace deviates from 1 by 1e-06"),
-        (psd, "significantly negative eigenvalue"),
+        (imag_diagonal, "density operator is not Hermitian (deviation 2e-06)"),
+        (outer, "density operator is not Hermitian (deviation 0.141)"),
+        (inner, "density operator is not Hermitian (deviation 1e-06)"),
+        (trace, "density operator trace deviates from 1 by 1e-06"),
+        (psd, "density operator has a significantly negative eigenvalue"),
     ]
+    assert _verdict(check_densities, near) is None
     for m, message in cases:
         assert _x_state(m) is not None
-        assert message in _verdict(_derived_x, m)
-        assert _verdict(_derived_x, m) == _verdict(check_densities, m)
-    # a NaN entry fails the Hermitian test, with the deviation that
-    # ndarray.max reports, wherever it sits among the eight; so does an
-    # infinite coherence (an infinite diagonal entry makes the general
-    # test warn on inf - inf, so it is left out here)
+        assert _verdict(check_densities, m) == message
+    # a NaN entry fails the Hermitian test, with a NaN deviation, wherever
+    # it sits among the eight X entries; an infinite coherence fails it with
+    # an infinite one (an infinite diagonal entry warns on inf - inf, so it
+    # is left out here)
     coherences = [(0, 3), (3, 0), (1, 2), (2, 1)]
     x_entries = [(i, i) for i in range(4)] + coherences
-    bad_entries = [(index, bad) for index in x_entries for bad in (np.nan, complex(0.0, np.nan))]
-    bad_entries += [(index, np.inf) for index in coherences]
-    for index, bad in bad_entries:
+    bad_entries = [(index, bad, "nan") for index in x_entries for bad in (np.nan, complex(0.0, np.nan))]
+    bad_entries += [(index, np.inf, "inf") for index in coherences]
+    for index, bad, deviation in bad_entries:
         m = near.copy()
         m[index] = bad
         assert _x_state(m) is not None
-        assert "not Hermitian" in _verdict(_derived_x, m), (index, bad)
-        assert _verdict(_derived_x, m) == _verdict(check_densities, m), (index, bad)
+        assert _verdict(check_densities, m) == f"density operator is not Hermitian (deviation {deviation})", index
 
 
 def _x_matrix(p, outer, inner):
@@ -681,6 +679,14 @@ def test_bell_project_distinct_indices():
     rho = DensityOperator((2, 2), np.eye(4) / 4)
     with pytest.raises(ValueError):
         bell_project(rho, (1, 1), "phi+")
+
+
+@pytest.mark.parametrize("dims, pair", [((2, 2, 2), (0, 1, 2)), ((2, 2, 2), (0,)), ((2, 2, 2, 2), (3, 0, 1))])
+def test_bell_project_names_a_selection_that_is_not_a_pair(dims, pair):
+    rho = DensityOperator(dims, np.eye(2 ** len(dims)) / 2 ** len(dims))
+    message = f"bell_project measures a pair of subsystems, not {list(pair)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bell_project(rho, pair, "phi+")
 
 
 @pytest.mark.parametrize("selection", [(), (0, 0), (0, 3), (-1, 0), (1, 1)])
