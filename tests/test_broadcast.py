@@ -9,6 +9,7 @@ from qclone import broadcast as bc
 from qclone import measures, tables
 from qclone.qcore import DensityOperator, bell_state, partial_trace, partial_transpose
 from qclone.qcore import ket
+from families import within
 
 
 RNG = np.random.default_rng(404)
@@ -171,7 +172,7 @@ def test_interval_by_bisection_matches_scalar_or_raises_alike(lam, which):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.floats(0.0, 0.5, exclude_max=True), max_size=6),
+    st.lists(within(bc.INTERVAL_LAMBDA), max_size=6),
     st.sampled_from(["insep", "sep"]),
 )
 def test_intervals_by_bisection_equal_scalar_bisections_or_raise_alike(lams, which):
@@ -214,23 +215,6 @@ def test_ppt_boundary_values_are_unchanged():
     b12 = ppt_boundary(lambda a2: bc.rho_12_closed(math.sqrt(a2)), 0.05, 0.9, False)
     assert (b16, b46, b12) == (0.18367314338684082, 0.617740797996521, 0.2727272272109985)
     assert all(type(b) is float for b in (b16, b46, b12))
-
-
-def test_stacked_assembly_has_the_bytes_of_scalar_assemblies():
-    amps = RNG.normal(size=(9, 4))
-    amps[:3, 2:] = 0.0  # the (alpha1, beta1) family, as the oracle uses it
-    amps[3:6] = -amps[3:6]
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    lams = np.concatenate([[0.0], RNG.uniform(0, 0.5, 8)])
-    for terms, prefix in (
-        (bc._nonlocal_terms, "C"),
-        (lambda *a: bc._local_terms(*a, "A"), "K"),
-        (lambda *a: bc._local_terms(*a, "B"), "K"),
-    ):
-        stacked = bc._assemble(terms(*amps.T, lams), prefix)
-        single = [bc._assemble(terms(*a, float(lam)), prefix) for a, lam in zip(amps, lams)]
-        assert stacked.shape == (9, 4, 4)
-        assert stacked.tobytes() == np.array(single).tobytes()
 
 
 def _copy_maps_built_per_call(amplitudes, lmbda):
@@ -293,7 +277,7 @@ _AMPLITUDES = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(amps=_AMPLITUDES, lam=st.floats(0.0, 0.5))
+@given(amps=_AMPLITUDES, lam=within(bc.COPIER_LAMBDA))
 @example(amps=[0.6, 0.8], lam=0.0)
 @example(amps=[0.6, 0.8], lam=0.5)
 @example(amps=[0.5, 0.5, -0.5, 0.5], lam=0.0)
@@ -308,25 +292,6 @@ def test_channel_matrices_match_the_block_by_block_kron_sum(amps, lam):
 
 
 @pytest.mark.parametrize(
-    "fn", [bc.broadcast_output_matrices, bc.broadcast_channel_matrices, bc.broadcast_machine_matrices]
-)
-@pytest.mark.parametrize("width", [2, 4])
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width, seed):
-    v = np.random.default_rng(seed).normal(size=(5, width))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    stacked = fn(v, 0.2)
-    for i in range(5):
-        one = fn(v[i], 0.2)
-        for key in one:
-            assert stacked[key].shape == (5, 4, 4)
-            assert np.array_equal(stacked[key][i], one[key]), key
-    with pytest.raises(ValueError, match="state vector is not normalized"):
-        fn(np.vstack([v, np.full(width, 0.9)]), 0.2)
-
-
-@pytest.mark.parametrize(
     "bad, message",
     [(np.array([0.6, 0.7]), "state vector is not normalized"), (np.array([math.nan, 0.8]), "amplitudes must be finite")],
     ids=["unnormalized", "nan"],
@@ -337,9 +302,16 @@ def test_a_stack_of_inputs_gives_the_stack_of_their_outputs(fn, width, seed):
         bc.input_amps,
         lambda amps: bc.broadcast_output_matrices(amps, 0.2),
         lambda amps: bc.broadcast_channel_matrices(amps, 0.2),
+        lambda amps: bc.broadcast_machine_matrices(amps, 0.2),
         lambda amps: bc.nonlocal_coefficients(amps, 0.2),
     ],
-    ids=["input_amps", "broadcast_output_matrices", "broadcast_channel_matrices", "nonlocal_coefficients"],
+    ids=[
+        "input_amps",
+        "broadcast_output_matrices",
+        "broadcast_channel_matrices",
+        "broadcast_machine_matrices",
+        "nonlocal_coefficients",
+    ],
 )
 def test_a_stack_with_one_bad_row_is_rejected(fn, bad, message):
     good = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]])
@@ -351,45 +323,6 @@ def test_a_stack_with_one_bad_row_is_rejected(fn, bad, message):
     for shape in ((3, 3), (0, 2)):
         with pytest.raises(ValueError, match=r"need \(alpha1, beta1\)"):
             fn(np.ones(shape) / math.sqrt(3))
-
-
-def test_a_stack_is_coerced_as_its_rows():
-    v = RNG.normal(size=(6, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    for stack in (v, v[:, :2] / np.linalg.norm(v[:, :2], axis=1, keepdims=True)):
-        coerced = bc._coerce_input(stack)
-        assert coerced.shape == (6, 4)
-        for row, one in zip(stack, coerced):
-            assert np.array_equal(bc._coerce_input(row), one)
-
-
-def test_the_channel_takes_one_lambda_per_input():
-    v = RNG.normal(size=(5, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    lams = np.array([0.0, 0.05, 1 / 6, 0.3, 0.5])
-    stacked = bc.broadcast_channel_matrices(v, lams)
-    for i, lam in enumerate(lams.tolist()):
-        one = bc.broadcast_channel_matrices(v[i], lam)
-        for key in one:
-            assert np.array_equal(stacked[key][i], one[key]), key
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 0.5))
-@example(seed=0, lam=0.2)
-def test_coefficients_of_a_stack_are_those_of_each_input(seed, lam):
-    v = np.random.default_rng(seed).normal(size=(4, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    # an input whose coefficients, at lambda = 0.2, once differed from the
-    # stack's in the last bit, when a square on one input's floats was ** 2
-    v[0] = [-0.7050896431718554, -0.43022162015528964, 0.15101915135293786, -0.543094069722163]
-    for fn in (bc.nonlocal_coefficients, bc.local_coefficients):
-        stacked = fn(v, lam)
-        for i in range(4):
-            one = fn(v[i], lam)
-            assert stacked.keys() == one.keys()
-            # one input's coefficients are floats, bit for bit the stack's
-            assert all(type(one[k]) is float and np.broadcast_to(stacked[k], (4,))[i] == one[k] for k in one)
 
 
 def test_the_operator_forms_take_one_input():

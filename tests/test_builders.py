@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qclone import cli, cloners, concat, deleters, qcore, tables
 from qclone.cloners import FAMILIES, MachineSpec, bh_gram, build_machine
-from qclone.hybrid import HybridSpec, hybrid_machine
-from qclone.qcore import PROBABILITY, BlankState, GramSpec, StateVector, bell_state, ket, realize_gram, symmetric_basis_state
+from qclone.hybrid import hybrid_machine
+from qclone.qcore import BlankState, GramSpec, StateVector, bell_state, ket, realize_gram, symmetric_basis_state
+from families import HYBRID_KINDS, probabilities, within
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +160,12 @@ def _blank_and_unitary(seed):
     return BlankState(float(z[0].real), complex(z[1])), (u[0, 0], u[0, 1], u[1, 0], u[1, 1])
 
 
-HYBRID_KINDS = {
-    "pauli": lambda p, lam: HybridSpec(MachineSpec("pauli-asym", (p,)), MachineSpec("bh-opt"), lam),
-    "anti": lambda p, lam: HybridSpec(MachineSpec("bh-opt"), MachineSpec("anti"), lam),
-    "bhbh": lambda p, lam: HybridSpec(MachineSpec("bh", (1 / 6 + p / 3,)), MachineSpec("bh", (1 / 6,)), lam),
-}
-
-
 # ---------------------------------------------------------------------------
 # each builder equals its tensor-product construction
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=1 / 6, max_value=0.5))
+@given(within(cloners.XI, least=1 / 6))  # the Gram is realizable from xi = 1/6
 @example(1 / 6)  # rank 2: the optimal universal copier
 @example(0.5)  # rank 2: Q0 = Q1 = 0
 def test_bh_equals_kron_construction(xi):
@@ -218,7 +212,7 @@ def test_anti_and_qiu_equal_kron_construction():
 
 @pytest.mark.parametrize("kind", sorted(HYBRID_KINDS))
 @settings(max_examples=20, deadline=None)
-@given(p=st.floats(PROBABILITY.least, PROBABILITY.most), lam=st.floats(PROBABILITY.least, PROBABILITY.most))
+@given(p=probabilities, lam=probabilities)
 def test_hybrid_machine_equals_column_loop(kind, p, lam):
     spec = HYBRID_KINDS[kind](p, lam)
     assert np.array_equal(hybrid_machine(spec).matrix, _hybrid_by_columns(spec))
@@ -289,62 +283,6 @@ def test_each_entry_names_its_builders_parameters(kind, family):
     assert set(entry.stack) <= set(entry.params)
 
 
-def _parts(kind, spec):
-    """The arrays a spec builds: the machine matrix, a stack for a stack
-    spec, then the arrays every machine of a stack shares."""
-    if kind == "machine":
-        return (build_machine(spec).matrix,)
-    machine, a = deleters._deleter_parts(spec)
-    return machine.matrix, a
-
-
-def _stack_of_blanks(blanks):
-    return BlankState(np.array([b.m1 for b in blanks]), np.array([b.m2 for b in blanks]))
-
-
-# per stack parameter: the stack of a list of its values; a new stack
-# parameter fails the property below until it has one, and a drawn pair there
-STACK_OF = {"p": np.array, "blank": _stack_of_blanks}
-# the parameters of each family that has a stack parameter, which it
-# replaces, from a drawn dimension and lambda
-STACK_BASES = {
-    "pauli-asym": lambda d, lam: (0.5,),
-    "heis-asym": lambda d, lam: (d, 0.5),
-    "conv": lambda d, lam: (lam, deleters.DEFAULT_BLANK),
-}
-STACKS = [(kind, family, name) for kind, family in ENTRIES for name in CATALOGS[kind][0][family].stack]
-_PAIR = dict(min_size=2, max_size=2)
-
-
-@pytest.mark.parametrize("kind, family, name", STACKS, ids=[f"{family}-{name}" for _, family, name in STACKS])
-@settings(max_examples=30, deadline=None)
-@given(
-    d=st.sampled_from((2, 3, 5)),
-    lam=st.floats(0.0, 0.5),
-    ps=st.lists(st.floats(PROBABILITY.least, PROBABILITY.most), **_PAIR),
-    seeds=st.lists(st.integers(0, 2**32 - 1), **_PAIR),
-)
-# p = 0.9229477291654931 has p**2 != p * p: an element built with ** on one
-# float once differed from its stack's (p * p) by 1.1e-16
-@example(d=5, lam=0.0, ps=[0.0, 0.9229477291654931], seeds=[0, 1])
-@example(d=5, lam=0.0, ps=[0.9229477291654931, 0.0], seeds=[0, 1])
-def test_a_two_element_stack_is_its_elements(kind, family, name, d, lam, ps, seeds):
-    table, spec_type = CATALOGS[kind]
-    base = list(STACK_BASES[family](d, lam))
-    pair = {"p": ps, "blank": [_blank_and_unitary(seed)[0] for seed in seeds]}[name]
-    at = table[family].params.index(name)
-
-    def spec(value):
-        return spec_type(family, tuple(base[:at]) + (value,) + tuple(base[at + 1 :]))
-
-    stack, *shared = _parts(kind, spec(STACK_OF[name](pair)))
-    assert stack.shape[0] == 2
-    for value, matrix in zip(pair, stack):
-        one, *one_shared = _parts(kind, spec(value))
-        assert np.array_equal(matrix, one)
-        assert all(np.array_equal(x, y) for x, y in zip(shared, one_shared))
-
-
 # ---------------------------------------------------------------------------
 # a stack spec given where the table allows none, or to a single-spec driver
 
@@ -405,23 +343,6 @@ def test_a_stack_where_none_is_allowed_is_a_value_error(case):
     for result in STACK_FORMS.get(case, lambda: [])():
         rows = getattr(result, "rows", [])
         assert all(all(row.matches(None).values()) for row in rows)
-
-
-@pytest.mark.parametrize("kind", sorted(HYBRID_KINDS))
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.floats(PROBABILITY.least, PROBABILITY.most), min_size=1, max_size=5))
-def test_hybrid_stack_along_lambda_is_its_hybrids(kind, lams):
-    stack = hybrid_machine(HYBRID_KINDS[kind](0.3, np.array(lams)))
-    for lam, matrix in zip(lams, stack.matrix):
-        assert np.array_equal(matrix, hybrid_machine(HYBRID_KINDS[kind](0.3, lam)).matrix)
-
-
-def test_hybrid_stack_of_components_and_lambdas_is_its_hybrids():
-    ps, lams = np.array([0.0, 0.3, 1.0]), np.array([0.9, 0.1, 0.5])
-    stack = hybrid_machine(HybridSpec(MachineSpec("pauli-asym", (ps,)), MachineSpec("bh-opt"), lams))
-    for p, lam, matrix in zip(ps, lams, stack.matrix):
-        one = HybridSpec(MachineSpec("pauli-asym", (float(p),)), MachineSpec("bh-opt"), float(lam))
-        assert np.array_equal(matrix, hybrid_machine(one).matrix)
 
 
 def test_a_stack_spec_is_built_per_call_and_a_single_spec_once():

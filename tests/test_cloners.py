@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qclone import cloners, measures
 from qclone.cloners import MachineSpec, build_machine, clone_report
@@ -482,79 +481,6 @@ def test_machine_cache_is_keyed_by_parameter_types():
 # ---------------------------------------------------------------------------
 # batched reports
 
-TWO_TO_M = set(cloners.TWO_TO_M)
-
-# parameter strategy of every 1 -> M family, inputs of dimension d <= 4
-ONE_TO_M_PARAMS = {
-    "wz": st.just(()),
-    "wz-n": st.tuples(st.integers(2, 4)),
-    "bh": st.tuples(st.floats(1 / 6, 0.5)),
-    "bh-opt": st.just(()),
-    "gm-1m": st.tuples(st.integers(2, 6)),
-    "uqcm-d": st.tuples(st.integers(2, 4)),
-    "pc2": st.just(()),
-    "pc-d": st.tuples(st.integers(2, 4)),
-    "kr": st.tuples(st.floats(0.0, math.sqrt(0.5))),
-    "econ": st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d - 1))),
-    "pauli-asym": st.tuples(st.floats(0.0, 1.0)),
-    "heis-asym": st.tuples(st.integers(2, 4), st.floats(0.0, 1.0)),
-    "anti": st.just(()),
-}
-
-
-def test_batched_property_covers_every_one_to_m_family():
-    assert set(ONE_TO_M_PARAMS) | TWO_TO_M == set(cloners.FAMILIES)
-    assert not set(ONE_TO_M_PARAMS) & TWO_TO_M
-
-
-@st.composite
-def one_to_m_cases(draw):
-    family = draw(st.sampled_from(sorted(ONE_TO_M_PARAMS)))
-    spec = MachineSpec(family, draw(ONE_TO_M_PARAMS[family]))
-    d = build_machine(spec).in_dims[0]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (draw(st.integers(1, 6)), d)
-    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return spec, kets / np.linalg.norm(kets, axis=1, keepdims=True)
-
-
-@settings(max_examples=80, deadline=None)
-@given(one_to_m_cases())
-def test_clone_reports_equal_the_per_input_loop(case):
-    spec, kets = case
-    reps = cloners.clone_reports(spec, kets)
-    # 1e-15, not bit for bit: a complex BLAS product such as amps @ V.T may
-    # round a batch of one otherwise than a larger batch (see qcore.DENSITY_TOL)
-    for i, v in enumerate(kets):
-        rep = clone_report(spec, StateVector((len(v),), v))
-        for name in cloners.CloneReports._fields[3:]:
-            assert abs(getattr(reps, name)[i] - getattr(rep, name)) <= 1e-15, name
-        for name in ("rho_out", "rho_a", "rho_b"):
-            assert np.max(np.abs(getattr(reps, name)[i] - getattr(rep, name).mat)) <= 1e-15
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from((2, 3)),
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 4),
-    st.booleans(),
-)
-def test_clone_reports_of_a_stack_spec_are_those_of_each_machine(d, ps, seed, n, shared):
-    """One pass over a stack of copiers, on one input stack for every machine
-    or one per machine, gives each machine's one-machine pass bit for bit."""
-    rng = np.random.default_rng(seed)
-    shape = (n, d) if shared else (len(ps), n, d)
-    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
-    reps = cloners.clone_reports(MachineSpec("heis-asym", (d, np.array(ps))), kets)
-    for i, p in enumerate(ps):
-        one = cloners.clone_reports(MachineSpec("heis-asym", (d, p)), kets if shared else kets[i])
-        for name in cloners.CloneReports._fields:
-            assert np.array_equal(getattr(reps, name)[i], getattr(one, name)), name
-
-
 def test_clone_reports_make_no_eigensolve(monkeypatch):
     spec = MachineSpec("uqcm-d", (3,))
     build_machine(spec)
@@ -585,22 +511,6 @@ def test_clone_reports_reject_a_mismatched_or_empty_stack():
         cloners.clone_reports(MachineSpec("bh-opt"), [[1.0, 0.0], [math.nan, 0.0]])
 
 
-def test_ying_indices_take_a_stack():
-    rng = np.random.default_rng(3)
-    amps = rng.normal(size=(5, 3))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    stacked = cloners.ying_indices(3, amps)
-    assert all(isinstance(x, np.ndarray) and x.shape == (5,) for x in stacked)
-    # 1e-15, not bit for bit: a complex BLAS product such as amps @ V.T may
-    # round a batch of one otherwise than a larger batch (see qcore.DENSITY_TOL)
-    for i, row in enumerate(amps):
-        single = cloners.ying_indices(3, row)
-        assert all(isinstance(x, float) for x in single)
-        assert max(abs(s - x[i]) for s, x in zip(single, stacked)) <= 1e-15
-    # a real ket held in a complex array is accepted
-    assert cloners.ying_indices(2, np.array([0.6, 0.8 + 0j])) == cloners.ying_indices(2, [0.6, 0.8])
-
-
 def test_ying_indices_reject_complex_and_unnormalized_amplitudes():
     with pytest.raises(ValueError, match="amplitudes must be real"):
         cloners.ying_indices(2, np.array([0.6, 0.8j]))
@@ -610,6 +520,8 @@ def test_ying_indices_reject_complex_and_unnormalized_amplitudes():
         cloners.ying_indices(2, [math.nan, 1.0])
     with pytest.raises(ValueError, match="need n >= 2 real amplitudes"):
         cloners.ying_indices(3, np.ones((2, 2, 3)) / math.sqrt(3))
+    # a real ket held in a complex array is accepted
+    assert cloners.ying_indices(2, np.array([0.6, 0.8 + 0j])) == cloners.ying_indices(2, [0.6, 0.8])
 
 
 def test_nan_parameter_is_rejected_at_construction():

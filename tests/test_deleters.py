@@ -14,6 +14,7 @@ from qclone.qcore import (
     partial_trace,
     realize_gram,
 )
+from families import within
 from test_qcore import kron_all
 
 
@@ -417,7 +418,7 @@ def _kron_conv_parts(lmbda, blank, y):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    lmbda=st.floats(0.0, 0.5),
+    lmbda=within(deleters.CONV_LAMBDA),
     theta=st.floats(0.0, math.pi / 2),
     phi=st.floats(0.0, 2 * math.pi),
     y_frac=st.none() | st.floats(0.0, 1.0),
@@ -488,63 +489,6 @@ def test_warm_delete_report_equals_cold(spec, n_transformers):
 # batched reports
 
 
-@st.composite
-def blanks(draw):
-    m1 = draw(st.floats(0.0, 1.0))
-    phase = draw(st.floats(0.0, 2 * math.pi))
-    return BlankState(m1, math.sqrt(1 - m1 * m1) * complex(math.cos(phase), math.sin(phase)))
-
-
-@st.composite
-def sdep_params(draw):
-    t, phi, chi = (draw(st.floats(0.0, 2 * math.pi)) for _ in range(3))
-    a0, b0 = math.cos(t), complex(math.cos(phi), math.sin(phi)) * math.sin(t)
-    rot = complex(math.cos(chi), math.sin(chi))
-    a1, b1 = -rot * b0.conjugate(), rot * a0  # (a1, b1) orthogonal to (a0, b0)
-    return (a0, a1, b0, b1, draw(blanks()))
-
-
-# parameter strategy of every deleter family
-DELETER_PARAMS = {
-    "pb": st.one_of(st.just(()), st.tuples(blanks())),
-    "qiu": st.tuples(st.sampled_from([1.0, -1.0])),
-    "conv": st.tuples(st.floats(0.0, 0.5), blanks()),
-    "sdep": sdep_params(),
-}
-
-
-def test_batched_property_covers_every_deleter_family():
-    assert set(DELETER_PARAMS) == set(deleters.DELETERS)
-
-
-@st.composite
-def deleter_cases(draw):
-    family = draw(st.sampled_from(sorted(DELETER_PARAMS)))
-    spec = DeleterSpec(family, draw(DELETER_PARAMS[family]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (draw(st.integers(1, 6)), 2)
-    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return spec, kets / np.linalg.norm(kets, axis=1, keepdims=True), draw(st.sampled_from([0, 1, 2]))
-
-
-@settings(max_examples=80, deadline=None)
-@given(deleter_cases())
-def test_delete_reports_equal_the_per_input_loop(case):
-    spec, kets, n_transformers = case
-    reps = deleters.delete_reports(spec, kets, n_transformers)
-    has_machine = len(build_deleter(spec).out_dims) > 2
-    assert (reps.rho_3 is not None) == has_machine and (reps.machine_overlap is not None) == has_machine
-    # 1e-15, not bit for bit: a complex BLAS product such as amps @ V.T may
-    # round a batch of one otherwise than a larger batch (see qcore.DENSITY_TOL)
-    for i, v in enumerate(kets):
-        rep = delete_report(spec, StateVector((2,), v), n_transformers)
-        names = ("F_1", "F_2", "machine_overlap") if has_machine else ("F_1", "F_2")
-        for name in names:
-            assert abs(getattr(reps, name)[i] - getattr(rep, name)) <= 1e-15, name
-        for name in ("rho_1", "rho_2", "rho_3") if has_machine else ("rho_1", "rho_2"):
-            assert np.max(np.abs(getattr(reps, name)[i] - getattr(rep, name).mat)) <= 1e-15
-
-
 @pytest.mark.parametrize("spec", [DeleterSpec("conv", (0.2,)), DeleterSpec("pb"), DeleterSpec("qiu", (1.0,))], ids=str)
 def test_delete_reports_make_no_eigensolve(monkeypatch, spec):
     build_deleter(spec)
@@ -557,42 +501,10 @@ def test_delete_reports_make_no_eigensolve(monkeypatch, spec):
 
 
 def test_delete_reports_leave_the_averages_to_the_spec():
-    spec = DeleterSpec("conv", (0.3, BlankState(0.6, 0.8)))
-    reps = deleters.delete_reports(spec, deleters.real_inputs(deleters.GL_ALPHA2), 1)
-    avg = deleters.average_fidelities(spec, 1)
-    assert abs(avg[0] - deleters.GL_WEIGHTS @ reps.F_1) < 1e-15
-    assert abs(avg[1] - deleters.GL_WEIGHTS @ reps.F_2) < 1e-15
+    # the averages are the quadrature sums of the reports at the nodes, bit
+    # for bit: tests/test_stacks.py, "deleters.average_fidelities per node"
+    reps = deleters.delete_reports(DeleterSpec("conv", (0.3, BlankState(0.6, 0.8))), deleters.GL_INPUTS, 1)
     assert not hasattr(reps, "avg_F_1")
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.floats(0.0, 0.5),
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.sampled_from([0, 1, 2]),
-    st.booleans(),
-)
-# a one-ket overlap spelled apart from the stacked one moved F_2 by its last bit
-@example(0.0, 0, 2, 3, 0, True)
-def test_delete_reports_of_a_blank_stack_are_those_of_each_deleter(lam, seed, n_machines, n, n_transformers, shared):
-    """One pass over a stack of conv deleters, on one input stack for every
-    machine or one per machine, gives each machine's one-machine pass bit
-    for bit."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n_machines, 2)) + 1j * rng.normal(size=(n_machines, 2))
-    z = z / np.linalg.norm(z, axis=1, keepdims=True) * np.exp(-1j * np.angle(z[:, :1]))
-    m1, m2 = z[:, 0].real, z[:, 1]
-    shape = (n, 2) if shared else (n_machines, n, 2)
-    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
-    reps = deleters.delete_reports(DeleterSpec("conv", (lam, BlankState(m1, m2))), kets, n_transformers)
-    for i in range(n_machines):
-        spec = DeleterSpec("conv", (lam, BlankState(float(m1[i]), complex(m2[i]))))
-        one = deleters.delete_reports(spec, kets if shared else kets[i], n_transformers)
-        for name in deleters.DeletionReports._fields:
-            assert np.array_equal(getattr(reps, name)[i], getattr(one, name)), name
 
 
 def test_delete_report_rejects_a_stack_spec_before_any_pass(monkeypatch):

@@ -4,11 +4,11 @@ Derived operators are not checked at run time (tests/test_checks_once.py):
 a reduction of a checked ket through a checked isometry, a partial trace, a
 tensor product or a unitary conjugation is Hermitian, PSD and unit-trace by
 construction.  This property holds every producer to check_densities over
-its domain instead, drawing each family from the per-family strategies of
-the batched-report tests; a family without a strategy fails it.  The
-closed-form operators are derived values too: built from checked scalars,
-they run no check at all, and their own property below holds each of them
-to check_densities over its whole domain, ends included.
+its domain instead, drawing each family from its strategy in ``families``;
+a family without a strategy fails it.  The closed-form operators are
+derived values too: built from checked scalars, they run no check at all,
+and their own property below holds each of them to check_densities over
+its whole domain, ends included.
 """
 
 import math
@@ -19,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 from qclone import broadcast as bc
 from qclone import cloners, concat, deleters
 from qclone.cloners import MachineSpec
-from qclone.deleters import DeleterSpec
 from qclone.qcore import (
     ALPHA2,
     DensityOperator,
@@ -29,18 +28,25 @@ from qclone.qcore import (
     check_densities,
     partial_trace,
 )
-from test_cloners import ONE_TO_M_PARAMS, one_to_m_cases
+from families import (
+    DELETER_PARAMS,
+    ONE_TO_M_PARAMS,
+    PIPELINE_CLONERS,
+    PIPELINE_DELETERS,
+    TWO_TO_M_PARAMS,
+    angles,
+    deleter_cases,
+    one_to_m_cases,
+    specs,
+    within,
+)
 from test_concat import pipeline_state
-from test_deleters import DELETER_PARAMS, deleter_cases
-
-TWO_TO_M_PARAMS = {"mixed-23": st.just(()), "mixed-2m": st.tuples(st.integers(3, 6))}
 
 
 @st.composite
 def two_to_m_cases(draw):
     """A 2->M spec and a random density matrix of random rank on its input."""
-    family = draw(st.sampled_from(sorted(TWO_TO_M_PARAMS)))
-    spec = MachineSpec(family, draw(TWO_TO_M_PARAMS[family]))
+    spec = draw(specs(TWO_TO_M_PARAMS, MachineSpec))
     d = math.prod(cloners.build_machine(spec).in_dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (d, draw(st.integers(1, d)))
@@ -52,8 +58,8 @@ def two_to_m_cases(draw):
 # a complex alpha with |alpha|^2 in [0, 1]
 alphas = st.builds(
     lambda a2, phase: math.sqrt(a2) * complex(math.cos(phase), math.sin(phase)),
-    st.floats(ALPHA2.least, ALPHA2.most),
-    st.floats(0.0, 2 * math.pi),
+    within(ALPHA2),
+    angles,
 )
 protocol_cases = st.tuples(alphas, st.sampled_from(bc.BRANCHES))  # and a branch
 
@@ -64,20 +70,10 @@ def broadcast_cases(draw):
     the machine regime [1/6, 1/2]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=4)
-    return amps / np.linalg.norm(amps), draw(st.floats(1 / 6, 0.5))
+    return amps / np.linalg.norm(amps), draw(within(bc.COPIER_LAMBDA, least=1 / 6))
 
 
-PIPELINE_CLONERS = st.one_of(
-    st.just(MachineSpec("wz")),
-    st.just(MachineSpec("bh-opt")),
-    st.tuples(st.floats(cloners.XI.least, cloners.XI.most)).map(lambda p: MachineSpec("bh", p)),
-)
-PIPELINE_DELETERS = st.sampled_from(concat.CONDITIONAL_DELETERS).flatmap(
-    lambda family: DELETER_PARAMS[family].map(lambda p: DeleterSpec(family, p))
-)
-pipeline_cases = st.tuples(
-    st.builds(concat.PipelineSpec, PIPELINE_CLONERS, PIPELINE_DELETERS), st.floats(ALPHA2.least, ALPHA2.most)
-)
+pipeline_cases = st.tuples(st.builds(concat.PipelineSpec, PIPELINE_CLONERS, PIPELINE_DELETERS), within(ALPHA2))
 
 
 def _clone_ops(spec, kets):
@@ -144,14 +140,14 @@ def test_every_derived_operator_is_a_density_operator(case):
 
 # an input alpha1|00> + beta1|11> of broadcast_outputs, either sign of
 # either amplitude, bare or padded with two zeros
-two_amplitude_inputs = st.floats(0.0, 2 * math.pi).flatmap(
+two_amplitude_inputs = angles.flatmap(
     lambda t: st.sampled_from([(math.cos(t), math.sin(t)), (math.cos(t), math.sin(t), 0.0, 0.0)])
 )
 closed_form_cases = st.one_of(
     st.tuples(st.just("protocol"), alphas),
     st.tuples(
         st.just("broadcast"),
-        st.tuples(two_amplitude_inputs, st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most)),
+        st.tuples(two_amplitude_inputs, within(bc.COPIER_LAMBDA)),
     ),
 )
 

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qclone import broadcast as bc
 from qclone import cloners, measures
@@ -18,6 +18,7 @@ from qclone.qcore import (
     _x_state,
     partial_trace,
 )
+from families import QUBIT_PARAMS, specs
 
 
 def random_density(rng, dims=(2, 2)):
@@ -78,28 +79,6 @@ def test_overlap_bh_optimal_output():
         v = random_pure(rng, 2)
         rep = cloners.clone_report(cloners.MachineSpec("bh-opt"), StateVector((2,), v))
         assert abs(measures.overlap(StateVector((2,), v), rep.rho_a) - 5 / 6) < 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 10_000))
-def test_overlap_of_stacks_equals_the_overlap_of_each_row(d, n, seed):
-    rng = np.random.default_rng(seed)
-    kets = np.stack([random_pure(rng, d) for _ in range(n)])
-    rhos = [random_density(rng, (d,)) for _ in range(n)]
-    mats = np.stack([rho.mat for rho in rhos])
-    one_ket, one_rho = StateVector((d,), kets[0]), rhos[0]
-    pairs = {
-        "ket stack, operator stack": (kets, mats, zip(kets, rhos)),
-        "ket stack, one operator": (kets, one_rho.mat, ((k, one_rho) for k in kets)),
-        "one ket, operator stack": (kets[0], mats, ((kets[0], rho) for rho in rhos)),
-    }
-    for name, (psi, rho, rows) in pairs.items():
-        want = [measures.overlap(StateVector((d,), k), r) for k, r in rows]
-        got = measures.overlap(psi, rho)
-        assert got.shape == (n,), name
-        assert np.array_equal(got, want), name
-    single = measures.overlap(one_ket, one_rho)
-    assert type(single) is float and single == measures.overlap(kets[0], one_rho.mat)
 
 
 def test_hs_distance():
@@ -250,17 +229,6 @@ def test_is_npt_threshold_and_split():
     assert measures.is_npt(three, (2, 2, 2), (2,))
     assert measures.is_npt(three, (2, 2, 2), (0, 1))
     assert not measures.is_npt(three, (2, 2, 2), (1,))
-
-
-def test_is_npt_on_a_stack_is_per_matrix():
-    singlet = projector(bell_state("psi-"), (2, 2)).mat
-    stack = np.array([p * singlet + (1 - p) * np.eye(4) / 4 for p in (0.0, 0.3, 1 / 3, 0.34, 1.0)])
-    least = measures.min_pt_eigenvalue(stack)
-    assert least.shape == (5,)
-    assert list(least) == [measures.min_pt_eigenvalue(m) for m in stack]
-    assert list(measures.is_npt(stack)) == [False, False, False, True, True]
-    assert type(measures.min_pt_eigenvalue(singlet)) is float
-    assert type(measures.is_npt(singlet)) is bool
 
 
 @settings(max_examples=100, deadline=None)
@@ -501,28 +469,6 @@ def test_a_carried_x_state_gives_the_measures_of_its_matrix(name, a2, phase, lam
         assert _all_measures(op) == _all_measures(built)
 
 
-@pytest.mark.parametrize("name", X_PRODUCERS)
-@settings(max_examples=60, deadline=None)
-@given(
-    a2=st.floats(ALPHA2.least, ALPHA2.most),
-    phase=st.floats(0.0, 2 * math.pi),
-    lam=st.floats(bc.COPIER_LAMBDA.least, bc.COPIER_LAMBDA.most),
-)
-# the squares and roots of one X state in libm pow moved its least eigenvalue
-# off its element of a stack: rho_16_closed, rho_46_closed, rho_12_closed
-@example(a2=0.19457688761579417, phase=0.0, lam=0.2)
-@example(a2=0.23009289560526314, phase=0.0, lam=0.2)
-@example(a2=0.2428518596136473, phase=0.0, lam=0.2)
-def test_one_x_state_gives_the_pt_eigenvalue_of_its_element_of_a_stack(name, a2, phase, lam):
-    mats = [op.mat for op in X_PRODUCERS[name](a2, phase, lam)]
-    for split in ((0,), (1,)):
-        least = measures.min_pt_eigenvalue(np.stack(mats), split=split)
-        npt = measures.is_npt(np.stack(mats), split=split)
-        for i, mat in enumerate(mats):
-            assert measures.min_pt_eigenvalue(mat, split=split).hex() == float(least[i]).hex()
-            assert measures.is_npt(mat, split=split) == npt[i]
-
-
 def test_a_closed_form_sweep_recognises_no_state(monkeypatch):
     """The five closed-form states that the closed_forms benchmark measures
     take the measures from the numbers they carry."""
@@ -581,31 +527,9 @@ def test_herbert_ensembles():
         measures.herbert_gap_with_machine(cloners.build_machine(cloners.MachineSpec("mixed-23")))
 
 
-# Parameters of every catalog family with a qubit input, each in the
-# family's domain (the dimension families at d = 2).
-NO_SIGNALLING_PARAMS = {
-    "wz": st.just(()),
-    "wz-n": st.just((2,)),
-    "bh": st.tuples(st.floats(1 / 6, 0.5)),
-    "bh-opt": st.just(()),
-    "gm-1m": st.tuples(st.integers(2, 6)),
-    "uqcm-d": st.just((2,)),
-    "pc2": st.just(()),
-    "pc-d": st.just((2,)),
-    "kr": st.tuples(st.floats(0.0, 1 / math.sqrt(2))),
-    "econ": st.tuples(st.just(2), st.integers(0, 1)),
-    "pauli-asym": st.tuples(st.floats(0.0, 1.0)),
-    "heis-asym": st.tuples(st.just(2), st.floats(0.0, 1.0)),
-    "anti": st.just(()),
-}
-QUBIT_MACHINES = st.sampled_from(sorted(NO_SIGNALLING_PARAMS)).flatmap(
-    lambda f: NO_SIGNALLING_PARAMS[f].map(lambda params: cloners.MachineSpec(f, params))
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(QUBIT_MACHINES)
+@given(specs(QUBIT_PARAMS, cloners.MachineSpec))
 def test_no_signalling_across_the_cloner_catalog(spec):
     # a new qubit-input family fails here until it has a strategy
-    assert set(NO_SIGNALLING_PARAMS) == set(cloners.FAMILIES) - set(cloners.TWO_TO_M)
+    assert set(QUBIT_PARAMS) == set(cloners.FAMILIES) - set(cloners.TWO_TO_M)
     assert measures.herbert_gap_with_machine(cloners.build_machine(spec)) < 1e-9
