@@ -11,6 +11,8 @@ every array and number (a zero's sign aside), and the verdict and message of
 a check.  One cause earns a tolerance: a complex BLAS product (``amps @
 V.T``) rounds a batch of one otherwise than a larger batch, so the three
 entries that hold a one-input report to its row of a batch allow BLAS_TOL.
+A probe stack checks the property itself: it fails an element a last bit
+off, of another dtype, a NumPy number, another message or a leaf short.
 
 The guard: every ``stack`` parameter of ``cloners.FAMILIES`` and
 ``deleters.DELETERS`` has an entry, and so has every ``broadcast`` function
@@ -525,6 +527,35 @@ def test_every_stack_element_is_its_one_value_call(name):
         _assert_elements(entry, args)
 
     drawn()
+
+
+# the property on a probe stack: each departure of an element from its
+# one-value call that the property must catch, with the entry's tolerance
+PROBE = np.array([[0.6, 0.8], [1.0, 0.0]])
+
+
+def _honest(row):
+    return row, float(row[0]), "verdict"
+
+
+DEPARTURES = {
+    "an array a last bit off": (lambda row: (np.nextafter(row, 2.0), float(row[0]), "verdict"), 0.0),
+    "a number a last bit off": (lambda row: (row, math.nextafter(float(row[0]), 2.0), "verdict"), 0.0),
+    "an array of another dtype": (lambda row: (row.astype(complex), float(row[0]), "verdict"), 0.0),
+    "a NumPy number for a Python one": (lambda row: (row, row[0], "verdict"), 0.0),
+    "another message": (lambda row: (row, float(row[0]), "another verdict"), 0.0),
+    "a leaf fewer": (lambda row: (row, float(row[0])), 0.0),
+    "an array past the tolerance": (lambda row: (row + 4 * BLAS_TOL, float(row[0]), "verdict"), BLAS_TOL),
+}
+
+
+@pytest.mark.parametrize("name", DEPARTURES)
+def test_the_property_fails_an_element_that_is_not_its_one_value_call(name):
+    one, tol = DEPARTURES[name]
+    entry = Entry(st.nothing(), lambda stack: (stack, stack[:, 0], "verdict"), _rows_of(1), tol=tol)
+    _assert_elements(entry._replace(one=_honest), (PROBE,))
+    with pytest.raises(AssertionError):
+        _assert_elements(entry._replace(one=one), (PROBE,))
 
 
 # the broadcast forms of one input, each with its arguments after the input
