@@ -501,9 +501,11 @@ def test_delete_reports_make_no_eigensolve(monkeypatch, spec):
 
 
 def test_delete_reports_leave_the_averages_to_the_spec():
-    # the averages are the quadrature sums of the reports at the nodes, bit
-    # for bit: tests/test_stacks.py, "deleters.average_fidelities per node"
-    reps = deleters.delete_reports(DeleterSpec("conv", (0.3, BlankState(0.6, 0.8))), deleters.GL_INPUTS, 1)
+    spec = DeleterSpec("conv", (0.3, BlankState(0.6, 0.8)))
+    reps = deleters.delete_reports(spec, deleters.real_inputs(deleters.GL_ALPHA2), 1)
+    avg = deleters.average_fidelities(spec, 1)
+    assert abs(avg[0] - deleters.GL_WEIGHTS @ reps.F_1) < 1e-15
+    assert abs(avg[1] - deleters.GL_WEIGHTS @ reps.F_2) < 1e-15
     assert not hasattr(reps, "avg_F_1")
 
 

@@ -5,14 +5,13 @@ The thesis's tables each sweep one machine parameter (p in table 2.1, lambda
 in tables 2.3 and 2.4, the blank in tables 4.1 and 4.2); qclone computes each
 sweep as one stack of machines, so every reproduced row rests on this rule.
 An entry of ``STACKS`` holds a strategy of a stack call's arguments, the
-function, each element's arguments, the one-value call and the split of the
-stack's value into its elements; the property compares the ``.tobytes()`` of
-every array and number (a zero's sign aside), and the verdict and message of
-a check.  One cause earns a tolerance: a complex BLAS product (``amps @
-V.T``) rounds a batch of one otherwise than a larger batch, so the three
-entries that hold a one-input report to its row of a batch allow BLAS_TOL.
-A probe stack checks the property itself: it fails an element a last bit
-off, of another dtype, a NumPy number, another message or a leaf short.
+function, each element's arguments, the one-value call, the split of the
+stack's value into its elements and the number of drawn examples; the
+property compares the ``.tobytes()`` of every array and number, and the
+verdict and message of a check.  One cause earns a tolerance: a complex BLAS
+product (``amps @ V.T``) rounds a batch of one otherwise than a larger
+batch, so the three entries that hold a one-input report to its row of a
+batch allow BLAS_TOL.
 
 The guard: every ``stack`` parameter of ``cloners.FAMILIES`` and
 ``deleters.DELETERS`` has an entry, and so has every ``broadcast`` function
@@ -31,19 +30,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qclone import broadcast as bc
-from qclone import cloners, concat, deleters, measures
+from qclone import cloners, deleters, measures
 from qclone.cloners import MachineSpec, build_machine
-from qclone.deleters import CONV_LAMBDA, GL_ALPHA2, GL_INPUTS, GL_WEIGHTS, BlankState, DeleterSpec
+from qclone.deleters import CONV_LAMBDA, BlankState, DeleterSpec
 from qclone.hybrid import HybridSpec, hybrid_machine
 from qclone.qcore import DENSITY_TOL, DIMENSION, DensityOperator, MachineIsometry, StateVector, _x_state, bell_state
 from qclone.qcore import check_densities, check_kets, partial_transpose, reduce_ket, reduce_kets
-from families import DELETER_PARAMS, HYBRID_KINDS, ONE_TO_M_PARAMS, PIPELINE_CLONERS, PIPELINE_DELETERS, angles
-from families import blank_states, deleter_cases, integers, kets, one_to_m_cases, probabilities, random_kets, seeds
-from families import specs, within
+from families import DELETER_PARAMS, HYBRID_KINDS, ONE_TO_M_PARAMS, angles, blank_states, deleter_cases, integers
+from families import kets, one_to_m_cases, probabilities, random_kets, seeds, within
 from test_measures import X_PRODUCERS
 from test_qcore import _isometry, _verdict, kets_on_subsystems
 
 BLAS_TOL = 1e-15
+EXAMPLES = 10  # Hypothesis examples per entry, each drawing examples // EXAMPLES argument sets
 
 
 def _leaves(value):
@@ -98,7 +97,8 @@ class Entry(NamedTuple):
     one: Optional[Callable] = None  # the one-value call, if not fn
     split: Callable = _rows  # (stack value, each element's leaves) -> each element's value
     tol: float = 0.0
-    cases: tuple = ()  # the arguments of pinned counterexamples, run before the draws
+    cases: tuple = ()  # the arguments of pinned counterexamples
+    examples: int = 40  # argument sets drawn
 
 
 def _same(got, want, tol):
@@ -107,8 +107,6 @@ def _same(got, want, tol):
     g, w = np.asarray(got), np.asarray(want)
     if tol:
         return g.shape == w.shape and np.abs(g - w).max(initial=0.0) <= tol
-    if g.dtype.kind in "fc":  # + 0.0 makes a -0.0 0.0: an equal spec's cached build may sign its zeros
-        g, w = g + 0.0, w + 0.0
     return (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
@@ -237,6 +235,13 @@ def _defect(in_dims, out_dims, matrix):
     return MachineIsometry(in_dims, out_dims, matrix).isometry_defect()
 
 
+def _conv_parts(spec):
+    """A conv spec's machine matrix and initial machine ket, each + 0.0 (a
+    -0.0 made 0.0): the spec cache serves an equal spec's build, and a blank
+    of -0.0 equals one of 0.0 but builds zeros of the other sign."""
+    return deleters.build_deleter(spec).matrix + 0.0, deleters._deleter_parts(spec)[1] + 0.0
+
+
 def _blank_stack(blanks):
     return BlankState(np.array([b.m1 for b in blanks]), np.array([b.m2 for b in blanks]))
 
@@ -254,17 +259,22 @@ def _closed_form_x_states(a2, phase, lam, split):
     return np.stack([op.mat for make in X_PRODUCERS.values() for op in make(a2, phase, lam)]), (2, 2), split
 
 
+SPLITS = st.sampled_from(((0,), (1,)))
+X_STACKS = st.builds(_closed_form_x_states, probabilities, angles, within(bc.COPIER_LAMBDA), SPLITS)
+
+
 @st.composite
 def _pt_stacks(draw):
-    """Closed-form X states, Werner states or random densities, and a split."""
-    kind, split = draw(st.sampled_from(("x", "werner", "general"))), draw(st.sampled_from(((0,), (1,))))
-    if kind == "x":
-        return _closed_form_x_states(draw(probabilities), draw(angles), draw(within(bc.COPIER_LAMBDA)), split)
-    if kind == "werner":
+    """Werner states or random densities on 2 or 3 subsystems, and a split."""
+    if draw(st.booleans()):
         ps = np.array(draw(st.lists(probabilities, min_size=1, max_size=5)))[:, None, None]
-        return ps * np.outer(*[bell_state("psi-")] * 2) + (1 - ps) * np.eye(4) / 4, (2, 2), split
+        return ps * np.outer(*[bell_state("psi-")] * 2) + (1 - ps) * np.eye(4) / 4, (2, 2), draw(SPLITS)
     dims, mats = draw(density_stacks(least_systems=2))
     return mats, dims, draw(st.lists(st.sampled_from(range(len(dims))), min_size=1, max_size=len(dims) - 1, unique=True))
+
+
+def _pt(mats, dims, split):
+    return measures.min_pt_eigenvalue(mats, dims, split), measures.is_npt(mats, dims, split)
 
 
 # the squares and roots of one X state in libm pow moved its least
@@ -362,25 +372,6 @@ def _real_rows(widths):
     return rows.map(lambda a: a / np.linalg.norm(a, axis=1, keepdims=True))
 
 
-def _node_averages(spec, n_transformers):
-    """The quadrature sums of F_1 and F_2 over the reports at the nodes."""
-    reps = deleters.delete_reports(spec, GL_INPUTS, n_transformers)
-    return float(GL_WEIGHTS @ reps.F_1), float(GL_WEIGHTS @ reps.F_2)
-
-
-def _node_pipeline_averages(spec):
-    """The quadrature sums over run_pipeline at each node.  np.dot rounds
-    by the stride of its operand: a column of the (64, 2) node table has
-    the stride of the library's per-node arrays."""
-    nodes = np.array([concat.run_pipeline(spec, a2) for a2 in GL_ALPHA2.tolist()])
-    return float(GL_WEIGHTS @ nodes[:, 0]), float(GL_WEIGHTS @ nodes[:, 1])
-
-
-def _averages(args, fn, one):
-    """An average's entry: a spec's average is the quadrature sum of its one-value calls."""
-    return Entry(args, fn, lambda *a: [a], one, _whole)
-
-
 transformers = st.sampled_from([0, 1, 2])
 
 
@@ -412,20 +403,21 @@ V0_CASES = ((np.stack([V0, V0[::-1]]), 0.2),)
 
 STACKS = {
     # qcore
-    "qcore.reduce_ket": Entry(kets_on_subsystems().map(lambda c: (c[2], c[0], c[1])), reduce_ket, _rows_of(1)),
+    "qcore.reduce_ket": Entry(kets_on_subsystems().map(lambda c: (c[2], c[0], c[1])), reduce_ket, _rows_of(1), examples=60),
     "qcore.reduce_kets": Entry(
         kets_on_subsystems().map(lambda c: (c[2], c[0], [c[1], c[1][::-1]])), reduce_kets, _rows_of(1)
     ),
     "qcore.partial_transpose": Entry(  # a stack with two leading axes
-        _pt_stacks().map(lambda a: (a[0][None], *a[1:])), partial_transpose, _rows_of(2)
+        st.one_of(_pt_stacks(), X_STACKS).map(lambda a: (a[0][None], *a[1:])), partial_transpose, _rows_of(2)
     ),
     "qcore.check_kets": Entry(
         _one_bad_row(st.tuples(st.integers(1, 4), st.integers(2, 4)).flatmap(kets), _spoil_ket), **_checks(check_kets)
     ),
     "qcore.check_densities": Entry(
-        st.one_of(_one_bad_row(density_stacks().map(lambda c: c[1]), _corrupt), _boundary_x_states()),
-        **_checks(check_densities),
-        cases=((X_BOUNDARY[None],),),
+        _one_bad_row(density_stacks().map(lambda c: c[1]), _corrupt), **_checks(check_densities), examples=80
+    ),
+    "qcore.check_densities at the PSD boundary": Entry(
+        _boundary_x_states(), **_checks(check_densities), cases=((X_BOUNDARY[None],),), examples=200
     ),
     "qcore.MachineIsometry.isometry_defect": Entry(
         _isometries(),
@@ -449,8 +441,11 @@ STACKS = {
     "measures.hs_distance": Entry(
         _operand_stacks().flatmap(lambda c: st.sampled_from([c[1:], (c[1], c[2][0])])), measures.hs_distance, _rows_of(2, 2)
     ),
-    "measures.min_pt_eigenvalue": Entry(_pt_stacks(), measures.min_pt_eigenvalue, _rows_of(2), cases=X_PINNED),
-    "measures.is_npt": Entry(_pt_stacks(), measures.is_npt, _rows_of(2), cases=X_PINNED),
+    "measures.min_pt_eigenvalue, is_npt": Entry(_pt_stacks(), _pt, _rows_of(2)),
+    # every closed form's X states at one point: 60 points per split
+    "measures.min_pt_eigenvalue, is_npt of closed-form X states": Entry(
+        X_STACKS, _pt, _rows_of(2), cases=X_PINNED, examples=120
+    ),
     # every stack parameter of a family, built through build_machine and build_deleter
     "pauli-asym p": _family_entry(
         _stack_specs(cloners.FAMILIES, MachineSpec, ONE_TO_M_PARAMS, "pauli-asym", "p"),
@@ -459,10 +454,10 @@ STACKS = {
     "heis-asym p": _family_entry(HEIS_STACKS, lambda spec: build_machine(spec).matrix, cases=P_SQUARE_CASES),
     "conv blank": _family_entry(  # the machine matrix and the initial machine ket, one for a stack
         _stack_specs(deleters.DELETERS, DeleterSpec, DELETER_PARAMS, "conv", "blank"),
-        lambda spec: (deleters.build_deleter(spec).matrix, deleters._deleter_parts(spec)[1]),
+        _conv_parts,
         split=lambda arrays, wants: [(m, arrays[1]) for m in arrays[0]],
     ),
-    "hybrid.hybrid_machine": Entry(_hybrids(), lambda spec: hybrid_machine(spec).matrix, _hybrids_of),
+    "hybrid.hybrid_machine": Entry(_hybrids(), lambda spec: hybrid_machine(spec).matrix, _hybrids_of, examples=120),
     # reports
     "cloners.clone_reports per input": Entry(
         one_to_m_cases(),
@@ -470,6 +465,7 @@ STACKS = {
         _rows_of(None, 1),
         lambda spec, amps: cloners.clone_report(spec, StateVector(amps.shape, amps)),
         tol=BLAS_TOL,
+        examples=80,
     ),
     "cloners.clone_reports per machine": Entry(_clone_stacks(), cloners.clone_reports, _per_machine),
     "deleters.delete_reports per input": Entry(
@@ -478,6 +474,7 @@ STACKS = {
         _rows_of(None, 1, None),
         lambda spec, amps, n: deleters.delete_report(spec, StateVector((2,), amps), n)[:6],  # the per-input fields
         tol=BLAS_TOL,
+        examples=80,
     ),
     "deleters.delete_reports per deleter": Entry(
         st.builds(_delete_stacks, within(CONV_LAMBDA), seeds, *[st.integers(1, 4)] * 2, transformers, st.booleans()),
@@ -492,20 +489,15 @@ STACKS = {
         _rows_of(None, 1),
         tol=BLAS_TOL,
     ),
-    "deleters.average_fidelities per node": _averages(
-        st.tuples(specs(DELETER_PARAMS, DeleterSpec), transformers), deleters.average_fidelities, _node_averages
-    ),
-    "concat.pipeline_averages per node": _averages(
-        st.tuples(st.builds(concat.PipelineSpec, PIPELINE_CLONERS, PIPELINE_DELETERS)),
-        concat.pipeline_averages,
-        _node_pipeline_averages,
-    ),
     # broadcast
     "broadcast._coerce_input": Entry(_inputs(), bc._coerce_input, _rows_of(1)),
     "broadcast.input_amps": Entry(_inputs(), bc.input_amps, _rows_of(1)),
-    "broadcast.nonlocal_coefficients": _broadcast(_lambdas, bc.nonlocal_coefficients, cases=V0_CASES),
+    "broadcast.nonlocal_coefficients": _broadcast(_lambdas, bc.nonlocal_coefficients, cases=V0_CASES, examples=60),
     "broadcast.local_coefficients": Entry(
-        _inputs(_lambdas).flatmap(lambda a: st.sampled_from([(*a, "A"), (*a, "B")])), bc.local_coefficients, _rows_of(1, 0)
+        _inputs(_lambdas).flatmap(lambda a: st.sampled_from([(*a, "A"), (*a, "B")])),
+        bc.local_coefficients,
+        _rows_of(1, 0),
+        examples=60,
     ),
     "broadcast.broadcast_output_matrices": _broadcast(_lambdas, bc.broadcast_output_matrices, cases=V0_CASES),
     "broadcast.broadcast_channel_matrices": _broadcast(_lambdas, bc.broadcast_channel_matrices),
@@ -516,46 +508,17 @@ STACKS = {
 
 
 @pytest.mark.parametrize("name", STACKS)
-def test_every_stack_element_is_its_one_value_call(name):
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_every_stack_element_is_its_one_value_call(name, data):
     entry = STACKS[name]
-    for args in entry.cases:
-        _assert_elements(entry, args)
-
-    @settings(max_examples=30, deadline=None)
-    @given(entry.args)
-    def drawn(args):
-        _assert_elements(entry, args)
-
-    drawn()
+    for _ in range(entry.examples // EXAMPLES):
+        _assert_elements(entry, data.draw(entry.args))
 
 
-# the property on a probe stack: each departure of an element from its
-# one-value call that the property must catch, with the entry's tolerance
-PROBE = np.array([[0.6, 0.8], [1.0, 0.0]])
-
-
-def _honest(row):
-    return row, float(row[0]), "verdict"
-
-
-DEPARTURES = {
-    "an array a last bit off": (lambda row: (np.nextafter(row, 2.0), float(row[0]), "verdict"), 0.0),
-    "a number a last bit off": (lambda row: (row, math.nextafter(float(row[0]), 2.0), "verdict"), 0.0),
-    "an array of another dtype": (lambda row: (row.astype(complex), float(row[0]), "verdict"), 0.0),
-    "a NumPy number for a Python one": (lambda row: (row, row[0], "verdict"), 0.0),
-    "another message": (lambda row: (row, float(row[0]), "another verdict"), 0.0),
-    "a leaf fewer": (lambda row: (row, float(row[0])), 0.0),
-    "an array past the tolerance": (lambda row: (row + 4 * BLAS_TOL, float(row[0]), "verdict"), BLAS_TOL),
-}
-
-
-@pytest.mark.parametrize("name", DEPARTURES)
-def test_the_property_fails_an_element_that_is_not_its_one_value_call(name):
-    one, tol = DEPARTURES[name]
-    entry = Entry(st.nothing(), lambda stack: (stack, stack[:, 0], "verdict"), _rows_of(1), tol=tol)
-    _assert_elements(entry._replace(one=_honest), (PROBE,))
-    with pytest.raises(AssertionError):
-        _assert_elements(entry._replace(one=one), (PROBE,))
+@pytest.mark.parametrize("name, args", [(name, args) for name, entry in STACKS.items() for args in entry.cases])
+def test_every_pinned_case_is_its_one_value_call(name, args):
+    _assert_elements(STACKS[name], args)
 
 
 # the broadcast forms of one input, each with its arguments after the input
